@@ -65,8 +65,14 @@ __all__ = [
 
 
 def circle_derivative(samples: np.ndarray, h: float) -> np.ndarray:
-    """Central-difference d/ds on the periodic grid."""
-    return (np.roll(samples, -1) - np.roll(samples, 1)) / (2.0 * h)
+    """Central-difference d/ds on the periodic grid, along the last axis."""
+    s = np.asarray(samples, dtype=float)
+    out = np.empty_like(s)
+    np.subtract(s[..., 2:], s[..., :-2], out=out[..., 1:-1])
+    out[..., 0] = s[..., 1] - s[..., -1]
+    out[..., -1] = s[..., 0] - s[..., -2]
+    out /= 2.0 * h
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +243,8 @@ def evolve_umbilical(
     psi' must be positive on the (10% widened) range of lam; a negative
     value is a sign violation and rejected, a vanishing minimum only
     flags the run as degenerate.  The log conformal factor accumulates
-    -d_s psi(lam) by trapezoid in time, so ghat_t = ghat_0 exp(conf).
+    -d_s psi(lam) by trapezoid in time, so ghat_t = ghat_0 exp(conf); psi is
+    applied to the whole (steps, N) state array, so it must act elementwise.
     """
     lam0 = state.lam
     lo, hi = float(lam0.samples.min()), float(lam0.samples.max())
@@ -252,22 +259,31 @@ def evolve_umbilical(
     cfg_all = SolverConfig(cfg.dt, cfg.scheme, cfg.nonlinear_iterations, cfg.tolerance, 1)
     traj = solve_quasilinear_divergence(lam0, k, T, cfg_all)
 
-    h = lam0.h
-    conf = [state.conf.samples.copy()]
-    for i in range(1, traj.states.shape[0]):
-        dt = traj.times[i] - traj.times[i - 1]
-        flux_old = circle_derivative(psi(traj.states[i - 1]), h)
-        flux_new = circle_derivative(psi(traj.states[i]), h)
-        conf.append(conf[-1] - 0.5 * dt * (flux_old + flux_new))
+    flux = circle_derivative(psi(traj.states), lam0.h)
+    conf = _trapezoid_accumulate(state.conf.samples, 0.5 * np.diff(traj.times), flux)
 
     keep = _snapshot_indices(traj.times.size, cfg.save_every)
     return UmbilicalTrajectory(
         times=traj.times[keep] + state.t,
         lam=traj.states[keep],
-        conf=np.asarray(conf)[keep],
+        conf=conf[keep],
         length=lam0.length,
         flags={"degenerate": degenerate},
     )
+
+
+def _trapezoid_accumulate(start: np.ndarray, coef: np.ndarray, rate: np.ndarray) -> np.ndarray:
+    """Rows c_0 = start, c_i = c_{i-1} - coef_i (rate_{i-1} + rate_i), taken in
+    step order: bit-identical to the sequential loop, signed zeros included.
+
+    Overwrites ``rate``, in blocks from the last row back so that no row is
+    read after it is replaced; no (steps, N) array is allocated.
+    """
+    for hi in range(rate.shape[0], 1, -256):
+        lo = max(1, hi - 256)
+        rate[lo:hi] = coef[lo - 1:hi - 1, None] * (rate[lo - 1:hi - 1] + rate[lo:hi])
+    rate[0] = start
+    return np.subtract.accumulate(rate, axis=0, out=rate)
 
 
 def _snapshot_indices(total: int, save_every: int) -> np.ndarray:
@@ -371,20 +387,17 @@ def prescribed_mean_curvature_flow(
     cfg_all = SolverConfig(cfg.dt, cfg.scheme, cfg.nonlinear_iterations, cfg.tolerance, 1)
     traj = solve_heat_circle(w0, T, cfg_all)
 
-    h = state.tau1.h
-    conf = [np.zeros(state.tau1.n)]
-    for i in range(1, traj.states.shape[0]):
-        dt = traj.times[i] - traj.times[i - 1]
-        g_old = circle_derivative(traj.states[i - 1], h)
-        g_new = circle_derivative(traj.states[i], h)
-        conf.append(conf[-1] - (2.0 / n) * 0.5 * dt * (g_old + g_new))
+    g = circle_derivative(traj.states, state.tau1.h)
+    conf = _trapezoid_accumulate(
+        np.zeros(state.tau1.n), (2.0 / n) * 0.5 * np.diff(traj.times), g
+    )
 
     keep = _snapshot_indices(traj.times.size, cfg.save_every)
     w = traj.states[keep]
     return MeanCurvatureTrajectory(
         times=traj.times[keep] + state.t,
         tau1=w + F[None, :],
-        conf=np.asarray(conf)[keep],
+        conf=conf[keep],
         residual_sup=np.max(np.abs(w), axis=1),
         mean_w=w.mean(axis=1),
         length=state.tau1.length,

@@ -31,14 +31,14 @@ from .parabolic import (
     solve_heat_circle,
     solve_quasilinear_divergence,
 )
-from .scenarios import FlowScenario, build_field
+from .scenarios import FlowScenario, build_field, parse_entries
 from .symfun import CurvatureSpectrum, f_recursion_constants, power_sums
 
 __all__ = ["Check", "RunResult", "run_scenario", "write_artifacts", "sweep_values"]
 
 
-def _fmt(v) -> str:
-    return f"{float(v):.17g}"
+# Rows formatted per call by _write_table: bounds the text held in memory.
+_BLOCK_ROWS = 4096
 
 
 @dataclass
@@ -56,7 +56,7 @@ class RunResult:
     scenario: FlowScenario
     checks: list
     trajectory_header: list
-    trajectory_rows: list
+    trajectory_rows: np.ndarray  # (rows, len(trajectory_header)) floats
     summary_header: list
     summary_rows: list
     metrics: dict = field(default_factory=dict)
@@ -90,14 +90,12 @@ def run_scenario(scn: FlowScenario) -> RunResult:
     return runner(scn)
 
 
-def _circle_rows(times, x, fields: dict) -> tuple[list, list]:
-    names = list(fields)
-    header = ["t", "x"] + names
-    rows = []
-    for i, t in enumerate(times):
-        for j, xv in enumerate(x):
-            rows.append([t, xv] + [fields[name][i][j] for name in names])
-    return header, rows
+def _trajectory_table(times, axes: dict, fields: dict) -> tuple[list, np.ndarray]:
+    """Rows (t, node coordinates, fields) over times, then ``axes`` in order;
+    each field has shape (len(times), *axis lengths)."""
+    grids = np.meshgrid(times, *axes.values(), indexing="ij")
+    columns = [g.ravel() for g in grids] + [np.asarray(f).ravel() for f in fields.values()]
+    return ["t", *axes, *fields], np.stack(columns, axis=1)
 
 
 def _run_pde_reference(scn: FlowScenario) -> RunResult:
@@ -107,10 +105,8 @@ def _run_pde_reference(scn: FlowScenario) -> RunResult:
     if problem == "exact-quasilinear":
         u0 = CircleField(scn.length, exact_quasilinear_solution(0.0, x))
         traj = solve_quasilinear_divergence(u0, exact_quasilinear_conductivity(), scn.T, cfg)
-        errors = [
-            float(np.max(np.abs(traj.states[i] - exact_quasilinear_solution(t, x))))
-            for i, t in enumerate(traj.times)
-        ]
+        exact = np.stack([exact_quasilinear_solution(t, x) for t in traj.times])
+        errors = np.max(np.abs(traj.states - exact), axis=1).tolist()
         sup = np.max(np.abs(traj.states), axis=1)
         alpha = _fit_alpha(traj.step_times, traj.sup_deviation)
         tol = scn.check_tolerance if scn.check_tolerance is not None else 2e-4
@@ -127,16 +123,9 @@ def _run_pde_reference(scn: FlowScenario) -> RunResult:
                 f"max mean drift {np.max(np.abs(traj.means - traj.means[0])):.3e}",
             ),
         ]
-        fields = {
-            "u": traj.states,
-            "exact": np.stack([exact_quasilinear_solution(t, x) for t in traj.times]),
-        }
-        th, tr = _circle_rows(traj.times, x, fields)
+        th, tr = _trajectory_table(traj.times, {"x": x}, {"u": traj.states, "exact": exact})
         sh = ["t", "sup_u", "sup_error", "volume", "fitted_alpha"]
-        sr = [
-            [t, sup[i], errors[i], "", alpha]
-            for i, t in enumerate(traj.times)
-        ]
+        sr = [[t, sup[i], errors[i], "", alpha] for i, t in enumerate(traj.times)]
         return RunResult(scn, checks, th, tr, sh, sr, {"sup_error": errors[-1], "alpha": alpha})
 
     # circle-heat-decay
@@ -149,7 +138,7 @@ def _run_pde_reference(scn: FlowScenario) -> RunResult:
         Check("mean-conservation", mean_drift <= 1e-10, f"drift {mean_drift:.3e}"),
     ]
     sup = np.max(np.abs(traj.states), axis=1)
-    th, tr = _circle_rows(traj.times, x, {"u": traj.states})
+    th, tr = _trajectory_table(traj.times, {"x": x}, {"u": traj.states})
     sh = ["t", "sup_u", "volume", "fitted_alpha"]
     sr = [[t, sup[i], "", alpha] for i, t in enumerate(traj.times)]
     return RunResult(scn, checks, th, tr, sh, sr, {"alpha": alpha})
@@ -172,7 +161,7 @@ def _run_tau_heat(scn: FlowScenario) -> RunResult:
             "sup |tau1 - mean| non-increasing",
         ),
     ]
-    th, tr = _circle_rows(traj.times, x, {"tau1": states})
+    th, tr = _trajectory_table(traj.times, {"x": x}, {"tau1": states})
     sh = ["t", "sup_deviation", "volume", "fitted_alpha"]
     sr = [[t, sup[i], "", alpha] for i, t in enumerate(traj.times)]
     return RunResult(scn, checks, th, tr, sh, sr, {"alpha": alpha})
@@ -186,9 +175,7 @@ def _run_umbilical(scn: FlowScenario) -> RunResult:
             "umbilical scenario needs zero-mean initial curvature "
             "(closed-curve integral identity)"
         )
-    slope = float(scn.get("psi-slope", 2.0))
-    if slope <= 0.0:
-        raise ValidationError("psi-slope must be positive")
+    slope = scn.get("psi-slope", 2.0)
     lam0 = CircleField(scn.length, lam0_samples)
     psi = lambda u: slope * np.asarray(u, dtype=float)
     psi_prime = lambda u: np.full_like(np.asarray(u, dtype=float), slope)
@@ -201,13 +188,10 @@ def _run_umbilical(scn: FlowScenario) -> RunResult:
     )
     tracker = flows.VolumeTracker(1, scn.length, np.exp(-c0))
     vols = [tracker.vol]
+    trS = -flows.circle_derivative(psi(traj.lam), h)
     for i in range(1, traj.times.size):
-        lam = traj.lam[i]
-        trS = -flows.circle_derivative(psi(lam), h)
-        flows.track_volume(
-            tracker, CircleField(scn.length, trS), float(traj.times[i] - traj.times[i - 1])
-        )
-        vols.append(tracker.vol)
+        dt = float(traj.times[i] - traj.times[i - 1])
+        vols.append(flows.track_volume(tracker, CircleField(scn.length, trS[i]), dt).vol)
     sup = np.max(np.abs(traj.lam), axis=1)
     alpha = _fit_alpha(traj.times, sup) if np.max(sup) > 0 else math.inf
     checks = [
@@ -227,17 +211,17 @@ def _run_umbilical(scn: FlowScenario) -> RunResult:
             "conf(0, .) = 0",
         ),
     ]
-    th, tr = _circle_rows(traj.times, x, {"lambda": traj.lam, "conf": traj.conf})
+    th, tr = _trajectory_table(traj.times, {"x": x}, {"lambda": traj.lam, "conf": traj.conf})
     sh = ["t", "sup_lambda", "volume", "fitted_alpha"]
     sr = [[t, sup[i], vols[i], alpha] for i, t in enumerate(traj.times)]
     return RunResult(scn, checks, th, tr, sh, sr, {"alpha": alpha, "volume": vols[-1]})
 
 
 def _run_twisted(scn: FlowScenario) -> RunResult:
-    nx = int(float(scn.get("base-grid", 16)))
-    ny = int(float(scn.get("fiber-grid", scn.grid)))
-    n = int(float(scn.get("n", 1)))
-    fiber_length = float(scn.get("fiber-length", 2 * math.pi))
+    nx = scn.get("base-grid", 16)
+    ny = scn.get("fiber-grid", scn.grid)
+    n = scn.get("n", 1)
+    fiber_length = scn.get("fiber-length", 2 * math.pi)
     xb = np.linspace(-1.0, 1.0, nx)
     y = np.arange(ny) * fiber_length / ny
     profile = scn.get("profile", "one-plus-x-squared")
@@ -259,12 +243,7 @@ def _run_twisted(scn: FlowScenario) -> RunResult:
             "sup distance to limit non-increasing",
         ),
     ]
-    header = ["t", "x", "y", "phi"]
-    rows = []
-    for i, t in enumerate(traj.times):
-        for ix, xv in enumerate(xb):
-            for iy, yv in enumerate(y):
-                rows.append([t, xv, yv, traj.phi[i, ix, iy]])
+    header, rows = _trajectory_table(traj.times, {"x": xb, "y": y}, {"phi": traj.phi})
     sh = ["t", "sup_distance", "volume", "fitted_alpha"]
     sr = [[t, traj.sup_distance[i], "", alpha] for i, t in enumerate(traj.times)]
     return RunResult(scn, checks, header, rows, sh, sr, {"alpha": alpha})
@@ -272,7 +251,7 @@ def _run_twisted(scn: FlowScenario) -> RunResult:
 
 def _run_prescribed(scn: FlowScenario) -> RunResult:
     x = np.arange(scn.grid) * scn.length / scn.grid
-    n = int(float(scn.get("n", 1)))
+    n = scn.get("n", 1)
     tau0 = CircleField(scn.length, build_field(scn, "init", x))
     target = CircleField(scn.length, build_field(scn, "target", x))
     state = flows.MeanCurvatureState(tau0, target)
@@ -289,7 +268,7 @@ def _run_prescribed(scn: FlowScenario) -> RunResult:
         ),
         Check("mean-conservation", drift <= 1e-10, f"drift {drift:.3e}"),
     ]
-    th, tr = _circle_rows(traj.times, x, {"tau1": traj.tau1, "conf": traj.conf})
+    th, tr = _trajectory_table(traj.times, {"x": x}, {"tau1": traj.tau1, "conf": traj.conf})
     sh = ["t", "sup_residual", "volume", "fitted_alpha"]
     sr = [[t, traj.residual_sup[i], "", alpha] for i, t in enumerate(traj.times)]
     return RunResult(scn, checks, th, tr, sh, sr, {"alpha": alpha})
@@ -325,7 +304,7 @@ def _run_ftau(scn: FlowScenario) -> RunResult:
         Check("parabolicity-maintained", True, "run completed with a > 0"),
     ]
     fields = {f"tau{k}": traj.taus[k - 1] for k in range(1, n + 1)}
-    th, tr = _circle_rows(traj.times, x, fields)
+    th, tr = _trajectory_table(traj.times, {"x": x}, fields)
     sh = ["t", "sup_deviation", "volume", "fitted_alpha"]
     sr = [[t, sup[i], "", alpha] for i, t in enumerate(traj.times)]
     return RunResult(scn, checks, th, tr, sh, sr, {"alpha": alpha})
@@ -356,21 +335,16 @@ def _run_reeb(scn: FlowScenario) -> RunResult:
             "sup |lambda| non-increasing",
         ),
     ]
-    U = np.stack([-np.sin(geom.alpha) * traj.V[i] for i in range(traj.times.size)])
-    th, tr = _circle_rows(traj.times, geom.x, {"lambda": traj.lam, "V": traj.V, "U": U})
+    U = -np.sin(geom.alpha) * traj.V
+    th, tr = _trajectory_table(
+        traj.times, {"x": geom.x}, {"lambda": traj.lam, "V": traj.V, "U": U}
+    )
     sh = ["t", "sup_lambda", "volume", "fitted_alpha"]
     alpha = _fit_alpha(traj.times, sup)
     sr = [[t, sup[i], "", alpha] for i, t in enumerate(traj.times)]
-    return RunResult(
-        scn,
-        checks,
-        th,
-        tr,
-        sh,
-        sr,
-        {"K0": float(K[i0]), "det_residual": det_res, "slope": slope,
-         "slope_target": slope_target},
-    )
+    metrics = {"K0": float(K[i0]), "det_residual": det_res, "slope": slope,
+               "slope_target": slope_target}
+    return RunResult(scn, checks, th, tr, sh, sr, metrics)
 
 
 _RUNNERS = {
@@ -384,16 +358,28 @@ _RUNNERS = {
 }
 
 
+def _write_table(fh, header: list, rows) -> None:
+    """CSV with numbers as "%.17g" (the bytes of ``f"{float(v):.17g}"``) and str
+    cells verbatim.  A float array is formatted ``_BLOCK_ROWS`` rows per call,
+    other rows (numbers mixed with text or blank fields) one row per call."""
+    fh.write(",".join(header) + "\n")
+    if isinstance(rows, np.ndarray):
+        line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
+        for start in range(0, rows.shape[0], _BLOCK_ROWS):
+            block = rows[start:start + _BLOCK_ROWS]
+            fh.write((line * block.shape[0]) % tuple(block.ravel().tolist()))
+        return
+    for row in rows:
+        line = ",".join("%s" if isinstance(v, str) else "%.17g" for v in row)
+        fh.write(line % tuple(row) + "\n")
+
+
 def write_artifacts(result: RunResult, outdir: str) -> None:
     os.makedirs(outdir, exist_ok=True)
     with open(os.path.join(outdir, "trajectory.csv"), "w", encoding="utf-8") as fh:
-        fh.write(",".join(result.trajectory_header) + "\n")
-        for row in result.trajectory_rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        _write_table(fh, result.trajectory_header, result.trajectory_rows)
     with open(os.path.join(outdir, "summary.csv"), "w", encoding="utf-8") as fh:
-        fh.write(",".join(result.summary_header) + "\n")
-        for row in result.summary_rows:
-            fh.write(",".join("" if v == "" else _fmt(v) for v in row) + "\n")
+        _write_table(fh, result.summary_header, result.summary_rows)
     with open(os.path.join(outdir, "verdict.txt"), "w", encoding="utf-8") as fh:
         for check in result.checks:
             fh.write(check.line() + "\n")
@@ -405,57 +391,28 @@ def sweep_values(
 ) -> tuple[int, list]:
     """Run the scenario once per parameter value; one artifact dir each.
 
-    Returns (exit_code, comparison rows).  The comparative table lands
+    Each value replaces ``param`` in the parsed entries and is validated
+    before any run starts.  Returns (exit_code, comparison rows).  The comparative table lands
     in ``outdir/sweep.csv``.
     """
     from concurrent.futures import ThreadPoolExecutor
 
-    from .scenarios import allowed_keys
-
     if not values:
         raise ValidationError("sweep needs a non-empty value list")
-    if param == "kind" or param not in allowed_keys(scn.kind):
-        raise ValidationError(
-            f"sweep parameter {param!r} does not address a scalar field of "
-            f"a {scn.kind!r} scenario"
-        )
+    if param == "kind":
+        raise ValidationError("sweep parameter 'kind' does not address a scalar field")
+    scenarios = [parse_entries({**scn.entries, param: value}) for value in values]
 
-    def scenario_for(value: str) -> FlowScenario:
-        from .scenarios import FlowScenario as FS
-
-        base = dict(scn.extra)
-        kwargs = dict(
-            kind=scn.kind,
-            grid=scn.grid,
-            dt=scn.dt,
-            T=scn.T,
-            scheme=scn.scheme,
-            length=scn.length,
-            save_every=scn.save_every,
-            check_tolerance=scn.check_tolerance,
-        )
-        mapped = {"grid": "grid", "dt": "dt", "T": "T", "length": "length",
-                  "save-every": "save_every"}
-        if param in mapped:
-            val = float(value)
-            if param in ("grid", "save-every"):
-                val = int(val)
-            kwargs[mapped[param]] = val
-        else:
-            base[param] = value
-        return FS(extra=base, **kwargs)
-
-    def one(value: str):
-        sub = scenario_for(value)
+    def one(value: str, sub: FlowScenario):
         res = run_scenario(sub)
         write_artifacts(res, os.path.join(outdir, f"{param}={value}"))
         return value, res
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one, values))
+            results = list(pool.map(one, values, scenarios))
     else:
-        results = [one(v) for v in values]
+        results = [one(v, sub) for v, sub in zip(values, scenarios)]
 
     rows = []
     worst = 0
@@ -464,13 +421,8 @@ def sweep_values(
         final_sup = res.summary_rows[-1][1]
         alpha = res.metrics.get("alpha", math.nan)
         err = res.metrics.get("sup_error", "")
-        rows.append([value, final_sup, err, alpha, "pass" if res.passed else "fail"])
+        rows.append([str(value), final_sup, err, alpha, "pass" if res.passed else "fail"])
     os.makedirs(outdir, exist_ok=True)
     with open(os.path.join(outdir, "sweep.csv"), "w", encoding="utf-8") as fh:
-        fh.write(f"{param},final_sup,sup_error,fitted_alpha,verdict\n")
-        for row in rows:
-            vals = [str(row[0])] + [
-                "" if v == "" else _fmt(v) for v in row[1:4]
-            ] + [row[4]]
-            fh.write(",".join(vals) + "\n")
+        _write_table(fh, [param, "final_sup", "sup_error", "fitted_alpha", "verdict"], rows)
     return worst, rows

@@ -11,7 +11,7 @@ kind          one of: umbilical, tau-heat, twisted, prescribed-F, ftau,
               reeb, pde-reference
 grid          number of spatial nodes (circle kinds) or intervals (reeb)
 dt            time step
-T             time horizon
+T             time horizon, a whole number of dt steps (relative slack 1e-9)
 scheme        implicit-euler (default) or crank-nicolson
 length        circle circumference (default 2*pi)
 save-every    snapshot cadence in steps (0 = automatic)
@@ -35,8 +35,8 @@ import numpy as np
 from .errors import ValidationError
 from .parabolic import exact_quasilinear_solution
 
-__all__ = ["FlowScenario", "ScenarioParseError", "parse_scenario", "load_scenario",
-           "build_field", "FIELD_FORMS", "KINDS"]
+__all__ = ["FlowScenario", "ScenarioParseError", "parse_scenario", "parse_entries",
+           "load_scenario", "build_field", "FIELD_FORMS", "KINDS"]
 
 KINDS = (
     "umbilical",
@@ -61,6 +61,12 @@ FIELD_FORMS = (
 _COMMON_KEYS = {"kind", "grid", "dt", "T", "scheme", "length", "save-every",
                 "check-tolerance"}
 _FIELD_KEYS = ("", "-amplitude", "-frequency", "-offset", "-width")
+
+# Kind-specific numeric keys: integers (all positive), positive reals by name
+# or suffix, and other reals by suffix.
+_INT_KEYS = ("base-grid", "fiber-grid", "n")
+_POSITIVE_KEYS = ("fiber-length", "psi-slope", "-width")
+_REAL_SUFFIXES = ("-amplitude", "-frequency", "-offset")
 
 _KIND_KEYS = {
     "umbilical": {"init", "psi", "psi-slope"},
@@ -90,7 +96,11 @@ def allowed_keys(kind: str) -> set[str]:
 
 @dataclass
 class FlowScenario:
-    """A parsed, validated scenario ready to run."""
+    """A parsed, validated scenario ready to run.
+
+    ``extra``: kind-specific keys, numeric ones typed; ``entries``: every
+    key/value string as parsed, for a sweep to replace one and re-parse.
+    """
 
     kind: str
     grid: int
@@ -101,6 +111,7 @@ class FlowScenario:
     save_every: int = 0
     check_tolerance: float | None = None
     extra: dict = field(default_factory=dict)
+    entries: dict = field(default_factory=dict)
 
     def get(self, key: str, default=None):
         return self.extra.get(key, default)
@@ -130,9 +141,12 @@ def _as_float(entries: dict, key: str, default=None) -> float:
             raise ValidationError(f"missing required key {key!r}")
         return default
     try:
-        return float(entries[key])
+        val = float(entries[key])
     except ValueError as exc:
         raise ScenarioParseError(f"key {key!r}: not a number: {entries[key]!r}") from exc
+    if not math.isfinite(val):
+        raise ValidationError(f"key {key!r} must be finite, got {entries[key]!r}")
+    return val
 
 
 def _as_int(entries: dict, key: str, default=None) -> int:
@@ -142,14 +156,32 @@ def _as_int(entries: dict, key: str, default=None) -> int:
     return int(val)
 
 
+def _typed_extra(entries: dict) -> dict:
+    extra = {k: v for k, v in entries.items() if k not in _COMMON_KEYS}
+    for key in extra:
+        positive = key in _INT_KEYS or key.endswith(_POSITIVE_KEYS)
+        if key in _INT_KEYS:
+            extra[key] = _as_int(entries, key)
+        elif positive or key.endswith(_REAL_SUFFIXES):
+            extra[key] = _as_float(entries, key)
+        if positive and extra[key] <= 0:
+            raise ValidationError(f"{key} must be positive")
+    return extra
+
+
 def parse_scenario(text: str) -> FlowScenario:
     """Parse and validate scenario text.
 
     Raises :class:`ScenarioParseError` for malformed text and
     :class:`ValidationError` for semantic violations (unknown kind or
-    key, missing requirement, non-positive parameter).
+    key, missing requirement, non-positive or non-finite parameter, a
+    horizon T that is not a whole number of dt steps).
     """
-    entries = _parse_lines(text)
+    return parse_entries(_parse_lines(text))
+
+
+def parse_entries(entries: dict) -> FlowScenario:
+    """Validate parsed ``key: value`` strings; see :func:`parse_scenario`."""
     if "kind" not in entries:
         raise ValidationError("missing required key 'kind'")
     kind = entries["kind"]
@@ -169,12 +201,16 @@ def parse_scenario(text: str) -> FlowScenario:
         check_tolerance=(
             _as_float(entries, "check-tolerance") if "check-tolerance" in entries else None
         ),
-        extra={k: v for k, v in entries.items() if k not in _COMMON_KEYS},
+        extra=_typed_extra(entries),
+        entries=entries,
     )
     if scn.grid < 8:
         raise ValidationError("grid must be at least 8")
     if scn.dt <= 0 or scn.T < 0 or scn.length <= 0:
         raise ValidationError("dt, T and length must be positive")
+    steps = scn.T / scn.dt
+    if not math.isfinite(steps) or abs(round(steps) * scn.dt - scn.T) > 1e-9 * scn.T:
+        raise ValidationError(f"T = {scn.T!r} is not a whole number of dt = {scn.dt!r} steps")
     if scn.scheme not in ("implicit-euler", "crank-nicolson"):
         raise ValidationError(f"unknown scheme {entries.get('scheme')!r}")
     _validate_kind(scn)
@@ -198,8 +234,6 @@ def _validate_kind(scn: FlowScenario) -> None:
     if scn.kind == "twisted":
         if g("profile", "one-plus-x-squared") not in ("one-plus-x-squared", "constant"):
             raise ValidationError("unknown twisted profile")
-        if int(float(g("n", "1"))) < 1:
-            raise ValidationError("n must be >= 1")
     if scn.kind == "prescribed-F":
         if g("target", "cos") not in FIELD_FORMS:
             raise ValidationError("unknown target form")
@@ -212,7 +246,7 @@ def _validate_kind(scn: FlowScenario) -> None:
             vals = [float(v) for v in scn.extra["spectrum"].split(",")]
         except ValueError as exc:
             raise ScenarioParseError("spectrum: expected comma-separated reals") from exc
-        if len(vals) != _as_int(scn.extra, "n", len(vals)):
+        if len(vals) != g("n", len(vals)):
             raise ValidationError("spectrum length must equal n")
     if scn.kind == "reeb":
         if g("method", "x-space") not in ("x-space", "arclength-kernel"):
@@ -228,10 +262,10 @@ def _validate_kind(scn: FlowScenario) -> None:
 def build_field(scn: FlowScenario, base: str, x: np.ndarray) -> np.ndarray:
     """Evaluate the named closed form ``base`` of the scenario on nodes x."""
     form = scn.get(base, "cos" if base == "init" else "zero")
-    amp = float(scn.get(base + "-amplitude", 1.0))
-    freq = float(scn.get(base + "-frequency", 1.0))
-    offset = float(scn.get(base + "-offset", 0.0))
-    width = float(scn.get(base + "-width", 0.1))
+    amp = scn.get(base + "-amplitude", 1.0)
+    freq = scn.get(base + "-frequency", 1.0)
+    offset = scn.get(base + "-offset", 0.0)
+    width = scn.get(base + "-width", 0.1)
     L = scn.length
     if form == "zero":
         return np.zeros_like(x)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from egf import flows
 from egf.errors import EllipticityLossError, ValidationError
 from egf.flows import (
     MeanCurvatureState,
@@ -22,7 +23,7 @@ from egf.flows import (
     twisted_product_flow,
     umbilical_metric_samples,
 )
-from egf.parabolic import CircleField, SolverConfig
+from egf.parabolic import CircleField, SolverConfig, solve_heat_circle
 from egf.symfun import (
     CurvatureSpectrum,
     eval_F,
@@ -47,7 +48,44 @@ def psi2_prime(lam):
     return np.full_like(np.asarray(lam, dtype=float), 2.0)
 
 
+def test_circle_derivative_matches_roll_formula_bitwise():
+    rng = np.random.default_rng(3)
+    s = rng.standard_normal((5, 32))
+    s[2], s[3, ::2] = 0.0, -0.0
+    h = TWO_PI / 32
+    ref = (np.roll(s, -1, axis=1) - np.roll(s, 1, axis=1)) / (2.0 * h)
+    assert circle_derivative(s, h).tobytes() == ref.tobytes()
+    assert all(circle_derivative(r, h).tobytes() == e.tobytes() for r, e in zip(s, ref))
+
+
+def test_trapezoid_accumulate_matches_loop_over_several_blocks():
+    # 700 rows span three row blocks; zero rows check the sign of zero sums
+    rng = np.random.default_rng(4)
+    rate = rng.standard_normal((700, 8)) * 10.0 ** rng.integers(-5, 5, (700, 1))
+    rate[100:400] = 0.0
+    coef = rng.uniform(0.0, 1e-2, 699)
+    start = np.zeros(8)
+    ref = [start]
+    for i in range(1, 700):
+        ref.append(ref[-1] - coef[i - 1] * (rate[i - 1] + rate[i]))
+    assert flows._trapezoid_accumulate(start, coef, rate.copy()).tobytes() == (
+        np.asarray(ref).tobytes()
+    )
+
+
 class TestUmbilical:
+    def test_conformal_factor_matches_step_loop_bitwise(self):
+        lam0 = cos_field(n=64, amp=0.3)
+        cfg = SolverConfig(dt=1e-2, save_every=1)
+        traj = evolve_umbilical(UmbilicalState.initial(lam0), psi2, psi2_prime, 0.3, cfg)
+        conf = [np.zeros(64)]
+        for i in range(1, traj.times.size):
+            dt = traj.times[i] - traj.times[i - 1]
+            flux_old = circle_derivative(psi2(traj.lam[i - 1]), lam0.h)
+            flux_new = circle_derivative(psi2(traj.lam[i]), lam0.h)
+            conf.append(conf[-1] - 0.5 * dt * (flux_old + flux_new))
+        assert np.asarray(conf).tobytes() == traj.conf.tobytes()
+
     def test_psi_2lambda_is_plain_heat(self):
         lam0 = cos_field(n=256, amp=0.3)
         traj = evolve_umbilical(
@@ -259,6 +297,25 @@ class TestPrescribedMeanCurvature:
             prescribed_mean_curvature_flow(
                 MeanCurvatureState(tau0, bad), 1.0, SolverConfig(dt=1e-2)
             )
+
+    @pytest.mark.parametrize("amp", [0.0, 0.7])
+    def test_conformal_factor_matches_step_loop_bitwise(self, amp):
+        # reference: the per-step trapezoid sum over the same heat solve;
+        # n = 3 makes the coefficient inexact, and amp = 0 keeps every
+        # increment zero, where the sign of the zero sum must match too
+        x = np.arange(64) * TWO_PI / 64
+        tau0 = CircleField(TWO_PI, amp * np.sin(3 * x))
+        F = CircleField(TWO_PI, np.zeros(64))
+        cfg = SolverConfig(dt=1e-2, scheme="crank-nicolson", save_every=1)
+        traj = prescribed_mean_curvature_flow(MeanCurvatureState(tau0, F), 0.5, cfg, n=3)
+        ref = solve_heat_circle(CircleField(TWO_PI, tau0.samples - F.samples), 0.5, cfg)
+        conf = [np.zeros(64)]
+        for i in range(1, ref.states.shape[0]):
+            dt = ref.times[i] - ref.times[i - 1]
+            g_old = circle_derivative(ref.states[i - 1], tau0.h)
+            g_new = circle_derivative(ref.states[i], tau0.h)
+            conf.append(conf[-1] - (2.0 / 3) * 0.5 * dt * (g_old + g_new))
+        assert np.asarray(conf).tobytes() == traj.conf.tobytes()
 
 
 def scaled_tau_k(n, k):

@@ -1,11 +1,18 @@
+import io
 import math
+import pathlib
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from egf.cli import main
 from egf.errors import ValidationError
-from egf.runner import run_scenario, write_artifacts
-from egf.scenarios import ScenarioParseError, parse_scenario
+from egf.runner import _BLOCK_ROWS, _write_table, run_scenario, write_artifacts
+from egf.scenarios import ScenarioParseError, load_scenario, parse_scenario
+
+SCENARIO_DIR = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 
 HEAT = """
 kind: pde-reference
@@ -67,6 +74,115 @@ class TestParser:
     def test_ftau_requires_spectrum(self):
         with pytest.raises(ValidationError):
             parse_scenario("kind: ftau\ndt: 0.1\nT: 1\nf: scaled-tau1\n")
+
+    def test_horizon_must_be_whole_number_of_steps(self):
+        with pytest.raises(ValidationError, match="whole number of dt"):
+            parse_scenario("kind: tau-heat\ndt: 0.4\nT: 1\n")
+
+    @pytest.mark.parametrize("dt, T", [("0.0001", "0.1"), ("0.001", "3.0"), ("0.1", "0")])
+    def test_horizon_within_relative_slack_accepted(self, dt, T):
+        scn = parse_scenario(f"kind: tau-heat\ndt: {dt}\nT: {T}\n")
+        assert scn.T == float(T)
+
+    @pytest.mark.parametrize("path", sorted(SCENARIO_DIR.glob("*.egf")), ids=lambda p: p.stem)
+    def test_bundled_scenarios_parse(self, path):
+        load_scenario(path)
+
+    def test_numeric_kind_keys_are_typed(self):
+        scn = parse_scenario(
+            "kind: twisted\ndt: 0.1\nT: 1\nbase-grid: 4\nfiber-grid: 16.0\n"
+            "fiber-length: 3\n"
+        )
+        assert scn.get("base-grid") == 4 and isinstance(scn.get("fiber-grid"), int)
+        assert scn.get("fiber-length") == 3.0
+        assert scn.entries["fiber-grid"] == "16.0"
+
+
+# Scenario entries that parse, one per kind whose numeric keys are fuzzed below.
+_BASES = {
+    "pde-reference": {"kind": "pde-reference", "problem": "circle-heat-decay"},
+    "twisted": {"kind": "twisted"},
+    "umbilical": {"kind": "umbilical"},
+    "prescribed-F": {"kind": "prescribed-F"},
+    "ftau": {"kind": "ftau", "spectrum": "0.4,1.0"},
+}
+_NUMERIC_KEYS = [
+    ("pde-reference", key)
+    for key in ("grid", "dt", "T", "length", "save-every", "check-tolerance")
+] + [
+    ("twisted", key) for key in ("base-grid", "fiber-grid", "n", "fiber-length")
+] + [
+    ("umbilical", key)
+    for key in ("psi-slope", "init-amplitude", "init-frequency", "init-offset", "init-width")
+] + [
+    ("prescribed-F", key)
+    for key in ("n", "target-amplitude", "target-frequency", "target-offset", "target-width")
+] + [("ftau", "n")]
+
+
+class TestInvalidNumbers:
+    @pytest.mark.parametrize("kind, key", _NUMERIC_KEYS, ids=lambda v: v)
+    @settings(
+        max_examples=25, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(token=st.sampled_from(["nan", "-nan", "inf", "-inf", "Infinity", "abc", "1e400",
+                                  "-1e400", "0x10", "1,5"]))
+    def test_invalid_token_exits_2_or_3(self, tmp_path, capsys, kind, key, token):
+        entries = {"grid": "64", "dt": "0.01", "T": "0.1", **_BASES[kind], key: token}
+        path = tmp_path / "scn.egf"
+        path.write_text("".join(f"{k}: {v}\n" for k, v in entries.items()))
+        out = tmp_path / "out"
+        code = main(["run", str(path), "--out", str(out)])
+        assert code in (2, 3)
+        assert not out.exists()
+        assert "Traceback" not in capsys.readouterr().err
+
+
+def _reference_csv(header, rows) -> str:
+    lines = [",".join(header)]
+    lines += [",".join(f"{float(v):.17g}" for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def _table_text(header, rows) -> str:
+    fh = io.StringIO()
+    _write_table(fh, header, rows)
+    return fh.getvalue()
+
+
+_EDGE_FLOATS = [math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324,
+                2.2250738585072009e-308, 1e16, 1e17, -1e17 + 8, 9007199254740993.0,
+                0.1, 1 / 3, 1.7976931348623157e308]
+
+
+class TestWriter:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 6).flatmap(
+            lambda cols: st.lists(
+                st.lists(st.floats() | st.sampled_from(_EDGE_FLOATS),
+                         min_size=cols, max_size=cols),
+                min_size=1, max_size=30,
+            )
+        )
+    )
+    def test_block_format_equals_per_value_format(self, rows):
+        header = [f"c{j}" for j in range(len(rows[0]))]
+        table = np.array(rows, dtype=float)
+        assert _table_text(header, table) == _reference_csv(header, rows)
+
+    @pytest.mark.parametrize("nrows", [1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1])
+    def test_row_counts_around_the_block_size(self, nrows):
+        rng = np.random.default_rng(nrows)
+        table = rng.standard_normal((nrows, 3)) * 10.0 ** rng.integers(-320, 300, (nrows, 3))
+        text = _table_text(["t", "x", "u"], table)
+        assert text == _reference_csv(["t", "x", "u"], table)
+        assert text.count("\n") == nrows + 1
+
+    def test_mixed_rows_keep_blank_and_text_fields(self):
+        rows = [["128", np.float64(-0.0), "", math.nan, "pass"], ["x", 0.5, 2e-5, 1.0, "fail"]]
+        text = _table_text(["grid", "a", "b", "c", "verdict"], rows)
+        assert text == "grid,a,b,c,verdict\n128,-0,,nan,pass\nx,0.5,2.0000000000000002e-05,1,fail\n"
 
 
 class TestRunner:
@@ -216,6 +332,38 @@ class TestCli:
 
 
 class TestSweepValidation:
+    def test_sweep_scheme_reaches_the_solver(self, tmp_path):
+        path = tmp_path / "scn.egf"
+        path.write_text(HEAT)
+        out = tmp_path / "out"
+        assert main(["sweep", str(path), "--param", "scheme", "--values",
+                     "implicit-euler,crank-nicolson", "--out", str(out)]) == 0
+        ie = (out / "scheme=implicit-euler" / "trajectory.csv").read_bytes()
+        cn = (out / "scheme=crank-nicolson" / "trajectory.csv").read_bytes()
+        assert ie != cn
+
+    @pytest.mark.parametrize("param, values", [
+        ("scheme", "implicit-euler,crank-nicolson,bogus"),
+        ("grid", "64,nan"),
+        ("dt", "0.002,0.3"),  # T = 1 is not a whole number of 0.3 steps
+    ])
+    def test_invalid_sweep_value_exits_3_before_any_run(self, tmp_path, param, values):
+        path = tmp_path / "scn.egf"
+        path.write_text(HEAT)
+        out = tmp_path / "out"
+        assert main(["sweep", str(path), "--param", param, "--values", values,
+                     "--out", str(out)]) == 3
+        assert not out.exists()
+
+    def test_sweep_check_tolerance_reaches_the_check(self, tmp_path):
+        path = tmp_path / "scn.egf"
+        path.write_text(EXACT)
+        out = tmp_path / "out"
+        assert main(["sweep", str(path), "--param", "check-tolerance", "--values", "1e-30",
+                     "--out", str(out)]) == 1
+        verdict = (out / "check-tolerance=1e-30" / "verdict.txt").read_text()
+        assert "sup-error-vs-exact: fail" in verdict
+
     def test_unknown_param_rejected(self, tmp_path):
         path = tmp_path / "scn.egf"
         path.write_text(HEAT)
