@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
+from .parabolic import _d_x
 
 __all__ = ["ChartMetric", "ChartExtrinsics", "weingarten_from_chart"]
 
@@ -66,18 +67,6 @@ class ChartExtrinsics:
     tau: np.ndarray  # (M, n), tau[:, i-1] = tr(A^i)
 
 
-def _d_x0(values: np.ndarray, x0: np.ndarray) -> np.ndarray:
-    """Second-order d/dx0 along axis 0 (uniform grid assumed)."""
-    h = x0[1] - x0[0]
-    if np.max(np.abs(np.diff(x0) - h)) > 1e-12 * (1.0 + abs(h)):
-        raise ValidationError("x0 grid must be uniform")
-    out = np.empty_like(values)
-    out[1:-1] = (values[2:] - values[:-2]) / (2.0 * h)
-    out[0] = (-3.0 * values[0] + 4.0 * values[1] - values[2]) / (2.0 * h)
-    out[-1] = (3.0 * values[-1] - 4.0 * values[-2] + values[-3]) / (2.0 * h)
-    return out
-
-
 def weingarten_from_chart(metric: ChartMetric) -> ChartExtrinsics:
     """Extract b, A, tau_1..tau_n from the sampled chart metric.
 
@@ -85,7 +74,10 @@ def weingarten_from_chart(metric: ChartMetric) -> ChartExtrinsics:
     power sums are traces of matrix powers of A.  Raises on a singular
     leafwise metric.
     """
-    dg = _d_x0(metric.gij, metric.x0)
+    h = metric.x0[1] - metric.x0[0]
+    if np.max(np.abs(np.diff(metric.x0) - h)) > 1e-12 * (1.0 + abs(h)):
+        raise ValidationError("x0 grid must be uniform")
+    dg = _d_x(metric.gij, h)
     sq = np.sqrt(metric.g00)[:, None, None]
     b = -0.5 * dg / sq
     try:

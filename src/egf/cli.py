@@ -1,11 +1,13 @@
 """Command line entry point: run scenarios, sweep parameters, verify.
 
     egf run <scenario-file> [--out DIR]
-    egf sweep <scenario-file> --param NAME --values V1,V2,... [--out DIR] [--threads N]
+    egf sweep <scenario-file> --param NAME --values V1,V2,... [--out DIR]
     egf verify [--out DIR]
 
-Exit codes: 0 success, 1 check failure, 2 parse error, 3 validation
-error, 4 solver failure.
+Exit codes: 0 success, 1 check failure, 2 a scenario file that cannot be
+read, decoded or parsed, 3 validation error or an artifact that cannot be
+written, 4 solver failure or out of memory.  Codes 2-4 print one
+``egf: <reason>: <detail>`` line on stderr; no input ends in a traceback.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--values", required=True, help="comma-separated list of values"
     )
     p_sweep.add_argument("--out", default="egf-out", help="artifact root directory")
-    p_sweep.add_argument("--threads", type=int, default=1, help="worker pool size")
 
     p_verify = sub.add_parser("verify", help="run the bundled acceptance suite")
     p_verify.add_argument(
@@ -46,28 +47,32 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class _ReadError(Exception):
+    """The scenario file could not be read or decoded."""
+
+
+# (exception, exit code, stderr label); the first row that matches wins.
+_EXIT_CODES = (
+    (_ReadError, 2, "cannot read scenario"),
+    (ScenarioParseError, 2, "parse error"),
+    (ValidationError, 3, "invalid scenario"),
+    (OSError, 3, "cannot write artifacts"),
+    (SolverError, 4, "solver failure"),
+    (MemoryError, 4, "out of memory"),
+)
+
+
+def _load(path: str):
+    try:
+        return load_scenario(path)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise _ReadError(exc) from exc
+
+
 def _cmd_run(args) -> int:
     from .runner import run_scenario, write_artifacts
 
-    try:
-        scn = load_scenario(args.file)
-    except FileNotFoundError as exc:
-        print(f"egf: cannot read scenario: {exc}", file=sys.stderr)
-        return 2
-    except ScenarioParseError as exc:
-        print(f"egf: parse error: {exc}", file=sys.stderr)
-        return 2
-    except ValidationError as exc:
-        print(f"egf: invalid scenario: {exc}", file=sys.stderr)
-        return 3
-    try:
-        result = run_scenario(scn)
-    except ValidationError as exc:
-        print(f"egf: invalid scenario: {exc}", file=sys.stderr)
-        return 3
-    except SolverError as exc:
-        print(f"egf: solver failure: {exc}", file=sys.stderr)
-        return 4
+    result = run_scenario(_load(args.file))
     write_artifacts(result, args.out)
     for check in result.checks:
         print(check.line())
@@ -79,28 +84,7 @@ def _cmd_sweep(args) -> int:
     from .runner import sweep_values
 
     values = [v.strip() for v in args.values.split(",") if v.strip()]
-    try:
-        scn = load_scenario(args.file)
-    except FileNotFoundError as exc:
-        print(f"egf: cannot read scenario: {exc}", file=sys.stderr)
-        return 2
-    except ScenarioParseError as exc:
-        print(f"egf: parse error: {exc}", file=sys.stderr)
-        return 2
-    except ValidationError as exc:
-        print(f"egf: invalid scenario: {exc}", file=sys.stderr)
-        return 3
-    try:
-        code, rows = sweep_values(scn, args.param, values, args.out, args.threads)
-    except ScenarioParseError as exc:
-        print(f"egf: parse error: {exc}", file=sys.stderr)
-        return 2
-    except ValidationError as exc:
-        print(f"egf: invalid sweep: {exc}", file=sys.stderr)
-        return 3
-    except SolverError as exc:
-        print(f"egf: solver failure: {exc}", file=sys.stderr)
-        return 4
+    code, rows = sweep_values(_load(args.file), args.param, values, args.out)
     for row in rows:
         print(f"{args.param}={row[0]}: final_sup={row[1]:.6e} verdict={row[4]}")
     print(f"sweep table -> {args.out}/sweep.csv")
@@ -129,11 +113,13 @@ def _cmd_verify(args) -> int:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.command == "run":
-        return _cmd_run(args)
-    if args.command == "sweep":
-        return _cmd_sweep(args)
-    return _cmd_verify(args)
+    command = {"run": _cmd_run, "sweep": _cmd_sweep, "verify": _cmd_verify}[args.command]
+    try:
+        return command(args)
+    except tuple(row[0] for row in _EXIT_CODES) as exc:
+        code, label = next((c, lab) for kind, c, lab in _EXIT_CODES if isinstance(exc, kind))
+        print(f"egf: {label}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -20,21 +20,24 @@ driven conformal ODE chains that keep phi_k / psi_k constant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import EllipticityLossError, NonConvergenceError, SolverError, ValidationError
+from .errors import EllipticityLossError, SolverError, ValidationError
 from .parabolic import (
     CircleField,
     Conductivity,
     SolverConfig,
-    _apply_divergence,
-    _check_finite,
     _divergence_theta_solve,
+    _march,
+    _picard_advance,
+    _second_difference,
+    _snapshot_steps,
+    _trapezoid_accumulate,
     fit_exponential_decay,
-    solve_cyclic_tridiag,
+    solve_cyclic_tridiag,  # noqa: F401  (perfbench's tracer test wraps this binding)
     solve_heat_circle,
     solve_quasilinear_divergence,
 )
@@ -256,13 +259,12 @@ def evolve_umbilical(
     degenerate = pmin == 0.0
     k = Conductivity.of_u(lambda u: 0.5 * psi_prime(u), c1=0.5 * pmin, c2=0.5 * pmax)
 
-    cfg_all = SolverConfig(cfg.dt, cfg.scheme, cfg.nonlinear_iterations, cfg.tolerance, 1)
-    traj = solve_quasilinear_divergence(lam0, k, T, cfg_all)
+    traj = solve_quasilinear_divergence(lam0, k, T, replace(cfg, save_every=1))
 
     flux = circle_derivative(psi(traj.states), lam0.h)
     conf = _trapezoid_accumulate(state.conf.samples, 0.5 * np.diff(traj.times), flux)
 
-    keep = _snapshot_indices(traj.times.size, cfg.save_every)
+    keep = _snapshot_steps(traj.times.size - 1, cfg.save_every)
     return UmbilicalTrajectory(
         times=traj.times[keep] + state.t,
         lam=traj.states[keep],
@@ -270,28 +272,6 @@ def evolve_umbilical(
         length=lam0.length,
         flags={"degenerate": degenerate},
     )
-
-
-def _trapezoid_accumulate(start: np.ndarray, coef: np.ndarray, rate: np.ndarray) -> np.ndarray:
-    """Rows c_0 = start, c_i = c_{i-1} - coef_i (rate_{i-1} + rate_i), taken in
-    step order: bit-identical to the sequential loop, signed zeros included.
-
-    Overwrites ``rate``, in blocks from the last row back so that no row is
-    read after it is replaced; no (steps, N) array is allocated.
-    """
-    for hi in range(rate.shape[0], 1, -256):
-        lo = max(1, hi - 256)
-        rate[lo:hi] = coef[lo - 1:hi - 1, None] * (rate[lo - 1:hi - 1] + rate[lo:hi])
-    rate[0] = start
-    return np.subtract.accumulate(rate, axis=0, out=rate)
-
-
-def _snapshot_indices(total: int, save_every: int) -> np.ndarray:
-    every = save_every if save_every > 0 else max(1, (total - 1) // 200)
-    idx = list(range(0, total, every))
-    if idx[-1] != total - 1:
-        idx.append(total - 1)
-    return np.asarray(idx)
 
 
 def evolve_tau_heat(
@@ -321,42 +301,27 @@ def twisted_product_flow(
     The reported limit field is the fiber mean of phi(0, x, .): the
     twisted product converges to the product carrying that mean warp.
     """
-    phi = state.phi.copy()
-    nx, ny = phi.shape
+    ny = state.phi.shape[1]
     h = state.fiber_length / ny
-    nsteps = int(round(T / cfg.dt))
     theta = cfg.theta
     diff = 1.0 / state.n
     kface = np.full(ny, diff)
-    limit = phi.mean(axis=1)
+    limit = state.phi.mean(axis=1)
 
-    every = cfg.save_every if cfg.save_every > 0 else max(1, nsteps // 200)
-    times = [state.t]
-    snaps = [phi.copy()]
-    for step in range(1, nsteps + 1):
+    def advance(phi: np.ndarray, step: int) -> np.ndarray:
         rhs = phi.T
         if theta != 1.0:
-            lap = (np.roll(phi, -1, axis=1) - 2 * phi + np.roll(phi, 1, axis=1)) / h**2
-            rhs = (phi + (1 - theta) * cfg.dt * diff * lap).T
-        km = np.roll(kface, 1)
-        c = theta * cfg.dt / h**2
-        diag = 1.0 + c * (kface + km)
-        phi = solve_cyclic_tridiag(
-            -c * km[1:], diag, -c * kface[:-1], -c * km[0], -c * kface[-1], rhs
-        ).T
-        _check_finite(phi, "twisted_product_flow")
-        if step % every == 0 or step == nsteps:
-            times.append(state.t + step * cfg.dt)
-            snaps.append(phi.copy())
+            rhs = (phi + (1 - theta) * cfg.dt * diff * _second_difference(phi, h)).T
+        return _divergence_theta_solve(kface, rhs, theta * cfg.dt, h).T
 
-    snaps_arr = np.asarray(snaps)
-    dist = np.max(np.abs(snaps_arr - limit[None, :, None]), axis=(1, 2))
+    times, snaps, _ = _march(state.phi, T, cfg, advance, "twisted_product_flow")
+    dist = np.max(np.abs(snaps - limit[None, :, None]), axis=(1, 2))
     warp = np.max(
-        np.abs(np.exp(snaps_arr) - np.exp(limit)[None, :, None]), axis=(1, 2)
+        np.abs(np.exp(snaps) - np.exp(limit)[None, :, None]), axis=(1, 2)
     )
     return TwistedTrajectory(
-        times=np.asarray(times),
-        phi=snaps_arr,
+        times=state.t + times,
+        phi=snaps,
         limit=limit,
         sup_distance=dist,
         warp_sup_distance=warp,
@@ -384,15 +349,14 @@ def prescribed_mean_curvature_flow(
             f"target mean curvature must have zero average (got {F.mean():.3e})"
         )
     w0 = CircleField(state.tau1.length, state.tau1.samples - F)
-    cfg_all = SolverConfig(cfg.dt, cfg.scheme, cfg.nonlinear_iterations, cfg.tolerance, 1)
-    traj = solve_heat_circle(w0, T, cfg_all)
+    traj = solve_heat_circle(w0, T, replace(cfg, save_every=1))
 
     g = circle_derivative(traj.states, state.tau1.h)
     conf = _trapezoid_accumulate(
         np.zeros(state.tau1.n), (2.0 / n) * 0.5 * np.diff(traj.times), g
     )
 
-    keep = _snapshot_indices(traj.times.size, cfg.save_every)
+    keep = _snapshot_steps(traj.times.size - 1, cfg.save_every)
     w = traj.states[keep]
     return MeanCurvatureTrajectory(
         times=traj.times[keep] + state.t,
@@ -421,26 +385,7 @@ def ftau_conformal_flow(
     step and the run halts with :class:`EllipticityLossError` the moment
     the minimum drops to zero or below.
     """
-    if f.n != consts.n:
-        raise ValidationError("coefficient function and constants disagree on n")
-
-    def a_of(u: np.ndarray) -> np.ndarray:
-        u = np.asarray(u, dtype=float)
-        taus = np.stack([np.asarray(eval_F(k, u, consts)) for k in range(1, f.n + 1)])
-        g = np.asarray(f.grad(taus), dtype=float)
-        acc = np.zeros_like(u)
-        for k in range(1, f.n + 1):
-            acc += k * g[k - 1] * np.asarray(eval_F(k - 1, u, consts))
-        return 0.5 * acc
-
-    times, states = _quasilinear_monitored(tau1, a_of, T, cfg)
-    taus = np.stack(
-        [
-            np.asarray([eval_F(k, row, consts) for row in states])
-            for k in range(1, f.n + 1)
-        ]
-    )
-    return TauFieldTrajectory(times=times, taus=taus, length=tau1.length)
+    return _conformal_flow(tau1, f, consts, T, cfg, eval_F, range(1, consts.n + 1))
 
 
 def sigma_conformal_flow(
@@ -457,74 +402,48 @@ def sigma_conformal_flow(
 
     with sigma_k = Psi_k(sigma_1).
     """
-    n = consts.n
-
-    def a_of(u: np.ndarray) -> np.ndarray:
-        u = np.asarray(u, dtype=float)
-        sig = np.stack([np.asarray(eval_Psi(k, u, consts)) for k in range(1, n + 1)])
-        g = np.asarray(f.grad(sig), dtype=float)
-        acc = np.zeros_like(u)
-        for k in range(1, n + 1):
-            acc += (n - k + 1) * g[k - 1] * np.asarray(eval_Psi(k - 1, u, consts))
-        return 0.5 * acc
-
-    times, states = _quasilinear_monitored(sigma1, a_of, T, cfg)
-    sigmas = np.stack(
-        [
-            np.asarray([eval_Psi(k, row, consts) for row in states])
-            for k in range(1, n + 1)
-        ]
-    )
-    return TauFieldTrajectory(times=times, taus=sigmas, length=sigma1.length)
+    return _conformal_flow(sigma1, f, consts, T, cfg, eval_Psi, range(consts.n, 0, -1))
 
 
-def _quasilinear_monitored(
+def _conformal_flow(
     u0: CircleField,
-    a_of: Callable[[np.ndarray], np.ndarray],
+    f: TauFunction,
+    consts: StructConstants,
     T: float,
     cfg: SolverConfig,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Divergence-form stepping with per-step positivity monitoring of a(u)."""
-    u = u0.samples.copy()
-    h = u0.h
-    theta = cfg.theta
-    nsteps = int(round(T / cfg.dt))
-    scale = float(np.max(np.abs(u))) + 1.0
+    basis: Callable,
+    weights: Sequence[int],
+) -> TauFieldTrajectory:
+    """du_1/dt = d_s(a d_s u_1) with a = (1/2) sum_k w_k df/du_k(u) B_{k-1}(u_1)
+    and u_k = B_k(u_1), for the basis B (F or Psi) and weights w_1..w_n.
+
+    The Picard monitor hook raises :class:`EllipticityLossError` once a <= 0.
+    """
+    n = consts.n
+    if f.n != n:
+        raise ValidationError("coefficient function and constants disagree on n")
 
     def faces(v: np.ndarray) -> np.ndarray:
-        vals = a_of(0.5 * (v + np.roll(v, -1)))
-        amin = float(np.min(vals))
+        u = 0.5 * (v + np.roll(v, -1))
+        g = np.asarray(
+            f.grad(np.stack([np.asarray(basis(k, u, consts)) for k in range(1, n + 1)])),
+            dtype=float,
+        )
+        acc = np.zeros_like(u)
+        for k, w in enumerate(weights, start=1):
+            acc += w * g[k - 1] * np.asarray(basis(k - 1, u, consts))
+        a = 0.5 * acc
+        amin = float(np.min(a))
         if amin <= 0.0:
             raise EllipticityLossError(
                 f"parabolicity coefficient reached min a = {amin:.6g}"
             )
-        return vals
+        return a
 
-    every = cfg.save_every if cfg.save_every > 0 else max(1, nsteps // 200)
-    times = [0.0]
-    snaps = [u.copy()]
-    for step in range(1, nsteps + 1):
-        uold = u
-        rhs = uold if theta == 1.0 else uold + (1 - theta) * cfg.dt * _apply_divergence(
-            faces(uold), uold, h
-        )
-        unew = uold
-        converged = False
-        for _ in range(cfg.nonlinear_iterations):
-            unext = _divergence_theta_solve(faces(unew), rhs, theta * cfg.dt, h)
-            delta = float(np.max(np.abs(unext - unew)))
-            unew = unext
-            if delta <= cfg.tolerance * scale:
-                converged = True
-                break
-        if not converged:
-            raise NonConvergenceError(f"Picard stalled at step {step}")
-        _check_finite(unew, "conformal flow")
-        u = unew
-        if step % every == 0 or step == nsteps:
-            times.append(step * cfg.dt)
-            snaps.append(u.copy())
-    return np.asarray(times), np.asarray(snaps)
+    advance = _picard_advance(u0, faces, cfg)
+    times, states, _ = _march(u0.samples, T, cfg, advance, "conformal flow")
+    taus = np.stack([basis(k, states, consts) for k in range(1, n + 1)])
+    return TauFieldTrajectory(times=times, taus=taus, length=u0.length)
 
 
 def track_volume(tracker: VolumeTracker, s_field: CircleField, dt: float) -> VolumeTracker:

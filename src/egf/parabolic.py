@@ -210,7 +210,9 @@ def solve_cyclic_tridiag(sub, diag, sup, corner_tr, corner_bl, rhs):
     ``sub``/``sup`` have length n-1; ``corner_tr`` = M[0, n-1],
     ``corner_bl`` = M[n-1, 0].  Sherman-Morrison reduction to one banded
     solve (LAPACK dgtsv via solve_banded).  ``rhs`` may be (n,) or
-    (n, m) for m simultaneous right-hand sides.
+    (n, m) for m simultaneous right-hand sides.  Non-finite input gives a
+    non-finite solution (no scipy finiteness check), which the stepping
+    core reports with its step and time.
     """
     n = diag.size
     rhs_arr = np.asarray(rhs, dtype=float)
@@ -227,7 +229,7 @@ def solve_cyclic_tridiag(sub, diag, sup, corner_tr, corner_bl, rhs):
     u = np.zeros(n)
     u[0] = alpha
     u[-1] = corner_bl
-    sol = solve_banded((1, 1), ab, np.column_stack([R, u]))
+    sol = solve_banded((1, 1), ab, np.column_stack([R, u]), check_finite=False)
     y, z = sol[:, :-1], sol[:, -1]
     vy = y[0, :] + (corner_tr / alpha) * y[-1, :]
     vz = z[0] + (corner_tr / alpha) * z[-1]
@@ -263,50 +265,131 @@ def _nondivergence_theta_solve(a, b, rhs, dt_theta, h):
     )
 
 
-def _check_finite(u: np.ndarray, context: str) -> None:
-    if not np.all(np.isfinite(u)):
-        raise UnstableConfigurationError(f"non-finite iterate during {context}")
+def _second_difference(u: np.ndarray, h: float) -> np.ndarray:
+    """(u_{i+1} - 2 u_i + u_{i-1}) / h^2 along the last axis, periodic."""
+    wrapped = np.concatenate((u[..., -1:], u, u[..., :1]), axis=-1)
+    return (wrapped[..., 2:] - 2.0 * u + wrapped[..., :-2]) / h**2
 
 
-class _Recorder:
-    def __init__(self, u0: CircleField, cfg: SolverConfig, nsteps: int):
-        self.length = u0.length
-        every = cfg.save_every
-        if every <= 0:
-            every = max(1, nsteps // 200)
-        self.every = every
-        self.mean0 = u0.mean()
-        self.times = [0.0]
-        self.states = [u0.samples.copy()]
-        self.step_times = [0.0]
-        self.means = [u0.mean()]
-        self.sup_dev = [float(np.max(np.abs(u0.samples - self.mean0)))]
-        self.nsteps = nsteps
+def _d_x(values: np.ndarray, h: float) -> np.ndarray:
+    """Second-order d/dx along axis 0 of a uniform grid: central inside,
+    one-sided at both ends."""
+    out = np.empty_like(values)
+    out[1:-1] = (values[2:] - values[:-2]) / (2.0 * h)
+    out[0] = (-3.0 * values[0] + 4.0 * values[1] - values[2]) / (2.0 * h)
+    out[-1] = (3.0 * values[-1] - 4.0 * values[-2] + values[-3]) / (2.0 * h)
+    return out
 
-    def record(self, step: int, t: float, u: np.ndarray) -> None:
-        self.step_times.append(t)
-        self.means.append(float(u.mean()))
-        self.sup_dev.append(float(np.max(np.abs(u - self.mean0))))
-        if step % self.every == 0 or step == self.nsteps:
-            self.times.append(t)
-            self.states.append(u.copy())
 
-    def done(self, flags: dict | None = None) -> CircleTrajectory:
-        return CircleTrajectory(
-            length=self.length,
-            times=np.asarray(self.times),
-            states=np.asarray(self.states),
-            step_times=np.asarray(self.step_times),
-            means=np.asarray(self.means),
-            sup_deviation=np.asarray(self.sup_dev),
-            flags=flags or {},
-        )
+def _trapezoid_accumulate(start: np.ndarray, coef: np.ndarray, rate: np.ndarray) -> np.ndarray:
+    """Rows c_0 = start, c_i = c_{i-1} - coef_i (rate_{i-1} + rate_i), taken in
+    step order: bit-identical to the sequential loop, signed zeros included.
+
+    Overwrites ``rate``, in blocks from the last row back so that no row is
+    read after it is replaced; no (steps, N) array is allocated.
+    """
+    for hi in range(rate.shape[0], 1, -256):
+        lo = max(1, hi - 256)
+        rate[lo:hi] = coef[lo - 1:hi - 1, None] * (rate[lo - 1:hi - 1] + rate[lo:hi])
+    rate[0] = start
+    return np.subtract.accumulate(rate, axis=0, out=rate)
+
+
+# ---------------------------------------------------------------------------
+# the stepping core
 
 
 def _nsteps(T: float, dt: float) -> int:
     if T < 0.0:
         raise ValidationError("time horizon must be nonnegative")
     return int(round(T / dt))
+
+
+def _snapshot_steps(nsteps: int, save_every: int) -> np.ndarray:
+    """The snapshot policy: step 0, every ``every``-th step and the last step,
+    with ``every = save_every``, or ``max(1, nsteps // 200)`` when it is 0."""
+    every = save_every if save_every > 0 else max(1, nsteps // 200)
+    steps = np.arange(0, nsteps + 1, every)
+    return steps if steps[-1] == nsteps else np.append(steps, nsteps)
+
+
+def _march(u0: np.ndarray, T: float, cfg: SolverConfig, advance: Callable,
+           context: str, track: bool = False):
+    """The time loop of every stepping solver: u_k = advance(u_{k-1}, k).
+
+    Runs k = 1..round(T/dt) and writes the states at
+    :func:`_snapshot_steps` into one preallocated (S, *u0.shape) array.  A
+    non-finite state raises :class:`UnstableConfigurationError` naming
+    ``context``, the step and t.  Returns (times, states, diagnostics); with
+    ``track`` the diagnostics are the discrete mean and sup |u - mean(u0)|
+    of every step, otherwise None.
+    """
+    nsteps = _nsteps(T, cfg.dt)
+    keep = _snapshot_steps(nsteps, cfg.save_every)
+    states = np.empty((keep.size, *u0.shape))
+    states[0] = u0
+    if track:
+        mean0 = float(u0.mean())
+        means, sup_dev = np.empty(nsteps + 1), np.empty(nsteps + 1)
+        means[0], sup_dev[0] = mean0, np.max(np.abs(u0 - mean0))
+    u, slot = u0, 1
+    for step in range(1, nsteps + 1):
+        u = advance(u, step)
+        if not np.all(np.isfinite(u)):
+            raise UnstableConfigurationError(
+                f"non-finite iterate during {context} at step {step} (t = {step * cfg.dt:.6g})"
+            )
+        if track:
+            means[step], sup_dev[step] = u.mean(), np.max(np.abs(u - mean0))
+        if step == keep[slot]:
+            states[slot] = u
+            slot += 1
+    return keep * cfg.dt, states, (means, sup_dev) if track else None
+
+
+def _circle_march(u0: CircleField, T: float, cfg: SolverConfig, advance: Callable,
+                  context: str, flags: dict | None = None) -> CircleTrajectory:
+    """:func:`_march` on a circle field, with the per-step diagnostics."""
+    times, states, (means, sup_dev) = _march(u0.samples, T, cfg, advance, context, True)
+    return CircleTrajectory(
+        length=u0.length,
+        times=times,
+        states=states,
+        step_times=np.arange(means.size) * cfg.dt,
+        means=means,
+        sup_deviation=sup_dev,
+        flags=flags or {},
+    )
+
+
+def _picard_advance(u0: CircleField, faces: Callable, cfg: SolverConfig) -> Callable:
+    """The step of du/dt = D_{faces(u)} u, by lagged-coefficient Picard iteration.
+
+    ``faces(v)`` gives the face conductivities of a state v and is the
+    monitor hook: it raises when they leave their admissible range.  The
+    iteration stops at a sup-change of at most ``cfg.tolerance`` (1 + sup
+    |u0|), or raises :class:`NonConvergenceError` after
+    ``cfg.nonlinear_iterations`` solves.
+    """
+    h, theta = u0.h, cfg.theta
+    scale = float(np.max(np.abs(u0.samples))) + 1.0
+
+    def advance(u: np.ndarray, step: int) -> np.ndarray:
+        rhs = u if theta == 1.0 else u + (1.0 - theta) * cfg.dt * _apply_divergence(
+            faces(u), u, h
+        )
+        delta = math.inf
+        for _ in range(cfg.nonlinear_iterations):
+            unext = _divergence_theta_solve(faces(u), rhs, theta * cfg.dt, h)
+            delta = float(np.max(np.abs(unext - u)))
+            u = unext
+            if delta <= cfg.tolerance * scale:
+                return u
+        raise NonConvergenceError(
+            f"Picard iteration stalled at step {step} (last delta {delta:.3e})"
+        )
+
+    return advance
 
 
 # ---------------------------------------------------------------------------
@@ -320,18 +403,14 @@ def solve_heat_circle(u0: CircleField, T: float, cfg: SolverConfig) -> CircleTra
     round-off); deviations from the mean decay at the first discrete
     eigenvalue rate.
     """
-    nsteps = _nsteps(T, cfg.dt)
-    rec = _Recorder(u0, cfg, nsteps)
-    u = u0.samples.copy()
-    h = u0.h
+    h, theta = u0.h, cfg.theta
     kface = np.ones(u0.n)
-    theta = cfg.theta
-    for step in range(1, nsteps + 1):
+
+    def advance(u: np.ndarray, step: int) -> np.ndarray:
         rhs = u if theta == 1.0 else u + (1.0 - theta) * cfg.dt * _apply_divergence(kface, u, h)
-        u = _divergence_theta_solve(kface, rhs, theta * cfg.dt, h)
-        _check_finite(u, "solve_heat_circle")
-        rec.record(step, step * cfg.dt, u)
-    return rec.done()
+        return _divergence_theta_solve(kface, rhs, theta * cfg.dt, h)
+
+    return _circle_march(u0, T, cfg, advance, "solve_heat_circle")
 
 
 def _eval_tx_conductivity(k: Conductivity, t: float, x: np.ndarray) -> np.ndarray:
@@ -358,25 +437,22 @@ def solve_variable_heat_circle(
     Accepts constant, tabulated-in-x and function-of-t-and-x kinds;
     k >= 0 with isolated zeros is run and flagged degenerate.
     """
-    nsteps = _nsteps(T, cfg.dt)
-    rec = _Recorder(u0, cfg, nsteps)
-    u = u0.samples.copy()
-    h, x = u0.h, u0.nodes()
-    theta = cfg.theta
+    h, x, theta = u0.h, u0.nodes(), cfg.theta
     zero_drift = np.zeros(u0.n)
-    for step in range(1, nsteps + 1):
+
+    def advance(u: np.ndarray, step: int) -> np.ndarray:
         t_new = step * cfg.dt
         a_new = _eval_tx_conductivity(k, t_new, x)
         if theta == 1.0:
             rhs = u
         else:
             a_old = _eval_tx_conductivity(k, t_new - cfg.dt, x)
-            lap = (np.roll(u, -1) - 2.0 * u + np.roll(u, 1)) / h**2
-            rhs = u + (1.0 - theta) * cfg.dt * a_old * lap
-        u = _nondivergence_theta_solve(a_new, zero_drift, rhs, theta * cfg.dt, h)
-        _check_finite(u, "solve_variable_heat_circle")
-        rec.record(step, t_new, u)
-    return rec.done({"degenerate": k.degenerate})
+            rhs = u + (1.0 - theta) * cfg.dt * a_old * _second_difference(u, h)
+        return _nondivergence_theta_solve(a_new, zero_drift, rhs, theta * cfg.dt, h)
+
+    return _circle_march(
+        u0, T, cfg, advance, "solve_variable_heat_circle", {"degenerate": k.degenerate}
+    )
 
 
 def solve_quasilinear_divergence(
@@ -401,44 +477,19 @@ def solve_quasilinear_divergence(
     probe = np.linspace(lo - pad, hi + pad, 257)
     k.check_range(np.asarray(k.func(probe), dtype=float))
 
-    nsteps = _nsteps(T, cfg.dt)
-    rec = _Recorder(u0, cfg, nsteps)
-    u = u0.samples.copy()
-    h = u0.h
-    theta = cfg.theta
-    scale = float(np.max(np.abs(u))) + 1.0
-
     def faces(v: np.ndarray) -> np.ndarray:
+        if np.min(v) < lo - pad or np.max(v) > hi + pad:
+            raise ConductivityRangeError(
+                "state left the widened initial range during the run"
+            )
         vals = np.asarray(k.func(0.5 * (v + np.roll(v, -1))), dtype=float)
         k.check_range(vals)
         return vals
 
-    for step in range(1, nsteps + 1):
-        uold = u
-        if np.min(uold) < lo - pad or np.max(uold) > hi + pad:
-            raise ConductivityRangeError(
-                "state left the widened initial range during the run"
-            )
-        rhs = uold if theta == 1.0 else uold + (1.0 - theta) * cfg.dt * _apply_divergence(
-            faces(uold), uold, h
-        )
-        unew = uold
-        converged = False
-        for _ in range(cfg.nonlinear_iterations):
-            unext = _divergence_theta_solve(faces(unew), rhs, theta * cfg.dt, h)
-            delta = float(np.max(np.abs(unext - unew)))
-            unew = unext
-            if delta <= cfg.tolerance * scale:
-                converged = True
-                break
-        if not converged:
-            raise NonConvergenceError(
-                f"Picard iteration stalled at step {step} (last delta {delta:.3e})"
-            )
-        _check_finite(unew, "solve_quasilinear_divergence")
-        u = unew
-        rec.record(step, step * cfg.dt, u)
-    return rec.done({"degenerate": k.degenerate})
+    advance = _picard_advance(u0, faces, cfg)
+    return _circle_march(
+        u0, T, cfg, advance, "solve_quasilinear_divergence", {"degenerate": k.degenerate}
+    )
 
 
 def solve_linear_interval(
@@ -455,19 +506,18 @@ def solve_linear_interval(
     The endpoint values are held at ``bc`` exactly at every step.
     a(x) >= 0 may vanish at interior points (degenerate problems are the
     point of this entry); the implicit theta-method tolerates that.
-    Returns (times, states) with every ``cfg.save_every``-th step kept.
+    Returns (times, states) at the steps of :func:`_snapshot_steps`.
     """
-    u = np.asarray(u0, dtype=float).copy()
-    n = u.size
+    start = np.asarray(u0, dtype=float).copy()
+    n = start.size
     a = np.asarray(diffusion, dtype=float)
     b = np.zeros(n) if drift is None else np.asarray(drift, dtype=float)
     if a.size != n or b.size != n:
         raise ValidationError("coefficient arrays must match the grid")
     if np.min(a) < 0.0:
         raise ValidationError("diffusion coefficient must be nonnegative")
-    nsteps = _nsteps(T, cfg.dt)
     theta = cfg.theta
-    u[0], u[-1] = bc
+    start[0], start[-1] = bc
 
     ca = cfg.dt * a / h**2
     cb = cfg.dt * b / (2.0 * h)
@@ -476,8 +526,6 @@ def solve_linear_interval(
     upper = -theta * (ca + cb)
     diag = 1.0 + 2.0 * theta * ca
     diag[0] = diag[-1] = 1.0
-    lower[0] = upper[0] = 0.0
-    lower[-1] = upper[-1] = 0.0
     ab = np.zeros((3, n))
     ab[0, 1:] = upper[:-1]
     ab[0, 1] = 0.0  # row 0 is the pin
@@ -485,25 +533,18 @@ def solve_linear_interval(
     ab[2, :-1] = lower[1:]
     ab[2, -2] = 0.0  # row n-1 is the pin
 
-    every = cfg.save_every if cfg.save_every > 0 else max(1, nsteps // 200)
-    times = [0.0]
-    states = [u.copy()]
-    for step in range(1, nsteps + 1):
+    def advance(u: np.ndarray, step: int) -> np.ndarray:
         rhs = u.copy()
         if theta != 1.0:
-            lap = np.zeros(n)
-            lap[1:-1] = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / h**2
-            grad = np.zeros(n)
-            grad[1:-1] = (u[2:] - u[:-2]) / (2.0 * h)
-            rhs = u + (1.0 - theta) * cfg.dt * (a * lap + b * grad)
+            # only interior rows count: the pins below overwrite both ends
+            rhs = u + (1.0 - theta) * cfg.dt * (a * _second_difference(u, h) + b * _d_x(u, h))
         rhs[0], rhs[-1] = bc
-        u = solve_banded((1, 1), ab, rhs)
+        u = solve_banded((1, 1), ab, rhs, check_finite=False)
         u[0], u[-1] = bc  # exact pinning (solve leaves round-off residue)
-        _check_finite(u, "solve_linear_interval")
-        if step % every == 0 or step == nsteps:
-            times.append(step * cfg.dt)
-            states.append(u.copy())
-    return np.asarray(times), np.asarray(states)
+        return u
+
+    times, states, _ = _march(start, T, cfg, advance, "solve_linear_interval")
+    return times, states
 
 
 # ---------------------------------------------------------------------------

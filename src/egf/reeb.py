@@ -30,14 +30,21 @@ and its Gaussian curvature is
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
 from scipy.integrate import quad
 
 from .errors import ValidationError
-from .parabolic import SolverConfig, heat_kernel, solve_linear_interval
+from .parabolic import (
+    SolverConfig,
+    _d_x,
+    _snapshot_steps,
+    _trapezoid_accumulate,
+    heat_kernel,
+    solve_linear_interval,
+)
 
 __all__ = [
     "ReebGeometry",
@@ -262,32 +269,17 @@ def evolve_reeb_lambda(
     cos_a = np.cos(geom.alpha)
     diffusion = sin_a**2
     drift = sin_a * cos_a * geom.alpha_prime
-    cfg_all = SolverConfig(cfg.dt, cfg.scheme, cfg.nonlinear_iterations, cfg.tolerance, 1)
     times, states = solve_linear_interval(
-        lam_init, geom.h, diffusion, drift, T, cfg_all, bc=(0.0, 0.0)
+        lam_init, geom.h, diffusion, drift, T, replace(cfg, save_every=1), bc=(0.0, 0.0)
     )
-    V = np.zeros_like(states)
-    for i in range(1, times.size):
-        dt = times[i] - times[i - 1]
-        V[i] = V[i - 1] + 0.5 * dt * (_d_x(states[i - 1], geom.h) + _d_x(states[i], geom.h))
-    keep = _keep_indices(times.size, cfg.save_every)
-    return ReebTrajectory(times[keep], states[keep], V[keep])
-
-
-def _keep_indices(total: int, save_every: int) -> np.ndarray:
-    every = save_every if save_every > 0 else max(1, (total - 1) // 200)
-    idx = list(range(0, total, every))
-    if idx[-1] != total - 1:
-        idx.append(total - 1)
-    return np.asarray(idx)
-
-
-def _d_x(values: np.ndarray, h: float) -> np.ndarray:
-    out = np.empty_like(values)
-    out[1:-1] = (values[2:] - values[:-2]) / (2.0 * h)
-    out[0] = (-3.0 * values[0] + 4.0 * values[1] - values[2]) / (2.0 * h)
-    out[-1] = (3.0 * values[-1] - 4.0 * values[-2] + values[-3]) / (2.0 * h)
-    return out
+    keep = _snapshot_steps(times.size - 1, cfg.save_every)
+    lam = states[keep]
+    # d_x lam replaces the states 64 rows at a time (no second (steps, M)
+    # array), then V_i = V_{i-1} + (dt_i / 2) (d_x lam_{i-1} + d_x lam_i)
+    for lo in range(0, times.size, 64):
+        states[lo:lo + 64] = _d_x(states[lo:lo + 64].T, geom.h).T
+    V = _trapezoid_accumulate(np.zeros(geom.n_nodes), -0.5 * np.diff(times), states)
+    return ReebTrajectory(times[keep], lam, V[keep])
 
 
 def _d_x4(values: np.ndarray, h: float) -> np.ndarray:

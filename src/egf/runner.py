@@ -387,7 +387,7 @@ def write_artifacts(result: RunResult, outdir: str) -> None:
 
 
 def sweep_values(
-    scn: FlowScenario, param: str, values: list, outdir: str, threads: int = 1
+    scn: FlowScenario, param: str, values: list, outdir: str
 ) -> tuple[int, list]:
     """Run the scenario once per parameter value; one artifact dir each.
 
@@ -395,28 +395,17 @@ def sweep_values(
     before any run starts.  Returns (exit_code, comparison rows).  The comparative table lands
     in ``outdir/sweep.csv``.
     """
-    from concurrent.futures import ThreadPoolExecutor
-
     if not values:
         raise ValidationError("sweep needs a non-empty value list")
     if param == "kind":
         raise ValidationError("sweep parameter 'kind' does not address a scalar field")
     scenarios = [parse_entries({**scn.entries, param: value}) for value in values]
 
-    def one(value: str, sub: FlowScenario):
-        res = run_scenario(sub)
-        write_artifacts(res, os.path.join(outdir, f"{param}={value}"))
-        return value, res
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one, values, scenarios))
-    else:
-        results = [one(v, sub) for v, sub in zip(values, scenarios)]
-
     rows = []
     worst = 0
-    for value, res in results:
+    for value, sub in zip(values, scenarios):
+        res = run_scenario(sub)
+        write_artifacts(res, os.path.join(outdir, f"{param}={value}"))
         worst = max(worst, res.exit_code)
         final_sup = res.summary_rows[-1][1]
         alpha = res.metrics.get("alpha", math.nan)

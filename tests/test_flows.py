@@ -27,6 +27,7 @@ from egf.parabolic import CircleField, SolverConfig, solve_heat_circle
 from egf.symfun import (
     CurvatureSpectrum,
     eval_F,
+    eval_Psi,
     f_recursion_constants,
     power_sums,
     sigma_from_tau,
@@ -401,6 +402,24 @@ class TestFtauConformal:
         assert traj.taus.shape[0] == n
         dev = np.max(np.abs(traj.taus[0] - sig.sigma[1]), axis=1)
         assert dev[-1] < dev[0]
+
+
+    @pytest.mark.parametrize("flow", [ftau_conformal_flow, sigma_conformal_flow])
+    def test_mismatched_n_rejected(self, flow):
+        # constants built for n = 3 with an n = 2 coefficient function
+        consts = f_recursion_constants(power_sums(CurvatureSpectrum((0.4, 0.7, 1.0))))
+        tau1 = cos_field(n=64, amp=0.1, offset=1.0)
+        with pytest.raises(ValidationError):
+            flow(tau1, scaled_tau_k(2, 1), consts, 0.1, SolverConfig(dt=1e-3))
+
+    @pytest.mark.parametrize("basis", [eval_F, eval_Psi])
+    def test_batched_reconstruction_matches_rows_bitwise(self, basis):
+        # the flows rebuild u_k = B_k(u_1) on the whole (S, N) state array
+        consts = f_recursion_constants(power_sums(CurvatureSpectrum((-0.3, 0.4, 0.7, 1.2))))
+        states = np.random.default_rng(3).uniform(-2.0, 2.0, (37, 61))
+        for k in range(0, consts.n + 1):
+            rows = np.asarray([basis(k, row, consts) for row in states])
+            assert basis(k, states, consts).tobytes() == rows.tobytes()
 
 
 class TestVolumeTracker:

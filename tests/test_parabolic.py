@@ -1,9 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from egf.errors import ConductivityRangeError, ValidationError
+from egf.errors import ConductivityRangeError, UnstableConfigurationError, ValidationError
 from egf.parabolic import (
     CircleField,
     Conductivity,
@@ -20,6 +23,7 @@ from egf.parabolic import (
     solve_variable_heat_circle,
     theta_solution,
 )
+from egf.parabolic import _nsteps, _snapshot_steps
 
 
 def circle_cos(n=128, length=2 * math.pi, amp=1.0, freq=1):
@@ -133,6 +137,71 @@ class TestVariableHeatCircle:
         k = Conductivity.of_tx(lambda t, x: np.full_like(x, 3.0), 1.0, 2.0)
         with pytest.raises(ConductivityRangeError):
             solve_variable_heat_circle(u0, k, 0.1, SolverConfig(dt=1e-2))
+
+    def test_non_finite_conductivity_names_step_and_t(self):
+        # NaN passes the band check (every comparison is false); the march's
+        # finiteness check stops the run at the first step that uses it
+        u0 = circle_cos(n=64)
+        k = Conductivity.of_tx(
+            lambda t, x: np.full_like(x, np.nan if t > 0.025 else 1.0), 0.5, 2.0
+        )
+        with pytest.raises(UnstableConfigurationError) as info:
+            solve_variable_heat_circle(u0, k, 0.1, SolverConfig(dt=1e-2))
+        message = str(info.value)
+        assert "solve_variable_heat_circle" in message
+        assert "step 3" in message and "t = 0.03" in message
+
+
+class TestSteppingCore:
+    @given(st.integers(0, 20000), st.integers(0, 300))
+    def test_snapshot_steps_policy(self, nsteps, save_every):
+        steps = _snapshot_steps(nsteps, save_every)
+        every = save_every if save_every > 0 else max(1, nsteps // 200)
+        assert steps[0] == 0 and steps[-1] == nsteps
+        gaps = np.diff(steps)
+        assert np.all(gaps > 0)
+        assert np.all(gaps[:-1] == every)
+        if gaps.size:
+            assert gaps[-1] <= every
+        assert steps.size == nsteps // every + 1 + (nsteps % every != 0)
+        if save_every == 0:
+            # every = max(1, nsteps // 200): nsteps = 399 keeps all 400 steps
+            assert steps.size <= 400
+
+    def test_zero_horizon_keeps_only_step_zero(self):
+        assert _snapshot_steps(_nsteps(0.0, 1e-3), 0).tolist() == [0]
+        assert _snapshot_steps(_nsteps(0.0, 1e-3), 7).tolist() == [0]
+        traj = solve_heat_circle(circle_cos(n=32), 0.0, SolverConfig(dt=1e-3))
+        assert traj.times.tolist() == [0.0] and traj.states.shape == (1, 32)
+
+    @pytest.mark.parametrize("save_every", [0, 1, 7])
+    def test_snapshots_are_the_kept_steps(self, save_every):
+        cfg = SolverConfig(dt=1e-3, scheme="crank-nicolson", save_every=save_every)
+        traj = solve_heat_circle(circle_cos(n=32), 0.5, cfg)
+        every = solve_heat_circle(
+            circle_cos(n=32), 0.5, SolverConfig(dt=1e-3, scheme="crank-nicolson", save_every=1)
+        )
+        keep = _snapshot_steps(500, save_every)
+        assert traj.times.tobytes() == (keep * 1e-3).tobytes()
+        assert traj.states.tobytes() == every.states[keep].tobytes()
+        assert traj.step_times.tobytes() == every.step_times.tobytes()
+        assert traj.sup_deviation.tobytes() == every.sup_deviation.tobytes()
+
+    def test_every_step_snapshots_are_preallocated(self):
+        # one (steps + 1, N) array, no per-step copies gathered at the end:
+        # the peak stays close to what the result keeps
+        u0 = circle_cos(n=256)
+        cfg = SolverConfig(dt=1e-3, save_every=1)
+        tracemalloc.start()
+        try:
+            traj = solve_heat_circle(u0, 5.0, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert traj.states.shape == (5001, 256)
+        retained = sum(a.nbytes for a in (
+            traj.times, traj.states, traj.step_times, traj.means, traj.sup_deviation))
+        assert peak <= 1.25 * retained
 
 
 class TestQuasilinear:

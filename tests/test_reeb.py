@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from egf.errors import ValidationError
-from egf.parabolic import SolverConfig
+from egf.parabolic import SolverConfig, _d_x
 from egf.reeb import (
     ReebGeometry,
     ReebState,
@@ -89,6 +89,19 @@ class TestEvolution:
             geom, 0.05, SolverConfig(dt=1e-3), lam0=np.zeros(geom.n_nodes)
         )
         assert np.max(np.abs(traj.lam[-1])) == 0.0
+
+    def test_V_matches_step_loop_bitwise(self, geom):
+        # reference: the per-step trapezoid sum of d_x lam over every step
+        lam0 = geom.lam0 + 0.05 * np.sin(math.pi * geom.x)  # V_t(0) != 0
+        cfg = SolverConfig(dt=1e-3, scheme="crank-nicolson", save_every=1)
+        traj = evolve_reeb_lambda(geom, 0.1, cfg, lam0=lam0)
+        V = np.zeros_like(traj.lam)
+        for i in range(1, traj.times.size):
+            dt = traj.times[i] - traj.times[i - 1]
+            V[i] = V[i - 1] + 0.5 * dt * (
+                _d_x(traj.lam[i - 1], geom.h) + _d_x(traj.lam[i], geom.h)
+            )
+        assert traj.V.tobytes() == V.tobytes()
 
     def test_boundary_pinned_exactly(self, evolved):
         assert np.all(evolved.lam[:, 0] == 0.0)

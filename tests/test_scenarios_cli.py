@@ -305,16 +305,6 @@ class TestCli:
         path = self._write(tmp_path, HEAT)
         assert main(["sweep", path, "--param", "grid", "--values", ",", "--out", str(tmp_path / "o")]) == 3
 
-    def test_sweep_threads(self, tmp_path):
-        path = self._write(tmp_path, HEAT)
-        out = tmp_path / "par"
-        code = main(
-            ["sweep", path, "--param", "T", "--values", "0.5,1.0", "--out", str(out),
-             "--threads", "2"]
-        )
-        assert code == 0
-        assert (out / "sweep.csv").exists()
-
     def test_sweep_alpha_stable_under_T(self, tmp_path):
         # fitted decay rate stays within 2% across time horizons
         path = self._write(
@@ -373,16 +363,52 @@ class TestSweepValidation:
         )
         assert code == 3
 
-    def test_sweep_deterministic_across_thread_counts(self, tmp_path):
+    def test_sweep_deterministic_across_runs(self, tmp_path):
         path = tmp_path / "scn.egf"
         path.write_text(HEAT)
-        out1, out2 = tmp_path / "serial", tmp_path / "parallel"
+        out1, out2 = tmp_path / "first", tmp_path / "second"
         assert main(["sweep", str(path), "--param", "T", "--values", "0.5,1.0",
                      "--out", str(out1)]) == 0
         assert main(["sweep", str(path), "--param", "T", "--values", "0.5,1.0",
-                     "--out", str(out2), "--threads", "2"]) == 0
+                     "--out", str(out2)]) == 0
         assert (out1 / "sweep.csv").read_bytes() == (out2 / "sweep.csv").read_bytes()
         for sub in ("T=0.5", "T=1.0"):
             a = (out1 / sub / "trajectory.csv").read_bytes()
             b = (out2 / sub / "trajectory.csv").read_bytes()
             assert a == b
+
+
+class TestExitCodes:
+    """Every failure maps to its documented exit code, never a traceback."""
+
+    @staticmethod
+    def _out_of_memory(scn):
+        raise MemoryError("unable to allocate the grid")
+
+    @pytest.mark.parametrize("case, code", [
+        ("directory", 2),
+        ("undecodable", 2),
+        ("out-under-file", 3),
+        ("sweep-out-under-file", 3),
+        ("memory", 4),
+    ])
+    def test_exit_code_without_traceback(self, tmp_path, capsys, monkeypatch, case, code):
+        scn = tmp_path / "scn.egf"
+        scn.write_text(HEAT)
+        blocker = tmp_path / "file"
+        blocker.write_text("not a directory")
+        argv = {
+            "directory": ["run", str(tmp_path)],
+            "undecodable": ["run", str(tmp_path / "bad.egf")],
+            "out-under-file": ["run", str(scn), "--out", str(blocker / "out")],
+            "sweep-out-under-file": ["sweep", str(scn), "--param", "T", "--values", "0.5",
+                                     "--out", str(blocker / "out")],
+            "memory": ["run", str(scn), "--out", str(tmp_path / "out")],
+        }[case]
+        (tmp_path / "bad.egf").write_bytes(b"kind: tau-heat\n\xff\xfe\n")
+        if case == "memory":
+            monkeypatch.setattr("egf.runner.run_scenario", self._out_of_memory)
+        assert main(argv) == code
+        err = capsys.readouterr().err
+        assert err.startswith("egf: ")
+        assert "Traceback" not in err
