@@ -20,7 +20,7 @@ driven conformal ODE chains that keep phi_k / psi_k constant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -31,15 +31,15 @@ from .parabolic import (
     Conductivity,
     SolverConfig,
     _divergence_theta_solve,
+    _heat_stepper,
     _march,
     _picard_advance,
+    _quasilinear_faces,
     _second_difference,
-    _snapshot_steps,
-    _trapezoid_accumulate,
+    _stepper,
     fit_exponential_decay,
     solve_cyclic_tridiag,  # noqa: F401  (perfbench's tracer test wraps this binding)
     solve_heat_circle,
-    solve_quasilinear_divergence,
 )
 from .symfun import StructConstants, eval_F, eval_Psi
 
@@ -247,7 +247,7 @@ def evolve_umbilical(
     value is a sign violation and rejected, a vanishing minimum only
     flags the run as degenerate.  The log conformal factor accumulates
     -d_s psi(lam) by trapezoid in time, so ghat_t = ghat_0 exp(conf); psi is
-    applied to the whole (steps, N) state array, so it must act elementwise.
+    applied to blocks of states, shape (steps, N), so it must act elementwise.
     """
     lam0 = state.lam
     lo, hi = float(lam0.samples.min()), float(lam0.samples.max())
@@ -259,16 +259,14 @@ def evolve_umbilical(
     degenerate = pmin == 0.0
     k = Conductivity.of_u(lambda u: 0.5 * psi_prime(u), c1=0.5 * pmin, c2=0.5 * pmax)
 
-    traj = solve_quasilinear_divergence(lam0, k, T, replace(cfg, save_every=1))
-
-    flux = circle_derivative(psi(traj.states), lam0.h)
-    conf = _trapezoid_accumulate(state.conf.samples, 0.5 * np.diff(traj.times), flux)
-
-    keep = _snapshot_steps(traj.times.size - 1, cfg.save_every)
+    produce = _stepper(_picard_advance(lam0, _quasilinear_faces(lam0, k), cfg))
+    flux = (state.conf.samples, 0.5, lambda block: circle_derivative(psi(block), lam0.h))
+    times, lam, _, (conf,) = _march(lam0.samples, T, cfg, produce, "evolve_umbilical",
+                                    integrals=[flux])
     return UmbilicalTrajectory(
-        times=traj.times[keep] + state.t,
-        lam=traj.states[keep],
-        conf=conf[keep],
+        times=times + state.t,
+        lam=lam,
+        conf=conf,
         length=lam0.length,
         flags={"degenerate": degenerate},
     )
@@ -314,7 +312,7 @@ def twisted_product_flow(
             rhs = (phi + (1 - theta) * cfg.dt * diff * _second_difference(phi, h)).T
         return _divergence_theta_solve(kface, rhs, theta * cfg.dt, h).T
 
-    times, snaps, _ = _march(state.phi, T, cfg, advance, "twisted_product_flow")
+    times, snaps, _, _ = _march(state.phi, T, cfg, _stepper(advance), "twisted_product_flow")
     dist = np.max(np.abs(snaps - limit[None, :, None]), axis=(1, 2))
     warp = np.max(
         np.abs(np.exp(snaps) - np.exp(limit)[None, :, None]), axis=(1, 2)
@@ -349,19 +347,13 @@ def prescribed_mean_curvature_flow(
             f"target mean curvature must have zero average (got {F.mean():.3e})"
         )
     w0 = CircleField(state.tau1.length, state.tau1.samples - F)
-    traj = solve_heat_circle(w0, T, replace(cfg, save_every=1))
-
-    g = circle_derivative(traj.states, state.tau1.h)
-    conf = _trapezoid_accumulate(
-        np.zeros(state.tau1.n), (2.0 / n) * 0.5 * np.diff(traj.times), g
-    )
-
-    keep = _snapshot_steps(traj.times.size - 1, cfg.save_every)
-    w = traj.states[keep]
+    grad = (np.zeros(w0.n), (2.0 / n) * 0.5, lambda block: circle_derivative(block, w0.h))
+    times, w, _, (conf,) = _march(w0.samples, T, cfg, _heat_stepper(w0, cfg),
+                                  "prescribed_mean_curvature_flow", integrals=[grad])
     return MeanCurvatureTrajectory(
-        times=traj.times[keep] + state.t,
+        times=times + state.t,
         tau1=w + F[None, :],
-        conf=conf[keep],
+        conf=conf,
         residual_sup=np.max(np.abs(w), axis=1),
         mean_w=w.mean(axis=1),
         length=state.tau1.length,
@@ -440,8 +432,8 @@ def _conformal_flow(
             )
         return a
 
-    advance = _picard_advance(u0, faces, cfg)
-    times, states, _ = _march(u0.samples, T, cfg, advance, "conformal flow")
+    produce = _stepper(_picard_advance(u0, faces, cfg))
+    times, states, _, _ = _march(u0.samples, T, cfg, produce, "conformal flow")
     taus = np.stack([basis(k, states, consts) for k in range(1, n + 1)])
     return TauFieldTrajectory(times=times, taus=taus, length=u0.length)
 

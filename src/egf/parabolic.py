@@ -282,17 +282,12 @@ def _d_x(values: np.ndarray, h: float) -> np.ndarray:
 
 
 def _trapezoid_accumulate(start: np.ndarray, coef: np.ndarray, rate: np.ndarray) -> np.ndarray:
-    """Rows c_0 = start, c_i = c_{i-1} - coef_i (rate_{i-1} + rate_i), taken in
-    step order: bit-identical to the sequential loop, signed zeros included.
-
-    Overwrites ``rate``, in blocks from the last row back so that no row is
-    read after it is replaced; no (steps, N) array is allocated.
-    """
-    for hi in range(rate.shape[0], 1, -256):
-        lo = max(1, hi - 256)
-        rate[lo:hi] = coef[lo - 1:hi - 1, None] * (rate[lo - 1:hi - 1] + rate[lo:hi])
-    rate[0] = start
-    return np.subtract.accumulate(rate, axis=0, out=rate)
+    """Rows c_0 = start, c_i = c_{i-1} - coef_i (rate_{i-1} + rate_i) for i = 1..len(coef),
+    taken in step order: bit-identical to the sequential loop, signed zeros included."""
+    out = np.empty_like(rate)
+    out[0] = start
+    np.multiply(coef[:, None], rate[:-1] + rate[1:], out=out[1:])
+    return np.subtract.accumulate(out, axis=0, out=out)
 
 
 # ---------------------------------------------------------------------------
@@ -313,44 +308,92 @@ def _snapshot_steps(nsteps: int, save_every: int) -> np.ndarray:
     return steps if steps[-1] == nsteps else np.append(steps, nsteps)
 
 
-def _march(u0: np.ndarray, T: float, cfg: SolverConfig, advance: Callable,
-           context: str, track: bool = False):
-    """The time loop of every stepping solver: u_k = advance(u_{k-1}, k).
+# Consecutive states per block of the march: bounds the memory of one block.
+_BLOCK_STEPS = 64
 
-    Runs k = 1..round(T/dt) and writes the states at
-    :func:`_snapshot_steps` into one preallocated (S, *u0.shape) array.  A
-    non-finite state raises :class:`UnstableConfigurationError` naming
-    ``context``, the step and t.  Returns (times, states, diagnostics); with
-    ``track`` the diagnostics are the discrete mean and sup |u - mean(u0)|
-    of every step, otherwise None.
+
+def _stepper(advance: Callable) -> Callable:
+    """The producer of a one-step map: the states u_k = advance(u_{k-1}, k) of
+    the given steps, cut short after the first non-finite one."""
+
+    def produce(u: np.ndarray, steps: np.ndarray) -> np.ndarray:
+        block = np.empty((steps.size, *u.shape))
+        for row, step in enumerate(steps.tolist()):
+            u = block[row] = advance(u, step)
+            if not np.all(np.isfinite(u)):
+                return block[:row + 1]
+        return block
+
+    return produce
+
+
+def _march(u0: np.ndarray, T: float, cfg: SolverConfig, produce: Callable,
+           context: str, track: bool = False, integrals: Sequence = ()):
+    """The time loop of every stepping solver: a fold over blocks of states.
+
+    ``produce(u, steps)`` returns the states of ``steps``, at most
+    ``_BLOCK_STEPS`` consecutive step numbers of 1..round(T/dt), given the
+    state u before the first of them.  Each block goes through the consumers:
+
+    - the finiteness check: a non-finite state raises
+      :class:`UnstableConfigurationError` naming ``context``, the step and t;
+    - the snapshot rows of :func:`_snapshot_steps`, written into one
+      preallocated (S, *u0.shape) array;
+    - with ``track``, the discrete mean and sup |u - mean(u0)| of every step;
+    - each ``(start, weight, rate)`` of ``integrals``: the running trapezoid
+      c_0 = start, c_k = c_{k-1} - weight (t_k - t_{k-1}) (r_{k-1} + r_k) of
+      r = rate(block), carried across block edges in step order and kept at
+      the snapshot steps.
+
+    Returns (times, states, diagnostics, kept integrals); the diagnostics are
+    (means, sup_deviation) with ``track``, otherwise None.
     """
     nsteps = _nsteps(T, cfg.dt)
     keep = _snapshot_steps(nsteps, cfg.save_every)
     states = np.empty((keep.size, *u0.shape))
     states[0] = u0
+    running = []  # [kept rows, last c, last r, weight, rate] per integral
+    for start, weight, rate in integrals:
+        kept = np.empty_like(states)
+        kept[0] = start
+        running.append([kept, kept[0], rate(u0[None])[0], weight, rate])
     if track:
         mean0 = float(u0.mean())
         means, sup_dev = np.empty(nsteps + 1), np.empty(nsteps + 1)
         means[0], sup_dev[0] = mean0, np.max(np.abs(u0 - mean0))
     u, slot = u0, 1
-    for step in range(1, nsteps + 1):
-        u = advance(u, step)
-        if not np.all(np.isfinite(u)):
+    for first in range(1, nsteps + 1, _BLOCK_STEPS):
+        steps = np.arange(first, min(first + _BLOCK_STEPS, nsteps + 1))
+        block = produce(u, steps)
+        finite = np.isfinite(block.reshape(block.shape[0], -1)).all(axis=1)
+        if not finite.all():
+            step = first + int(np.argmin(finite))
             raise UnstableConfigurationError(
                 f"non-finite iterate during {context} at step {step} (t = {step * cfg.dt:.6g})"
             )
         if track:
-            means[step], sup_dev[step] = u.mean(), np.max(np.abs(u - mean0))
-        if step == keep[slot]:
-            states[slot] = u
-            slot += 1
-    return keep * cfg.dt, states, (means, sup_dev) if track else None
+            means[steps] = block.mean(axis=1)
+            sup_dev[steps] = np.max(np.abs(block - mean0), axis=1)
+        end = int(np.searchsorted(keep, steps[-1], side="right"))
+        rows = keep[slot:end] - first
+        states[slot:end] = block[rows]
+        for item in running:
+            kept, c, r, weight, rate = item
+            coef = weight * np.diff(np.arange(first - 1, steps[-1] + 1) * cfg.dt)
+            rates = rate(block)
+            c = _trapezoid_accumulate(c, coef, np.concatenate((r[None], rates)))[1:]
+            kept[slot:end] = c[rows]
+            item[1], item[2] = c[-1], rates[-1]
+        slot = end
+        u = block[-1]
+    diagnostics = (means, sup_dev) if track else None
+    return keep * cfg.dt, states, diagnostics, [item[0] for item in running]
 
 
-def _circle_march(u0: CircleField, T: float, cfg: SolverConfig, advance: Callable,
+def _circle_march(u0: CircleField, T: float, cfg: SolverConfig, produce: Callable,
                   context: str, flags: dict | None = None) -> CircleTrajectory:
     """:func:`_march` on a circle field, with the per-step diagnostics."""
-    times, states, (means, sup_dev) = _march(u0.samples, T, cfg, advance, context, True)
+    times, states, (means, sup_dev), _ = _march(u0.samples, T, cfg, produce, context, True)
     return CircleTrajectory(
         length=u0.length,
         times=times,
@@ -403,6 +446,10 @@ def solve_heat_circle(u0: CircleField, T: float, cfg: SolverConfig) -> CircleTra
     round-off); deviations from the mean decay at the first discrete
     eigenvalue rate.
     """
+    return _circle_march(u0, T, cfg, _heat_stepper(u0, cfg), "solve_heat_circle")
+
+
+def _heat_stepper(u0: CircleField, cfg: SolverConfig) -> Callable:
     h, theta = u0.h, cfg.theta
     kface = np.ones(u0.n)
 
@@ -410,7 +457,7 @@ def solve_heat_circle(u0: CircleField, T: float, cfg: SolverConfig) -> CircleTra
         rhs = u if theta == 1.0 else u + (1.0 - theta) * cfg.dt * _apply_divergence(kface, u, h)
         return _divergence_theta_solve(kface, rhs, theta * cfg.dt, h)
 
-    return _circle_march(u0, T, cfg, advance, "solve_heat_circle")
+    return _stepper(advance)
 
 
 def _eval_tx_conductivity(k: Conductivity, t: float, x: np.ndarray) -> np.ndarray:
@@ -451,7 +498,8 @@ def solve_variable_heat_circle(
         return _nondivergence_theta_solve(a_new, zero_drift, rhs, theta * cfg.dt, h)
 
     return _circle_march(
-        u0, T, cfg, advance, "solve_variable_heat_circle", {"degenerate": k.degenerate}
+        u0, T, cfg, _stepper(advance), "solve_variable_heat_circle",
+        {"degenerate": k.degenerate},
     )
 
 
@@ -470,6 +518,16 @@ def solve_quasilinear_divergence(
     widened by 10% (5% on each side); leaving that band raises
     :class:`ConductivityRangeError`.
     """
+    produce = _stepper(_picard_advance(u0, _quasilinear_faces(u0, k), cfg))
+    return _circle_march(
+        u0, T, cfg, produce, "solve_quasilinear_divergence", {"degenerate": k.degenerate}
+    )
+
+
+def _quasilinear_faces(u0: CircleField, k: Conductivity) -> Callable:
+    """The face conductivities k((v_i + v_{i+1})/2) of a state v, checked against
+    the band of k and the widened initial range; see
+    :func:`solve_quasilinear_divergence` for the preconditions checked here."""
     if k.kind != "function-of-u":
         raise ValidationError("quasilinear solver needs a function-of-u conductivity")
     lo, hi = float(u0.samples.min()), float(u0.samples.max())
@@ -486,10 +544,7 @@ def solve_quasilinear_divergence(
         k.check_range(vals)
         return vals
 
-    advance = _picard_advance(u0, faces, cfg)
-    return _circle_march(
-        u0, T, cfg, advance, "solve_quasilinear_divergence", {"degenerate": k.degenerate}
-    )
+    return faces
 
 
 def solve_linear_interval(
@@ -508,6 +563,13 @@ def solve_linear_interval(
     point of this entry); the implicit theta-method tolerates that.
     Returns (times, states) at the steps of :func:`_snapshot_steps`.
     """
+    start, produce = _interval_stepper(u0, h, diffusion, drift, cfg, bc)
+    times, states, _, _ = _march(start, T, cfg, produce, "solve_linear_interval")
+    return times, states
+
+
+def _interval_stepper(u0, h, diffusion, drift, cfg: SolverConfig, bc) -> tuple:
+    """(pinned start state, producer) of :func:`solve_linear_interval`."""
     start = np.asarray(u0, dtype=float).copy()
     n = start.size
     a = np.asarray(diffusion, dtype=float)
@@ -543,8 +605,7 @@ def solve_linear_interval(
         u[0], u[-1] = bc  # exact pinning (solve leaves round-off residue)
         return u
 
-    times, states, _ = _march(start, T, cfg, advance, "solve_linear_interval")
-    return times, states
+    return start, _stepper(advance)
 
 
 # ---------------------------------------------------------------------------

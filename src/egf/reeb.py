@@ -30,7 +30,7 @@ and its Gaussian curvature is
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -40,10 +40,9 @@ from .errors import ValidationError
 from .parabolic import (
     SolverConfig,
     _d_x,
-    _snapshot_steps,
-    _trapezoid_accumulate,
+    _interval_stepper,
+    _march,
     heat_kernel,
-    solve_linear_interval,
 )
 
 __all__ = [
@@ -269,17 +268,12 @@ def evolve_reeb_lambda(
     cos_a = np.cos(geom.alpha)
     diffusion = sin_a**2
     drift = sin_a * cos_a * geom.alpha_prime
-    times, states = solve_linear_interval(
-        lam_init, geom.h, diffusion, drift, T, replace(cfg, save_every=1), bc=(0.0, 0.0)
-    )
-    keep = _snapshot_steps(times.size - 1, cfg.save_every)
-    lam = states[keep]
-    # d_x lam replaces the states 64 rows at a time (no second (steps, M)
-    # array), then V_i = V_{i-1} + (dt_i / 2) (d_x lam_{i-1} + d_x lam_i)
-    for lo in range(0, times.size, 64):
-        states[lo:lo + 64] = _d_x(states[lo:lo + 64].T, geom.h).T
-    V = _trapezoid_accumulate(np.zeros(geom.n_nodes), -0.5 * np.diff(times), states)
-    return ReebTrajectory(times[keep], lam, V[keep])
+    start, produce = _interval_stepper(lam_init, geom.h, diffusion, drift, cfg, (0.0, 0.0))
+    # V_k = V_{k-1} + (dt / 2) (d_x lam_{k-1} + d_x lam_k)
+    slope = (np.zeros(geom.n_nodes), -0.5, lambda block: _d_x(block.T, geom.h).T)
+    times, lam, _, (V,) = _march(start, T, cfg, produce, "evolve_reeb_lambda",
+                                 integrals=[slope])
+    return ReebTrajectory(times, lam, V)
 
 
 def _d_x4(values: np.ndarray, h: float) -> np.ndarray:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from egf import flows
+from egf import parabolic
 from egf.errors import EllipticityLossError, ValidationError
 from egf.flows import (
     MeanCurvatureState,
@@ -69,7 +69,7 @@ def test_trapezoid_accumulate_matches_loop_over_several_blocks():
     ref = [start]
     for i in range(1, 700):
         ref.append(ref[-1] - coef[i - 1] * (rate[i - 1] + rate[i]))
-    assert flows._trapezoid_accumulate(start, coef, rate.copy()).tobytes() == (
+    assert parabolic._trapezoid_accumulate(start, coef, rate.copy()).tobytes() == (
         np.asarray(ref).tobytes()
     )
 
