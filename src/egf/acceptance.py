@@ -375,6 +375,7 @@ def criterion_8() -> CriterionResult:
         psi_prime,
         1.0,
         SolverConfig(dt=1e-3, scheme="crank-nicolson", save_every=250),
+        psi_slope=2.0,
     )
     worst_off = 0.0
     worst_lam = 0.0

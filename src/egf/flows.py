@@ -30,13 +30,10 @@ from .parabolic import (
     CircleField,
     Conductivity,
     SolverConfig,
-    _divergence_theta_solve,
-    _heat_stepper,
     _march,
-    _picard_advance,
+    _picard_stepper,
+    _propagator,
     _quasilinear_faces,
-    _second_difference,
-    _stepper,
     fit_exponential_decay,
     solve_cyclic_tridiag,  # noqa: F401  (perfbench's tracer test wraps this binding)
     solve_heat_circle,
@@ -177,11 +174,15 @@ class TauFunction:
 
     ``func`` and ``grad`` act on a stacked array of shape (n, ...) and
     return shapes (...) and (n, ...); both must be numpy-vectorized.
+    ``slope`` declares f = slope * u_1 + const, linear in u_1 alone: the
+    conformal flows then have a constant coefficient a and take the
+    closed-form propagator instead of Picard iteration.
     """
 
     n: int
     func: Callable[[np.ndarray], np.ndarray]
     grad: Callable[[np.ndarray], np.ndarray]
+    slope: float | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -209,6 +210,7 @@ class TauFieldTrajectory:
     times: np.ndarray
     taus: np.ndarray  # (n_components, S, N)
     length: float
+    a_min: float | None = None  # conformal flows: least coefficient a used
 
 
 @dataclass
@@ -240,6 +242,7 @@ def evolve_umbilical(
     psi_prime: Callable[[np.ndarray], np.ndarray],
     T: float,
     cfg: SolverConfig,
+    psi_slope: float | None = None,
 ) -> UmbilicalTrajectory:
     """Umbilical flow dlam/dt = (1/2) d_s(psi'(lam) d_s lam).
 
@@ -248,6 +251,11 @@ def evolve_umbilical(
     flags the run as degenerate.  The log conformal factor accumulates
     -d_s psi(lam) by trapezoid in time, so ghat_t = ghat_0 exp(conf); psi is
     applied to blocks of states, shape (steps, N), so it must act elementwise.
+
+    ``psi_slope`` declares psi(lam) = psi_slope * lam (psi and psi_prime must
+    agree with it): the flow is then the heat equation with constant
+    coefficient psi_slope / 2, stepped by the closed-form propagator instead
+    of Picard iteration.
     """
     lam0 = state.lam
     lo, hi = float(lam0.samples.min()), float(lam0.samples.max())
@@ -257,9 +265,11 @@ def evolve_umbilical(
     if pmin < 0.0:
         raise ValidationError(f"psi' changes sign on the data range (min {pmin:.3g})")
     degenerate = pmin == 0.0
-    k = Conductivity.of_u(lambda u: 0.5 * psi_prime(u), c1=0.5 * pmin, c2=0.5 * pmax)
-
-    produce = _stepper(_picard_advance(lam0, _quasilinear_faces(lam0, k), cfg))
+    if psi_slope is None:
+        k = Conductivity.of_u(lambda u: 0.5 * psi_prime(u), c1=0.5 * pmin, c2=0.5 * pmax)
+        produce = _picard_stepper(lam0, _quasilinear_faces(lam0, k), cfg)
+    else:
+        produce = _propagator(lam0.samples, 0.5 * psi_slope, lam0.h, cfg)
     flux = (state.conf.samples, 0.5, lambda block: circle_derivative(psi(block), lam0.h))
     times, lam, _, (conf,) = _march(lam0.samples, T, cfg, produce, "evolve_umbilical",
                                     integrals=[flux])
@@ -299,20 +309,10 @@ def twisted_product_flow(
     The reported limit field is the fiber mean of phi(0, x, .): the
     twisted product converges to the product carrying that mean warp.
     """
-    ny = state.phi.shape[1]
-    h = state.fiber_length / ny
-    theta = cfg.theta
-    diff = 1.0 / state.n
-    kface = np.full(ny, diff)
+    h = state.fiber_length / state.phi.shape[1]
     limit = state.phi.mean(axis=1)
-
-    def advance(phi: np.ndarray, step: int) -> np.ndarray:
-        rhs = phi.T
-        if theta != 1.0:
-            rhs = (phi + (1 - theta) * cfg.dt * diff * _second_difference(phi, h)).T
-        return _divergence_theta_solve(kface, rhs, theta * cfg.dt, h).T
-
-    times, snaps, _, _ = _march(state.phi, T, cfg, _stepper(advance), "twisted_product_flow")
+    produce = _propagator(state.phi, 1.0 / state.n, h, cfg)
+    times, snaps, _, _ = _march(state.phi, T, cfg, produce, "twisted_product_flow")
     dist = np.max(np.abs(snaps - limit[None, :, None]), axis=(1, 2))
     warp = np.max(
         np.abs(np.exp(snaps) - np.exp(limit)[None, :, None]), axis=(1, 2)
@@ -348,7 +348,7 @@ def prescribed_mean_curvature_flow(
         )
     w0 = CircleField(state.tau1.length, state.tau1.samples - F)
     grad = (np.zeros(w0.n), (2.0 / n) * 0.5, lambda block: circle_derivative(block, w0.h))
-    times, w, _, (conf,) = _march(w0.samples, T, cfg, _heat_stepper(w0, cfg),
+    times, w, _, (conf,) = _march(w0.samples, T, cfg, _propagator(w0.samples, 1.0, w0.h, cfg),
                                   "prescribed_mean_curvature_flow", integrals=[grad])
     return MeanCurvatureTrajectory(
         times=times + state.t,
@@ -409,11 +409,21 @@ def _conformal_flow(
     """du_1/dt = d_s(a d_s u_1) with a = (1/2) sum_k w_k df/du_k(u) B_{k-1}(u_1)
     and u_k = B_k(u_1), for the basis B (F or Psi) and weights w_1..w_n.
 
-    The Picard monitor hook raises :class:`EllipticityLossError` once a <= 0.
+    With ``f.slope`` declared, a = (1/2) w_1 slope B_0 is constant and the
+    closed-form propagator steps the flow; otherwise the Picard monitor hook
+    raises :class:`EllipticityLossError` once a <= 0.  Either way the
+    trajectory reports the least a used.
     """
     n = consts.n
     if f.n != n:
         raise ValidationError("coefficient function and constants disagree on n")
+    a_min = np.inf
+
+    def observe(amin: float) -> None:
+        nonlocal a_min
+        if amin <= 0.0:
+            raise EllipticityLossError(f"parabolicity coefficient reached min a = {amin:.6g}")
+        a_min = min(a_min, amin)
 
     def faces(v: np.ndarray) -> np.ndarray:
         u = 0.5 * (v + np.roll(v, -1))
@@ -425,17 +435,18 @@ def _conformal_flow(
         for k, w in enumerate(weights, start=1):
             acc += w * g[k - 1] * np.asarray(basis(k - 1, u, consts))
         a = 0.5 * acc
-        amin = float(np.min(a))
-        if amin <= 0.0:
-            raise EllipticityLossError(
-                f"parabolicity coefficient reached min a = {amin:.6g}"
-            )
+        observe(float(np.min(a)))
         return a
 
-    produce = _stepper(_picard_advance(u0, faces, cfg))
+    if f.slope is None:
+        produce = _picard_stepper(u0, faces, cfg)
+    else:
+        a = 0.5 * (weights[0] * f.slope * basis(0, 0.0, consts))
+        observe(a)
+        produce = _propagator(u0.samples, a, u0.h, cfg)
     times, states, _, _ = _march(u0.samples, T, cfg, produce, "conformal flow")
     taus = np.stack([basis(k, states, consts) for k in range(1, n + 1)])
-    return TauFieldTrajectory(times=times, taus=taus, length=u0.length)
+    return TauFieldTrajectory(times=times, taus=taus, length=u0.length, a_min=a_min)
 
 
 def track_volume(tracker: VolumeTracker, s_field: CircleField, dt: float) -> VolumeTracker:

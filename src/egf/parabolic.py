@@ -192,9 +192,6 @@ class CircleTrajectory:
     def final(self) -> CircleField:
         return CircleField(self.length, self.states[-1].copy())
 
-    def field_at(self, idx: int) -> CircleField:
-        return CircleField(self.length, self.states[idx].copy())
-
     def decay_series(self) -> list[tuple[float, float]]:
         """(t, sup |u - mean(u0)|) pairs for decay fitting."""
         return list(zip(self.step_times.tolist(), self.sup_deviation.tolist()))
@@ -253,16 +250,10 @@ def _divergence_theta_solve(kface, rhs, dt_theta, h):
     return solve_cyclic_tridiag(sub, diag, sup, -c * km[0], -c * kface[-1], rhs)
 
 
-def _nondivergence_theta_solve(a, b, rhs, dt_theta, h):
-    """Solve (I - dt_theta * (a d_xx + b d_x)) u = rhs on the circle."""
+def _nondivergence_theta_solve(a, rhs, dt_theta, h):
+    """Solve (I - dt_theta * a d_xx) u = rhs on the circle."""
     ca = dt_theta * a / h**2
-    cb = dt_theta * b / (2.0 * h)
-    diag = 1.0 + 2.0 * ca
-    lower = -(ca - cb)  # multiplies u_{i-1}
-    upper = -(ca + cb)  # multiplies u_{i+1}
-    return solve_cyclic_tridiag(
-        lower[1:], diag, upper[:-1], upper[-1], lower[0], rhs
-    )
+    return solve_cyclic_tridiag(-ca[1:], 1.0 + 2.0 * ca, -ca[:-1], -ca[-1], -ca[0], rhs)
 
 
 def _second_difference(u: np.ndarray, h: float) -> np.ndarray:
@@ -331,43 +322,36 @@ def _march(u0: np.ndarray, T: float, cfg: SolverConfig, produce: Callable,
            context: str, track: bool = False, integrals: Sequence = ()):
     """The time loop of every stepping solver: a fold over blocks of states.
 
-    ``produce(u, steps)`` returns the states of ``steps``, at most
-    ``_BLOCK_STEPS`` consecutive step numbers of 1..round(T/dt), given the
-    state u before the first of them.  Each block goes through the consumers:
-
-    - the finiteness check: a non-finite state raises
-      :class:`UnstableConfigurationError` naming ``context``, the step and t;
-    - the snapshot rows of :func:`_snapshot_steps`, written into one
-      preallocated (S, *u0.shape) array;
-    - with ``track``, the discrete mean and sup |u - mean(u0)| of every step;
-    - each ``(start, weight, rate)`` of ``integrals``: the running trapezoid
-      c_0 = start, c_k = c_{k-1} - weight (t_k - t_{k-1}) (r_{k-1} + r_k) of
-      r = rate(block), carried across block edges in step order and kept at
-      the snapshot steps.
-
-    Returns (times, states, diagnostics, kept integrals); the diagnostics are
-    (means, sup_deviation) with ``track``, otherwise None.
+    ``produce(u, steps)`` gives the states of ``steps`` (at most _BLOCK_STEPS
+    consecutive steps of 1..round(T/dt)) from u, the state before them.  Each
+    block is checked finite (else :class:`UnstableConfigurationError` names
+    ``context``, the step and t), then folded into the snapshot rows of
+    :func:`_snapshot_steps`, with ``track`` the per-step mean and sup |u -
+    mean(u0)|, and each running trapezoid ``(start, weight, rate)`` of
+    ``integrals``: c_0 = start, c_k = c_{k-1} - weight dt (r_{k-1} + r_k) with
+    r = rate(block), kept at the snapshot steps.  Returns (times, states,
+    (means, sup_deviation) or None, kept integrals).
     """
     nsteps = _nsteps(T, cfg.dt)
     keep = _snapshot_steps(nsteps, cfg.save_every)
     states = np.empty((keep.size, *u0.shape))
     states[0] = u0
-    running = []  # [kept rows, last c, last r, weight, rate] per integral
-    for start, weight, rate in integrals:
-        kept = np.empty_like(states)
-        kept[0] = start
-        running.append([kept, kept[0], rate(u0[None])[0], weight, rate])
+    kept = [np.empty_like(states) for _ in integrals]
+    last = [np.asarray(start, dtype=float) for start, _, _ in integrals]
+    for rows_out, start in zip(kept, last):
+        rows_out[0] = start
     if track:
         mean0 = float(u0.mean())
         means, sup_dev = np.empty(nsteps + 1), np.empty(nsteps + 1)
         means[0], sup_dev[0] = mean0, np.max(np.abs(u0 - mean0))
     u, slot = u0, 1
     for first in range(1, nsteps + 1, _BLOCK_STEPS):
-        steps = np.arange(first, min(first + _BLOCK_STEPS, nsteps + 1))
-        block = produce(u, steps)
+        # the block leads with the last state before it: steps first - 1, first, ...
+        steps = np.arange(first - 1, min(first + _BLOCK_STEPS, nsteps + 1))
+        block = np.concatenate((u[None], produce(u, steps[1:])))
         finite = np.isfinite(block.reshape(block.shape[0], -1)).all(axis=1)
         if not finite.all():
-            step = first + int(np.argmin(finite))
+            step = int(steps[np.argmin(finite)])
             raise UnstableConfigurationError(
                 f"non-finite iterate during {context} at step {step} (t = {step * cfg.dt:.6g})"
             )
@@ -375,19 +359,13 @@ def _march(u0: np.ndarray, T: float, cfg: SolverConfig, produce: Callable,
             means[steps] = block.mean(axis=1)
             sup_dev[steps] = np.max(np.abs(block - mean0), axis=1)
         end = int(np.searchsorted(keep, steps[-1], side="right"))
-        rows = keep[slot:end] - first
+        rows = keep[slot:end] - steps[0]
         states[slot:end] = block[rows]
-        for item in running:
-            kept, c, r, weight, rate = item
-            coef = weight * np.diff(np.arange(first - 1, steps[-1] + 1) * cfg.dt)
-            rates = rate(block)
-            c = _trapezoid_accumulate(c, coef, np.concatenate((r[None], rates)))[1:]
-            kept[slot:end] = c[rows]
-            item[1], item[2] = c[-1], rates[-1]
-        slot = end
-        u = block[-1]
-    diagnostics = (means, sup_dev) if track else None
-    return keep * cfg.dt, states, diagnostics, [item[0] for item in running]
+        for i, (_, weight, rate) in enumerate(integrals):
+            c = _trapezoid_accumulate(last[i], weight * np.diff(steps * cfg.dt), rate(block))
+            kept[i][slot:end], last[i] = c[rows], c[-1]
+        slot, u = end, block[-1]
+    return keep * cfg.dt, states, (means, sup_dev) if track else None, kept
 
 
 def _circle_march(u0: CircleField, T: float, cfg: SolverConfig, produce: Callable,
@@ -405,8 +383,9 @@ def _circle_march(u0: CircleField, T: float, cfg: SolverConfig, produce: Callabl
     )
 
 
-def _picard_advance(u0: CircleField, faces: Callable, cfg: SolverConfig) -> Callable:
-    """The step of du/dt = D_{faces(u)} u, by lagged-coefficient Picard iteration.
+def _picard_stepper(u0: CircleField, faces: Callable, cfg: SolverConfig) -> Callable:
+    """The producer of du/dt = D_{faces(u)} u, one lagged-coefficient Picard
+    iteration per step.
 
     ``faces(v)`` gives the face conductivities of a state v and is the
     monitor hook: it raises when they leave their admissible range.  The
@@ -432,7 +411,7 @@ def _picard_advance(u0: CircleField, faces: Callable, cfg: SolverConfig) -> Call
             f"Picard iteration stalled at step {step} (last delta {delta:.3e})"
         )
 
-    return advance
+    return _stepper(advance)
 
 
 # ---------------------------------------------------------------------------
@@ -446,18 +425,27 @@ def solve_heat_circle(u0: CircleField, T: float, cfg: SolverConfig) -> CircleTra
     round-off); deviations from the mean decay at the first discrete
     eigenvalue rate.
     """
-    return _circle_march(u0, T, cfg, _heat_stepper(u0, cfg), "solve_heat_circle")
+    return _circle_march(u0, T, cfg, _propagator(u0.samples, 1.0, u0.h, cfg),
+                         "solve_heat_circle")
 
 
-def _heat_stepper(u0: CircleField, cfg: SolverConfig) -> Callable:
-    h, theta = u0.h, cfg.theta
-    kface = np.ones(u0.n)
+def _propagator(u0: np.ndarray, c: float, h: float, cfg: SolverConfig) -> Callable:
+    """The producer of du/dt = c d_xx u along the last axis of a periodic grid,
+    in closed form: the theta-method matrix is circulant, so the FFT
+    diagonalizes it (Davis, *Circulant Matrices*, 1979).  State k is
+    irfft(u0_hat g^k), g_j = (1 - (1-theta) dt l_j) / (1 + theta dt l_j),
+    l_j = (4 c / h^2) sin^2(pi j / N), from its own step number alone.
+    """
+    n = u0.shape[-1]
+    lam = (4.0 * c / h**2) * np.sin(np.pi * np.arange(n // 2 + 1) / n) ** 2
+    g = (1.0 - (1.0 - cfg.theta) * cfg.dt * lam) / (1.0 + cfg.theta * cfg.dt * lam)
+    u_hat = np.fft.rfft(u0, axis=-1)
 
-    def advance(u: np.ndarray, step: int) -> np.ndarray:
-        rhs = u if theta == 1.0 else u + (1.0 - theta) * cfg.dt * _apply_divergence(kface, u, h)
-        return _divergence_theta_solve(kface, rhs, theta * cfg.dt, h)
+    def produce(u: np.ndarray, steps: np.ndarray) -> np.ndarray:
+        powers = g ** steps.reshape(-1, *[1] * u0.ndim)
+        return np.fft.irfft(u_hat * powers, n=n, axis=-1)
 
-    return _stepper(advance)
+    return produce
 
 
 def _eval_tx_conductivity(k: Conductivity, t: float, x: np.ndarray) -> np.ndarray:
@@ -485,7 +473,6 @@ def solve_variable_heat_circle(
     k >= 0 with isolated zeros is run and flagged degenerate.
     """
     h, x, theta = u0.h, u0.nodes(), cfg.theta
-    zero_drift = np.zeros(u0.n)
 
     def advance(u: np.ndarray, step: int) -> np.ndarray:
         t_new = step * cfg.dt
@@ -495,7 +482,7 @@ def solve_variable_heat_circle(
         else:
             a_old = _eval_tx_conductivity(k, t_new - cfg.dt, x)
             rhs = u + (1.0 - theta) * cfg.dt * a_old * _second_difference(u, h)
-        return _nondivergence_theta_solve(a_new, zero_drift, rhs, theta * cfg.dt, h)
+        return _nondivergence_theta_solve(a_new, rhs, theta * cfg.dt, h)
 
     return _circle_march(
         u0, T, cfg, _stepper(advance), "solve_variable_heat_circle",
@@ -518,16 +505,14 @@ def solve_quasilinear_divergence(
     widened by 10% (5% on each side); leaving that band raises
     :class:`ConductivityRangeError`.
     """
-    produce = _stepper(_picard_advance(u0, _quasilinear_faces(u0, k), cfg))
+    produce = _picard_stepper(u0, _quasilinear_faces(u0, k), cfg)
     return _circle_march(
         u0, T, cfg, produce, "solve_quasilinear_divergence", {"degenerate": k.degenerate}
     )
 
 
 def _quasilinear_faces(u0: CircleField, k: Conductivity) -> Callable:
-    """The face conductivities k((v_i + v_{i+1})/2) of a state v, checked against
-    the band of k and the widened initial range; see
-    :func:`solve_quasilinear_divergence` for the preconditions checked here."""
+    """The checked face conductivities of :func:`solve_quasilinear_divergence`."""
     if k.kind != "function-of-u":
         raise ValidationError("quasilinear solver needs a function-of-u conductivity")
     lo, hi = float(u0.samples.min()), float(u0.samples.max())

@@ -147,8 +147,8 @@ def reeb_setup(
     difference when not supplied.  lam0 = alpha' |cos alpha| vanishes at
     the boundary nodes (enforced exactly).
     """
-    if n_grid < 16:
-        raise ValidationError("need at least 16 grid intervals")
+    if n_grid < 16 or n_grid % 2:
+        raise ValidationError("need an even count of at least 16 grid intervals")
     if alpha is None:
         alpha = _default_alpha
         alpha_prime = _default_alpha_prime

@@ -9,12 +9,12 @@ Common keys
 -----------
 kind          one of: umbilical, tau-heat, twisted, prescribed-F, ftau,
               reeb, pde-reference
-grid          number of spatial nodes (circle kinds) or intervals (reeb)
+grid          number of spatial nodes (circle kinds) or intervals (reeb, even)
 dt            time step
 T             time horizon, a whole number of dt steps (relative slack 1e-9)
 scheme        implicit-euler (default) or crank-nicolson
 length        circle circumference (default 2*pi)
-save-every    snapshot cadence in steps (0 = automatic)
+save-every    snapshot cadence in steps (0 = automatic, the default; >= 0)
 
 Closed-form fields (init / target) are selected by name with parameters
 ``*-amplitude``, ``*-frequency``, ``*-offset``:
@@ -208,6 +208,8 @@ def parse_entries(entries: dict) -> FlowScenario:
         raise ValidationError("grid must be at least 8")
     if scn.dt <= 0 or scn.T < 0 or scn.length <= 0:
         raise ValidationError("dt, T and length must be positive")
+    if scn.save_every < 0:
+        raise ValidationError("save-every must be nonnegative (0 = automatic)")
     steps = scn.T / scn.dt
     if not math.isfinite(steps) or abs(round(steps) * scn.dt - scn.T) > 1e-9 * scn.T:
         raise ValidationError(f"T = {scn.T!r} is not a whole number of dt = {scn.dt!r} steps")
@@ -248,9 +250,13 @@ def _validate_kind(scn: FlowScenario) -> None:
             raise ScenarioParseError("spectrum: expected comma-separated reals") from exc
         if len(vals) != g("n", len(vals)):
             raise ValidationError("spectrum length must equal n")
+        if g("f") == "scaled-tau2" and len(vals) < 2:
+            raise ValidationError("f: scaled-tau2 needs a spectrum of at least two values")
     if scn.kind == "reeb":
         if g("method", "x-space") not in ("x-space", "arclength-kernel"):
             raise ValidationError("reeb method must be x-space or arclength-kernel")
+        if scn.grid % 2:
+            raise ValidationError("reeb grid must be an even interval count (keeps x = 0 on the grid)")
     if scn.kind == "pde-reference":
         if g("problem", "exact-quasilinear") not in (
             "exact-quasilinear",

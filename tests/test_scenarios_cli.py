@@ -240,6 +240,57 @@ class TestRunner:
             assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
 
 
+UMBILICAL = """
+kind: umbilical
+grid: 256
+dt: 0.001
+T: 0.5
+init: cos
+init-amplitude: {amp}
+psi: linear
+psi-slope: 2
+"""
+
+
+class TestObservedChecks:
+    """Verdict checks that report an observed value, not a constant."""
+
+    @pytest.mark.parametrize("amp", [0.1, 0.3, 0.5])
+    def test_umbilical_conformal_identity_holds(self, amp):
+        res = run_scenario(parse_scenario(UMBILICAL.format(amp=amp)))
+        check = next(c for c in res.checks if c.name == "conformal-factor-identity")
+        assert check.passed, check.detail
+        # measured 2.75e-4 sup |lambda_0| at grid 256, dt 1e-3, implicit Euler
+        observed = float(check.detail.split()[-3])
+        assert observed == pytest.approx(2.75e-4 * amp, rel=1e-2)
+
+    def test_umbilical_conformal_identity_fails_with_flipped_sign(self, monkeypatch):
+        from egf import flows
+
+        evolve = flows.evolve_umbilical
+
+        def flipped(*args, **kwargs):
+            traj = evolve(*args, **kwargs)
+            traj.conf = -traj.conf
+            return traj
+
+        monkeypatch.setattr(flows, "evolve_umbilical", flipped)
+        res = run_scenario(parse_scenario(UMBILICAL.format(amp=0.3)))
+        assert not next(c for c in res.checks if c.name == "conformal-factor-identity").passed
+
+    @pytest.mark.parametrize("f, detail", [
+        ("scaled-tau1", "min a = 1 > 0"),  # the propagator's constant a
+        ("scaled-tau2", "min a = 1.20048 > 0"),  # (2/n) min tau_1 on the faces
+    ])
+    def test_ftau_parabolicity_reports_the_coefficient(self, f, detail):
+        res = run_scenario(parse_scenario(
+            f"kind: ftau\ngrid: 64\ndt: 0.005\nT: 0.1\nf: {f}\nspectrum: 0.4,1.0\n"
+            "init: cos\ninit-amplitude: 0.2\ninit-offset: 1.4\n"
+        ))
+        check = next(c for c in res.checks if c.name == "parabolicity-maintained")
+        assert check.passed and check.detail == detail
+
+
 class TestCli:
     def _write(self, tmp_path, text, name="scn.egf"):
         path = tmp_path / name
@@ -412,3 +463,20 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("egf: ")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("text", [
+        # grad of f = (2/n) tau_2 needs n >= 2
+        "kind: ftau\ngrid: 64\ndt: 0.01\nT: 0.1\nf: scaled-tau2\nspectrum: 0.5\n",
+        "kind: pde-reference\ngrid: 64\ndt: 0.01\nT: 0.1\nsave-every: -3\n",
+        # an odd interval count puts x = 0 off the grid
+        "kind: reeb\ngrid: 2047\ndt: 0.0001\nT: 0.001\n",
+    ], ids=["scaled-tau2-one-value", "negative-save-every", "odd-reeb-grid"])
+    def test_rejected_scenario_exits_3(self, tmp_path, capsys, text):
+        path = tmp_path / "scn.egf"
+        path.write_text(text)
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("egf: invalid scenario: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert not out.exists()
