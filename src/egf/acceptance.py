@@ -1,9 +1,13 @@
 """The bundled acceptance suite: nine numbered criteria, fixed tolerances.
 
-Each criterion function runs one scenario at its pinned parameters and
-returns a :class:`CriterionResult` with per-clause detail lines;
-``run_all`` executes the whole suite.  The same checks back
-``tests/test_acceptance.py`` and the ``egf verify`` command.
+Each criterion function runs its problem at pinned parameters and returns a
+:class:`CriterionResult` with per-clause detail lines; ``run_all`` executes
+the whole suite.  The same checks back ``tests/test_acceptance.py`` and the
+``egf verify`` command.
+
+Criteria 1, 2, 6, 7 and 9 run bundled scenarios (:data:`BUNDLED`) through
+:func:`egf.runner.run_scenario` and read their clause numbers from the run;
+criterion 9 takes over criterion 1's grid-512 run.
 
 Criterion 5 note: with the symmetric default geometry (leaf angle
 pi x / 2) the evolved curvature stays even in x, so V_t(0) = 0 and the
@@ -37,24 +41,12 @@ from .companion import (
     weighted_power_matrix,
 )
 from .flows import (
-    MeanCurvatureState,
-    TwistedState,
     UmbilicalState,
     conformal_ode_system,
     evolve_umbilical,
-    prescribed_mean_curvature_flow,
-    twisted_product_flow,
     umbilical_metric_samples,
 )
-from .parabolic import (
-    CircleField,
-    SolverConfig,
-    exact_quasilinear_conductivity,
-    exact_quasilinear_solution,
-    fit_exponential_decay,
-    solve_heat_circle,
-    solve_quasilinear_divergence,
-)
+from .parabolic import CircleField, SolverConfig
 from .reeb import (
     evolve_reeb_lambda,
     expansion_slope,
@@ -62,6 +54,8 @@ from .reeb import (
     reconstruct_metric,
     reeb_setup,
 )
+from .runner import RunResult, run_scenario
+from .scenarios import parse_entries
 from .symfun import (
     CurvatureSpectrum,
     ElemSymVector,
@@ -72,7 +66,32 @@ from .symfun import (
     sigma_from_tau,
 )
 
-__all__ = ["CriterionResult", "run_all", "CRITERIA"]
+__all__ = ["CriterionResult", "run_all", "CRITERIA", "BUNDLED"]
+
+# The bundled scenarios that criteria 1, 2, 6, 7 and 9 run, as the entries of
+# their files under scenarios/.
+BUNDLED = {
+    "exact-quasilinear": {
+        "kind": "pde-reference", "problem": "exact-quasilinear", "grid": "512",
+        "dt": "0.001", "T": "1.0", "scheme": "crank-nicolson", "check-tolerance": "2e-4",
+    },
+    "heat-decay": {
+        "kind": "pde-reference", "problem": "circle-heat-decay", "grid": "128",
+        "dt": "0.001", "T": "3.0", "init": "cos",
+    },
+    "twisted": {
+        "kind": "twisted", "grid": "128", "dt": "0.001", "T": "5.0",
+        "scheme": "crank-nicolson", "n": "1", "base-grid": "16", "fiber-grid": "128",
+        "profile": "one-plus-x-squared",
+    },
+    "prescribed-F": {
+        "kind": "prescribed-F", "grid": "256", "dt": "0.001", "T": "5.0",
+        "scheme": "crank-nicolson", "init": "zero", "target": "cos",
+    },
+}
+
+# The metrics of criterion 1's grid-512 run, taken over by the next criterion 9.
+_criterion_1_metrics: list = []
 
 
 @dataclass
@@ -94,31 +113,15 @@ def _result(number, title, clauses, t0) -> CriterionResult:
     return CriterionResult(number, title, passed, details, time.perf_counter() - t0)
 
 
-def _quasilinear_error(grid: int) -> float:
-    x = np.arange(grid) * 2 * math.pi / grid
-    u0 = CircleField(2 * math.pi, exact_quasilinear_solution(0.0, x))
-    traj = solve_quasilinear_divergence(
-        u0,
-        exact_quasilinear_conductivity(),
-        1.0,
-        SolverConfig(dt=1e-3, scheme="crank-nicolson"),
-    )
-    return float(np.max(np.abs(traj.final.samples - exact_quasilinear_solution(1.0, x))))
+def _run(entries: dict) -> RunResult:
+    return run_scenario(parse_entries(entries))
 
 
 def criterion_1() -> CriterionResult:
     t0 = time.perf_counter()
-    grid = 512
-    x = np.arange(grid) * 2 * math.pi / grid
-    u0 = CircleField(2 * math.pi, exact_quasilinear_solution(0.0, x))
-    traj = solve_quasilinear_divergence(
-        u0,
-        exact_quasilinear_conductivity(),
-        1.0,
-        SolverConfig(dt=1e-3, scheme="crank-nicolson"),
-    )
-    err = float(np.max(np.abs(traj.final.samples - exact_quasilinear_solution(1.0, x))))
-    supT = float(np.max(np.abs(traj.final.samples)))
+    res = _run(BUNDLED["exact-quasilinear"])
+    _criterion_1_metrics[:] = [res.metrics]
+    err, supT = res.metrics["sup_error"], res.metrics["final_sup"]
     elapsed = time.perf_counter() - t0
     clauses = [
         (err <= 2e-4, f"sup error vs exact {err:.3e} <= 2e-4"),
@@ -133,12 +136,8 @@ def criterion_1() -> CriterionResult:
 
 def criterion_2() -> CriterionResult:
     t0 = time.perf_counter()
-    grid = 128
-    x = np.arange(grid) * 2 * math.pi / grid
-    u0 = CircleField(2 * math.pi, np.cos(x))
-    traj = solve_heat_circle(u0, 3.0, SolverConfig(dt=1e-3))
-    _, alpha = fit_exponential_decay(traj.decay_series())
-    drift = float(np.max(np.abs(traj.means - traj.means[0])))
+    res = _run(BUNDLED["heat-decay"])
+    alpha, drift = res.metrics["alpha"], res.metrics["drift"]
     elapsed = time.perf_counter() - t0
     clauses = [
         (0.99 <= alpha <= 1.01, f"fitted alpha {alpha:.6f} in [0.99, 1.01]"),
@@ -311,16 +310,10 @@ def criterion_5() -> CriterionResult:
 
 def criterion_6() -> CriterionResult:
     t0 = time.perf_counter()
-    nx, ny, n, T = 16, 128, 1, 5.0
-    xb = np.linspace(-1.0, 1.0, nx)
-    y = np.arange(ny) * 2 * math.pi / ny
-    a = 1.0 + xb**2
-    phi0 = a[:, None] * np.cos(y)[None, :]
-    traj = twisted_product_flow(
-        TwistedState(phi0, 2 * math.pi, n=n), T, SolverConfig(dt=1e-3, scheme="crank-nicolson")
-    )
-    bound = math.exp(-T / n) * float(np.max(np.abs(a))) * 1.01
-    dist = float(traj.sup_distance[-1])
+    res = _run(BUNDLED["twisted"])
+    a = 1.0 + res.axes["x"] ** 2  # the one-plus-x-squared profile
+    bound = math.exp(-res.scenario.T / res.scenario.get("n")) * float(np.max(np.abs(a))) * 1.01
+    dist = res.metrics["final_sup"]
     elapsed = time.perf_counter() - t0
     clauses = [
         (dist <= bound, f"sup distance to fiber mean {dist:.6e} <= {bound:.6e}"),
@@ -331,16 +324,9 @@ def criterion_6() -> CriterionResult:
 
 def criterion_7() -> CriterionResult:
     t0 = time.perf_counter()
-    grid, T = 256, 5.0
-    x = np.arange(grid) * 2 * math.pi / grid
-    tau0 = CircleField(2 * math.pi, np.zeros(grid))
-    target = CircleField(2 * math.pi, np.cos(x))
-    traj = prescribed_mean_curvature_flow(
-        MeanCurvatureState(tau0, target), T, SolverConfig(dt=1e-3, scheme="crank-nicolson")
-    )
-    res = float(traj.residual_sup[-1])
-    bound = math.exp(-T) * 1.01 * 1.0  # ||F|| = 1
-    drift = float(np.max(np.abs(traj.mean_w - traj.mean_w[0])))
+    res = _run(BUNDLED["prescribed-F"])
+    residual, drift = res.metrics["final_sup"], res.metrics["drift"]
+    bound = math.exp(-res.scenario.T) * 1.01 * 1.0  # ||F|| = 1
 
     # nonzero-average target must be rejected by the CLI with exit 3
     with tempfile.TemporaryDirectory() as tmp:
@@ -355,7 +341,7 @@ def criterion_7() -> CriterionResult:
             code = _cli.main(["run", bad, "--out", os.path.join(tmp, "out")])
     elapsed = time.perf_counter() - t0
     clauses = [
-        (res <= bound, f"||tau1(T) - F|| = {res:.6e} <= {bound:.6e}"),
+        (residual <= bound, f"||tau1(T) - F|| = {residual:.6e} <= {bound:.6e}"),
         (drift <= 1e-10, f"mean(tau1 - F) drift {drift:.3e} <= 1e-10"),
         (code == 3, f"nonzero-average target rejected with exit {code} == 3"),
     ]
@@ -405,8 +391,10 @@ def criterion_8() -> CriterionResult:
 
 def criterion_9() -> CriterionResult:
     t0 = time.perf_counter()
-    err_coarse = _quasilinear_error(512)
-    err_fine = _quasilinear_error(1024)
+    coarse = (_criterion_1_metrics.pop() if _criterion_1_metrics
+              else _run(BUNDLED["exact-quasilinear"]).metrics)
+    fine = _run({**BUNDLED["exact-quasilinear"], "grid": "1024"}).metrics
+    err_coarse, err_fine = coarse["sup_error"], fine["sup_error"]
     ratio = err_coarse / err_fine
     clauses = [
         (

@@ -26,6 +26,7 @@ from scipy.linalg import solve_banded
 from .errors import (
     ConductivityRangeError,
     NonConvergenceError,
+    SolverError,
     UnstableConfigurationError,
     ValidationError,
 )
@@ -144,7 +145,8 @@ class Conductivity:
     def check_range(self, values: np.ndarray) -> None:
         vals = np.asarray(values)
         slack = 1e-12 * (1.0 + self.c2)
-        if np.min(vals) < self.c1 - slack or np.max(vals) > self.c2 + slack:
+        # written so that NaN, for which every comparison is false, fails too
+        if not (np.min(vals) >= self.c1 - slack and np.max(vals) <= self.c2 + slack):
             raise ConductivityRangeError(
                 f"conductivity left [{self.c1}, {self.c2}]: "
                 f"observed [{np.min(vals):.6g}, {np.max(vals):.6g}]"
@@ -191,10 +193,6 @@ class CircleTrajectory:
     @property
     def final(self) -> CircleField:
         return CircleField(self.length, self.states[-1].copy())
-
-    def decay_series(self) -> list[tuple[float, float]]:
-        """(t, sup |u - mean(u0)|) pairs for decay fitting."""
-        return list(zip(self.step_times.tolist(), self.sup_deviation.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -305,12 +303,17 @@ _BLOCK_STEPS = 64
 
 def _stepper(advance: Callable) -> Callable:
     """The producer of a one-step map: the states u_k = advance(u_{k-1}, k) of
-    the given steps, cut short after the first non-finite one."""
+    the given steps, cut short after the first non-finite one.  A solver error
+    of a step (a conductivity or faces hook, Picard) leaves with that step."""
 
     def produce(u: np.ndarray, steps: np.ndarray) -> np.ndarray:
         block = np.empty((steps.size, *u.shape))
         for row, step in enumerate(steps.tolist()):
-            u = block[row] = advance(u, step)
+            try:
+                u = block[row] = advance(u, step)
+            except SolverError as exc:
+                exc.step = step
+                raise
             if not np.all(np.isfinite(u)):
                 return block[:row + 1]
         return block
@@ -325,7 +328,8 @@ def _march(u0: np.ndarray, T: float, cfg: SolverConfig, produce: Callable,
     ``produce(u, steps)`` gives the states of ``steps`` (at most _BLOCK_STEPS
     consecutive steps of 1..round(T/dt)) from u, the state before them.  Each
     block is checked finite (else :class:`UnstableConfigurationError` names
-    ``context``, the step and t), then folded into the snapshot rows of
+    ``context``, the step and t; a solver error of the producer is re-raised
+    naming them too), then folded into the snapshot rows of
     :func:`_snapshot_steps`, with ``track`` the per-step mean and sup |u -
     mean(u0)|, and each running trapezoid ``(start, weight, rate)`` of
     ``integrals``: c_0 = start, c_k = c_{k-1} - weight dt (r_{k-1} + r_k) with
@@ -348,7 +352,11 @@ def _march(u0: np.ndarray, T: float, cfg: SolverConfig, produce: Callable,
     for first in range(1, nsteps + 1, _BLOCK_STEPS):
         # the block leads with the last state before it: steps first - 1, first, ...
         steps = np.arange(first - 1, min(first + _BLOCK_STEPS, nsteps + 1))
-        block = np.concatenate((u[None], produce(u, steps[1:])))
+        try:
+            block = np.concatenate((u[None], produce(u, steps[1:])))
+        except SolverError as exc:
+            raise type(exc)(f"{exc} during {context} at step {exc.step} "
+                            f"(t = {exc.step * cfg.dt:.6g})") from None
         finite = np.isfinite(block.reshape(block.shape[0], -1)).all(axis=1)
         if not finite.all():
             step = int(steps[np.argmin(finite)])
@@ -408,7 +416,7 @@ def _picard_stepper(u0: CircleField, faces: Callable, cfg: SolverConfig) -> Call
             if delta <= cfg.tolerance * scale:
                 return u
         raise NonConvergenceError(
-            f"Picard iteration stalled at step {step} (last delta {delta:.3e})"
+            f"Picard iteration stalled (last delta {delta:.3e})"
         )
 
     return _stepper(advance)
@@ -522,9 +530,7 @@ def _quasilinear_faces(u0: CircleField, k: Conductivity) -> Callable:
 
     def faces(v: np.ndarray) -> np.ndarray:
         if np.min(v) < lo - pad or np.max(v) > hi + pad:
-            raise ConductivityRangeError(
-                "state left the widened initial range during the run"
-            )
+            raise ConductivityRangeError("state left the widened initial range")
         vals = np.asarray(k.func(0.5 * (v + np.roll(v, -1))), dtype=float)
         k.check_range(vals)
         return vals

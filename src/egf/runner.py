@@ -1,6 +1,10 @@
 """Execute a scenario and serialize CSV artifacts plus a verdict.
 
-Artifacts written per run directory:
+A run's result is arrays: the snapshot times, the node axes, the fields on
+them (shape (snapshots, *axis lengths) each), the summary columns, the
+checks and the metrics.  The CSV row layout belongs to the writer alone:
+:func:`write_artifacts` lays the arrays out a block of whole snapshots at a
+time.  Artifacts written per run directory:
 
 - ``trajectory.csv``  one row per (snapshot time, node): t, x, fields
   (t, x, y, phi for the twisted kind)
@@ -16,7 +20,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,7 +42,8 @@ from .symfun import CurvatureSpectrum, f_recursion_constants, power_sums
 __all__ = ["Check", "RunResult", "run_scenario", "write_artifacts", "sweep_values"]
 
 
-# Rows formatted per call by _write_table: bounds the text held in memory.
+# Rows formatted per call by _write_table (trajectory.csv: whole snapshots of
+# about this many rows): bounds the text held in memory.
 _BLOCK_ROWS = 4096
 
 
@@ -54,13 +59,17 @@ class Check:
 
 @dataclass
 class RunResult:
+    """One run as arrays: the snapshot ``times``, the node ``axes`` by name
+    and the ``fields`` by name, each of shape (len(times), *axis lengths)."""
+
     scenario: FlowScenario
     checks: list
-    trajectory_header: list
-    trajectory_rows: np.ndarray  # (rows, len(trajectory_header)) floats
+    times: np.ndarray
+    axes: dict
+    fields: dict
     summary_header: list
     summary_rows: list
-    metrics: dict = field(default_factory=dict)
+    metrics: dict
 
     @property
     def passed(self) -> bool:
@@ -70,106 +79,115 @@ class RunResult:
     def exit_code(self) -> int:
         return 0 if self.passed else 1
 
+    @property
+    def trajectory_header(self) -> list:
+        return ["t", *self.axes, *self.fields]
+
+    @property
+    def trajectory_rows(self) -> range:
+        """The indices of the trajectory.csv rows, one per snapshot and node,
+        sized without laying the rows out."""
+        return range(self.times.size * math.prod(a.size for a in self.axes.values()))
+
 
 def _config(scn: FlowScenario) -> SolverConfig:
     return SolverConfig(scn.dt, scn.scheme, save_every=scn.save_every)
 
 
 def _fit_alpha(times, sups) -> float:
-    series = [(float(t), float(v)) for t, v in zip(times, sups)]
-    if len(series) < 5:
-        return math.nan
     try:
-        _, alpha = fit_exponential_decay(series)
-    except ValidationError:
+        return fit_exponential_decay(list(zip(times, sups)))[1]
+    except ValidationError:  # fewer than 5 samples
         return math.nan
-    return alpha
 
 
 def run_scenario(scn: FlowScenario) -> RunResult:
-    runner = _RUNNERS[scn.kind]
-    return runner(scn)
+    return _RUNNERS[scn.kind](scn)
 
 
-def _trajectory_table(times, axes: dict, fields: dict) -> tuple[list, np.ndarray]:
-    """Rows (t, node coordinates, fields) over times, then ``axes`` in order;
-    each field has shape (len(times), *axis lengths)."""
-    grids = np.meshgrid(times, *axes.values(), indexing="ij")
-    columns = [g.ravel() for g in grids] + [np.asarray(f).ravel() for f in fields.values()]
-    return ["t", *axes, *fields], np.stack(columns, axis=1)
+def _result(scn, checks, times, axes, fields, columns, alpha, metrics) -> RunResult:
+    """The one place a kind's arrays become a :class:`RunResult`.
+
+    ``columns`` are the summary columns after t, one value per snapshot; a
+    blank volume column is added where the kind tracks none.  The metrics
+    gain the last value of the first column (``final_sup``) and ``alpha``,
+    which also fills the fitted_alpha column.
+    """
+    if "volume" not in columns:
+        columns = {**columns, "volume": [""] * times.size}
+    rows = [[t, *values, alpha] for t, *values in zip(times, *columns.values())]
+    metrics = {"final_sup": float(next(iter(columns.values()))[-1]), "alpha": alpha, **metrics}
+    header = ["t", *columns, "fitted_alpha"]
+    return RunResult(scn, checks, times, axes, fields, header, rows, metrics)
+
+
+def _drift(means: np.ndarray) -> float:
+    """The largest distance of a conserved mean from its start."""
+    return float(np.max(np.abs(means - means[0])))
+
+
+def _monotone(name: str, series: np.ndarray, detail: str) -> Check:
+    return Check(name, bool(np.all(np.diff(series) <= 1e-12)), detail)
+
+
+def _circle_nodes(scn: FlowScenario) -> np.ndarray:
+    return np.arange(scn.grid) * scn.length / scn.grid
 
 
 def _run_pde_reference(scn: FlowScenario) -> RunResult:
-    problem = scn.get("problem", "exact-quasilinear")
-    x = np.arange(scn.grid) * scn.length / scn.grid
-    cfg = _config(scn)
-    if problem == "exact-quasilinear":
+    x = _circle_nodes(scn)
+    exact_problem = scn.get("problem", "exact-quasilinear") == "exact-quasilinear"
+    if exact_problem:
         u0 = CircleField(scn.length, exact_quasilinear_solution(0.0, x))
-        traj = solve_quasilinear_divergence(u0, exact_quasilinear_conductivity(), scn.T, cfg)
-        exact = np.stack([exact_quasilinear_solution(t, x) for t in traj.times])
-        errors = np.max(np.abs(traj.states - exact), axis=1).tolist()
-        sup = np.max(np.abs(traj.states), axis=1)
-        alpha = _fit_alpha(traj.step_times, traj.sup_deviation)
-        tol = scn.check_tolerance if scn.check_tolerance is not None else 2e-4
-        checks = [
-            Check("sup-error-vs-exact", errors[-1] <= tol, f"{errors[-1]:.3e} <= {tol:.3e}"),
-            Check(
-                "decay-consistency",
-                sup[-1] <= math.exp(-traj.times[-1]) * (1 + 1e-2),
-                f"sup {sup[-1]:.6e} vs e^-T {math.exp(-traj.times[-1]):.6e}",
-            ),
-            Check(
-                "mass-conservation",
-                float(np.max(np.abs(traj.means - traj.means[0]))) <= 1e-10,
-                f"max mean drift {np.max(np.abs(traj.means - traj.means[0])):.3e}",
-            ),
-        ]
-        th, tr = _trajectory_table(traj.times, {"x": x}, {"u": traj.states, "exact": exact})
-        sh = ["t", "sup_u", "sup_error", "volume", "fitted_alpha"]
-        sr = [[t, sup[i], errors[i], "", alpha] for i, t in enumerate(traj.times)]
-        return RunResult(scn, checks, th, tr, sh, sr, {"sup_error": errors[-1], "alpha": alpha})
-
-    # circle-heat-decay
-    u0 = CircleField(scn.length, build_field(scn, "init", x))
-    traj = solve_heat_circle(u0, scn.T, cfg)
-    alpha = _fit_alpha(traj.step_times, traj.sup_deviation)
-    mean_drift = float(np.max(np.abs(traj.means - traj.means[0])))
-    checks = [
-        Check("fitted-alpha-near-one", 0.99 <= alpha <= 1.01, f"alpha {alpha:.6f}"),
-        Check("mean-conservation", mean_drift <= 1e-10, f"drift {mean_drift:.3e}"),
-    ]
+        traj = solve_quasilinear_divergence(
+            u0, exact_quasilinear_conductivity(), scn.T, _config(scn)
+        )
+    else:
+        u0 = CircleField(scn.length, build_field(scn, "init", x))
+        traj = solve_heat_circle(u0, scn.T, _config(scn))
     sup = np.max(np.abs(traj.states), axis=1)
-    th, tr = _trajectory_table(traj.times, {"x": x}, {"u": traj.states})
-    sh = ["t", "sup_u", "volume", "fitted_alpha"]
-    sr = [[t, sup[i], "", alpha] for i, t in enumerate(traj.times)]
-    return RunResult(scn, checks, th, tr, sh, sr, {"alpha": alpha})
+    alpha = _fit_alpha(traj.step_times, traj.sup_deviation)
+    drift = _drift(traj.means)
+    if not exact_problem:
+        checks = [
+            Check("fitted-alpha-near-one", 0.99 <= alpha <= 1.01, f"alpha {alpha:.6f}"),
+            Check("mean-conservation", drift <= 1e-10, f"drift {drift:.3e}"),
+        ]
+        return _result(scn, checks, traj.times, {"x": x}, {"u": traj.states},
+                       {"sup_u": sup}, alpha, {"drift": drift})
+
+    exact = np.stack([exact_quasilinear_solution(t, x) for t in traj.times])
+    errors = np.max(np.abs(traj.states - exact), axis=1)
+    tol = scn.check_tolerance if scn.check_tolerance is not None else 2e-4
+    decay_bound = math.exp(-traj.times[-1])
+    checks = [
+        Check("sup-error-vs-exact", errors[-1] <= tol, f"{errors[-1]:.3e} <= {tol:.3e}"),
+        Check("decay-consistency", sup[-1] <= decay_bound * (1 + 1e-2),
+              f"sup {sup[-1]:.6e} vs e^-T {decay_bound:.6e}"),
+        Check("mass-conservation", drift <= 1e-10, f"max mean drift {drift:.3e}"),
+    ]
+    return _result(scn, checks, traj.times, {"x": x}, {"u": traj.states, "exact": exact},
+                   {"sup_u": sup, "sup_error": errors}, alpha,
+                   {"sup_error": float(errors[-1]), "drift": drift})
 
 
 def _run_tau_heat(scn: FlowScenario) -> RunResult:
-    x = np.arange(scn.grid) * scn.length / scn.grid
+    x = _circle_nodes(scn)
     tau1 = CircleField(scn.length, build_field(scn, "init", x))
     traj = flows.evolve_tau_heat([tau1], scn.T, _config(scn))
     states = traj.taus[0]
     sup = np.max(np.abs(states - tau1.mean()), axis=1)
-    alpha = _fit_alpha(traj.times, sup)
-    means = states.mean(axis=1)
-    drift = float(np.max(np.abs(means - means[0])))
+    drift = _drift(states.mean(axis=1))
     checks = [
         Check("mean-conservation", drift <= 1e-10, f"drift {drift:.3e}"),
-        Check(
-            "monotone-sup-deviation",
-            bool(np.all(np.diff(sup) <= 1e-12)),
-            "sup |tau1 - mean| non-increasing",
-        ),
+        _monotone("monotone-sup-deviation", sup, "sup |tau1 - mean| non-increasing"),
     ]
-    th, tr = _trajectory_table(traj.times, {"x": x}, {"tau1": states})
-    sh = ["t", "sup_deviation", "volume", "fitted_alpha"]
-    sr = [[t, sup[i], "", alpha] for i, t in enumerate(traj.times)]
-    return RunResult(scn, checks, th, tr, sh, sr, {"alpha": alpha})
+    return _result(scn, checks, traj.times, {"x": x}, {"tau1": states},
+                   {"sup_deviation": sup}, _fit_alpha(traj.times, sup), {"drift": drift})
 
 
 def _run_umbilical(scn: FlowScenario) -> RunResult:
-    x = np.arange(scn.grid) * scn.length / scn.grid
+    x = _circle_nodes(scn)
     lam0_samples = build_field(scn, "init", x)
     if abs(float(np.mean(lam0_samples))) > 1e-10:
         raise ValidationError(
@@ -194,7 +212,6 @@ def _run_umbilical(scn: FlowScenario) -> RunResult:
         dt = float(traj.times[i] - traj.times[i - 1])
         vols.append(flows.track_volume(tracker, CircleField(scn.length, trS[i]), dt).vol)
     sup = np.max(np.abs(traj.lam), axis=1)
-    alpha = _fit_alpha(traj.times, sup) if np.max(sup) > 0 else math.inf
     # d_s conf = -2 (lambda - lambda_0) up to the time and stencil errors.  The
     # residual measured at most 0.5 (slope dt + h^2) sup |d_ss lambda_0| over
     # grids 32-1024, dt 1e-4 to 5e-2, slopes 0.5-5, T 0.1-2, modes 1-4 and both
@@ -204,26 +221,15 @@ def _run_umbilical(scn: FlowScenario) -> RunResult:
     curvature = float(np.max(np.abs(_second_difference(lam0_samples, h))))
     identity_bound = 5 * 0.5 * (slope * scn.dt + h**2) * curvature
     checks = [
-        Check(
-            "monotone-sup-curvature",
-            bool(np.all(np.diff(sup) <= 1e-12)),
-            "sup |lambda| non-increasing",
-        ),
-        Check(
-            "volume-non-increasing",
-            bool(np.all(np.diff(vols) <= 1e-14)),
-            f"vol {vols[0]:.6f} -> {vols[-1]:.6f}",
-        ),
-        Check(
-            "conformal-factor-identity",
-            identity <= identity_bound,
-            f"max |d_s conf + 2 (lambda - lambda_0)| = {identity:.3e} <= {identity_bound:.3e}",
-        ),
+        _monotone("monotone-sup-curvature", sup, "sup |lambda| non-increasing"),
+        Check("volume-non-increasing", bool(np.all(np.diff(vols) <= 1e-14)),
+              f"vol {vols[0]:.6f} -> {vols[-1]:.6f}"),
+        Check("conformal-factor-identity", identity <= identity_bound,
+              f"max |d_s conf + 2 (lambda - lambda_0)| = {identity:.3e} <= {identity_bound:.3e}"),
     ]
-    th, tr = _trajectory_table(traj.times, {"x": x}, {"lambda": traj.lam, "conf": traj.conf})
-    sh = ["t", "sup_lambda", "volume", "fitted_alpha"]
-    sr = [[t, sup[i], vols[i], alpha] for i, t in enumerate(traj.times)]
-    return RunResult(scn, checks, th, tr, sh, sr, {"alpha": alpha, "volume": vols[-1]})
+    return _result(scn, checks, traj.times, {"x": x}, {"lambda": traj.lam, "conf": traj.conf},
+                   {"sup_lambda": sup, "volume": vols}, _fit_alpha(traj.times, sup),
+                   {"volume": vols[-1]})
 
 
 def _run_twisted(scn: FlowScenario) -> RunResult:
@@ -238,49 +244,35 @@ def _run_twisted(scn: FlowScenario) -> RunResult:
     phi0 = a[:, None] * np.cos(y)[None, :]
     state = flows.TwistedState(phi0, fiber_length, n=n)
     traj = flows.twisted_product_flow(state, scn.T, _config(scn))
-    alpha = _fit_alpha(traj.times, traj.sup_distance)
     bound = math.exp(-scn.T / n) * float(np.max(np.abs(a))) * (1 + 1e-2)
     checks = [
-        Check(
-            "limit-distance-bound",
-            float(traj.sup_distance[-1]) <= bound,
-            f"{traj.sup_distance[-1]:.6e} <= {bound:.6e}",
-        ),
-        Check(
-            "monotone-convergence",
-            bool(np.all(np.diff(traj.sup_distance) <= 1e-12)),
-            "sup distance to limit non-increasing",
-        ),
+        Check("limit-distance-bound", float(traj.sup_distance[-1]) <= bound,
+              f"{traj.sup_distance[-1]:.6e} <= {bound:.6e}"),
+        _monotone("monotone-convergence", traj.sup_distance,
+                  "sup distance to limit non-increasing"),
     ]
-    header, rows = _trajectory_table(traj.times, {"x": xb, "y": y}, {"phi": traj.phi})
-    sh = ["t", "sup_distance", "volume", "fitted_alpha"]
-    sr = [[t, traj.sup_distance[i], "", alpha] for i, t in enumerate(traj.times)]
-    return RunResult(scn, checks, header, rows, sh, sr, {"alpha": alpha})
+    return _result(scn, checks, traj.times, {"x": xb, "y": y}, {"phi": traj.phi},
+                   {"sup_distance": traj.sup_distance},
+                   _fit_alpha(traj.times, traj.sup_distance), {})
 
 
 def _run_prescribed(scn: FlowScenario) -> RunResult:
-    x = np.arange(scn.grid) * scn.length / scn.grid
-    n = scn.get("n", 1)
+    x = _circle_nodes(scn)
     tau0 = CircleField(scn.length, build_field(scn, "init", x))
     target = CircleField(scn.length, build_field(scn, "target", x))
     state = flows.MeanCurvatureState(tau0, target)
-    traj = flows.prescribed_mean_curvature_flow(state, scn.T, _config(scn), n=n)
-    alpha = _fit_alpha(traj.times, traj.residual_sup)
+    traj = flows.prescribed_mean_curvature_flow(state, scn.T, _config(scn), n=scn.get("n", 1))
     w0 = float(np.max(np.abs(tau0.samples - target.samples)))
     bound = math.exp(-scn.T) * (1 + 1e-2) * w0
-    drift = float(np.max(np.abs(traj.mean_w - traj.mean_w[0])))
+    drift = _drift(traj.mean_w)
     checks = [
-        Check(
-            "residual-decay-bound",
-            float(traj.residual_sup[-1]) <= bound,
-            f"{traj.residual_sup[-1]:.6e} <= {bound:.6e}",
-        ),
+        Check("residual-decay-bound", float(traj.residual_sup[-1]) <= bound,
+              f"{traj.residual_sup[-1]:.6e} <= {bound:.6e}"),
         Check("mean-conservation", drift <= 1e-10, f"drift {drift:.3e}"),
     ]
-    th, tr = _trajectory_table(traj.times, {"x": x}, {"tau1": traj.tau1, "conf": traj.conf})
-    sh = ["t", "sup_residual", "volume", "fitted_alpha"]
-    sr = [[t, traj.residual_sup[i], "", alpha] for i, t in enumerate(traj.times)]
-    return RunResult(scn, checks, th, tr, sh, sr, {"alpha": alpha})
+    return _result(scn, checks, traj.times, {"x": x}, {"tau1": traj.tau1, "conf": traj.conf},
+                   {"sup_residual": traj.residual_sup},
+                   _fit_alpha(traj.times, traj.residual_sup), {"drift": drift})
 
 
 def _run_ftau(scn: FlowScenario) -> RunResult:
@@ -298,24 +290,20 @@ def _run_ftau(scn: FlowScenario) -> RunResult:
         g[k_idx - 1] = 2.0 / n
         return g
 
-    x = np.arange(scn.grid) * scn.length / scn.grid
+    x = _circle_nodes(scn)
     tau1 = CircleField(scn.length, build_field(scn, "init", x))
     f = flows.TauFunction(n, func, grad, slope=2.0 / n if k_idx == 1 else None)
     traj = flows.ftau_conformal_flow(tau1, f, consts, scn.T, _config(scn))
     states = traj.taus[0]
     sup = np.max(np.abs(states - states[0].mean()), axis=1)
-    alpha = _fit_alpha(traj.times, sup)
-    means = states.mean(axis=1)
-    drift = float(np.max(np.abs(means - means[0])))
+    drift = _drift(states.mean(axis=1))
     checks = [
         Check("mass-conservation", drift <= 1e-10, f"drift {drift:.3e}"),
         Check("parabolicity-maintained", traj.a_min > 0.0, f"min a = {traj.a_min:.6g} > 0"),
     ]
     fields = {f"tau{k}": traj.taus[k - 1] for k in range(1, n + 1)}
-    th, tr = _trajectory_table(traj.times, {"x": x}, fields)
-    sh = ["t", "sup_deviation", "volume", "fitted_alpha"]
-    sr = [[t, sup[i], "", alpha] for i, t in enumerate(traj.times)]
-    return RunResult(scn, checks, th, tr, sh, sr, {"alpha": alpha})
+    return _result(scn, checks, traj.times, {"x": x}, fields, {"sup_deviation": sup},
+                   _fit_alpha(traj.times, sup), {"drift": drift})
 
 
 def _run_reeb(scn: FlowScenario) -> RunResult:
@@ -332,27 +320,16 @@ def _run_reeb(scn: FlowScenario) -> RunResult:
     checks = [
         Check("K_t(0)=0", abs(K[i0]) <= 1e-6, f"|K(0)| = {abs(K[i0]):.3e}"),
         Check("det-identity", det_res <= 1e-12, f"max |det - e^-U| = {det_res:.3e}"),
-        Check(
-            "boundary-pinned",
-            bool(np.all(traj.lam[:, 0] == 0.0) and np.all(traj.lam[:, -1] == 0.0)),
-            "lambda(+-1) = 0 at every kept step",
-        ),
-        Check(
-            "monotone-sup-curvature",
-            bool(np.all(np.diff(sup) <= 1e-12)),
-            "sup |lambda| non-increasing",
-        ),
+        Check("boundary-pinned",
+              bool(np.all(traj.lam[:, 0] == 0.0) and np.all(traj.lam[:, -1] == 0.0)),
+              "lambda(+-1) = 0 at every kept step"),
+        _monotone("monotone-sup-curvature", sup, "sup |lambda| non-increasing"),
     ]
-    U = -np.sin(geom.alpha) * traj.V
-    th, tr = _trajectory_table(
-        traj.times, {"x": geom.x}, {"lambda": traj.lam, "V": traj.V, "U": U}
-    )
-    sh = ["t", "sup_lambda", "volume", "fitted_alpha"]
-    alpha = _fit_alpha(traj.times, sup)
-    sr = [[t, sup[i], "", alpha] for i, t in enumerate(traj.times)]
+    fields = {"lambda": traj.lam, "V": traj.V, "U": -np.sin(geom.alpha) * traj.V}
     metrics = {"K0": float(K[i0]), "det_residual": det_res, "slope": slope,
                "slope_target": slope_target}
-    return RunResult(scn, checks, th, tr, sh, sr, metrics)
+    return _result(scn, checks, traj.times, {"x": geom.x}, fields, {"sup_lambda": sup},
+                   _fit_alpha(traj.times, sup), metrics)
 
 
 _RUNNERS = {
@@ -368,24 +345,38 @@ _RUNNERS = {
 
 def _write_table(fh, header: list, rows) -> None:
     """CSV with numbers as "%.17g" (the bytes of ``f"{float(v):.17g}"``) and str
-    cells verbatim.  A float array is formatted ``_BLOCK_ROWS`` rows per call,
-    other rows (numbers mixed with text or blank fields) one row per call."""
+    cells verbatim.  Each item of ``rows`` is a float array of rows, formatted
+    in one call, or one row of numbers mixed with text or blank fields; a float
+    array ``rows`` is formatted ``_BLOCK_ROWS`` rows per call."""
     fh.write(",".join(header) + "\n")
     if isinstance(rows, np.ndarray):
-        line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
-        for start in range(0, rows.shape[0], _BLOCK_ROWS):
-            block = rows[start:start + _BLOCK_ROWS]
-            fh.write((line * block.shape[0]) % tuple(block.ravel().tolist()))
-        return
+        rows = np.split(rows, range(_BLOCK_ROWS, len(rows), _BLOCK_ROWS))
     for row in rows:
-        line = ",".join("%s" if isinstance(v, str) else "%.17g" for v in row)
-        fh.write(line % tuple(row) + "\n")
+        if isinstance(row, np.ndarray):
+            line = ",".join(["%.17g"] * row.shape[1]) + "\n"
+            fh.write((line * row.shape[0]) % tuple(row.ravel().tolist()))
+        else:
+            line = ",".join("%s" if isinstance(v, str) else "%.17g" for v in row)
+            fh.write(line % tuple(row) + "\n")
+
+
+def _trajectory_blocks(result: RunResult):
+    """The trajectory.csv rows (t, node coordinates, fields) over the snapshots,
+    then the axes in order: arrays of whole snapshots, about _BLOCK_ROWS rows
+    each."""
+    axes = list(result.axes.values())
+    per_block = max(1, _BLOCK_ROWS // math.prod(a.size for a in axes))
+    for start in range(0, result.times.size, per_block):
+        part = slice(start, start + per_block)
+        grids = np.meshgrid(result.times[part], *axes, indexing="ij")
+        columns = [g.ravel() for g in grids] + [f[part].ravel() for f in result.fields.values()]
+        yield np.stack(columns, axis=1)
 
 
 def write_artifacts(result: RunResult, outdir: str) -> None:
     os.makedirs(outdir, exist_ok=True)
     with open(os.path.join(outdir, "trajectory.csv"), "w", encoding="utf-8") as fh:
-        _write_table(fh, result.trajectory_header, result.trajectory_rows)
+        _write_table(fh, result.trajectory_header, _trajectory_blocks(result))
     with open(os.path.join(outdir, "summary.csv"), "w", encoding="utf-8") as fh:
         _write_table(fh, result.summary_header, result.summary_rows)
     with open(os.path.join(outdir, "verdict.txt"), "w", encoding="utf-8") as fh:
@@ -415,10 +406,9 @@ def sweep_values(
         res = run_scenario(sub)
         write_artifacts(res, os.path.join(outdir, f"{param}={value}"))
         worst = max(worst, res.exit_code)
-        final_sup = res.summary_rows[-1][1]
-        alpha = res.metrics.get("alpha", math.nan)
-        err = res.metrics.get("sup_error", "")
-        rows.append([str(value), final_sup, err, alpha, "pass" if res.passed else "fail"])
+        m = res.metrics
+        rows.append([str(value), m["final_sup"], m.get("sup_error", ""), m["alpha"],
+                     "pass" if res.passed else "fail"])
     os.makedirs(outdir, exist_ok=True)
     with open(os.path.join(outdir, "sweep.csv"), "w", encoding="utf-8") as fh:
         _write_table(fh, [param, "final_sup", "sup_error", "fitted_alpha", "verdict"], rows)

@@ -11,7 +11,8 @@ kind          one of: umbilical, tau-heat, twisted, prescribed-F, ftau,
               reeb, pde-reference
 grid          number of spatial nodes (circle kinds) or intervals (reeb, even)
 dt            time step
-T             time horizon, a whole number of dt steps (relative slack 1e-9)
+T             time horizon, a whole number of dt steps (relative slack 1e-9),
+              at most MAX_STEPS of them
 scheme        implicit-euler (default) or crank-nicolson
 length        circle circumference (default 2*pi)
 save-every    snapshot cadence in steps (0 = automatic, the default; >= 0)
@@ -28,6 +29,7 @@ Kind-specific keys are documented in the README grammar table.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,7 +38,11 @@ from .errors import ValidationError
 from .parabolic import exact_quasilinear_solution
 
 __all__ = ["FlowScenario", "ScenarioParseError", "parse_scenario", "parse_entries",
-           "load_scenario", "build_field", "FIELD_FORMS", "KINDS"]
+           "load_scenario", "build_field", "FIELD_FORMS", "KINDS", "MAX_STEPS"]
+
+# The most time steps T / dt a scenario may ask for: 2,000 times the longest
+# bundled run (5,000 steps), and far short of a run that would not end.
+MAX_STEPS = 10_000_000
 
 KINDS = (
     "umbilical",
@@ -175,7 +181,8 @@ def parse_scenario(text: str) -> FlowScenario:
     Raises :class:`ScenarioParseError` for malformed text and
     :class:`ValidationError` for semantic violations (unknown kind or
     key, missing requirement, non-positive or non-finite parameter, a
-    horizon T that is not a whole number of dt steps).
+    horizon T that is not a whole number of dt steps or more than
+    :data:`MAX_STEPS` of them, a dt or grid spacing whose square underflows).
     """
     return parse_entries(_parse_lines(text))
 
@@ -213,6 +220,14 @@ def parse_entries(entries: dict) -> FlowScenario:
     steps = scn.T / scn.dt
     if not math.isfinite(steps) or abs(round(steps) * scn.dt - scn.T) > 1e-9 * scn.T:
         raise ValidationError(f"T = {scn.T!r} is not a whole number of dt = {scn.dt!r} steps")
+    if round(steps) > MAX_STEPS:
+        raise ValidationError(f"T / dt = {steps:.6g} steps exceeds the bound of {MAX_STEPS:,}")
+    # the stencils divide by h^2 and the decay fit squares the step times
+    fiber = scn.get("fiber-length", 2.0 * math.pi) / scn.get("fiber-grid", scn.grid)
+    for name, step in (("dt", scn.dt), ("length / grid", scn.length / scn.grid),
+                       ("fiber-length / fiber-grid", fiber)):
+        if step * step < sys.float_info.min:
+            raise ValidationError(f"{name} = {step!r} is too small: its square underflows")
     if scn.scheme not in ("implicit-euler", "crank-nicolson"):
         raise ValidationError(f"unknown scheme {entries.get('scheme')!r}")
     _validate_kind(scn)

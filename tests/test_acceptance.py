@@ -14,11 +14,17 @@ every other clause passes and that the sign-change clause reports the
 literal verdict on an even curvature field.
 """
 
-import numpy as np
+import pathlib
 
-from egf import acceptance
+import numpy as np
+import pytest
+
+from egf import acceptance, runner
 from egf.parabolic import SolverConfig
 from egf.reeb import evolve_reeb_lambda, gaussian_curvature, reconstruct_metric, reeb_setup
+from egf.scenarios import load_scenario, parse_entries
+
+SCENARIO_DIR = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def _examine(result):
@@ -95,3 +101,29 @@ def test_criterion_8_umbilicity_preservation():
 
 def test_criterion_9_convergence_order():
     _examine(acceptance.criterion_9())
+
+
+@pytest.mark.parametrize("name", sorted(acceptance.BUNDLED))
+def test_criteria_run_the_bundled_scenario_files(name):
+    # the bundled files and egf verify cannot drift apart
+    assert load_scenario(SCENARIO_DIR / f"{name}.egf") == parse_entries(acceptance.BUNDLED[name])
+
+
+def test_criterion_9_takes_over_criterion_1_run(monkeypatch):
+    grids = []
+    solve = runner.solve_quasilinear_divergence
+
+    def counted(u0, *args):
+        grids.append(u0.n)
+        return solve(u0, *args)
+
+    monkeypatch.setattr(runner, "solve_quasilinear_divergence", counted)
+    monkeypatch.setattr(acceptance, "_criterion_1_metrics", [])
+    # each criterion 1 solves, and times, its own run; criterion 9 takes over
+    # the last one and solves only grid 1024
+    results = [acceptance.criterion_1(), acceptance.criterion_1(), acceptance.criterion_9()]
+    assert grids == [512, 512, 1024]
+    # criterion 9 ran first: criterion 1 still solves
+    results.append(acceptance.criterion_1())
+    assert grids == [512, 512, 1024, 512]
+    assert all(r.passed for r in results)

@@ -413,8 +413,10 @@ class TestFtauConformal:
         spec = CurvatureSpectrum((-1.0, -0.2))
         consts = f_recursion_constants(power_sums(spec))
         tau1 = cos_field(n=64, amp=0.1, offset=-1.2)
-        with pytest.raises(EllipticityLossError):
+        with pytest.raises(EllipticityLossError) as info:
             ftau_conformal_flow(tau1, scaled_tau_k(n, 2), consts, 0.1, SolverConfig(dt=1e-3))
+        # raised by the faces hook in the first step's Picard iteration
+        assert "during conformal flow at step 1 (t = 0.001)" in str(info.value)
 
     def test_constant_f_loses_ellipticity(self):
         n = 2

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from egf.errors import ConductivityRangeError, UnstableConfigurationError, ValidationError
+from egf.errors import ConductivityRangeError, NonConvergenceError, ValidationError
 from egf.parabolic import (
     CircleField,
     Conductivity,
@@ -139,13 +139,12 @@ class TestVariableHeatCircle:
             solve_variable_heat_circle(u0, k, 0.1, SolverConfig(dt=1e-2))
 
     def test_non_finite_conductivity_names_step_and_t(self):
-        # NaN passes the band check (every comparison is false); the march's
-        # finiteness check stops the run at the first step that uses it
+        # NaN fails the band check, at the first step that evaluates it
         u0 = circle_cos(n=64)
         k = Conductivity.of_tx(
             lambda t, x: np.full_like(x, np.nan if t > 0.025 else 1.0), 0.5, 2.0
         )
-        with pytest.raises(UnstableConfigurationError) as info:
+        with pytest.raises(ConductivityRangeError) as info:
             solve_variable_heat_circle(u0, k, 0.1, SolverConfig(dt=1e-2))
         message = str(info.value)
         assert "solve_variable_heat_circle" in message
@@ -303,6 +302,15 @@ class TestQuasilinear:
         k = Conductivity.of_u(lambda u: 1.0 / (1.0 + u * u), c1=0.5, c2=1.0)
         with pytest.raises(ConductivityRangeError):
             solve_quasilinear_divergence(u0, k, 0.1, SolverConfig(dt=1e-2))
+
+    def test_stalled_picard_names_solver_step_and_t(self):
+        cfg = SolverConfig(dt=1e-2, nonlinear_iterations=1, tolerance=1e-300)
+        with pytest.raises(NonConvergenceError) as info:
+            solve_quasilinear_divergence(circle_cos(n=64), exact_quasilinear_conductivity(),
+                                         0.1, cfg)
+        message = str(info.value)
+        assert "Picard iteration stalled" in message
+        assert "during solve_quasilinear_divergence at step 1 (t = 0.01)" in message
 
     def test_convergence_order(self):
         # halving h improves the sup error by >= 3.5 (second order in space)

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from egf.cli import main
 from egf.errors import ValidationError
-from egf.runner import _BLOCK_ROWS, _write_table, run_scenario, write_artifacts
-from egf.scenarios import ScenarioParseError, load_scenario, parse_scenario
+from egf.runner import _BLOCK_ROWS, RunResult, _write_table, run_scenario, write_artifacts
+from egf.scenarios import MAX_STEPS, ScenarioParseError, load_scenario, parse_scenario
 
 SCENARIO_DIR = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -120,6 +120,17 @@ _NUMERIC_KEYS = [
 ] + [("ftau", "n")]
 
 
+class TestStepBound:
+    # parsing only: a scenario past the bound is never run
+    def test_more_steps_than_the_bound_rejected(self):
+        with pytest.raises(ValidationError, match=f"bound of {MAX_STEPS:,}"):
+            parse_scenario("kind: pde-reference\ngrid: 64\ndt: 1e-12\nT: 1e-3\n")
+
+    def test_the_bound_itself_accepted(self):
+        scn = parse_scenario(f"kind: pde-reference\ngrid: 64\ndt: 1e-3\nT: {MAX_STEPS // 1000}\n")
+        assert round(scn.T / scn.dt) == MAX_STEPS
+
+
 class TestInvalidNumbers:
     @pytest.mark.parametrize("kind, key", _NUMERIC_KEYS, ids=lambda v: v)
     @settings(
@@ -178,6 +189,26 @@ class TestWriter:
         text = _table_text(["t", "x", "u"], table)
         assert text == _reference_csv(["t", "x", "u"], table)
         assert text.count("\n") == nrows + 1
+
+    @pytest.mark.parametrize("snapshots, sizes", [
+        (1, (8,)), (5, (3,)), (4, (_BLOCK_ROWS + 1,)), (9, (16, 300)), (3, (7, 5)),
+    ])
+    def test_trajectory_is_the_whole_run_table(self, tmp_path, snapshots, sizes):
+        # blocks of whole snapshots lay out the table that one meshgrid over
+        # the whole run gives, row for row
+        rng = np.random.default_rng(len(sizes) + snapshots)
+        times = np.sort(rng.random(snapshots))
+        axes = {name: rng.standard_normal(n) for name, n in zip("xy", sizes)}
+        fields = {"u": rng.standard_normal((snapshots, *sizes)),
+                  "v": rng.standard_normal((snapshots, *sizes))}
+        res = RunResult(None, [], times, axes, fields, ["t"], [], {})
+        write_artifacts(res, tmp_path)
+        grids = np.meshgrid(times, *axes.values(), indexing="ij")
+        table = np.stack([g.ravel() for g in grids] + [f.ravel() for f in fields.values()], 1)
+        text = (tmp_path / "trajectory.csv").read_text()
+        assert text == _reference_csv(["t", *axes, "u", "v"], table)
+        assert len(res.trajectory_rows) == table.shape[0]
+        assert res.trajectory_header == ["t", *axes, "u", "v"]
 
     def test_mixed_rows_keep_blank_and_text_fields(self):
         rows = [["128", np.float64(-0.0), "", math.nan, "pass"], ["x", 0.5, 2e-5, 1.0, "fail"]]
@@ -470,7 +501,13 @@ class TestExitCodes:
         "kind: pde-reference\ngrid: 64\ndt: 0.01\nT: 0.1\nsave-every: -3\n",
         # an odd interval count puts x = 0 off the grid
         "kind: reeb\ngrid: 2047\ndt: 0.0001\nT: 0.001\n",
-    ], ids=["scaled-tau2-one-value", "negative-save-every", "odd-reeb-grid"])
+        # h^2 underflows: the stencils would divide by zero
+        "kind: pde-reference\ngrid: 64\ndt: 0.01\nT: 0.1\nlength: 1e-300\n",
+        "kind: twisted\ngrid: 64\ndt: 0.01\nT: 0.1\nfiber-length: 1e-300\n",
+        # dt^2 underflows: the decay fit's least squares would fail
+        "kind: pde-reference\nproblem: circle-heat-decay\ngrid: 64\ndt: 1e-300\nT: 1e-297\n",
+    ], ids=["scaled-tau2-one-value", "negative-save-every", "odd-reeb-grid",
+            "length-underflow", "fiber-length-underflow", "dt-underflow"])
     def test_rejected_scenario_exits_3(self, tmp_path, capsys, text):
         path = tmp_path / "scn.egf"
         path.write_text(text)
