@@ -30,6 +30,7 @@ from .parabolic import (
     CircleField,
     Conductivity,
     SolverConfig,
+    _face_mean,
     _march,
     _picard_stepper,
     _propagator,
@@ -313,10 +314,11 @@ def twisted_product_flow(
     limit = state.phi.mean(axis=1)
     produce = _propagator(state.phi, 1.0 / state.n, h, cfg)
     times, snaps, _, _ = _march(state.phi, T, cfg, produce, "twisted_product_flow")
-    dist = np.max(np.abs(snaps - limit[None, :, None]), axis=(1, 2))
-    warp = np.max(
-        np.abs(np.exp(snaps) - np.exp(limit)[None, :, None]), axis=(1, 2)
-    )
+    # one work array the size of the snapshots serves both distances
+    work = np.subtract(snaps, limit[None, :, None])
+    dist = np.abs(work, out=work).max(axis=(1, 2))
+    np.subtract(np.exp(snaps, out=work), np.exp(limit)[None, :, None], out=work)
+    warp = np.abs(work, out=work).max(axis=(1, 2))
     return TwistedTrajectory(
         times=state.t + times,
         phi=snaps,
@@ -426,7 +428,7 @@ def _conformal_flow(
         a_min = min(a_min, amin)
 
     def faces(v: np.ndarray) -> np.ndarray:
-        u = 0.5 * (v + np.roll(v, -1))
+        u = _face_mean(v)
         g = np.asarray(
             f.grad(np.stack([np.asarray(basis(k, u, consts)) for k in range(1, n + 1)])),
             dtype=float,

@@ -22,6 +22,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgtsv
 
 from .errors import (
     ConductivityRangeError,
@@ -146,10 +147,10 @@ class Conductivity:
         vals = np.asarray(values)
         slack = 1e-12 * (1.0 + self.c2)
         # written so that NaN, for which every comparison is false, fails too
-        if not (np.min(vals) >= self.c1 - slack and np.max(vals) <= self.c2 + slack):
+        low, high = vals.min(), vals.max()
+        if not (low >= self.c1 - slack and high <= self.c2 + slack):
             raise ConductivityRangeError(
-                f"conductivity left [{self.c1}, {self.c2}]: "
-                f"observed [{np.min(vals):.6g}, {np.max(vals):.6g}]"
+                f"conductivity left [{self.c1}, {self.c2}]: observed [{low:.6g}, {high:.6g}]"
             )
 
 
@@ -161,7 +162,9 @@ class SolverConfig:
     scheme: str = "implicit-euler"
     nonlinear_iterations: int = 25
     tolerance: float = 1e-12
-    save_every: int = 0  # 0: choose automatically (~200 snapshots)
+    # 0: every max(1, nsteps // 200)-th step (see _snapshot_steps): every step
+    # of a run under 400 steps (up to 400 snapshots), then 201 to 301 snapshots
+    save_every: int = 0
 
     def __post_init__(self) -> None:
         if self.dt <= 0.0:
@@ -203,49 +206,60 @@ def solve_cyclic_tridiag(sub, diag, sup, corner_tr, corner_bl, rhs):
     """Solve M x = rhs where M is tridiagonal plus periodic corners.
 
     ``sub``/``sup`` have length n-1; ``corner_tr`` = M[0, n-1],
-    ``corner_bl`` = M[n-1, 0].  Sherman-Morrison reduction to one banded
-    solve (LAPACK dgtsv via solve_banded).  ``rhs`` may be (n,) or
-    (n, m) for m simultaneous right-hand sides.  Non-finite input gives a
-    non-finite solution (no scipy finiteness check), which the stepping
-    core reports with its step and time.
+    ``corner_bl`` = M[n-1, 0].  ``rhs`` may be (n,) or (n, m) for m
+    simultaneous right-hand sides.  The Sherman-Morrison reduction leaves
+    one tridiagonal system, solved by LAPACK dgtsv (the routine that
+    ``solve_banded((1, 1), ...)`` calls) for the m right-hand sides and the
+    correction column at once, in one (n, m+1) array.  A singular system
+    raises ``LinAlgError``; non-finite input gives a non-finite solution
+    (no finiteness check), which the stepping core reports with its step
+    and time.
     """
     n = diag.size
     rhs_arr = np.asarray(rhs, dtype=float)
     single = rhs_arr.ndim == 1
-    R = rhs_arr[:, None] if single else rhs_arr
+    m = 1 if single else rhs_arr.shape[1]
     alpha = -diag[0]
     d = diag.copy()
     d[0] -= alpha
     d[-1] -= corner_bl * corner_tr / alpha
-    ab = np.zeros((3, n))
-    ab[0, 1:] = sup
-    ab[1] = d
-    ab[2, :-1] = sub
-    u = np.zeros(n)
-    u[0] = alpha
-    u[-1] = corner_bl
-    sol = solve_banded((1, 1), ab, np.column_stack([R, u]), check_finite=False)
-    y, z = sol[:, :-1], sol[:, -1]
+    cols = np.zeros((n, m + 1), order="F")
+    cols[:, :m] = rhs_arr.reshape(n, m)
+    cols[0, m] = alpha
+    cols[-1, m] = corner_bl
+    sol, info = dgtsv(sub, d, sup, cols, overwrite_d=1, overwrite_b=1)[3:]
+    if info:
+        raise np.linalg.LinAlgError(f"singular cyclic system (dgtsv info {info})")
+    y, z = sol[:, :m], sol[:, m]
     vy = y[0, :] + (corner_tr / alpha) * y[-1, :]
     vz = z[0] + (corner_tr / alpha) * z[-1]
     x = y - z[:, None] * (vy / (1.0 + vz))[None, :]
     return x[:, 0] if single else x
 
 
+def _wrap(u: np.ndarray) -> np.ndarray:
+    """u with one periodic ghost node at each end of the last axis: the
+    neighbours u_{i-1} and u_{i+1} are ``_wrap(u)[..., :-2]`` and ``[..., 2:]``."""
+    return np.concatenate((u[..., -1:], u, u[..., :1]), axis=-1)
+
+
+def _face_mean(v: np.ndarray) -> np.ndarray:
+    """The interface-average state (v_i + v_{i+1}) / 2 of a periodic grid."""
+    return 0.5 * (v + _wrap(v)[..., 2:])
+
+
 def _apply_divergence(kface: np.ndarray, u: np.ndarray, h: float) -> np.ndarray:
     """(D u)_i = [k_{i+1/2}(u_{i+1}-u_i) - k_{i-1/2}(u_i-u_{i-1})] / h^2, periodic."""
-    km = np.roll(kface, 1)
-    return (kface * (np.roll(u, -1) - u) - km * (u - np.roll(u, 1))) / h**2
+    w = _wrap(u)
+    return (kface * (w[2:] - u) - _wrap(kface)[:-2] * (u - w[:-2])) / h**2
 
 
 def _divergence_theta_solve(kface, rhs, dt_theta, h):
-    """Solve (I - dt_theta * D_kface) u = rhs on the circle."""
-    km = np.roll(kface, 1)
+    """Solve (I - dt_theta * D_kface) u = rhs on the circle (a symmetric system)."""
     c = dt_theta / h**2
-    diag = 1.0 + c * (kface + km)
-    sub = -c * km[1:]
-    sup = -c * kface[:-1]
-    return solve_cyclic_tridiag(sub, diag, sup, -c * km[0], -c * kface[-1], rhs)
+    diag = 1.0 + c * (kface + _wrap(kface)[:-2])
+    off = -c * kface
+    return solve_cyclic_tridiag(off[:-1], diag, off[:-1], off[-1], off[-1], rhs)
 
 
 def _nondivergence_theta_solve(a, rhs, dt_theta, h):
@@ -256,8 +270,8 @@ def _nondivergence_theta_solve(a, rhs, dt_theta, h):
 
 def _second_difference(u: np.ndarray, h: float) -> np.ndarray:
     """(u_{i+1} - 2 u_i + u_{i-1}) / h^2 along the last axis, periodic."""
-    wrapped = np.concatenate((u[..., -1:], u, u[..., :1]), axis=-1)
-    return (wrapped[..., 2:] - 2.0 * u + wrapped[..., :-2]) / h**2
+    w = _wrap(u)
+    return (w[..., 2:] - 2.0 * u + w[..., :-2]) / h**2
 
 
 def _d_x(values: np.ndarray, h: float) -> np.ndarray:
@@ -318,6 +332,7 @@ def _stepper(advance: Callable) -> Callable:
                 return block[:row + 1]
         return block
 
+    produce.closed_form = False
     return produce
 
 
@@ -326,7 +341,10 @@ def _march(u0: np.ndarray, T: float, cfg: SolverConfig, produce: Callable,
     """The time loop of every stepping solver: a fold over blocks of states.
 
     ``produce(u, steps)`` gives the states of ``steps`` (at most _BLOCK_STEPS
-    consecutive steps of 1..round(T/dt)) from u, the state before them.  Each
+    consecutive steps of 1..round(T/dt)) from u, the state before them.  A
+    producer declares ``closed_form`` when each state it gives depends on its
+    own step number alone; with no per-step consumer (no ``track``, no
+    ``integrals``) such a producer is asked for the snapshot steps only.  Each
     block is checked finite (else :class:`UnstableConfigurationError` names
     ``context``, the step and t; a solver error of the producer is re-raised
     naming them too), then folded into the snapshot rows of
@@ -348,10 +366,12 @@ def _march(u0: np.ndarray, T: float, cfg: SolverConfig, produce: Callable,
         mean0 = float(u0.mean())
         means, sup_dev = np.empty(nsteps + 1), np.empty(nsteps + 1)
         means[0], sup_dev[0] = mean0, np.max(np.abs(u0 - mean0))
+    sparse = produce.closed_form and not track and not integrals
+    todo = keep if sparse else np.arange(nsteps + 1)
     u, slot = u0, 1
-    for first in range(1, nsteps + 1, _BLOCK_STEPS):
-        # the block leads with the last state before it: steps first - 1, first, ...
-        steps = np.arange(first - 1, min(first + _BLOCK_STEPS, nsteps + 1))
+    for first in range(1, todo.size, _BLOCK_STEPS):
+        # the block leads with the last state before it
+        steps = todo[first - 1:first + _BLOCK_STEPS]
         try:
             block = np.concatenate((u[None], produce(u, steps[1:])))
         except SolverError as exc:
@@ -367,7 +387,7 @@ def _march(u0: np.ndarray, T: float, cfg: SolverConfig, produce: Callable,
             means[steps] = block.mean(axis=1)
             sup_dev[steps] = np.max(np.abs(block - mean0), axis=1)
         end = int(np.searchsorted(keep, steps[-1], side="right"))
-        rows = keep[slot:end] - steps[0]
+        rows = np.searchsorted(steps, keep[slot:end])
         states[slot:end] = block[rows]
         for i, (_, weight, rate) in enumerate(integrals):
             c = _trapezoid_accumulate(last[i], weight * np.diff(steps * cfg.dt), rate(block))
@@ -401,19 +421,21 @@ def _picard_stepper(u0: CircleField, faces: Callable, cfg: SolverConfig) -> Call
     |u0|), or raises :class:`NonConvergenceError` after
     ``cfg.nonlinear_iterations`` solves.
     """
-    h, theta = u0.h, cfg.theta
-    scale = float(np.max(np.abs(u0.samples))) + 1.0
+    h, dt_theta, explicit = u0.h, cfg.theta * cfg.dt, (1.0 - cfg.theta) * cfg.dt
+    stop = cfg.tolerance * (float(np.max(np.abs(u0.samples))) + 1.0)
 
     def advance(u: np.ndarray, step: int) -> np.ndarray:
-        rhs = u if theta == 1.0 else u + (1.0 - theta) * cfg.dt * _apply_divergence(
-            faces(u), u, h
-        )
+        # the faces of u_n serve the explicit half and the first solve
+        kface = faces(u)
+        rhs = u if explicit == 0.0 else u + explicit * _apply_divergence(kface, u, h)
         delta = math.inf
-        for _ in range(cfg.nonlinear_iterations):
-            unext = _divergence_theta_solve(faces(u), rhs, theta * cfg.dt, h)
-            delta = float(np.max(np.abs(unext - u)))
+        for iteration in range(cfg.nonlinear_iterations):
+            if iteration:
+                kface = faces(u)
+            unext = _divergence_theta_solve(kface, rhs, dt_theta, h)
+            delta = float(np.abs(unext - u).max())
             u = unext
-            if delta <= cfg.tolerance * scale:
+            if delta <= stop:
                 return u
         raise NonConvergenceError(
             f"Picard iteration stalled (last delta {delta:.3e})"
@@ -453,6 +475,7 @@ def _propagator(u0: np.ndarray, c: float, h: float, cfg: SolverConfig) -> Callab
         powers = g ** steps.reshape(-1, *[1] * u0.ndim)
         return np.fft.irfft(u_hat * powers, n=n, axis=-1)
 
+    produce.closed_form = True
     return produce
 
 
@@ -525,13 +548,13 @@ def _quasilinear_faces(u0: CircleField, k: Conductivity) -> Callable:
         raise ValidationError("quasilinear solver needs a function-of-u conductivity")
     lo, hi = float(u0.samples.min()), float(u0.samples.max())
     pad = 0.05 * (hi - lo) + 1e-9 * (1.0 + max(abs(lo), abs(hi)))
-    probe = np.linspace(lo - pad, hi + pad, 257)
-    k.check_range(np.asarray(k.func(probe), dtype=float))
+    low, high = lo - pad, hi + pad
+    k.check_range(np.asarray(k.func(np.linspace(low, high, 257)), dtype=float))
 
     def faces(v: np.ndarray) -> np.ndarray:
-        if np.min(v) < lo - pad or np.max(v) > hi + pad:
+        if v.min() < low or v.max() > high:
             raise ConductivityRangeError("state left the widened initial range")
-        vals = np.asarray(k.func(0.5 * (v + np.roll(v, -1))), dtype=float)
+        vals = np.asarray(k.func(_face_mean(v)), dtype=float)
         k.check_range(vals)
         return vals
 

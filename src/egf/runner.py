@@ -18,6 +18,7 @@ are fixed, so identical scenario files give byte-identical artifacts.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from dataclasses import dataclass
@@ -42,8 +43,8 @@ from .symfun import CurvatureSpectrum, f_recursion_constants, power_sums
 __all__ = ["Check", "RunResult", "run_scenario", "write_artifacts", "sweep_values"]
 
 
-# Rows formatted per call by _write_table (trajectory.csv: whole snapshots of
-# about this many rows): bounds the text held in memory.
+# Rows of trajectory.csv formatted per call (whole snapshots of about this
+# many rows): bounds the text held in memory.
 _BLOCK_ROWS = 4096
 
 
@@ -345,38 +346,37 @@ _RUNNERS = {
 
 def _write_table(fh, header: list, rows) -> None:
     """CSV with numbers as "%.17g" (the bytes of ``f"{float(v):.17g}"``) and str
-    cells verbatim.  Each item of ``rows`` is a float array of rows, formatted
-    in one call, or one row of numbers mixed with text or blank fields; a float
-    array ``rows`` is formatted ``_BLOCK_ROWS`` rows per call."""
+    cells verbatim, one row per item of ``rows``."""
     fh.write(",".join(header) + "\n")
-    if isinstance(rows, np.ndarray):
-        rows = np.split(rows, range(_BLOCK_ROWS, len(rows), _BLOCK_ROWS))
     for row in rows:
-        if isinstance(row, np.ndarray):
-            line = ",".join(["%.17g"] * row.shape[1]) + "\n"
-            fh.write((line * row.shape[0]) % tuple(row.ravel().tolist()))
-        else:
-            line = ",".join("%s" if isinstance(v, str) else "%.17g" for v in row)
-            fh.write(line % tuple(row) + "\n")
+        line = ",".join("%s" if isinstance(v, str) else "%.17g" for v in row)
+        fh.write(line % tuple(row) + "\n")
 
 
 def _trajectory_blocks(result: RunResult):
     """The trajectory.csv rows (t, node coordinates, fields) over the snapshots,
-    then the axes in order: arrays of whole snapshots, about _BLOCK_ROWS rows
-    each."""
-    axes = list(result.axes.values())
-    per_block = max(1, _BLOCK_ROWS // math.prod(a.size for a in axes))
-    for start in range(0, result.times.size, per_block):
+    then the nodes in axis order, as text: blocks of whole snapshots of about
+    _BLOCK_ROWS rows, each formatted in one call.  Each node's coordinates are
+    formatted once per run and each snapshot time once per snapshot; only the
+    field values are formatted per row."""
+    nodes = itertools.product(*(["%.17g" % v for v in a.tolist()] for a in result.axes.values()))
+    # joined by a snapshot's time, the pieces are that snapshot's format string
+    row = "," + ",".join(["%.17g"] * len(result.fields)) + "\n"
+    pieces = ["", *("," + ",".join(node) + row for node in nodes)]
+    times = ["%.17g" % t for t in result.times.tolist()]
+    per_block = max(1, _BLOCK_ROWS // (len(pieces) - 1))
+    for start in range(0, len(times), per_block):
         part = slice(start, start + per_block)
-        grids = np.meshgrid(result.times[part], *axes, indexing="ij")
-        columns = [g.ravel() for g in grids] + [f[part].ravel() for f in result.fields.values()]
-        yield np.stack(columns, axis=1)
+        values = np.stack([f[part].reshape(len(times[part]), -1)
+                           for f in result.fields.values()], axis=-1)
+        yield "".join([t.join(pieces) for t in times[part]]) % tuple(values.ravel().tolist())
 
 
 def write_artifacts(result: RunResult, outdir: str) -> None:
     os.makedirs(outdir, exist_ok=True)
     with open(os.path.join(outdir, "trajectory.csv"), "w", encoding="utf-8") as fh:
-        _write_table(fh, result.trajectory_header, _trajectory_blocks(result))
+        fh.write(",".join(result.trajectory_header) + "\n")
+        fh.writelines(_trajectory_blocks(result))
     with open(os.path.join(outdir, "summary.csv"), "w", encoding="utf-8") as fh:
         _write_table(fh, result.summary_header, result.summary_rows)
     with open(os.path.join(outdir, "verdict.txt"), "w", encoding="utf-8") as fh:

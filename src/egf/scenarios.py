@@ -182,7 +182,8 @@ def parse_scenario(text: str) -> FlowScenario:
     :class:`ValidationError` for semantic violations (unknown kind or
     key, missing requirement, non-positive or non-finite parameter, a
     horizon T that is not a whole number of dt steps or more than
-    :data:`MAX_STEPS` of them, a dt or grid spacing whose square underflows).
+    :data:`MAX_STEPS` of them, a dt or grid spacing whose square underflows, a
+    diffusion number 4 dt / h^2 that overflows).
     """
     return parse_entries(_parse_lines(text))
 
@@ -228,6 +229,13 @@ def parse_entries(entries: dict) -> FlowScenario:
                        ("fiber-length / fiber-grid", fiber)):
         if step * step < sys.float_info.min:
             raise ValidationError(f"{name} = {step!r} is too small: its square underflows")
+    # a step scales the stencil by the diffusion number dt / h^2, up to the
+    # largest eigenvalue 4 dt / h^2 of the periodic second difference
+    for name, step in (("length / grid", scn.length / scn.grid),
+                       ("fiber-length / fiber-grid", fiber)):
+        if not math.isfinite(4.0 * scn.dt / (step * step)):
+            raise ValidationError(f"diffusion number dt / ({name})^2 overflows "
+                                  f"(dt = {scn.dt!r}, {name} = {step!r})")
     if scn.scheme not in ("implicit-euler", "crank-nicolson"):
         raise ValidationError(f"unknown scheme {entries.get('scheme')!r}")
     _validate_kind(scn)

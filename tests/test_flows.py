@@ -289,6 +289,38 @@ class TestTwisted:
             worst = max(worst, float(np.max(np.abs(phi - traj.phi[k]))))
         assert worst <= 1e-12 * np.max(np.abs(traj.phi[0]))
 
+    @pytest.mark.parametrize("T, save_every", [(5.0, 0), (0.5, 7), (0.13, 0)])
+    def test_snapshot_steps_only_and_bit_identical(self, monkeypatch, T, save_every):
+        # no per-step consumer: the propagator is asked for the kept steps
+        # only, and gives the bits of the march through every step
+        nx, ny = 16, 128
+        xb = np.linspace(-1, 1, nx)
+        y = np.arange(ny) * TWO_PI / ny
+        phi0 = (1 + xb**2)[:, None] * np.cos(y)[None, :]
+        cfg = SolverConfig(dt=1e-3, scheme="crank-nicolson", save_every=save_every)
+        asked = []
+
+        def recording(u0, c, h, cfg):
+            produce = parabolic._propagator(u0, c, h, cfg)
+
+            def every_step(u, steps):
+                asked.extend(steps.tolist())
+                return produce(u, steps)
+
+            every_step.closed_form = produce.closed_form
+            return every_step
+
+        monkeypatch.setattr("egf.flows._propagator", recording)
+        traj = twisted_product_flow(TwistedState(phi0, TWO_PI, n=1), T, cfg)
+        keep = parabolic._snapshot_steps(parabolic._nsteps(T, cfg.dt), save_every)
+        assert asked == keep[1:].tolist()
+
+        dense = parabolic._propagator(phi0, 1.0, TWO_PI / ny, cfg)
+        stepped = lambda u, steps: dense(u, steps)
+        stepped.closed_form = False
+        _, states, _, _ = parabolic._march(phi0, T, cfg, stepped, "reference")
+        assert traj.phi.tobytes() == states.tobytes()
+
 
 class TestPrescribedMeanCurvature:
     def test_stationary_when_matched(self):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.linalg import solve_banded
 
 from egf.errors import ConductivityRangeError, NonConvergenceError, ValidationError
 from egf.parabolic import (
@@ -23,7 +24,17 @@ from egf.parabolic import (
     solve_variable_heat_circle,
     theta_solution,
 )
-from egf.parabolic import _BLOCK_STEPS, _circle_march, _nsteps, _propagator, _snapshot_steps
+from egf.parabolic import (
+    _BLOCK_STEPS,
+    _apply_divergence,
+    _circle_march,
+    _face_mean,
+    _nsteps,
+    _propagator,
+    _quasilinear_faces,
+    _snapshot_steps,
+    solve_cyclic_tridiag,
+)
 
 
 def circle_cos(n=128, length=2 * math.pi, amp=1.0, freq=1):
@@ -203,6 +214,87 @@ class TestSteppingCore:
         assert peak <= 1.25 * retained
 
 
+
+def _cyclic_reference(sub, diag, sup, corner_tr, corner_bl, rhs):
+    """The Sherman-Morrison cyclic solve written with solve_banded and
+    column_stack, the form solve_cyclic_tridiag replaced."""
+    n = diag.size
+    rhs_arr = np.asarray(rhs, dtype=float)
+    single = rhs_arr.ndim == 1
+    R = rhs_arr[:, None] if single else rhs_arr
+    alpha = -diag[0]
+    d = diag.copy()
+    d[0] -= alpha
+    d[-1] -= corner_bl * corner_tr / alpha
+    ab = np.zeros((3, n))
+    ab[0, 1:] = sup
+    ab[1] = d
+    ab[2, :-1] = sub
+    u = np.zeros(n)
+    u[0] = alpha
+    u[-1] = corner_bl
+    sol = solve_banded((1, 1), ab, np.column_stack([R, u]), check_finite=False)
+    y, z = sol[:, :-1], sol[:, -1]
+    vy = y[0, :] + (corner_tr / alpha) * y[-1, :]
+    vz = z[0] + (corner_tr / alpha) * z[-1]
+    x = y - z[:, None] * (vy / (1.0 + vz))[None, :]
+    return x[:, 0] if single else x
+
+
+class TestKernelsMatchTheirReferenceForms:
+    """The LAPACK dgtsv cyclic solve and the concatenate-wrap stencils give the
+    bits of the solve_banded and np.roll forms they replaced."""
+
+    @pytest.mark.parametrize("n, m", [(8, 1), (128, 1), (128, 16), (513, 1), (64, 16)])
+    def test_cyclic_solve_is_bit_identical(self, n, m):
+        rng = np.random.default_rng(n + m)
+        kface = 0.5 + rng.random(n)
+        c = 3.7
+        diag = 1.0 + c * (kface + np.roll(kface, 1))
+        sub, sup = -c * rng.random(n - 1), -c * rng.random(n - 1)
+        rhs = rng.standard_normal(n) if m == 1 else rng.standard_normal((n, m))
+        x = solve_cyclic_tridiag(sub, diag, sup, -0.3 * c, -0.8 * c, rhs)
+        ref = _cyclic_reference(sub, diag, sup, -0.3 * c, -0.8 * c, rhs)
+        assert x.shape == rhs.shape
+        assert np.array_equal(x, ref)
+        assert x.tobytes() == ref.tobytes()
+
+    def test_cyclic_solve_keeps_its_inputs(self):
+        n = 32
+        diag, off, rhs = np.full(n, 3.0), np.full(n - 1, -1.0), np.cos(np.arange(n))
+        saved = [a.copy() for a in (diag, off, rhs)]
+        solve_cyclic_tridiag(off, diag, off, -1.0, -1.0, rhs)
+        for a, b in zip((diag, off, rhs), saved):
+            assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("solve", [solve_cyclic_tridiag, _cyclic_reference])
+    def test_singular_cyclic_system_raises(self, solve):
+        # a zero pivot in the reduced tridiagonal system
+        n = 8
+        diag = np.ones(n)
+        diag[3] = 0.0
+        with pytest.raises(np.linalg.LinAlgError):
+            solve(np.zeros(n - 1), diag, np.zeros(n - 1), 0.0, 0.0, np.ones(n))
+
+    @pytest.mark.parametrize("n", [8, 64, 1024])
+    def test_divergence_and_face_mean_are_bit_identical(self, n):
+        rng = np.random.default_rng(n)
+        u, kface, h = rng.standard_normal(n), 0.5 + rng.random(n), 2 * math.pi / n
+        km = np.roll(kface, 1)
+        ref = (kface * (np.roll(u, -1) - u) - km * (u - np.roll(u, 1))) / h**2
+        assert _apply_divergence(kface, u, h).tobytes() == ref.tobytes()
+        assert _face_mean(u).tobytes() == (0.5 * (u + np.roll(u, -1))).tobytes()
+
+    def test_quasilinear_faces_are_the_roll_average(self):
+        n = 256
+        x = np.arange(n) * 2 * math.pi / n
+        u0 = CircleField(2 * math.pi, exact_quasilinear_solution(0.0, x))
+        k = exact_quasilinear_conductivity()
+        v = exact_quasilinear_solution(0.3, x)
+        ref = np.asarray(k.func(0.5 * (v + np.roll(v, -1))), dtype=float)
+        assert _quasilinear_faces(u0, k)(v).tobytes() == ref.tobytes()
+
+
 SCHEMES = ["implicit-euler", "crank-nicolson"]
 
 
@@ -328,6 +420,23 @@ class TestQuasilinear:
                 np.max(np.abs(traj.final.samples - exact_quasilinear_solution(1.0, x)))
             )
         assert errs[0] / errs[1] >= 3.5
+
+    @pytest.mark.parametrize("scheme, bound", [("crank-nicolson", 1.9), ("implicit-euler", 0.95)])
+    def test_time_order_by_self_convergence(self, scheme, bound):
+        # grid 64 held, dt halved from 4e-3 to 5e-4 up to T = 0.4: successive
+        # final-state differences shrink as dt^p; measured p = 2.000 and 0.998
+        n = 64
+        x = np.arange(n) * 2 * math.pi / n
+        u0 = CircleField(2 * math.pi, exact_quasilinear_solution(0.0, x))
+        finals = [
+            solve_quasilinear_divergence(
+                u0, exact_quasilinear_conductivity(), 0.4, SolverConfig(dt=dt, scheme=scheme)
+            ).final.samples
+            for dt in (4e-3, 2e-3, 1e-3, 5e-4)
+        ]
+        diffs = [np.max(np.abs(a - b)) for a, b in zip(finals, finals[1:])]
+        orders = [math.log2(a / b) for a, b in zip(diffs, diffs[1:])]
+        assert min(orders) >= bound, orders
 
 
 class TestInterval:

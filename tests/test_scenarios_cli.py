@@ -1,6 +1,7 @@
 import io
 import math
 import pathlib
+import warnings
 
 import numpy as np
 import pytest
@@ -209,6 +210,34 @@ class TestWriter:
         assert text == _reference_csv(["t", *axes, "u", "v"], table)
         assert len(res.trajectory_rows) == table.shape[0]
         assert res.trajectory_header == ["t", *axes, "u", "v"]
+
+    @pytest.mark.parametrize("text", [
+        EXACT,
+        "kind: twisted\ngrid: 16\ndt: 0.01\nT: 1.0\nscheme: crank-nicolson\nn: 2\n"
+        "base-grid: 5\nfiber-grid: 16\n",
+    ], ids=["one-axis", "two-axis-twisted"])
+    def test_trajectory_text_is_the_meshgrid_layout(self, tmp_path, text):
+        res = run_scenario(parse_scenario(text))
+        write_artifacts(res, tmp_path)
+        # the layout the writer replaced: per block of whole snapshots, a
+        # meshgrid of the times and the node axes, every cell "%.17g"
+        axes = list(res.axes.values())
+        per_block = max(1, _BLOCK_ROWS // math.prod(a.size for a in axes))
+        parts = [",".join(res.trajectory_header) + "\n"]
+        for start in range(0, res.times.size, per_block):
+            part = slice(start, start + per_block)
+            grids = np.meshgrid(res.times[part], *axes, indexing="ij")
+            block = np.stack([g.ravel() for g in grids]
+                             + [f[part].ravel() for f in res.fields.values()], axis=1)
+            line = ",".join(["%.17g"] * block.shape[1]) + "\n"
+            parts.append((line * block.shape[0]) % tuple(block.ravel().tolist()))
+        assert len(parts) > 2  # more than one block
+        lines = (tmp_path / "trajectory.csv").read_text().split("\n")
+        expected = "".join(parts).split("\n")
+        # the first differing line, not a diff of two large texts
+        first = next((i for i, pair in enumerate(zip(lines, expected)) if pair[0] != pair[1]), None)
+        assert first is None, (first, lines[first], expected[first])
+        assert len(lines) == len(expected)
 
     def test_mixed_rows_keep_blank_and_text_fields(self):
         rows = [["128", np.float64(-0.0), "", math.nan, "pass"], ["x", 0.5, 2e-5, 1.0, "fail"]]
@@ -506,13 +535,23 @@ class TestExitCodes:
         "kind: twisted\ngrid: 64\ndt: 0.01\nT: 0.1\nfiber-length: 1e-300\n",
         # dt^2 underflows: the decay fit's least squares would fail
         "kind: pde-reference\nproblem: circle-heat-decay\ngrid: 64\ndt: 1e-300\nT: 1e-297\n",
+        # dt / h^2 overflows, both squares normal: the steps would divide inf by inf
+        "kind: pde-reference\ngrid: 8\nlength: 1e-150\ndt: 1e10\nT: 1e10\n",
+        "kind: pde-reference\nproblem: circle-heat-decay\ngrid: 8\nlength: 1e-150\n"
+        "dt: 1e10\nT: 1e10\n",
+        "kind: twisted\ngrid: 8\nfiber-length: 1e-150\ndt: 1e10\nT: 1e10\n",
     ], ids=["scaled-tau2-one-value", "negative-save-every", "odd-reeb-grid",
-            "length-underflow", "fiber-length-underflow", "dt-underflow"])
+            "length-underflow", "fiber-length-underflow", "dt-underflow",
+            "diffusion-number-overflow", "diffusion-number-overflow-heat",
+            "fiber-diffusion-number-overflow"])
     def test_rejected_scenario_exits_3(self, tmp_path, capsys, text):
         path = tmp_path / "scn.egf"
         path.write_text(text)
         out = tmp_path / "out"
-        assert main(["run", str(path), "--out", str(out)]) == 3
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["run", str(path), "--out", str(out)]) == 3
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         err = capsys.readouterr().err
         assert err.startswith("egf: invalid scenario: ") and err.count("\n") == 1
         assert "Traceback" not in err
