@@ -256,10 +256,11 @@ def criterion_4() -> CriterionResult:
     _, tau_traj, sig_traj = conformal_ode_system(
         lambda t: math.sin(3.0 * t) + 0.4, tau0, sig0, 1.0, 1e-4
     )
-    phi_rows = np.array([_phi_peel(n, row) for row in tau_traj])
-    psi_rows = np.array([_psi_peel(n, row) for row in sig_traj])
-    drift_phi = float(np.max(np.abs(phi_rows - phi_rows[0])))
-    drift_psi = float(np.max(np.abs(psi_rows - psi_rows[0])))
+    # peeled over the whole trajectory at once: one row per k, one column per step
+    phi = np.array(_phi_peel(n, tau_traj.T))
+    psi = np.array(_psi_peel(n, sig_traj.T))
+    drift_phi = float(np.max(np.abs(phi - phi[:, :1])))
+    drift_psi = float(np.max(np.abs(psi - psi[:, :1])))
     clauses = [
         (worst <= 1e-9, f"identity residual {worst:.3e} <= 1e-9"),
         (drift_phi <= 1e-8, f"phi_k drift {drift_phi:.3e} <= 1e-8"),

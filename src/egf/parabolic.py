@@ -416,27 +416,43 @@ def _picard_stepper(u0: CircleField, faces: Callable, cfg: SolverConfig) -> Call
     iteration per step.
 
     ``faces(v)`` gives the face conductivities of a state v and is the
-    monitor hook: it raises when they leave their admissible range.  The
+    monitor hook: it raises when they leave their admissible range.  Each
+    step's iteration starts from the linear predictor 2 u_n - u_{n-1} (step 1
+    from u_n); the explicit Crank-Nicolson half uses faces(u_n).  The
+    predictor moves the start, not the fixed point: about 3 solves per step
+    instead of 4 on the exact family.  The hook sees the predictor too; one
+    it rejects (an overshoot at a steep front can leave the admissible range
+    that every state keeps) is dropped, and the step starts from u_n.  The
     iteration stops at a sup-change of at most ``cfg.tolerance`` (1 + sup
     |u0|), or raises :class:`NonConvergenceError` after
     ``cfg.nonlinear_iterations`` solves.
     """
     h, dt_theta, explicit = u0.h, cfg.theta * cfg.dt, (1.0 - cfg.theta) * cfg.dt
     stop = cfg.tolerance * (float(np.max(np.abs(u0.samples))) + 1.0)
+    previous = None
 
     def advance(u: np.ndarray, step: int) -> np.ndarray:
-        # the faces of u_n serve the explicit half and the first solve
-        kface = faces(u)
-        rhs = u if explicit == 0.0 else u + explicit * _apply_divergence(kface, u, h)
+        nonlocal previous
+        # kface: the faces of the start v, or None until they are evaluated
+        kface = faces(u) if explicit else None
+        rhs = u if kface is None else u + explicit * _apply_divergence(kface, u, h)
+        v = u
+        if previous is not None:
+            guess = 2.0 * u - previous
+            try:
+                kface, v = faces(guess), guess
+            except SolverError:
+                pass  # the hook rejects the predictor, not a state: start from u_n
+        previous = u
         delta = math.inf
         for iteration in range(cfg.nonlinear_iterations):
-            if iteration:
-                kface = faces(u)
-            unext = _divergence_theta_solve(kface, rhs, dt_theta, h)
-            delta = float(np.abs(unext - u).max())
-            u = unext
+            if iteration or kface is None:
+                kface = faces(v)
+            vnext = _divergence_theta_solve(kface, rhs, dt_theta, h)
+            delta = float(np.abs(vnext - v).max())
+            v = vnext
             if delta <= stop:
-                return u
+                return v
         raise NonConvergenceError(
             f"Picard iteration stalled (last delta {delta:.3e})"
         )
@@ -720,10 +736,11 @@ def exact_quasilinear_solution(t, x):
     """u(t, x) = sin x / sqrt(cos^2 x + e^(2t)).
 
     Exact solution of du/dt = d_x(k(u) d_x u) with k(u) = 1/(1+u^2) on
-    the 2-pi circle; sup |u(t)| = e^(-t).
+    the 2-pi circle; sup |u(t)| = e^(-t).  Evaluated as
+    e^(-t) sin x / sqrt(1 + cos^2 x e^(-2t)), which no t >= 0 overflows.
     """
     x = np.asarray(x, dtype=float)
-    return np.sin(x) / np.sqrt(np.cos(x) ** 2 + np.exp(2.0 * t))
+    return np.exp(-t) * np.sin(x) / np.sqrt(1.0 + np.cos(x) ** 2 * np.exp(-2.0 * t))
 
 
 def exact_quasilinear_conductivity() -> Conductivity:

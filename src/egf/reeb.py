@@ -34,7 +34,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import ValidationError
 from .parabolic import (
@@ -221,6 +220,8 @@ def n_curve_map(
 
 def n_curve_residual(geom: ReebGeometry, x0: float, phi: float, s: float) -> float:
     """|s + int_x0^phi dxi / sin(alpha(xi))|, the implicit-formula residual."""
+    from scipy.integrate import quad  # imported here: no run or criterion needs it
+
     val, _ = quad(
         lambda xi: 1.0 / math.sin(float(np.asarray(geom.alpha_func(xi)))),
         x0,
@@ -392,6 +393,8 @@ def kernel_lambda(
 
 def _seam_distance(alpha_func: Callable, x0: float) -> float:
     """Arclength from the seam x = 1 to x0 along the branch."""
+    from scipy.integrate import quad  # imported here: no run or criterion needs it
+
     val, _ = quad(
         lambda xi: 1.0 / math.sin(float(np.asarray(alpha_func(xi)))),
         x0,

@@ -14,8 +14,13 @@ dt            time step
 T             time horizon, a whole number of dt steps (relative slack 1e-9),
               at most MAX_STEPS of them
 scheme        implicit-euler (default) or crank-nicolson
-length        circle circumference (default 2*pi)
+length        circle circumference (default 2*pi); not for twisted or reeb
 save-every    snapshot cadence in steps (0 = automatic, the default; >= 0)
+check-tolerance
+              sup-error bound of the exact-quasilinear problem (default
+              2e-4); no other scenario takes it
+
+A key that the run would not read is rejected, not ignored (``_ignored_keys``).
 
 Closed-form fields (init / target) are selected by name with parameters
 ``*-amplitude``, ``*-frequency``, ``*-offset``:
@@ -180,10 +185,10 @@ def parse_scenario(text: str) -> FlowScenario:
 
     Raises :class:`ScenarioParseError` for malformed text and
     :class:`ValidationError` for semantic violations (unknown kind or
-    key, missing requirement, non-positive or non-finite parameter, a
-    horizon T that is not a whole number of dt steps or more than
-    :data:`MAX_STEPS` of them, a dt or grid spacing whose square underflows, a
-    diffusion number 4 dt / h^2 that overflows).
+    key, a key the run would not read, missing requirement, non-positive
+    or non-finite parameter, a horizon T that is not a whole number of dt
+    steps or more than :data:`MAX_STEPS` of them, a dt or grid spacing whose
+    square underflows, a diffusion number 4 dt / h^2 that overflows).
     """
     return parse_entries(_parse_lines(text))
 
@@ -197,6 +202,11 @@ def parse_entries(entries: dict) -> FlowScenario:
     unknown = set(entries) - allowed
     if unknown:
         raise ValidationError(f"unknown keys for kind {kind!r}: {sorted(unknown)}")
+    ignored = _ignored_keys(kind, entries)
+    if ignored:
+        problem = (f" with problem {entries.get('problem', 'exact-quasilinear')!r}"
+                   if kind == "pde-reference" else "")
+        raise ValidationError(f"keys {ignored} have no effect for kind {kind!r}{problem}")
 
     scn = FlowScenario(
         kind=kind,
@@ -240,6 +250,20 @@ def parse_entries(entries: dict) -> FlowScenario:
         raise ValidationError(f"unknown scheme {entries.get('scheme')!r}")
     _validate_kind(scn)
     return scn
+
+
+def _ignored_keys(kind: str, entries: dict) -> list[str]:
+    """The admitted keys that this scenario's run would not read: ``length``
+    for twisted (its circle is the fiber, ``fiber-length``) and reeb (fixed
+    on [-1, 1]), ``check-tolerance`` everywhere but the exact-quasilinear
+    problem, and the ``init*`` keys for that problem (its data is the exact
+    family at t = 0)."""
+    exact = kind == "pde-reference" and entries.get("problem",
+                                                     "exact-quasilinear") == "exact-quasilinear"
+    return sorted(key for key in entries
+                  if (key == "length" and kind in ("twisted", "reeb"))
+                  or (key == "check-tolerance" and not exact)
+                  or (exact and key.split("-")[0] == "init"))
 
 
 def load_scenario(path) -> FlowScenario:

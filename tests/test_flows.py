@@ -582,6 +582,46 @@ class TestConformalODE:
         assert np.max(np.abs(phi2 - phi2[0])) < 1e-9
 
 
+    @pytest.mark.parametrize("drive", [lambda t: math.sin(3.0 * t) + 0.4,
+                                       lambda t: math.exp(-t) * math.cos(7.0 * t)],
+                             ids=["sin", "damped-cos"])
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_component_march_matches_step_loop_bitwise(self, n, drive):
+        rng = np.random.default_rng(n)
+        tau0, sig0 = rng.uniform(-3.0, 3.0, n), rng.uniform(-3.0, 3.0, n)
+        dt, nsteps = 1e-3, 500
+
+        # the reference: RK4 over the stacked state, one step at a time
+        kt = np.arange(1, n + 1)
+        ks = n - kt + 1
+
+        def rhs(state, w):
+            tau, sig = state[:n], state[n:]
+            dtau, dsig = np.empty(n), np.empty(n)
+            dtau[0] = dsig[0] = -(n / 2.0) * w
+            dtau[1:] = -(kt[1:] / 2.0) * tau[:-1] * w
+            dsig[1:] = -(ks[1:] / 2.0) * sig[:-1] * w
+            return np.concatenate([dtau, dsig])
+
+        state = np.concatenate([tau0, sig0])
+        rows, times = [state], [0.0]
+        for i in range(1, nsteps + 1):
+            t = (i - 1) * dt
+            k1 = rhs(state, drive(t))
+            k2 = rhs(state + 0.5 * dt * k1, drive(t + 0.5 * dt))
+            k3 = rhs(state + 0.5 * dt * k2, drive(t + 0.5 * dt))
+            k4 = rhs(state + dt * k3, drive(t + dt))
+            state = state + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+            rows.append(state)
+            times.append(i * dt)
+        ref = np.array(rows)
+
+        got_times, tau, sig = conformal_ode_system(drive, tau0, sig0, nsteps * dt, dt)
+        assert np.array_equal(got_times, times)
+        assert np.array_equal(tau, ref[:, :n])
+        assert np.array_equal(sig, ref[:, n:])
+
+
 class TestConvergeCriterion:
     def test_exponential_true(self):
         ts = np.linspace(0, 10, 200)

@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.linalg import solve_banded
 
+from egf import parabolic
 from egf.errors import ConductivityRangeError, NonConvergenceError, ValidationError
 from egf.parabolic import (
     CircleField,
@@ -28,8 +29,10 @@ from egf.parabolic import (
     _BLOCK_STEPS,
     _apply_divergence,
     _circle_march,
+    _divergence_theta_solve,
     _face_mean,
     _nsteps,
+    _picard_stepper,
     _propagator,
     _quasilinear_faces,
     _snapshot_steps,
@@ -437,6 +440,98 @@ class TestQuasilinear:
         diffs = [np.max(np.abs(a - b)) for a, b in zip(finals, finals[1:])]
         orders = [math.log2(a / b) for a, b in zip(diffs, diffs[1:])]
         assert min(orders) >= bound, orders
+
+
+def exact_family(n):
+    x = np.arange(n) * 2 * math.pi / n
+    return CircleField(2 * math.pi, exact_quasilinear_solution(0.0, x))
+
+
+class TestPicardPredictor:
+    """Each Picard iteration starts from 2 u_n - u_{n-1}: fewer solves, the
+    same lagged fixed point."""
+
+    def test_about_three_solves_per_step(self, monkeypatch):
+        solves = []
+        solve = parabolic._divergence_theta_solve
+
+        def counted(*args):
+            solves.append(1)
+            return solve(*args)
+
+        monkeypatch.setattr(parabolic, "_divergence_theta_solve", counted)
+        traj = solve_quasilinear_divergence(exact_family(512), exact_quasilinear_conductivity(),
+                                            1.0, SolverConfig(dt=1e-3, scheme="crank-nicolson"))
+        steps = traj.step_times.size - 1
+        assert steps == 1000 and len(solves) / steps <= 3.05
+
+    @pytest.mark.parametrize("data, scheme, dt, nsteps", [
+        ("exact", "crank-nicolson", 1e-3, 1000),
+        ("exact", "implicit-euler", 1e-3, 1000),
+        # the predictor overshoots the fronts: the hook rejects it at some steps
+        ("square-wave", "crank-nicolson", 1e-2, 20),
+    ])
+    def test_states_match_the_lagged_start(self, monkeypatch, data, scheme, dt, nsteps):
+        if data == "exact":
+            u0 = exact_family(512)
+        else:
+            u0 = CircleField(2 * math.pi, np.repeat([0.9, -0.9], 64))
+        k = exact_quasilinear_conductivity()
+        rejected = []
+
+        def counted_faces(u0, k):
+            faces = _quasilinear_faces(u0, k)
+
+            def hook(v):
+                try:
+                    return faces(v)
+                except ConductivityRangeError:
+                    rejected.append(v)
+                    raise
+
+            return hook
+
+        monkeypatch.setattr(parabolic, "_quasilinear_faces", counted_faces)
+        cfg = SolverConfig(dt=dt, scheme=scheme, save_every=1)
+        traj = solve_quasilinear_divergence(u0, k, nsteps * dt, cfg)
+        assert bool(rejected) == (data == "square-wave")
+        # the reference: every step's iteration starts from u_n
+        faces = _quasilinear_faces(u0, k)
+        h, theta = u0.h, cfg.theta
+        stop = cfg.tolerance * (1.0 + np.max(np.abs(u0.samples)))
+        u, ref = u0.samples, [u0.samples]
+        for _ in range(nsteps):
+            rhs = u + (1.0 - theta) * cfg.dt * _apply_divergence(faces(u), u, h)
+            v = u
+            for _ in range(cfg.nonlinear_iterations):
+                vnext = _divergence_theta_solve(faces(v), rhs, theta * cfg.dt, h)
+                done = np.max(np.abs(vnext - v)) <= stop
+                v = vnext
+                if done:
+                    break
+            else:
+                raise AssertionError("reference Picard iteration stalled")
+            u = v
+            ref.append(u)
+        scale = 1.0 + np.max(np.abs(u0.samples))
+        assert np.max(np.abs(traj.states - np.array(ref))) <= 1e-13 * scale
+
+    def test_the_predictor_reaches_the_monitor_hook(self):
+        u0 = exact_family(64)
+        faces = _quasilinear_faces(u0, exact_quasilinear_conductivity())
+        seen = []
+
+        def hook(v):
+            seen.append(v.copy())
+            return faces(v)
+
+        produce = _picard_stepper(u0, hook, SolverConfig(dt=1e-2, scheme="crank-nicolson"))
+        u1, u2, u3 = produce(u0.samples, np.arange(1, 4))
+        # step 1 starts from u_0: its faces serve the explicit half and the first solve
+        assert np.array_equal(seen[0], u0.samples)
+        assert not any(np.array_equal(v, u0.samples) for v in seen[1:])
+        for prev, cur in ((u0.samples, u1), (u1, u2)):
+            assert any(np.array_equal(v, 2.0 * cur - prev) for v in seen)
 
 
 class TestInterval:

@@ -1,8 +1,13 @@
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import egf
 from egf.errors import ValidationError
 from egf.parabolic import SolverConfig, _d_x
 from egf.reeb import (
@@ -52,6 +57,18 @@ class TestSetup:
                 alpha_prime=lambda x: np.full_like(np.asarray(x, float), -0.5 * math.pi),
                 n_grid=64,
             )
+
+
+def test_no_egf_entry_point_imports_scipy_integrate():
+    # quad serves only n_curve_residual and the arclength kernel's seam
+    # distance; a run, a sweep or egf verify does not pay for its import
+    src = str(pathlib.Path(egf.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = ("import sys, egf.cli, egf.runner, egf.acceptance; "
+            "print('scipy.integrate' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "False"
 
 
 class TestNCurveMap:

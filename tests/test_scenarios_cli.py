@@ -89,6 +89,20 @@ class TestParser:
     def test_bundled_scenarios_parse(self, path):
         load_scenario(path)
 
+    @pytest.mark.parametrize("text, message", [
+        ("kind: reeb\ndt: 0.1\nT: 1\nlength: 3\n",
+         "keys ['length'] have no effect for kind 'reeb'"),
+        ("kind: umbilical\ndt: 0.1\nT: 1\ncheck-tolerance: 1\n",
+         "keys ['check-tolerance'] have no effect for kind 'umbilical'"),
+        ("kind: pde-reference\ndt: 0.1\nT: 1\ninit: sin\ninit-offset: 1\n",
+         "keys ['init', 'init-offset'] have no effect for kind 'pde-reference' "
+         "with problem 'exact-quasilinear'"),
+    ])
+    def test_ignored_keys_are_named_with_their_kind(self, text, message):
+        with pytest.raises(ValidationError) as info:
+            parse_scenario(text)
+        assert str(info.value) == message
+
     def test_numeric_kind_keys_are_typed(self):
         scn = parse_scenario(
             "kind: twisted\ndt: 0.1\nT: 1\nbase-grid: 4\nfiber-grid: 16.0\n"
@@ -101,7 +115,8 @@ class TestParser:
 
 # Scenario entries that parse, one per kind whose numeric keys are fuzzed below.
 _BASES = {
-    "pde-reference": {"kind": "pde-reference", "problem": "circle-heat-decay"},
+    # the exact-quasilinear problem, the one scenario that reads check-tolerance
+    "pde-reference": {"kind": "pde-reference"},
     "twisted": {"kind": "twisted"},
     "umbilical": {"kind": "umbilical"},
     "prescribed-F": {"kind": "prescribed-F"},
@@ -156,6 +171,15 @@ def _reference_csv(header, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _assert_same_lines(text: str, expected: str) -> None:
+    """text == expected, reporting the first differing line rather than a
+    diff of two large texts."""
+    lines, want = text.split("\n"), expected.split("\n")
+    first = next((i for i, pair in enumerate(zip(lines, want)) if pair[0] != pair[1]), None)
+    assert first is None, (first, lines[first], want[first])
+    assert len(lines) == len(want)
+
+
 def _table_text(header, rows) -> str:
     fh = io.StringIO()
     _write_table(fh, header, rows)
@@ -207,7 +231,7 @@ class TestWriter:
         grids = np.meshgrid(times, *axes.values(), indexing="ij")
         table = np.stack([g.ravel() for g in grids] + [f.ravel() for f in fields.values()], 1)
         text = (tmp_path / "trajectory.csv").read_text()
-        assert text == _reference_csv(["t", *axes, "u", "v"], table)
+        _assert_same_lines(text, _reference_csv(["t", *axes, "u", "v"], table))
         assert len(res.trajectory_rows) == table.shape[0]
         assert res.trajectory_header == ["t", *axes, "u", "v"]
 
@@ -232,12 +256,7 @@ class TestWriter:
             line = ",".join(["%.17g"] * block.shape[1]) + "\n"
             parts.append((line * block.shape[0]) % tuple(block.ravel().tolist()))
         assert len(parts) > 2  # more than one block
-        lines = (tmp_path / "trajectory.csv").read_text().split("\n")
-        expected = "".join(parts).split("\n")
-        # the first differing line, not a diff of two large texts
-        first = next((i for i, pair in enumerate(zip(lines, expected)) if pair[0] != pair[1]), None)
-        assert first is None, (first, lines[first], expected[first])
-        assert len(lines) == len(expected)
+        _assert_same_lines((tmp_path / "trajectory.csv").read_text(), "".join(parts))
 
     def test_mixed_rows_keep_blank_and_text_fields(self):
         rows = [["128", np.float64(-0.0), "", math.nan, "pass"], ["x", 0.5, 2e-5, 1.0, "fail"]]
@@ -465,6 +484,18 @@ class TestSweepValidation:
         verdict = (out / "check-tolerance=1e-30" / "verdict.txt").read_text()
         assert "sup-error-vs-exact: fail" in verdict
 
+    @pytest.mark.parametrize("text, param", [
+        ("kind: twisted\ngrid: 16\ndt: 0.01\nT: 0.1\n", "length"),
+        (HEAT, "check-tolerance"),
+    ], ids=["twisted-length", "heat-check-tolerance"])
+    def test_sweep_over_an_ignored_key_exits_3(self, tmp_path, text, param):
+        path = tmp_path / "scn.egf"
+        path.write_text(text)
+        out = tmp_path / "out"
+        assert main(["sweep", str(path), "--param", param, "--values", "1.0,2.0",
+                     "--out", str(out)]) == 3
+        assert not out.exists()
+
     def test_unknown_param_rejected(self, tmp_path):
         path = tmp_path / "scn.egf"
         path.write_text(HEAT)
@@ -524,6 +555,16 @@ class TestExitCodes:
         assert err.startswith("egf: ")
         assert "Traceback" not in err
 
+    def test_long_exact_horizon_writes_no_warning(self, tmp_path, capsys):
+        # the exact family past t = 355, where e^(2t) overflows
+        path = tmp_path / "scn.egf"
+        path.write_text("kind: pde-reference\ngrid: 64\ndt: 1\nT: 400\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert capsys.readouterr().err == ""
+
     @pytest.mark.parametrize("text", [
         # grad of f = (2/n) tau_2 needs n >= 2
         "kind: ftau\ngrid: 64\ndt: 0.01\nT: 0.1\nf: scaled-tau2\nspectrum: 0.5\n",
@@ -540,10 +581,21 @@ class TestExitCodes:
         "kind: pde-reference\nproblem: circle-heat-decay\ngrid: 8\nlength: 1e-150\n"
         "dt: 1e10\nT: 1e10\n",
         "kind: twisted\ngrid: 8\nfiber-length: 1e-150\ndt: 1e10\nT: 1e10\n",
+        # keys the run would not read
+        "kind: twisted\ngrid: 16\ndt: 0.01\nT: 0.1\nlength: 3.0\n",
+        "kind: reeb\ngrid: 64\ndt: 0.001\nT: 0.01\nlength: 3.0\n",
+        "kind: pde-reference\nproblem: circle-heat-decay\ngrid: 64\ndt: 0.01\nT: 0.1\n"
+        "check-tolerance: 1e-30\n",
+        "kind: tau-heat\ngrid: 64\ndt: 0.01\nT: 0.1\ncheck-tolerance: 1e-30\n",
+        "kind: pde-reference\nproblem: exact-quasilinear\ngrid: 64\ndt: 0.01\nT: 0.1\n"
+        "init: square-wave\n",
+        "kind: pde-reference\ngrid: 64\ndt: 0.01\nT: 0.1\ninit-amplitude: 2\n",
     ], ids=["scaled-tau2-one-value", "negative-save-every", "odd-reeb-grid",
             "length-underflow", "fiber-length-underflow", "dt-underflow",
             "diffusion-number-overflow", "diffusion-number-overflow-heat",
-            "fiber-diffusion-number-overflow"])
+            "fiber-diffusion-number-overflow", "twisted-length", "reeb-length",
+            "heat-check-tolerance", "tau-heat-check-tolerance", "exact-init",
+            "exact-init-amplitude"])
     def test_rejected_scenario_exits_3(self, tmp_path, capsys, text):
         path = tmp_path / "scn.egf"
         path.write_text(text)
