@@ -27,7 +27,6 @@ import os
 import tempfile
 import time
 from dataclasses import dataclass
-from math import comb, factorial
 
 import numpy as np
 
@@ -62,6 +61,8 @@ from .symfun import (
     eval_F,
     eval_Psi,
     f_recursion_constants,
+    peel_phi,
+    peel_psi,
     power_sums,
     sigma_from_tau,
 )
@@ -206,34 +207,6 @@ def criterion_3() -> CriterionResult:
     return _result(3, "companion matrix suite", clauses, t0)
 
 
-def _phi_peel(n: int, tau_vec: np.ndarray) -> list:
-    t1 = tau_vec[0]
-    phi = []
-    for k in range(2, n + 1):
-        head = t1**k / n ** (k - 1)
-        for i in range(2, k):
-            head += comb(k, i) * phi[i - 2] / n ** (k - i) * t1 ** (k - i)
-        phi.append(tau_vec[k - 1] - head)
-    return phi
-
-
-def _psi_peel(n: int, sig_vec: np.ndarray) -> list:
-    s1 = sig_vec[0]
-    psi = []
-    for k in range(2, n + 1):
-        head = factorial(n - 1) / (factorial(k) * factorial(n - k)) / n ** (k - 1) * s1**k
-        for i in range(2, k):
-            head += (
-                factorial(n - i)
-                / (factorial(k - i) * factorial(n - k))
-                / n ** (k - i)
-                * psi[i - 2]
-                * s1 ** (k - i)
-            )
-        psi.append(sig_vec[k - 1] - head)
-    return psi
-
-
 def criterion_4() -> CriterionResult:
     t0 = time.perf_counter()
     rng = np.random.default_rng(4242)
@@ -257,8 +230,8 @@ def criterion_4() -> CriterionResult:
         lambda t: math.sin(3.0 * t) + 0.4, tau0, sig0, 1.0, 1e-4
     )
     # peeled over the whole trajectory at once: one row per k, one column per step
-    phi = np.array(_phi_peel(n, tau_traj.T))
-    psi = np.array(_psi_peel(n, sig_traj.T))
+    phi = np.array(peel_phi(n, tau_traj.T))
+    psi = np.array(peel_psi(n, sig_traj.T))
     drift_phi = float(np.max(np.abs(phi - phi[:, :1])))
     drift_psi = float(np.max(np.abs(psi - psi[:, :1])))
     clauses = [

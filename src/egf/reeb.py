@@ -452,11 +452,14 @@ def expansion_slope(
     The factor e^-U = 1 + O(x) leaves the slope unchanged, so the
     reference value is -3 a1^3 V_t(0), which is -(3/8) pi^3 V_t(0) for
     the default alpha = pi x / 2.  The fit is least squares of
-    e^-U K ~ c x over |x| <= half_width.  Returns (fitted, target).
+    e^-U K ~ c x over |x| <= half_width, widened to the nodes x = +-h where
+    h exceeds it.  Returns (fitted, target).
     """
     U = state.U(geom)
     y = np.exp(-U) * K
     mask = np.abs(geom.x) <= half_width
+    i0 = geom.n_nodes // 2
+    mask[i0 - 1 : i0 + 2] = True
     xs = geom.x[mask]
     slope = float(np.dot(xs, y[mask]) / np.dot(xs, xs))
     v0 = float(np.interp(0.0, geom.x, state.V))

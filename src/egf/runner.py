@@ -137,7 +137,7 @@ def _circle_nodes(scn: FlowScenario) -> np.ndarray:
 
 def _run_pde_reference(scn: FlowScenario) -> RunResult:
     x = _circle_nodes(scn)
-    exact_problem = scn.get("problem", "exact-quasilinear") == "exact-quasilinear"
+    exact_problem = scn.get("problem") == "exact-quasilinear"
     if exact_problem:
         u0 = CircleField(scn.length, exact_quasilinear_solution(0.0, x))
         traj = solve_quasilinear_divergence(
@@ -159,7 +159,7 @@ def _run_pde_reference(scn: FlowScenario) -> RunResult:
 
     exact = np.stack([exact_quasilinear_solution(t, x) for t in traj.times])
     errors = np.max(np.abs(traj.states - exact), axis=1)
-    tol = scn.check_tolerance if scn.check_tolerance is not None else 2e-4
+    tol = scn.check_tolerance
     decay_bound = math.exp(-traj.times[-1])
     checks = [
         Check("sup-error-vs-exact", errors[-1] <= tol, f"{errors[-1]:.3e} <= {tol:.3e}"),
@@ -195,7 +195,7 @@ def _run_umbilical(scn: FlowScenario) -> RunResult:
             "umbilical scenario needs zero-mean initial curvature "
             "(closed-curve integral identity)"
         )
-    slope = scn.get("psi-slope", 2.0)
+    slope = scn.get("psi-slope")
     lam0 = CircleField(scn.length, lam0_samples)
     psi = lambda u: slope * np.asarray(u, dtype=float)
     psi_prime = lambda u: np.full_like(np.asarray(u, dtype=float), slope)
@@ -234,13 +234,13 @@ def _run_umbilical(scn: FlowScenario) -> RunResult:
 
 
 def _run_twisted(scn: FlowScenario) -> RunResult:
-    nx = scn.get("base-grid", 16)
-    ny = scn.get("fiber-grid", scn.grid)
-    n = scn.get("n", 1)
-    fiber_length = scn.get("fiber-length", 2 * math.pi)
+    nx = scn.get("base-grid")
+    ny = scn.get("fiber-grid")
+    n = scn.get("n")
+    fiber_length = scn.get("fiber-length")
     xb = np.linspace(-1.0, 1.0, nx)
     y = np.arange(ny) * fiber_length / ny
-    profile = scn.get("profile", "one-plus-x-squared")
+    profile = scn.get("profile")
     a = 1.0 + xb**2 if profile == "one-plus-x-squared" else np.ones(nx)
     phi0 = a[:, None] * np.cos(y)[None, :]
     state = flows.TwistedState(phi0, fiber_length, n=n)
@@ -262,7 +262,7 @@ def _run_prescribed(scn: FlowScenario) -> RunResult:
     tau0 = CircleField(scn.length, build_field(scn, "init", x))
     target = CircleField(scn.length, build_field(scn, "target", x))
     state = flows.MeanCurvatureState(tau0, target)
-    traj = flows.prescribed_mean_curvature_flow(state, scn.T, _config(scn), n=scn.get("n", 1))
+    traj = flows.prescribed_mean_curvature_flow(state, scn.T, _config(scn), n=scn.get("n"))
     w0 = float(np.max(np.abs(tau0.samples - target.samples)))
     bound = math.exp(-scn.T) * (1 + 1e-2) * w0
     drift = _drift(traj.mean_w)
@@ -277,10 +277,9 @@ def _run_prescribed(scn: FlowScenario) -> RunResult:
 
 
 def _run_ftau(scn: FlowScenario) -> RunResult:
-    spectrum = [float(v) for v in scn.extra["spectrum"].split(",")]
-    n = len(spectrum)
-    consts = f_recursion_constants(power_sums(CurvatureSpectrum(tuple(spectrum))))
-    which = scn.get("f", "scaled-tau1")
+    n = scn.get("n")
+    consts = f_recursion_constants(power_sums(CurvatureSpectrum(scn.get("spectrum"))))
+    which = scn.get("f")
     k_idx = 1 if which == "scaled-tau1" else 2
 
     def func(tau):
@@ -309,7 +308,7 @@ def _run_ftau(scn: FlowScenario) -> RunResult:
 
 def _run_reeb(scn: FlowScenario) -> RunResult:
     geom = reeb.reeb_setup(n_grid=scn.grid)
-    method = scn.get("method", "x-space")
+    method = scn.get("method")
     traj = reeb.evolve_reeb_lambda(geom, scn.T, _config(scn), method=method)
     state = traj.final
     met = reeb.reconstruct_metric(state, geom)

@@ -42,6 +42,8 @@ __all__ = [
     "tau_from_sigma",
     "extend_power_sums",
     "f_recursion_constants",
+    "peel_phi",
+    "peel_psi",
     "eval_F",
     "eval_F_prime",
     "eval_Psi",
@@ -218,25 +220,35 @@ def f_recursion_constants(tau0: PowerSumVector) -> StructConstants:
     psi_k analogously from sigma_k = Psi_k(sigma_1).
     """
     n = tau0.n
-    t1 = tau0.tau[0]
-    kmax = max(n, 2 * n - 2)
-    tau_ext = extend_power_sums(tau0, kmax)
-    phi: list[float] = []
-    for k in range(2, kmax + 1):
+    phi = peel_phi(n, extend_power_sums(tau0, max(n, 2 * n - 2)))
+    psi = peel_psi(n, sigma_from_tau(tau0).sigma[1:])
+    return StructConstants(n, tuple(phi), tuple(psi))
+
+
+def peel_phi(n: int, tau) -> list:
+    """phi_2..phi_K such that tau_k = F_k(tau_1), from tau = (tau_1, ...,
+    tau_K); the tau_k may be scalars or arrays of one shape."""
+    t1 = tau[0]
+    phi = []
+    for k in range(2, len(tau) + 1):
         head = t1**k / n ** (k - 1)
         for i in range(2, k):
             head += comb(k, i) * phi[i - 2] / n ** (k - i) * t1 ** (k - i)
-        phi.append(tau_ext[k - 1] - head)
+        phi.append(tau[k - 1] - head)
+    return phi
 
-    sig = sigma_from_tau(tau0).sigma
-    s1 = sig[1]
-    psi: list[float] = []
-    for k in range(2, n + 1):
+
+def peel_psi(n: int, sigma) -> list:
+    """psi_2..psi_K such that sigma_k = Psi_k(sigma_1), from sigma = (sigma_1,
+    ..., sigma_K); the sigma_k may be scalars or arrays of one shape."""
+    s1 = sigma[0]
+    psi = []
+    for k in range(2, len(sigma) + 1):
         head = _psi_lead(n, k) * s1**k
         for i in range(2, k):
             head += _psi_coeff(n, k, i) * psi[i - 2] * s1 ** (k - i)
-        psi.append(sig[k] - head)
-    return StructConstants(n, tuple(phi), tuple(psi))
+        psi.append(sigma[k - 1] - head)
+    return psi
 
 
 def _psi_lead(n: int, k: int) -> float:

@@ -11,7 +11,14 @@ from hypothesis import strategies as st
 from egf.cli import main
 from egf.errors import ValidationError
 from egf.runner import _BLOCK_ROWS, RunResult, _write_table, run_scenario, write_artifacts
-from egf.scenarios import MAX_STEPS, ScenarioParseError, load_scenario, parse_scenario
+from egf.scenarios import (
+    MAX_STEPS,
+    ScenarioParseError,
+    allowed_keys,
+    load_scenario,
+    parse_entries,
+    parse_scenario,
+)
 
 SCENARIO_DIR = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -33,6 +40,19 @@ T: 0.5
 scheme: crank-nicolson
 check-tolerance: 2e-4
 """
+
+
+# Every kind's keys under the earlier key model, which admitted each of them
+# also with the five field suffixes.
+_SUFFIXED_BEFORE = {
+    "umbilical": ("init", "psi", "psi-slope"),
+    "tau-heat": ("init",),
+    "twisted": ("base-grid", "fiber-grid", "n", "profile", "fiber-length"),
+    "prescribed-F": ("init", "target", "n"),
+    "ftau": ("init", "f", "n", "spectrum"),
+    "reeb": ("method",),
+    "pde-reference": ("problem", "init"),
+}
 
 
 class TestParser:
@@ -111,6 +131,30 @@ class TestParser:
         assert scn.get("base-grid") == 4 and isinstance(scn.get("fiber-grid"), int)
         assert scn.get("fiber-length") == 3.0
         assert scn.entries["fiber-grid"] == "16.0"
+        # omitted keys get their defaults, some of them from other keys
+        assert (scn.grid, scn.get("n"), scn.get("profile")) == (256, 1, "one-plus-x-squared")
+        assert parse_scenario("kind: twisted\ndt: 0.1\nT: 1\ngrid: 64\n").get("fiber-grid") == 64
+        ftau = parse_scenario("kind: ftau\ndt: 0.1\nT: 1\nspectrum: 0.4, 1,-2e-1\n")
+        assert ftau.get("spectrum") == (0.4, 1.0, -0.2)
+        assert all(type(v) is float for v in ftau.get("spectrum"))
+        assert (ftau.get("n"), ftau.get("f"), ftau.get("init")) == (3, "scaled-tau1", "cos")
+        assert (ftau.scheme, ftau.length, ftau.save_every) == ("implicit-euler", 2 * math.pi, 0)
+
+    @pytest.mark.parametrize("kind", sorted(_SUFFIXED_BEFORE))
+    def test_only_fields_take_suffixes(self, kind):
+        # the earlier key model gave every kind key the field suffixes
+        removed = [base + suffix for base in _SUFFIXED_BEFORE[kind] if base not in ("init", "target")
+                   for suffix in ("-amplitude", "-frequency", "-offset", "-width")]
+        assert not set(removed) & allowed_keys(kind)
+        for key in removed:
+            with pytest.raises(ValidationError, match="unknown keys"):
+                parse_entries({"kind": kind, "dt": "0.1", "T": "1", key: "1"})
+
+    def test_diffusion_number_bound(self):
+        # 4 dt / h^2 at h = 1: 4e15 is below 1 / eps = 4.5e15, 4.8e15 above
+        parse_scenario("kind: tau-heat\ngrid: 8\nlength: 8\ndt: 1e15\nT: 1e15\n")
+        with pytest.raises(ValidationError, match="exceeds 1 / eps"):
+            parse_scenario("kind: tau-heat\ngrid: 8\nlength: 8\ndt: 1.2e15\nT: 1.2e15\n")
 
 
 # Scenario entries that parse, one per kind whose numeric keys are fuzzed below.
@@ -264,6 +308,26 @@ class TestWriter:
         assert text == "grid,a,b,c,verdict\n128,-0,,nan,pass\nx,0.5,2.0000000000000002e-05,1,fail\n"
 
 
+# Each kind's optional keys written with their defaults: (the head of a file
+# that omits them, the lines that write them after the common ones).
+_COMMON_DEFAULTS = "grid: 256\nscheme: implicit-euler\nsave-every: 0\n"
+_LENGTH = "length: 6.283185307179586\n"
+_INIT = "init: cos\ninit-amplitude: 1\ninit-frequency: 1\ninit-offset: 0\ninit-width: 0.1\n"
+_DEFAULTS = {
+    "exact-quasilinear": ("kind: pde-reference\n",
+                          "problem: exact-quasilinear\n" + _LENGTH + "check-tolerance: 2e-4\n"),
+    "circle-heat-decay": ("kind: pde-reference\nproblem: circle-heat-decay\n", _LENGTH + _INIT),
+    "tau-heat": ("kind: tau-heat\n", _LENGTH + _INIT),
+    "umbilical": ("kind: umbilical\n", _LENGTH + _INIT + "psi: linear\npsi-slope: 2\n"),
+    "twisted": ("kind: twisted\n", "base-grid: 16\nfiber-grid: 256\nn: 1\n"
+                "profile: one-plus-x-squared\nfiber-length: 6.283185307179586\n"),
+    "prescribed-F": ("kind: prescribed-F\n", _LENGTH + _INIT + _INIT.replace("init", "target")
+                     .replace("cos", "zero") + "n: 1\n"),
+    "ftau": ("kind: ftau\nspectrum: 0.4,1.0\n", _LENGTH + _INIT + "f: scaled-tau1\nn: 2\n"),
+    "reeb": ("kind: reeb\n", "method: x-space\n"),
+}
+
+
 class TestRunner:
     def test_heat_reference_checks_pass(self):
         res = run_scenario(parse_scenario(HEAT))
@@ -307,6 +371,20 @@ class TestRunner:
         )
         res = run_scenario(scn)
         assert res.passed
+
+    @pytest.mark.parametrize("head, written", _DEFAULTS.values(), ids=list(_DEFAULTS))
+    def test_omitted_keys_run_as_their_written_defaults(self, tmp_path, head, written):
+        omitted = parse_scenario(head + "dt: 0.01\nT: 0.05\n")
+        explicit = parse_scenario(head + "dt: 0.01\nT: 0.05\n" + _COMMON_DEFAULTS + written)
+        # the written file names every key that the run reads
+        for key in allowed_keys(explicit.kind) - set(explicit.entries):
+            with pytest.raises(ValidationError, match="have no effect"):
+                parse_entries({**explicit.entries, key: "1"})
+        write_artifacts(run_scenario(omitted), tmp_path / "omitted")
+        write_artifacts(run_scenario(explicit), tmp_path / "explicit")
+        for name in ("trajectory.csv", "summary.csv", "verdict.txt"):
+            assert (tmp_path / "omitted" / name).read_bytes() == \
+                (tmp_path / "explicit" / name).read_bytes()
 
     def test_byte_identical_artifacts(self, tmp_path):
         scn = parse_scenario(HEAT)
@@ -565,6 +643,16 @@ class TestExitCodes:
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert capsys.readouterr().err == ""
 
+    def test_small_reeb_grid_writes_no_warning(self, tmp_path, capsys):
+        # on grids 16-38 the slope fit's window |x| <= 0.05 held x = 0 alone
+        path = tmp_path / "scn.egf"
+        path.write_text("kind: reeb\ngrid: 16\ndt: 0.001\nT: 0.01\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["run", str(path), "--out", str(tmp_path / "out")]) in (0, 1)
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert capsys.readouterr().err == ""
+
     @pytest.mark.parametrize("text", [
         # grad of f = (2/n) tau_2 needs n >= 2
         "kind: ftau\ngrid: 64\ndt: 0.01\nT: 0.1\nf: scaled-tau2\nspectrum: 0.5\n",
@@ -581,6 +669,10 @@ class TestExitCodes:
         "kind: pde-reference\nproblem: circle-heat-decay\ngrid: 8\nlength: 1e-150\n"
         "dt: 1e10\nT: 1e10\n",
         "kind: twisted\ngrid: 8\nfiber-length: 1e-150\ndt: 1e10\nT: 1e10\n",
+        # 4 dt / h^2 above 1 / eps: the theta step's matrix is singular
+        "kind: pde-reference\ngrid: 8\nlength: 1e-100\ndt: 1\nT: 1\n",
+        "kind: pde-reference\ngrid: 8\nlength: 5e-8\ndt: 1\nT: 1\n",
+        "kind: twisted\ngrid: 8\nfiber-length: 5e-8\ndt: 1\nT: 1\n",
         # keys the run would not read
         "kind: twisted\ngrid: 16\ndt: 0.01\nT: 0.1\nlength: 3.0\n",
         "kind: reeb\ngrid: 64\ndt: 0.001\nT: 0.01\nlength: 3.0\n",
@@ -590,12 +682,20 @@ class TestExitCodes:
         "kind: pde-reference\nproblem: exact-quasilinear\ngrid: 64\ndt: 0.01\nT: 0.1\n"
         "init: square-wave\n",
         "kind: pde-reference\ngrid: 64\ndt: 0.01\nT: 0.1\ninit-amplitude: 2\n",
+        # field suffixes on keys that are not fields
+        "kind: twisted\ngrid: 16\ndt: 0.01\nT: 0.1\nn-offset: 1\n",
+        "kind: umbilical\ngrid: 16\ndt: 0.01\nT: 0.1\npsi-amplitude: 1\n",
+        "kind: reeb\ngrid: 16\ndt: 0.01\nT: 0.1\nmethod-frequency: 1\n",
+        "kind: pde-reference\ngrid: 16\ndt: 0.01\nT: 0.1\nproblem-width: 1\n",
+        "kind: ftau\ngrid: 16\ndt: 0.01\nT: 0.1\nspectrum: 1\nf-width: 1\n",
     ], ids=["scaled-tau2-one-value", "negative-save-every", "odd-reeb-grid",
             "length-underflow", "fiber-length-underflow", "dt-underflow",
             "diffusion-number-overflow", "diffusion-number-overflow-heat",
-            "fiber-diffusion-number-overflow", "twisted-length", "reeb-length",
+            "fiber-diffusion-number-overflow", "diffusion-number-above-inverse-eps",
+            "singular-theta-step", "fiber-singular-theta-step", "twisted-length", "reeb-length",
             "heat-check-tolerance", "tau-heat-check-tolerance", "exact-init",
-            "exact-init-amplitude"])
+            "exact-init-amplitude", "twisted-n-offset", "umbilical-psi-amplitude",
+            "reeb-method-frequency", "pde-reference-problem-width", "ftau-f-width"])
     def test_rejected_scenario_exits_3(self, tmp_path, capsys, text):
         path = tmp_path / "scn.egf"
         path.write_text(text)
