@@ -6,14 +6,16 @@
 
 Exit codes: 0 success, 1 check failure, 2 a scenario file that cannot be
 read, decoded or parsed, 3 validation error or an artifact that cannot be
-written, 4 solver failure or out of memory.  Codes 2-4 print one
-``egf: <reason>: <detail>`` line on stderr; no input ends in a traceback.
+written, 4 solver failure, out of memory or a sweep worker process that
+died.  Codes 2-4 print one ``egf: <reason>: <detail>`` line on stderr; no
+input ends in a traceback.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from concurrent.futures import BrokenExecutor
 
 from .errors import SolverError, ValidationError
 from .scenarios import ScenarioParseError, load_scenario
@@ -59,6 +61,7 @@ _EXIT_CODES = (
     (OSError, 3, "cannot write artifacts"),
     (SolverError, 4, "solver failure"),
     (MemoryError, 4, "out of memory"),
+    (BrokenExecutor, 4, "worker process lost"),
 )
 
 

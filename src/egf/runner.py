@@ -384,31 +384,62 @@ def write_artifacts(result: RunResult, outdir: str) -> None:
         fh.write(f"overall: {'pass' if result.passed else 'fail'}\n")
 
 
+def _sweep_point(scn: FlowScenario, outdir: str) -> tuple[int, list]:
+    """Run one sweep point and write its artifacts into ``outdir``; returns
+    (exit code, the point's sweep.csv cells after the value)."""
+    res = run_scenario(scn)
+    write_artifacts(res, outdir)
+    m = res.metrics
+    return res.exit_code, [m["final_sup"], m.get("sup_error", ""), m["alpha"],
+                           "pass" if res.passed else "fail"]
+
+
 def sweep_values(
     scn: FlowScenario, param: str, values: list, outdir: str
 ) -> tuple[int, list]:
     """Run the scenario once per parameter value; one artifact dir each.
 
     Each value replaces ``param`` in the parsed entries and is validated
-    before any run starts.  Returns (exit_code, comparison rows).  The comparative table lands
-    in ``outdir/sweep.csv``.
+    before any run starts.  The points run in a pool of forked worker
+    processes, one per CPU this process may use (``os.sched_getaffinity``)
+    and at most one per value; with one worker they run in this process.
+    Fork copies only the calling thread, so a lock that another thread of
+    the caller holds stays held in the workers.  Each point writes its own
+    ``outdir/<param>=<value>``, and this process writes the comparative
+    table ``outdir/sweep.csv`` in value order, so every artifact has the
+    bytes of a run of the points one after the other.  A failing point
+    raises its own exception, the first in value order, after the points not
+    yet started are cancelled; a worker process that dies raises
+    ``BrokenProcessPool``.  No worker outlives the call.  Returns (the
+    largest exit code, the sweep.csv rows).
     """
     if not values:
         raise ValidationError("sweep needs a non-empty value list")
     if param == "kind":
         raise ValidationError("sweep parameter 'kind' does not address a scalar field")
-    scenarios = [parse_entries({**scn.entries, param: value}) for value in values]
+    points = [(parse_entries({**scn.entries, param: value}),
+               os.path.join(outdir, f"{param}={value}")) for value in values]
 
-    rows = []
-    worst = 0
-    for value, sub in zip(values, scenarios):
-        res = run_scenario(sub)
-        write_artifacts(res, os.path.join(outdir, f"{param}={value}"))
-        worst = max(worst, res.exit_code)
-        m = res.metrics
-        rows.append([str(value), m["final_sup"], m.get("sup_error", ""), m["alpha"],
-                     "pass" if res.passed else "fail"])
+    workers = min(len(points), len(os.sched_getaffinity(0)))
+    if workers == 1:
+        results = [_sweep_point(*point) for point in points]
+    else:
+        # imported here: a run or egf verify does not pay for them
+        import multiprocessing
+        from concurrent.futures.process import ProcessPoolExecutor
+
+        # fork, not spawn: a spawned worker would import numpy, scipy and egf
+        # again (about 0.8 s, more than a grid-1024 point takes).  The pool
+        # forks all its workers before it starts its own thread.
+        pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+        try:
+            futures = [pool.submit(_sweep_point, *point) for point in points]
+            results = [future.result() for future in futures]
+        finally:
+            pool.shutdown(cancel_futures=True)
+
+    rows = [[str(value), *row] for value, (_, row) in zip(values, results)]
     os.makedirs(outdir, exist_ok=True)
     with open(os.path.join(outdir, "sweep.csv"), "w", encoding="utf-8") as fh:
         _write_table(fh, [param, "final_sup", "sup_error", "fitted_alpha", "verdict"], rows)
-    return worst, rows
+    return max(code for code, _ in results), rows

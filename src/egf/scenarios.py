@@ -216,7 +216,8 @@ def parse_scenario(text: str) -> FlowScenario:
     key, a key the run would not read, missing requirement, a value its
     reader does not admit, a horizon T that is not a whole number of dt
     steps or more than :data:`MAX_STEPS` of them, a dt or grid spacing whose
-    square underflows, a diffusion number 4 dt / h^2 above 1 / eps).
+    square underflows or overflows, a diffusion number 4 dt / h^2 above
+    1 / eps on the kind's own grid spacing).
     """
     return parse_entries(_parse_lines(text))
 
@@ -252,23 +253,34 @@ def parse_entries(entries: dict) -> FlowScenario:
     if round(steps) > MAX_STEPS:
         raise ValidationError(f"T / dt = {steps:.6g} steps exceeds the bound of {MAX_STEPS:,}")
     # the stencils divide by h^2 and the decay fit squares the step times
-    spacings = {"length / grid": scn.length / scn.grid}
-    if kind == "twisted":
-        spacings["fiber-length / fiber-grid"] = scn.get("fiber-length") / scn.get("fiber-grid")
-    for name, step in (("dt", scn.dt), *spacings.items()):
+    space, h = _spacing(scn)
+    for name, step in (("dt", scn.dt), (space, h)):
         if step * step < sys.float_info.min:
             raise ValidationError(f"{name} = {step!r} is too small: its square underflows")
+        if step * step == math.inf:
+            raise ValidationError(f"{name} = {step!r} is too large: its square overflows")
     # a step scales the stencil by the diffusion number dt / h^2, up to the
-    # largest eigenvalue 4 dt / h^2 of the periodic second difference; above
-    # 1 / eps the theta step's matrix is singular in double precision
+    # largest eigenvalue 4 dt / h^2 of the second difference (reeb's
+    # coefficient sin^2 a is at most 1); above 1 / eps the theta step's
+    # matrix is singular in double precision
     bound = 1.0 / sys.float_info.epsilon
-    for name, step in spacings.items():
-        number = 4.0 * scn.dt / (step * step)
-        if not number <= bound:
-            raise ValidationError(f"diffusion number 4 dt / ({name})^2 = {number:.3g} exceeds "
-                                  f"1 / eps = {bound:.3g} (dt = {scn.dt!r}, {name} = {step!r})")
+    number = 4.0 * scn.dt / (h * h)
+    if not number <= bound:
+        raise ValidationError(f"diffusion number 4 dt / ({space})^2 = {number:.3g} exceeds "
+                              f"1 / eps = {bound:.3g} (dt = {scn.dt!r}, {space} = {h!r})")
     _validate_kind(scn)
     return scn
+
+
+def _spacing(scn: FlowScenario) -> tuple[str, float]:
+    """The name and size of the grid spacing that the run's stencils use:
+    the fiber's for twisted (``grid`` only sets the default ``fiber-grid``),
+    2 / grid on reeb's [-1, 1], and length / grid on every circle kind."""
+    if scn.kind == "twisted":
+        return "fiber-length / fiber-grid", scn.get("fiber-length") / scn.get("fiber-grid")
+    if scn.kind == "reeb":
+        return "2 / grid", 2.0 / scn.grid
+    return "length / grid", scn.length / scn.grid
 
 
 def _problem(entries: dict) -> str:

@@ -158,6 +158,21 @@ class TestEvolution:
         assert traj.times[-1] == pytest.approx(0.3)
         assert np.max(np.abs(traj.lam[-1])) <= np.max(np.abs(geom.lam0)) + 1e-9
 
+    @pytest.mark.parametrize("scheme, bound", [("crank-nicolson", 1.9), ("implicit-euler", 0.95)])
+    def test_time_order_by_self_convergence(self, scheme, bound):
+        # grid 256 held, dt halved from 4e-3 to 2.5e-4 up to T = 0.1:
+        # successive final-state differences of lambda and V shrink as dt^p;
+        # measured p = 2.000 and 0.986-0.998, so the degenerate centre does
+        # not lower the order
+        geom = reeb_setup(n_grid=256)
+        finals = [evolve_reeb_lambda(geom, 0.1, SolverConfig(dt=dt, scheme=scheme)).final
+                  for dt in (4e-3, 2e-3, 1e-3, 5e-4, 2.5e-4)]
+        for field in ("lam", "V"):
+            states = [getattr(state, field) for state in finals]
+            diffs = [np.max(np.abs(a - b)) for a, b in zip(states, states[1:])]
+            orders = [math.log2(a / b) for a, b in zip(diffs, diffs[1:])]
+            assert min(orders) >= bound, (field, orders)
+
     def test_unknown_method_rejected(self, geom):
         with pytest.raises(ValidationError):
             evolve_reeb_lambda(geom, 0.1, SolverConfig(dt=1e-3), method="spectral")

@@ -1,6 +1,12 @@
 import io
 import math
+import multiprocessing
+import os
 import pathlib
+import signal
+import subprocess
+import sys
+import time
 import warnings
 
 import numpy as np
@@ -8,9 +14,17 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import egf
 from egf.cli import main
-from egf.errors import ValidationError
-from egf.runner import _BLOCK_ROWS, RunResult, _write_table, run_scenario, write_artifacts
+from egf.errors import SolverError, ValidationError
+from egf.runner import (
+    _BLOCK_ROWS,
+    RunResult,
+    _write_table,
+    run_scenario,
+    sweep_values,
+    write_artifacts,
+)
 from egf.scenarios import (
     MAX_STEPS,
     ScenarioParseError,
@@ -155,6 +169,18 @@ class TestParser:
         parse_scenario("kind: tau-heat\ngrid: 8\nlength: 8\ndt: 1e15\nT: 1e15\n")
         with pytest.raises(ValidationError, match="exceeds 1 / eps"):
             parse_scenario("kind: tau-heat\ngrid: 8\nlength: 8\ndt: 1.2e15\nT: 1.2e15\n")
+
+    def test_diffusion_number_uses_the_kind_spacing(self):
+        # twisted steps its fiber only: grid sets the default fiber-grid and
+        # no circle of length / grid is built
+        twisted = "kind: twisted\ngrid: 1000000000\nfiber-grid: 64\ndt: 1\nT: 1\n"
+        assert parse_scenario(twisted).get("fiber-grid") == 64
+        with pytest.raises(ValidationError, match=r"\(fiber-length / fiber-grid\)\^2"):
+            parse_scenario("kind: twisted\ngrid: 8\nfiber-length: 5e-8\ndt: 1\nT: 1\n")
+        # reeb's interval [-1, 1]: h = 2 / 16, so 4 dt / h^2 = 256 dt
+        parse_scenario("kind: reeb\ngrid: 16\ndt: 1.7e13\nT: 1.7e13\n")
+        with pytest.raises(ValidationError, match=r"\(2 / grid\)\^2 = 2.56e\+16 exceeds"):
+            parse_scenario("kind: reeb\ngrid: 16\ndt: 1e14\nT: 1e14\n")
 
 
 # Scenario entries that parse, one per kind whose numeric keys are fuzzed below.
@@ -598,6 +624,138 @@ class TestSweepValidation:
             assert a == b
 
 
+def _sweep(tmp_path, name, values="0.5,1.0,1.5"):
+    """``egf sweep`` of HEAT over T; returns (exit code, out dir)."""
+    path = tmp_path / "scn.egf"
+    path.write_text(HEAT)
+    out = tmp_path / name
+    return main(["sweep", str(path), "--param", "T", "--values", values, "--out", str(out)]), out
+
+
+def _tree(root):
+    return {p.relative_to(root).as_posix(): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def _cpus(monkeypatch, count):
+    monkeypatch.setattr("os.sched_getaffinity", lambda pid: set(range(count)))
+
+
+class TestSweepWorkers:
+    """The points of a sweep run in forked worker processes, with the outputs
+    and the failures of a run of the points one after the other."""
+
+    def test_worker_processes_write_the_serial_bytes(self, tmp_path, monkeypatch):
+        pids = tmp_path / "pids"
+        real = run_scenario
+
+        def logged(scn):
+            with open(pids, "a", encoding="utf-8") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return real(scn)
+
+        monkeypatch.setattr("egf.runner.run_scenario", logged)
+        _cpus(monkeypatch, 3)
+        assert _sweep(tmp_path, "pool")[0] == 0
+        workers = pids.read_text().split()
+        assert len(workers) == 3 and str(os.getpid()) not in workers
+        assert multiprocessing.active_children() == []
+        _cpus(monkeypatch, 1)
+        assert _sweep(tmp_path, "serial")[0] == 0
+        assert pids.read_text().split()[3:] == [str(os.getpid())] * 3
+        pool, serial = _tree(tmp_path / "pool"), _tree(tmp_path / "serial")
+        assert len(pool) == 10 and pool == serial
+
+    @pytest.mark.parametrize("error, code, label", [
+        (SolverError("non-finite iterate at step 7"), 4, "solver failure"),
+        (ValidationError("no such field"), 3, "invalid scenario"),
+        (MemoryError("unable to allocate the grid"), 4, "out of memory"),
+    ], ids=["solver", "validation", "memory"])
+    def test_failing_point_exits_as_the_serial_sweep(self, tmp_path, monkeypatch, capsys,
+                                                     error, code, label):
+        real = run_scenario
+
+        def failing(scn):
+            if scn.T == 1.0:
+                raise error
+            return real(scn)
+
+        monkeypatch.setattr("egf.runner.run_scenario", failing)
+        outcomes = []
+        for cpus in (3, 1):
+            _cpus(monkeypatch, cpus)
+            outcomes.append((_sweep(tmp_path, f"cpus{cpus}")[0], capsys.readouterr().err))
+            assert multiprocessing.active_children() == []
+        assert outcomes[0] == outcomes[1] == (code, f"egf: {label}: {error}\n")
+
+    def test_first_failure_in_value_order_is_raised(self, tmp_path, monkeypatch):
+        # the second point fails at once, the first only after it
+        real = run_scenario
+
+        def failing(scn):
+            if scn.T == 0.5:
+                time.sleep(0.5)
+                raise SolverError("first point")
+            if scn.T == 1.0:
+                raise SolverError("second point")
+            return real(scn)
+
+        monkeypatch.setattr("egf.runner.run_scenario", failing)
+        _cpus(monkeypatch, 3)
+        with pytest.raises(SolverError, match="^first point$"):
+            sweep_values(parse_scenario(HEAT), "T", ["0.5", "1.0", "1.5"], str(tmp_path / "o"))
+        assert multiprocessing.active_children() == []
+
+    def test_failure_cancels_pending_points(self, tmp_path, monkeypatch):
+        started = tmp_path / "started"
+        real = run_scenario
+
+        def failing(scn):
+            with open(started, "a", encoding="utf-8") as fh:
+                fh.write(f"{scn.T}\n")
+            if scn.T == 0.5:
+                raise SolverError("first point")
+            time.sleep(0.2)
+            return real(scn)
+
+        monkeypatch.setattr("egf.runner.run_scenario", failing)
+        _cpus(monkeypatch, 2)
+        values = [f"{k / 2}" for k in range(1, 13)]
+        code, out = _sweep(tmp_path, "out", ",".join(values))
+        assert code == 4
+        assert multiprocessing.active_children() == []
+        assert len(started.read_text().split()) < len(values)
+        assert not (out / "sweep.csv").exists()
+
+    def test_dead_worker_exits_4(self, tmp_path, monkeypatch, capsys):
+        parent = os.getpid()
+        real = run_scenario
+
+        def killed(scn):
+            if scn.T == 1.0 and os.getpid() != parent:  # as by the OOM killer
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real(scn)
+
+        monkeypatch.setattr("egf.runner.run_scenario", killed)
+        _cpus(monkeypatch, 3)
+        assert _sweep(tmp_path, "out")[0] == 4
+        err = capsys.readouterr().err
+        assert err.startswith("egf: worker process lost: ") and err.count("\n") == 1
+        assert multiprocessing.active_children() == []
+
+
+def test_no_egf_entry_point_imports_multiprocessing():
+    # only a sweep of two or more points on two or more CPUs starts a pool
+    src = str(pathlib.Path(egf.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = ("import sys, egf.cli, egf.runner, egf.acceptance; "
+            "print([m for m in ('multiprocessing', 'concurrent.futures.process') "
+            "if m in sys.modules])")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "[]"
+
+
 class TestExitCodes:
     """Every failure maps to its documented exit code, never a traceback."""
 
@@ -673,6 +831,12 @@ class TestExitCodes:
         "kind: pde-reference\ngrid: 8\nlength: 1e-100\ndt: 1\nT: 1\n",
         "kind: pde-reference\ngrid: 8\nlength: 5e-8\ndt: 1\nT: 1\n",
         "kind: twisted\ngrid: 8\nfiber-length: 5e-8\ndt: 1\nT: 1\n",
+        "kind: reeb\ngrid: 16\ndt: 1e14\nT: 1e14\n",
+        # h^2 or dt^2 overflows: the propagator's float h**2 raises
+        # OverflowError, and the decay fit of squared step times gives nan
+        "kind: prescribed-F\ngrid: 64\ndt: 0.01\nT: 2\nlength: 1e300\n",
+        "kind: pde-reference\nproblem: circle-heat-decay\ngrid: 8\nlength: 1e150\n"
+        "dt: 1e160\nT: 1e160\n",
         # keys the run would not read
         "kind: twisted\ngrid: 16\ndt: 0.01\nT: 0.1\nlength: 3.0\n",
         "kind: reeb\ngrid: 64\ndt: 0.001\nT: 0.01\nlength: 3.0\n",
@@ -692,7 +856,8 @@ class TestExitCodes:
             "length-underflow", "fiber-length-underflow", "dt-underflow",
             "diffusion-number-overflow", "diffusion-number-overflow-heat",
             "fiber-diffusion-number-overflow", "diffusion-number-above-inverse-eps",
-            "singular-theta-step", "fiber-singular-theta-step", "twisted-length", "reeb-length",
+            "singular-theta-step", "fiber-singular-theta-step", "reeb-singular-theta-step",
+            "length-overflow", "dt-overflow", "twisted-length", "reeb-length",
             "heat-check-tolerance", "tau-heat-check-tolerance", "exact-init",
             "exact-init-amplitude", "twisted-n-offset", "umbilical-psi-amplitude",
             "reeb-method-frequency", "pde-reference-problem-width", "ftau-f-width"])
