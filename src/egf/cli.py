@@ -6,9 +6,9 @@
 
 Exit codes: 0 success, 1 check failure, 2 a scenario file that cannot be
 read, decoded or parsed, 3 validation error or an artifact that cannot be
-written, 4 solver failure, out of memory or a sweep worker process that
-died.  Codes 2-4 print one ``egf: <reason>: <detail>`` line on stderr; no
-input ends in a traceback.
+written, 4 solver failure, out of memory or a sweep or verify worker
+process that died.  Codes 2-4 print one ``egf: <reason>: <detail>`` line
+on stderr; no input ends in a traceback.
 """
 
 from __future__ import annotations

@@ -424,7 +424,8 @@ def gaussian_curvature(
     K(0) = 0 is a structural cancellation between the two halves of g22
     and benefits from the extra order).  Raises when the accumulated
     exponent is too rough for the grid (successive second differences of
-    U must stay bounded relative to its scale).
+    U must stay bounded relative to its scale) or the determinant is not
+    finite and positive.
     """
     h = geom.h
     U = state.U(geom)
@@ -432,6 +433,8 @@ def gaussian_curvature(
     scale = 1.0 + np.max(np.abs(U))
     if not np.all(np.isfinite(U)) or np.max(d2U) * h > 50.0 * scale:
         raise ValidationError("metric exponent is not smooth on this grid")
+    if not np.all(np.isfinite(metric.det) & (metric.det > 0.0)):
+        raise ValidationError("metric determinant is not finite and positive on this grid")
     sqrt_det = np.sqrt(metric.det)
     inner = _d_x4(metric.g22, h) / sqrt_det
     return -_d_x4(inner, h) / (2.0 * sqrt_det)

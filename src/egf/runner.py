@@ -40,7 +40,7 @@ from .parabolic import (
 from .scenarios import FlowScenario, build_field, parse_entries
 from .symfun import CurvatureSpectrum, f_recursion_constants, power_sums
 
-__all__ = ["Check", "RunResult", "run_scenario", "write_artifacts", "sweep_values"]
+__all__ = ["Check", "RunResult", "run_scenario", "write_artifacts", "sweep_values", "fork_map"]
 
 
 # Rows of trajectory.csv formatted per call (whole snapshots of about this
@@ -197,14 +197,17 @@ def _run_umbilical(scn: FlowScenario) -> RunResult:
         )
     slope = scn.get("psi-slope")
     lam0 = CircleField(scn.length, lam0_samples)
+    h = lam0.h
+    c0 = np.concatenate(
+        [[0.0], np.cumsum(0.5 * (lam0_samples[1:] + lam0_samples[:-1]) * h)]
+    )
+    if np.max(-c0) > np.log(np.finfo(float).max):
+        raise ValidationError("volume density overflows: the integral of the initial "
+                              f"curvature reaches {np.min(c0):.3e}")
     psi = lambda u: slope * np.asarray(u, dtype=float)
     psi_prime = lambda u: np.full_like(np.asarray(u, dtype=float), slope)
     traj = flows.evolve_umbilical(
         flows.UmbilicalState.initial(lam0), psi, psi_prime, scn.T, _config(scn), psi_slope=slope
-    )
-    h = lam0.h
-    c0 = np.concatenate(
-        [[0.0], np.cumsum(0.5 * (lam0_samples[1:] + lam0_samples[:-1]) * h)]
     )
     tracker = flows.VolumeTracker(1, scn.length, np.exp(-c0))
     vols = [tracker.vol]
@@ -384,9 +387,37 @@ def write_artifacts(result: RunResult, outdir: str) -> None:
         fh.write(f"overall: {'pass' if result.passed else 'fail'}\n")
 
 
-def _sweep_point(scn: FlowScenario, outdir: str) -> tuple[int, list]:
-    """Run one sweep point and write its artifacts into ``outdir``; returns
+def fork_map(fn, items: list) -> list:
+    """``[fn(item) for item in items]`` in forked worker processes, one per
+    CPU this process may use (``os.sched_getaffinity``) and at most one per
+    item, submitted in item order; with one worker, in this process.  ``fn``
+    must be module-level; items and results are pickled.  Fork copies only
+    the calling thread: a lock another thread holds stays held in the
+    workers.  The first failing item in item order raises its own exception
+    once the items not yet started are cancelled; a dead worker raises
+    ``BrokenProcessPool``.  No worker outlives the call."""
+    workers = min(len(items), len(os.sched_getaffinity(0)))
+    if workers == 1:
+        return [fn(item) for item in items]
+    # imported here: a run does not pay for them
+    import multiprocessing
+    from concurrent.futures.process import ProcessPoolExecutor
+
+    # fork, not spawn: a spawned worker would import numpy, scipy and egf
+    # again (about 0.8 s, more than a grid-1024 run takes).  The pool forks
+    # all its workers before it starts its own thread.
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    try:
+        futures = [pool.submit(fn, item) for item in items]
+        return [future.result() for future in futures]
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def _sweep_point(point: tuple) -> tuple[int, list]:
+    """Run one (scenario, output dir) point and write its artifacts; returns
     (exit code, the point's sweep.csv cells after the value)."""
+    scn, outdir = point
     res = run_scenario(scn)
     write_artifacts(res, outdir)
     m = res.metrics
@@ -400,18 +431,11 @@ def sweep_values(
     """Run the scenario once per parameter value; one artifact dir each.
 
     Each value replaces ``param`` in the parsed entries and is validated
-    before any run starts.  The points run in a pool of forked worker
-    processes, one per CPU this process may use (``os.sched_getaffinity``)
-    and at most one per value; with one worker they run in this process.
-    Fork copies only the calling thread, so a lock that another thread of
-    the caller holds stays held in the workers.  Each point writes its own
-    ``outdir/<param>=<value>``, and this process writes the comparative
-    table ``outdir/sweep.csv`` in value order, so every artifact has the
-    bytes of a run of the points one after the other.  A failing point
-    raises its own exception, the first in value order, after the points not
-    yet started are cancelled; a worker process that dies raises
-    ``BrokenProcessPool``.  No worker outlives the call.  Returns (the
-    largest exit code, the sweep.csv rows).
+    before any run starts.  The points run through :func:`fork_map`, each
+    into its own ``outdir/<param>=<value>``; this process writes the table
+    ``outdir/sweep.csv`` in value order, so every artifact has the bytes of a
+    run of the points one after the other.  Returns (the largest exit code,
+    the sweep.csv rows).
     """
     if not values:
         raise ValidationError("sweep needs a non-empty value list")
@@ -419,24 +443,7 @@ def sweep_values(
         raise ValidationError("sweep parameter 'kind' does not address a scalar field")
     points = [(parse_entries({**scn.entries, param: value}),
                os.path.join(outdir, f"{param}={value}")) for value in values]
-
-    workers = min(len(points), len(os.sched_getaffinity(0)))
-    if workers == 1:
-        results = [_sweep_point(*point) for point in points]
-    else:
-        # imported here: a run or egf verify does not pay for them
-        import multiprocessing
-        from concurrent.futures.process import ProcessPoolExecutor
-
-        # fork, not spawn: a spawned worker would import numpy, scipy and egf
-        # again (about 0.8 s, more than a grid-1024 point takes).  The pool
-        # forks all its workers before it starts its own thread.
-        pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
-        try:
-            futures = [pool.submit(_sweep_point, *point) for point in points]
-            results = [future.result() for future in futures]
-        finally:
-            pool.shutdown(cancel_futures=True)
+    results = fork_map(_sweep_point, points)
 
     rows = [[str(value), *row] for value, (_, row) in zip(values, results)]
     os.makedirs(outdir, exist_ok=True)

@@ -14,17 +14,26 @@ every other clause passes and that the sign-change clause reports the
 literal verdict on an even curvature field.
 """
 
+import multiprocessing
+import os
 import pathlib
+import re
+import signal
 
 import numpy as np
 import pytest
 
 from egf import acceptance, runner
+from egf.cli import main
+from egf.errors import SolverError
 from egf.parabolic import SolverConfig
 from egf.reeb import evolve_reeb_lambda, gaussian_curvature, reconstruct_metric, reeb_setup
 from egf.scenarios import load_scenario, parse_entries
 
 SCENARIO_DIR = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
+
+# The timings of a verify report, as the benchmark strips them.
+_TIMING = re.compile(r"\(\d+\.\d+s\)|runtime \d+\.\d+s")
 
 
 def _examine(result):
@@ -109,21 +118,102 @@ def test_criteria_run_the_bundled_scenario_files(name):
     assert load_scenario(SCENARIO_DIR / f"{name}.egf") == parse_entries(acceptance.BUNDLED[name])
 
 
-def test_criterion_9_takes_over_criterion_1_run(monkeypatch):
-    grids = []
+def _log_grids(monkeypatch, log):
+    """Append "pid grid" to ``log`` for every quasi-linear solve, from any process."""
     solve = runner.solve_quasilinear_divergence
 
-    def counted(u0, *args):
-        grids.append(u0.n)
+    def logged(u0, *args):
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()} {u0.n}\n")
         return solve(u0, *args)
 
-    monkeypatch.setattr(runner, "solve_quasilinear_divergence", counted)
-    monkeypatch.setattr(acceptance, "_criterion_1_metrics", [])
-    # each criterion 1 solves, and times, its own run; criterion 9 takes over
-    # the last one and solves only grid 1024
-    results = [acceptance.criterion_1(), acceptance.criterion_1(), acceptance.criterion_9()]
-    assert grids == [512, 512, 1024]
-    # criterion 9 ran first: criterion 1 still solves
-    results.append(acceptance.criterion_1())
-    assert grids == [512, 512, 1024, 512]
+    monkeypatch.setattr(runner, "solve_quasilinear_divergence", logged)
+
+
+def _solves(log):
+    return [tuple(int(v) for v in line.split()) for line in log.read_text().splitlines()]
+
+
+def test_criterion_9_takes_over_criterion_1_run(monkeypatch, tmp_path):
+    log = tmp_path / "grids"
+    _log_grids(monkeypatch, log)
+    # each criterion 1 solves, and times, its own run
+    results = [acceptance.criterion_1(), acceptance.criterion_1()]
+    assert [grid for _, grid in _solves(log)] == [512, 512]
+    # given criterion 1's metrics, criterion 9 solves only grid 1024
+    results.append(acceptance.criterion_9(results[1].metrics))
+    assert [grid for _, grid in _solves(log)] == [512, 512, 1024]
+    # alone, it solves both, to the same clause
+    results.append(acceptance.criterion_9())
+    assert [grid for _, grid in _solves(log)] == [512, 512, 1024, 1024, 512]
+    assert results[2].details == results[3].details
     assert all(r.passed for r in results)
+
+
+def _cpus(monkeypatch, count):
+    monkeypatch.setattr("os.sched_getaffinity", lambda pid: set(range(count)))
+
+
+def _replace_criterion(monkeypatch, number, fn):
+    monkeypatch.setattr(acceptance, "CRITERIA",
+                        [fn if k == number else c for k, c in enumerate(acceptance.CRITERIA, 1)])
+
+
+def _verify(capsys):
+    """``egf verify``: (exit code, report without timings, stderr)."""
+    code = main(["verify"])
+    out, err = capsys.readouterr()
+    assert multiprocessing.active_children() == []
+    return code, _TIMING.sub("", out), err
+
+
+class TestPooledVerify:
+    """The criteria run in forked worker processes, with the report and the
+    failures of a run of the criteria one after the other."""
+
+    def test_workers_print_the_serial_report(self, monkeypatch, capsys, tmp_path):
+        log = tmp_path / "grids"
+        _log_grids(monkeypatch, log)
+        _cpus(monkeypatch, 3)
+        pooled = _verify(capsys)
+        pool_solves = _solves(log)
+        log.unlink()
+        _cpus(monkeypatch, 1)
+        serial = _verify(capsys)
+        # one grid-512 and one grid-1024 solve per verify, in workers or here
+        assert sorted(grid for _, grid in pool_solves) == [512, 1024]
+        assert os.getpid() not in {pid for pid, _ in pool_solves}
+        assert _solves(log) == [(os.getpid(), 1024), (os.getpid(), 512)]
+        assert pooled == serial
+        code, report, err = pooled
+        assert code == 1 and err == ""
+        assert report.endswith("8/9 criteria passed\n")
+
+    def test_failing_criterion_exits_as_the_serial_verify(self, monkeypatch, capsys):
+        # a local function does not pickle: the workers find it by its index
+        def failing():
+            raise SolverError("non-finite iterate at step 7")
+
+        _replace_criterion(monkeypatch, 5, failing)
+        outcomes = []
+        for cpus in (3, 1):
+            _cpus(monkeypatch, cpus)
+            code, report, err = _verify(capsys)
+            outcomes.append((code, err))
+            assert report == ""
+        assert outcomes[0] == outcomes[1] == (4, "egf: solver failure: non-finite iterate at step 7\n")
+
+    def test_dead_worker_exits_4(self, monkeypatch, capsys):
+        parent = os.getpid()
+        criterion_3 = acceptance.CRITERIA[2]
+
+        def killed():
+            if os.getpid() != parent:  # as by the OOM killer
+                os.kill(os.getpid(), signal.SIGKILL)
+            return criterion_3()
+
+        _replace_criterion(monkeypatch, 3, killed)
+        _cpus(monkeypatch, 3)
+        code, report, err = _verify(capsys)
+        assert code == 4 and report == ""
+        assert err.startswith("egf: worker process lost: ") and err.count("\n") == 1

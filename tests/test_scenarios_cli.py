@@ -837,6 +837,10 @@ class TestExitCodes:
         "kind: prescribed-F\ngrid: 64\ndt: 0.01\nT: 2\nlength: 1e300\n",
         "kind: pde-reference\nproblem: circle-heat-decay\ngrid: 8\nlength: 1e150\n"
         "dt: 1e160\nT: 1e160\n",
+        # the Reeb metric's determinant is not positive: its square root would be nan
+        "kind: reeb\ngrid: 64\ndt: 100\nT: 100\n",
+        # the volume density e^(-integral of lambda_0) would overflow
+        "kind: umbilical\ngrid: 64\ndt: 0.01\nT: 0.1\ninit: cos\nlength: 1e100\n",
         # keys the run would not read
         "kind: twisted\ngrid: 16\ndt: 0.01\nT: 0.1\nlength: 3.0\n",
         "kind: reeb\ngrid: 64\ndt: 0.001\nT: 0.01\nlength: 3.0\n",
@@ -857,7 +861,8 @@ class TestExitCodes:
             "diffusion-number-overflow", "diffusion-number-overflow-heat",
             "fiber-diffusion-number-overflow", "diffusion-number-above-inverse-eps",
             "singular-theta-step", "fiber-singular-theta-step", "reeb-singular-theta-step",
-            "length-overflow", "dt-overflow", "twisted-length", "reeb-length",
+            "length-overflow", "dt-overflow", "reeb-determinant", "umbilical-volume-overflow",
+            "twisted-length", "reeb-length",
             "heat-check-tolerance", "tau-heat-check-tolerance", "exact-init",
             "exact-init-amplitude", "twisted-n-offset", "umbilical-psi-amplitude",
             "reeb-method-frequency", "pde-reference-problem-width", "ftau-f-width"])
