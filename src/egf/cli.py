@@ -17,6 +17,8 @@ import argparse
 import sys
 from concurrent.futures import BrokenExecutor
 
+import numpy as np
+
 from .errors import SolverError, ValidationError
 from .scenarios import ScenarioParseError, load_scenario
 
@@ -60,6 +62,7 @@ _EXIT_CODES = (
     (ValidationError, 3, "invalid scenario"),
     (OSError, 3, "cannot write artifacts"),
     (SolverError, 4, "solver failure"),
+    (FloatingPointError, 4, "floating-point error"),
     (MemoryError, 4, "out of memory"),
     (BrokenExecutor, 4, "worker process lost"),
 )
@@ -118,7 +121,10 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     command = {"run": _cmd_run, "sweep": _cmd_sweep, "verify": _cmd_verify}[args.command]
     try:
-        return command(args)
+        # one floating-point policy for every command: an overflow, an invalid
+        # operation or a division by zero ends it (exit 4); underflow is ignored
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return command(args)
     except tuple(row[0] for row in _EXIT_CODES) as exc:
         code, label = next((c, lab) for kind, c, lab in _EXIT_CODES if isinstance(exc, kind))
         print(f"egf: {label}: {exc}", file=sys.stderr)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg import solve_banded  # noqa: F401  (unused; perfbench's tracer binds it)
 from scipy.linalg.lapack import dgtsv
 
 from .errors import (
@@ -318,14 +318,15 @@ _BLOCK_STEPS = 64
 def _stepper(advance: Callable) -> Callable:
     """The producer of a one-step map: the states u_k = advance(u_{k-1}, k) of
     the given steps, cut short after the first non-finite one.  A solver error
-    of a step (a conductivity or faces hook, Picard) leaves with that step."""
+    of a step (a conductivity or faces hook, Picard) or a floating-point error
+    (under the CLI's ``np.errstate``) leaves with that step."""
 
     def produce(u: np.ndarray, steps: np.ndarray) -> np.ndarray:
         block = np.empty((steps.size, *u.shape))
         for row, step in enumerate(steps.tolist()):
             try:
                 u = block[row] = advance(u, step)
-            except SolverError as exc:
+            except (SolverError, FloatingPointError) as exc:
                 exc.step = step
                 raise
             if not np.all(np.isfinite(u)):
@@ -346,13 +347,13 @@ def _march(u0: np.ndarray, T: float, cfg: SolverConfig, produce: Callable,
     own step number alone; with no per-step consumer (no ``track``, no
     ``integrals``) such a producer is asked for the snapshot steps only.  Each
     block is checked finite (else :class:`UnstableConfigurationError` names
-    ``context``, the step and t; a solver error of the producer is re-raised
-    naming them too), then folded into the snapshot rows of
-    :func:`_snapshot_steps`, with ``track`` the per-step mean and sup |u -
-    mean(u0)|, and each running trapezoid ``(start, weight, rate)`` of
-    ``integrals``: c_0 = start, c_k = c_{k-1} - weight dt (r_{k-1} + r_k) with
-    r = rate(block), kept at the snapshot steps.  Returns (times, states,
-    (means, sup_deviation) or None, kept integrals).
+    ``context``, the step and t; a solver or floating-point error of a
+    :func:`_stepper` step is re-raised naming them too), then folded into the
+    snapshot rows of :func:`_snapshot_steps`, with ``track`` the per-step
+    mean and sup |u - mean(u0)|, and each running trapezoid ``(start, weight,
+    rate)`` of ``integrals``: c_0 = start, c_k = c_{k-1} - weight dt (r_{k-1}
+    + r_k) with r = rate(block), kept at the snapshot steps.  Returns (times,
+    states, (means, sup_deviation) or None, kept integrals).
     """
     nsteps = _nsteps(T, cfg.dt)
     keep = _snapshot_steps(nsteps, cfg.save_every)
@@ -374,7 +375,9 @@ def _march(u0: np.ndarray, T: float, cfg: SolverConfig, produce: Callable,
         steps = todo[first - 1:first + _BLOCK_STEPS]
         try:
             block = np.concatenate((u[None], produce(u, steps[1:])))
-        except SolverError as exc:
+        except (SolverError, FloatingPointError) as exc:
+            if not hasattr(exc, "step"):  # not from a step of a _stepper
+                raise
             raise type(exc)(f"{exc} during {context} at step {exc.step} "
                             f"(t = {exc.step * cfg.dt:.6g})") from None
         finite = np.isfinite(block.reshape(block.shape[0], -1)).all(axis=1)
@@ -631,7 +634,10 @@ def _interval_stepper(u0, h, diffusion, drift, cfg: SolverConfig, bc) -> tuple:
             # only interior rows count: the pins below overwrite both ends
             rhs = u + (1.0 - theta) * cfg.dt * (a * _second_difference(u, h) + b * _d_x(u, h))
         rhs[0], rhs[-1] = bc
-        u = solve_banded((1, 1), ab, rhs, check_finite=False)
+        # LAPACK dgtsv, the routine solve_banded((1, 1), ...) calls; ab is kept
+        u, info = dgtsv(ab[2, :-1], ab[1], ab[0, 1:], rhs, overwrite_b=1)[3:]
+        if info:
+            raise np.linalg.LinAlgError(f"singular interval system (dgtsv info {info})")
         u[0], u[-1] = bc  # exact pinning (solve leaves round-off residue)
         return u
 

@@ -18,7 +18,6 @@ are fixed, so identical scenario files give byte-identical artifacts.
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 from dataclasses import dataclass
@@ -41,11 +40,6 @@ from .scenarios import FlowScenario, build_field, parse_entries
 from .symfun import CurvatureSpectrum, f_recursion_constants, power_sums
 
 __all__ = ["Check", "RunResult", "run_scenario", "write_artifacts", "sweep_values", "fork_map"]
-
-
-# Rows of trajectory.csv formatted per call (whole snapshots of about this
-# many rows): bounds the text held in memory.
-_BLOCK_ROWS = 4096
 
 
 @dataclass
@@ -355,30 +349,15 @@ def _write_table(fh, header: list, rows) -> None:
         fh.write(line % tuple(row) + "\n")
 
 
-def _trajectory_blocks(result: RunResult):
-    """The trajectory.csv rows (t, node coordinates, fields) over the snapshots,
-    then the nodes in axis order, as text: blocks of whole snapshots of about
-    _BLOCK_ROWS rows, each formatted in one call.  Each node's coordinates are
-    formatted once per run and each snapshot time once per snapshot; only the
-    field values are formatted per row."""
-    nodes = itertools.product(*(["%.17g" % v for v in a.tolist()] for a in result.axes.values()))
-    # joined by a snapshot's time, the pieces are that snapshot's format string
-    row = "," + ",".join(["%.17g"] * len(result.fields)) + "\n"
-    pieces = ["", *("," + ",".join(node) + row for node in nodes)]
-    times = ["%.17g" % t for t in result.times.tolist()]
-    per_block = max(1, _BLOCK_ROWS // (len(pieces) - 1))
-    for start in range(0, len(times), per_block):
-        part = slice(start, start + per_block)
-        values = np.stack([f[part].reshape(len(times[part]), -1)
-                           for f in result.fields.values()], axis=-1)
-        yield "".join([t.join(pieces) for t in times[part]]) % tuple(values.ravel().tolist())
-
-
 def write_artifacts(result: RunResult, outdir: str) -> None:
     os.makedirs(outdir, exist_ok=True)
-    with open(os.path.join(outdir, "trajectory.csv"), "w", encoding="utf-8") as fh:
-        fh.write(",".join(result.trajectory_header) + "\n")
-        fh.writelines(_trajectory_blocks(result))
+    # imported here: a process that writes no trajectory (the parent of a
+    # sweep or of verify) neither compiles nor loads it
+    from .csvtext import trajectory_blocks
+
+    with open(os.path.join(outdir, "trajectory.csv"), "wb") as fh:
+        fh.write((",".join(result.trajectory_header) + "\n").encode())
+        fh.writelines(trajectory_blocks(result.times, result.axes, result.fields))
     with open(os.path.join(outdir, "summary.csv"), "w", encoding="utf-8") as fh:
         _write_table(fh, result.summary_header, result.summary_rows)
     with open(os.path.join(outdir, "verdict.txt"), "w", encoding="utf-8") as fh:

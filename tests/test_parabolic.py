@@ -230,6 +230,17 @@ class TestSteppingCore:
             traj.times, traj.states, traj.step_times, traj.means, traj.sup_deviation))
         assert peak <= 1.25 * retained
 
+    def test_floating_point_error_names_the_step_and_t(self):
+        # under the CLI's np.errstate a step's overflow leaves as
+        # FloatingPointError, named like a solver error
+        def advance(u, step):
+            return u * (1e300 if step == 3 else 1.0)
+
+        with np.errstate(over="raise"), pytest.raises(
+                FloatingPointError, match=r"^overflow .* during probe at step 3 \(t = 0\.03\)$"):
+            parabolic._march(np.full(4, 1e10), 0.1, SolverConfig(dt=0.01),
+                             parabolic._stepper(advance), "probe")
+
 
 
 def _cyclic_reference(sub, diag, sup, corner_tr, corner_bl, rhs):
@@ -595,6 +606,30 @@ class TestInterval:
             u = u + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
             u[0] = u[-1] = 0.0
         assert np.max(np.abs(states[-1] - u)) < 1e-6
+
+
+class TestIntervalStep:
+    ARGS = (np.sin(math.pi * np.linspace(0.0, 1.0, 65)), 1 / 64, 1.0 + np.linspace(0.0, 1.0, 65),
+            0.5 * np.linspace(0.0, 1.0, 65), 0.05)
+
+    @staticmethod
+    def _banded(dl, d, du, b, overwrite_b=0):
+        ab = np.zeros((3, d.size))
+        ab[0, 1:], ab[1], ab[2, :-1] = du, d, dl
+        return None, None, None, solve_banded((1, 1), ab, b, check_finite=False), 0
+
+    @pytest.mark.parametrize("scheme", ["crank-nicolson", "implicit-euler"])
+    def test_dgtsv_step_equals_solve_banded_bitwise(self, monkeypatch, scheme):
+        # the step calls LAPACK dgtsv, the routine solve_banded((1, 1)) reaches
+        cfg = SolverConfig(dt=1e-3, scheme=scheme, save_every=1)
+        direct = solve_linear_interval(*self.ARGS, cfg)[1]
+        monkeypatch.setattr(parabolic, "dgtsv", self._banded)
+        assert solve_linear_interval(*self.ARGS, cfg)[1].tobytes() == direct.tobytes()
+
+    def test_singular_system_raises(self, monkeypatch):
+        monkeypatch.setattr(parabolic, "dgtsv", lambda *a, **k: (None, None, None, a[3], 2))
+        with pytest.raises(np.linalg.LinAlgError, match="dgtsv info 2"):
+            solve_linear_interval(*self.ARGS, SolverConfig(dt=1e-3))
 
 
 class TestHeatKernel:

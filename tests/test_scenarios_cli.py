@@ -1,4 +1,5 @@
 import io
+import itertools
 import math
 import multiprocessing
 import os
@@ -17,8 +18,8 @@ from hypothesis import strategies as st
 import egf
 from egf.cli import main
 from egf.errors import SolverError, ValidationError
+from egf.csvtext import _BLOCK_ROWS, WIDTH, format_17g
 from egf.runner import (
-    _BLOCK_ROWS,
     RunResult,
     _write_table,
     run_scenario,
@@ -250,6 +251,25 @@ def _assert_same_lines(text: str, expected: str) -> None:
     assert len(lines) == len(want)
 
 
+def _percent_trajectory(result: RunResult) -> str:
+    """trajectory.csv by the writer that format_17g replaced: the rows of a
+    block of whole snapshots as one format string, filled by ``%`` with
+    "%.17g" per value."""
+    nodes = itertools.product(*(["%.17g" % v for v in a.tolist()] for a in result.axes.values()))
+    row = "," + ",".join(["%.17g"] * len(result.fields)) + "\n"
+    pieces = ["", *("," + ",".join(node) + row for node in nodes)]
+    times = ["%.17g" % t for t in result.times.tolist()]
+    per_block = max(1, _BLOCK_ROWS // (len(pieces) - 1))
+    parts = [",".join(result.trajectory_header) + "\n"]
+    for start in range(0, len(times), per_block):
+        part = slice(start, start + per_block)
+        values = np.stack([f[part].reshape(len(times[part]), -1)
+                           for f in result.fields.values()], axis=-1)
+        parts.append("".join([t.join(pieces) for t in times[part]])
+                     % tuple(values.ravel().tolist()))
+    return "".join(parts)
+
+
 def _table_text(header, rows) -> str:
     fh = io.StringIO()
     _write_table(fh, header, rows)
@@ -332,6 +352,100 @@ class TestWriter:
         rows = [["128", np.float64(-0.0), "", math.nan, "pass"], ["x", 0.5, 2e-5, 1.0, "fail"]]
         text = _table_text(["grid", "a", "b", "c", "verdict"], rows)
         assert text == "grid,a,b,c,verdict\n128,-0,,nan,pass\nx,0.5,2.0000000000000002e-05,1,fail\n"
+
+
+def _kernel_lines(values) -> str:
+    """format_17g's texts of ``values``, one per line."""
+    text = format_17g(np.asarray(values, dtype=float))
+    lines = np.concatenate((text, np.full((len(text), 1), ord("\n"), dtype=np.uint8)), axis=1)
+    return lines[lines != 0].tobytes().decode()
+
+
+def _assert_formats_as_percent(values) -> None:
+    values = np.asarray(values, dtype=float)
+    # the kernel runs under the CLI's floating-point policy, underflow included
+    with np.errstate(all="raise"):
+        text = _kernel_lines(values)
+    expected = ("%.17g\n" * values.size) % tuple(values.tolist())
+    if text != expected:
+        _assert_same_lines(text, expected)
+
+
+def _ulps(values, count: int) -> np.ndarray:
+    """``values`` and their neighbours up to ``count`` ulps away, both signs."""
+    out, up, down = [values], values, values
+    for _ in range(count):
+        up, down = np.nextafter(up, np.inf), np.nextafter(down, -np.inf)
+        out += [up, down]
+    out = np.concatenate(out)
+    return np.concatenate((out, -out))
+
+
+class TestFormat17g:
+    """format_17g against "%.17g" itself, value by value."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats() | st.sampled_from(_EDGE_FLOATS)
+                    | st.floats(1e-11, 2e14) | st.floats(-2e14, -1e-11), min_size=1, max_size=40))
+    def test_drawn_floats(self, values):
+        _assert_formats_as_percent(values)
+
+    def test_random_bit_patterns(self):
+        # 10^6 words, all but the last 20,000 with a binary exponent drawn from
+        # the fast range and one binade past each end; those have every bit
+        # random, so most fall outside it
+        rng = np.random.default_rng(13)
+        bits = rng.integers(0, 2**64, 10**6, dtype=np.uint64)
+        biased = [math.frexp(v)[1] + 1022 for v in (1e-10, 1e14)]
+        exponent = rng.integers(biased[0] - 1, biased[1] + 2, 980_000, dtype=np.uint64)
+        bits[:980_000] = (bits[:980_000] & ~np.uint64(0x7FF << 52)) | (exponent << 52)
+        for chunk in np.split(bits.view(np.float64), 10):  # blocks, as the writer passes
+            _assert_formats_as_percent(chunk)
+
+    def test_half_way_ties_round_to_even(self):
+        # 1 + j 2^-17 (odd j) has 18 significant digits, the last a 5: every
+        # odd j at scale 1, then 512 of them at each power of two of the range
+        j = np.arange(1, 2**17, 2)
+        ties = 1.0 + j * 2.0**-17
+        scaled = [np.ldexp(ties[::128], s) for s in range(-34, 48)]
+        # exact ties c 2^(k-17) (odd c) at each exponent k that has them:
+        # c 5^(16-k) = 2N + 1 with 10^16 <= N < 10^17
+        rng = np.random.default_rng(17)
+        exact = []
+        for k in range(-8, 14):
+            low, high = -(-2 * 10**16 // 5 ** (16 - k)), 2 * 10**17 // 5 ** (16 - k)
+            c = np.unique(rng.integers(low, high, 300) | 1)
+            exact.append(np.ldexp(c.astype(float), k - 17))
+        exact = np.concatenate(exact)
+        assert np.all(np.ldexp(exact, 0) == exact)  # c < 2^53: exact doubles
+        _assert_formats_as_percent(np.concatenate([ties, *scaled, _ulps(exact, 1)]))
+
+    def test_powers_of_ten_and_range_edges(self):
+        # log10 rounds across 10^k near every power of ten; 1e-10 and 1e14 end
+        # the fast range
+        powers = np.array([float(f"1e{k}") for k in range(-323, 309)])
+        _assert_formats_as_percent(_ulps(powers, 2))
+        _assert_formats_as_percent(_ulps(np.array([1e-10, 1e14]), 4))
+
+    def test_zeros_subnormals_and_non_finite(self):
+        rng = np.random.default_rng(19)
+        subnormals = rng.integers(1, 2**52, 1000, dtype=np.uint64).view(np.float64)
+        _assert_formats_as_percent([0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan,
+                                    5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308,
+                                    1.7976931348623157e308, *subnormals, *-subnormals])
+
+    def test_texts_fill_their_row_then_nul(self):
+        text = format_17g(np.array([-2.2250738585072014e-308, 1.0, -0.000123456789]))
+        assert text.shape == (3, WIDTH) and text.dtype == np.uint8
+        assert [bytes(row) for row in text] == [
+            b"-2.2250738585072014e-308", b"1" + b"\0" * 23,
+            b"-0.000123456789".ljust(WIDTH, b"\0")]
+
+    @pytest.mark.parametrize("path", sorted(SCENARIO_DIR.glob("*.egf")), ids=lambda p: p.stem)
+    def test_bundled_trajectory_equals_the_percent_writer(self, tmp_path, path):
+        res = run_scenario(load_scenario(str(path)))
+        write_artifacts(res, tmp_path)
+        _assert_same_lines((tmp_path / "trajectory.csv").read_text(), _percent_trajectory(res))
 
 
 # Each kind's optional keys written with their defaults: (the head of a file
@@ -800,6 +914,24 @@ class TestExitCodes:
             assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("text", [
+        # the propagator's FFT of an amplitude at the largest double overflows
+        "kind: prescribed-F\ngrid: 64\ndt: 0.01\nT: 2\ninit-amplitude: 1.7976931348623157e308\n",
+        # the power sums of the spectrum overflow
+        "kind: ftau\ngrid: 64\ndt: 0.01\nT: 0.1\nf: scaled-tau2\nspectrum: 1e300,-5,-1e300\n",
+    ], ids=["prescribed-amplitude-overflow", "ftau-power-sum-overflow"])
+    def test_floating_point_error_exits_4(self, tmp_path, capsys, text):
+        # one floating-point policy at the CLI boundary: the first overflow,
+        # invalid operation or division by zero ends the command
+        path = tmp_path / "scn.egf"
+        path.write_text(text)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 4
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        err = capsys.readouterr().err
+        assert err.startswith("egf: floating-point error: overflow") and err.count("\n") == 1
 
     def test_small_reeb_grid_writes_no_warning(self, tmp_path, capsys):
         # on grids 16-38 the slope fit's window |x| <= 0.05 held x = 0 alone
