@@ -74,6 +74,7 @@ def _layout(negative: bool, k: int, kept: int) -> str:
 
 
 def _class(negative, k, kept):
+    """The row of _columns() of a sign, decimal exponent and digit count."""
     return (negative * (_K_MAX - _K_MIN + 1) + k - _K_MIN) * 17 + kept - 1
 
 
@@ -92,8 +93,9 @@ def _columns() -> np.ndarray:
 
 
 def _floor_scaled(m, e, k):
-    """(floor, round up) of m 2^e 10^(16-k), rounded half to even: the
-    128-bit product m 5^p from 32-bit halves, shifted right by s = -e - p."""
+    """The floor of m 2^e 10^(16-k), and whether rounding half to even
+    takes it up: the 128-bit product m 5^p from 32-bit halves, shifted right
+    by s = -e - p."""
     p = 16 - k
     s = (-e - p).astype(np.uint64)
     b = _POW5[p]
@@ -156,7 +158,8 @@ def format_17g(values: np.ndarray) -> np.ndarray:
     # a word's significant digits: its highest non-zero byte is below 16, so
     # the float's binary exponent gives that byte's index
     significant = (np.frexp(words.astype(np.float64))[1] + 7) // 8
-    kept = np.maximum(np.where(words[:, 1] != 0, 9 + significant[:, 1], 0), 1 + significant[:, 0])
+    kept = np.maximum(np.where(words[:, 1] != 0, 9 + significant[:, 1], 0),
+                      1 + significant[:, 0])
     source = np.empty((x.size, 4), dtype="<u8")  # bytes in digit order
     source[:, :2] = words + 0x3030303030303030
     source[:, 2] = _TAIL_WORDS[0] + digit0
