@@ -29,6 +29,7 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
+import numpy.random  # noqa: F401  (criteria 3 and 4's, loaded here rather than in each worker)
 
 from . import cli as _cli
 from .chartgeom import ChartMetric, weingarten_from_chart

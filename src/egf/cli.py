@@ -118,6 +118,13 @@ def _cmd_verify(args) -> int:
 
 
 def main(argv=None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # a value list may begin with "-" (--values -1,1); joined to its option,
+    # argparse does not take it for an option of its own
+    for i in range(len(argv) - 1):
+        if argv[i] == "--values":
+            argv[i:i + 2] = [f"--values={argv[i + 1]}"]
+            break
     args = _build_parser().parse_args(argv)
     command = {"run": _cmd_run, "sweep": _cmd_sweep, "verify": _cmd_verify}[args.command]
     try:

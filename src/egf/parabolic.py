@@ -16,13 +16,16 @@ k(u) = 1/(1+u^2).
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg import solve_banded  # noqa: F401  (unused; perfbench's tracer binds it)
-from scipy.linalg.lapack import dgtsv
+import numpy.fft  # noqa: F401  (the propagator's, loaded here rather than inside a run)
 
 from .errors import (
     ConductivityRangeError,
@@ -51,6 +54,45 @@ __all__ = [
 ]
 
 _SCHEMES = {"implicit-euler": 1.0, "crank-nicolson": 0.5}
+
+
+def _lapack_dgtsv() -> Callable:
+    """LAPACK dgtsv from scipy's compiled module ``scipy.linalg._flapack``,
+    loaded under that name without running ``scipy/linalg/__init__.py``
+    (whose imports, numpy.f2py and numpy.testing among them, serve no solver
+    here and cost about 0.4 s and 18 MiB on a 2-core x86-64 host).  It is
+    the module that
+    ``scipy.linalg.lapack`` takes dgtsv from, so either import order gives
+    the same function object."""
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name].dgtsv
+    spec = importlib.util.find_spec("scipy")  # finds the package, does not import it
+    if spec is None or not spec.submodule_search_locations:
+        raise ImportError("egf needs scipy, for LAPACK dgtsv", name="scipy")
+    base = os.path.join(spec.submodule_search_locations[0], "linalg", "_flapack")
+    path = next((base + suffix for suffix in importlib.machinery.EXTENSION_SUFFIXES
+                 if os.path.isfile(base + suffix)), None)
+    if path is None:
+        raise ImportError(f"scipy has no compiled LAPACK module {base}.*", name=name)
+    loader = importlib.machinery.ExtensionFileLoader(name, path)
+    module = importlib.util.module_from_spec(importlib.util.spec_from_loader(name, loader))
+    loader.exec_module(module)
+    sys.modules[name] = module
+    return module.dgtsv
+
+
+dgtsv = _lapack_dgtsv()
+
+
+def __getattr__(name: str):
+    # perfbench's tracer binds parabolic.solve_banded, which no solver calls:
+    # scipy.linalg is imported only when something asks for it
+    if name == "solve_banded":
+        from scipy.linalg import solve_banded
+
+        return solve_banded
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass
@@ -337,6 +379,14 @@ def _stepper(advance: Callable) -> Callable:
     return produce
 
 
+def _step_error(kind: type, message: str, context: str, step: int, dt: float) -> Exception:
+    """``kind`` naming the solver ``context``, the step and t; its ``step``
+    attribute tells a caller that a time step raised it."""
+    exc = kind(f"{message} during {context} at step {step} (t = {step * dt:.6g})")
+    exc.step = step
+    return exc
+
+
 def _march(u0: np.ndarray, T: float, cfg: SolverConfig, produce: Callable,
            context: str, track: bool = False, integrals: Sequence = ()):
     """The time loop of every stepping solver: a fold over blocks of states.
@@ -378,14 +428,12 @@ def _march(u0: np.ndarray, T: float, cfg: SolverConfig, produce: Callable,
         except (SolverError, FloatingPointError) as exc:
             if not hasattr(exc, "step"):  # not from a step of a _stepper
                 raise
-            raise type(exc)(f"{exc} during {context} at step {exc.step} "
-                            f"(t = {exc.step * cfg.dt:.6g})") from None
+            raise _step_error(type(exc), str(exc), context, exc.step, cfg.dt) from None
         finite = np.isfinite(block.reshape(block.shape[0], -1)).all(axis=1)
         if not finite.all():
             step = int(steps[np.argmin(finite)])
-            raise UnstableConfigurationError(
-                f"non-finite iterate during {context} at step {step} (t = {step * cfg.dt:.6g})"
-            )
+            raise _step_error(UnstableConfigurationError, "non-finite iterate", context, step,
+                              cfg.dt)
         if track:
             means[steps] = block.mean(axis=1)
             sup_dev[steps] = np.max(np.abs(block - mean0), axis=1)

@@ -19,13 +19,15 @@ are fixed, so identical scenario files give byte-identical artifacts.
 from __future__ import annotations
 
 import math
+import multiprocessing  # fork_map's pool, loaded here rather than inside a command
 import os
+from concurrent.futures.process import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import flows, reeb
-from .errors import ValidationError
+from .errors import SolverError, ValidationError
 from .parabolic import (
     CircleField,
     SolverConfig,
@@ -97,7 +99,15 @@ def _fit_alpha(times, sups) -> float:
 
 
 def run_scenario(scn: FlowScenario) -> RunResult:
-    return _RUNNERS[scn.kind](scn)
+    """Run the scenario.  A solver or floating-point error leaves with the
+    scenario kind added to its message, and ``outside a step`` when no time
+    step of the run raised it (a step's error names the solver, the step and
+    t already)."""
+    try:
+        return _RUNNERS[scn.kind](scn)
+    except (SolverError, FloatingPointError) as exc:
+        where = "" if hasattr(exc, "step") else ", outside a step"
+        raise type(exc)(f"{exc} (kind {scn.kind}{where})") from None
 
 
 def _result(scn, checks, times, axes, fields, columns, alpha, metrics) -> RunResult:
@@ -378,13 +388,9 @@ def fork_map(fn, items: list) -> list:
     workers = min(len(items), len(os.sched_getaffinity(0)))
     if workers == 1:
         return [fn(item) for item in items]
-    # imported here: a run does not pay for them
-    import multiprocessing
-    from concurrent.futures.process import ProcessPoolExecutor
-
-    # fork, not spawn: a spawned worker would import numpy, scipy and egf
-    # again (about 0.8 s, more than a grid-1024 run takes).  The pool forks
-    # all its workers before it starts its own thread.
+    # fork, not spawn: a spawned worker would start an interpreter and
+    # import numpy and egf again (about 0.4 s, as long as a grid-1024 run
+    # takes).  The pool forks all its workers before it starts its own thread.
     pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
     try:
         futures = [pool.submit(fn, item) for item in items]

@@ -215,9 +215,9 @@ def parse_scenario(text: str) -> FlowScenario:
     :class:`ValidationError` for semantic violations (unknown kind or
     key, a key the run would not read, missing requirement, a value its
     reader does not admit, a horizon T that is not a whole number of dt
-    steps or more than :data:`MAX_STEPS` of them, a dt or grid spacing whose
-    square underflows or overflows, a diffusion number 4 dt / h^2 above
-    1 / eps on the kind's own grid spacing).
+    steps or more than :data:`MAX_STEPS` of them, a dt, grid spacing or field
+    width whose square underflows or overflows, a diffusion number
+    4 dt / h^2 above 1 / eps on the kind's own grid spacing).
     """
     return parse_entries(_parse_lines(text))
 
@@ -252,9 +252,11 @@ def parse_entries(entries: dict) -> FlowScenario:
         raise ValidationError(f"T = {scn.T!r} is not a whole number of dt = {scn.dt!r} steps")
     if round(steps) > MAX_STEPS:
         raise ValidationError(f"T / dt = {steps:.6g} steps exceeds the bound of {MAX_STEPS:,}")
-    # the stencils divide by h^2 and the decay fit squares the step times
+    # the stencils divide by h^2, the decay fit squares the step times and a
+    # gaussian bump divides by its width squared
     space, h = _spacing(scn)
-    for name, step in (("dt", scn.dt), (space, h)):
+    widths = [(key, value) for key, value in scn.extra.items() if key.endswith("-width")]
+    for name, step in (("dt", scn.dt), (space, h), *widths):
         if step * step < sys.float_info.min:
             raise ValidationError(f"{name} = {step!r} is too small: its square underflows")
         if step * step == math.inf:

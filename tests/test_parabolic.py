@@ -1,4 +1,10 @@
+import importlib.machinery
+import importlib.util
 import math
+import os
+import pathlib
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -630,6 +636,59 @@ class TestIntervalStep:
         monkeypatch.setattr(parabolic, "dgtsv", lambda *a, **k: (None, None, None, a[3], 2))
         with pytest.raises(np.linalg.LinAlgError, match="dgtsv info 2"):
             solve_linear_interval(*self.ARGS, SolverConfig(dt=1e-3))
+
+
+def _python(code: str) -> list:
+    """The words a fresh interpreter prints for ``code``, egf on its path."""
+    src = str(pathlib.Path(parabolic.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    return out.stdout.split()
+
+
+class TestLapackBinding:
+    """dgtsv comes from scipy's compiled LAPACK module, without the package
+    init of scipy.linalg."""
+
+    def test_entry_points_leave_scipy_linalg_out(self):
+        code = ("import sys, egf, egf.cli, egf.runner, egf.acceptance; "
+                "print(*(m in sys.modules for m in ('scipy.linalg', 'numpy.f2py', "
+                "'numpy.testing')))")
+        assert _python(code) == ["False"] * 3
+
+    def test_entry_points_import_what_a_command_uses(self):
+        # loaded with the modules, not inside a command or a forked worker
+        code = ("import sys, egf.cli, egf.runner, egf.acceptance; "
+                "print(*(m in sys.modules for m in ('numpy.fft', 'numpy.random', "
+                "'multiprocessing', 'concurrent.futures.process')))")
+        assert _python(code) == ["True"] * 4
+
+    @pytest.mark.parametrize("first, second", [("egf.parabolic", "scipy.linalg.lapack"),
+                                               ("scipy.linalg.lapack", "egf.parabolic")])
+    def test_dgtsv_is_scipys_in_either_import_order(self, first, second):
+        code = (f"import sys, {first}, {second}; "
+                "print(sys.modules['egf.parabolic'].dgtsv is scipy.linalg.lapack.dgtsv)")
+        assert _python(code) == ["True"]
+
+    def test_solve_banded_is_imported_on_first_access(self):
+        assert parabolic.solve_banded is solve_banded
+        with pytest.raises(AttributeError, match="has no attribute 'solve_tridiagonal'"):
+            parabolic.solve_tridiagonal
+
+    def test_missing_scipy_raises_import_error(self, monkeypatch):
+        monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
+        monkeypatch.setattr(importlib.util, "find_spec", lambda name: None)
+        with pytest.raises(ImportError, match="egf needs scipy"):
+            parabolic._lapack_dgtsv()
+
+    def test_missing_lapack_module_raises_import_error(self, monkeypatch, tmp_path):
+        spec = importlib.machinery.ModuleSpec("scipy", None, is_package=True)
+        spec.submodule_search_locations.append(str(tmp_path))
+        monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
+        monkeypatch.setattr(importlib.util, "find_spec", lambda name: spec)
+        with pytest.raises(ImportError, match="scipy has no compiled LAPACK module .*_flapack"):
+            parabolic._lapack_dgtsv()
 
 
 class TestHeatKernel:

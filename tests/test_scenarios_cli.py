@@ -1,3 +1,4 @@
+import contextlib
 import io
 import itertools
 import math
@@ -5,17 +6,16 @@ import multiprocessing
 import os
 import pathlib
 import signal
-import subprocess
-import sys
+import tempfile
 import time
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-import egf
 from egf.cli import main
 from egf.errors import SolverError, ValidationError
 from egf.csvtext import _BLOCK_ROWS, WIDTH, format_17g
@@ -27,8 +27,11 @@ from egf.runner import (
     write_artifacts,
 )
 from egf.scenarios import (
+    FIELD_FORMS,
+    KINDS,
     MAX_STEPS,
     ScenarioParseError,
+    _ignored_keys,
     allowed_keys,
     load_scenario,
     parse_entries,
@@ -714,6 +717,14 @@ class TestSweepValidation:
                      "--out", str(out)]) == 3
         assert not out.exists()
 
+    def test_value_list_may_begin_with_a_minus(self, tmp_path):
+        path = tmp_path / "scn.egf"
+        path.write_text(HEAT)
+        out = tmp_path / "out"
+        assert main(["sweep", str(path), "--param", "init-amplitude", "--values", "-1,2",
+                     "--out", str(out)]) == 0
+        assert (out / "init-amplitude=-1" / "verdict.txt").exists()
+
     def test_unknown_param_rejected(self, tmp_path):
         path = tmp_path / "scn.egf"
         path.write_text(HEAT)
@@ -858,18 +869,6 @@ class TestSweepWorkers:
         assert multiprocessing.active_children() == []
 
 
-def test_no_egf_entry_point_imports_multiprocessing():
-    # only a sweep of two or more points on two or more CPUs starts a pool
-    src = str(pathlib.Path(egf.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    code = ("import sys, egf.cli, egf.runner, egf.acceptance; "
-            "print([m for m in ('multiprocessing', 'concurrent.futures.process') "
-            "if m in sys.modules])")
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True, timeout=120)
-    assert out.stdout.strip() == "[]"
-
-
 class TestExitCodes:
     """Every failure maps to its documented exit code, never a traceback."""
 
@@ -932,6 +931,18 @@ class TestExitCodes:
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         err = capsys.readouterr().err
         assert err.startswith("egf: floating-point error: overflow") and err.count("\n") == 1
+        kind = text.split("\n", 1)[0].removeprefix("kind: ")
+        assert err.endswith(f" (kind {kind}, outside a step)\n")
+
+    def test_error_in_a_step_names_kind_step_and_t(self, tmp_path, capsys):
+        path = tmp_path / "scn.egf"
+        path.write_text("kind: ftau\ngrid: 64\ndt: 0.01\nT: 1\nf: scaled-tau2\n"
+                        "spectrum: 1e100,1\ninit-amplitude: 1e100\n")
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("egf: solver failure: parabolicity coefficient reached min a = ")
+        assert err.endswith(" during conformal flow at step 1 (t = 0.01) (kind ftau)\n")
+        assert err.count("\n") == 1
 
     def test_small_reeb_grid_writes_no_warning(self, tmp_path, capsys):
         # on grids 16-38 the slope fit's window |x| <= 0.05 held x = 0 alone
@@ -973,6 +984,10 @@ class TestExitCodes:
         "kind: reeb\ngrid: 64\ndt: 100\nT: 100\n",
         # the volume density e^(-integral of lambda_0) would overflow
         "kind: umbilical\ngrid: 64\ndt: 0.01\nT: 0.1\ninit: cos\nlength: 1e100\n",
+        # a gaussian bump divides by its width squared
+        "kind: tau-heat\ngrid: 64\ndt: 0.01\nT: 0.1\ninit: gaussian-bump\n"
+        "init-width: 1.3407807929942597e+154\n",
+        "kind: prescribed-F\ngrid: 64\ndt: 0.01\nT: 0.1\ntarget-width: 1e-200\n",
         # keys the run would not read
         "kind: twisted\ngrid: 16\ndt: 0.01\nT: 0.1\nlength: 3.0\n",
         "kind: reeb\ngrid: 64\ndt: 0.001\nT: 0.01\nlength: 3.0\n",
@@ -994,6 +1009,7 @@ class TestExitCodes:
             "fiber-diffusion-number-overflow", "diffusion-number-above-inverse-eps",
             "singular-theta-step", "fiber-singular-theta-step", "reeb-singular-theta-step",
             "length-overflow", "dt-overflow", "reeb-determinant", "umbilical-volume-overflow",
+            "width-square-overflow", "width-square-underflow",
             "twisted-length", "reeb-length",
             "heat-check-tolerance", "tau-heat-check-tolerance", "exact-init",
             "exact-init-amplitude", "twisted-n-offset", "umbilical-psi-amplitude",
@@ -1010,3 +1026,125 @@ class TestExitCodes:
         assert err.startswith("egf: invalid scenario: ") and err.count("\n") == 1
         assert "Traceback" not in err
         assert not out.exists()
+
+
+# Tokens of real keys: both signs of magnitudes from the least subnormal to the
+# largest double, most of them moderate, and now and then text that is no
+# finite number.  One draw in ten of each key is a token its reader rejects.
+_EXTREME = (st.sampled_from([5e-324, 2.2250738585072014e-308, 1e-300, 1e-150, 1e-8, 1e8, 1e150,
+                             1e300, 1.7976931348623157e308])
+            | st.floats(5e-324, 1.7976931348623157e308))
+_MODERATE = st.sampled_from([0.0, 1e-3, 0.01, 0.1, 0.5, 1.0, 2.0, 3.0, 10.0])
+_MAGNITUDE = st.one_of(_MODERATE, _MODERATE, _MODERATE, _EXTREME)
+_REAL = st.builds(lambda m, sign: repr(sign * m), _MAGNITUDE, st.sampled_from([1.0, 1.0, -1.0]))
+_NOT_A_NUMBER = st.sampled_from(["nan", "-inf", "1e999", "abc", "0x10"])
+_NAMES = {"scheme": ["implicit-euler", "crank-nicolson"],
+          "init": list(FIELD_FORMS), "target": list(FIELD_FORMS),
+          "f": ["scaled-tau1", "scaled-tau2"], "profile": ["one-plus-x-squared", "constant"],
+          "problem": ["exact-quasilinear", "circle-heat-decay"], "psi": ["linear"],
+          "method": ["x-space", "arclength-kernel"]}
+# at most this many time steps (the test's step cap) and nodes per axis keep
+# a drawn run short
+_MAX_DRAWN_STEPS = 20
+_MAX_DRAWN_GRID = 128
+
+
+_NINE_IN_TEN = st.integers(0, 9).map(lambda i: i != 5)
+
+
+def _mostly(valid, invalid):
+    """``valid`` nine draws in ten, ``invalid`` the tenth."""
+    return _NINE_IN_TEN.flatmap(lambda ok: valid if ok else invalid)
+
+
+def _count(low: int, high: int):
+    """Tokens of an integer key: in [low, high], or one its reader rejects."""
+    return _mostly(st.integers(low, high).map(str),
+                   st.sampled_from([str(low - 1), "-8", "12.5", "1e400"]))
+
+
+def _token(key: str, dt: float):
+    """Tokens for ``key``; T is a whole number of steps of ``dt`` or not."""
+    if key == "T":
+        steps = st.integers(0, _MAX_DRAWN_STEPS)
+        return _mostly(steps.map(lambda k: repr(k * dt)),
+                       steps.map(lambda k: repr((k + 0.5) * dt)) | _REAL | _NOT_A_NUMBER)
+    if key == "grid":
+        return _count(8, _MAX_DRAWN_GRID)
+    if key in ("base-grid", "fiber-grid"):
+        return _count(1, _MAX_DRAWN_GRID)
+    if key == "n":
+        return _count(1, 5)
+    if key == "save-every":
+        return _count(0, 2 * _MAX_DRAWN_STEPS)
+    if key in _NAMES:
+        return _mostly(st.sampled_from(_NAMES[key]), st.just("other"))
+    if key == "spectrum":
+        return _mostly(st.lists(_REAL, min_size=1, max_size=4).map(",".join), _NOT_A_NUMBER)
+    return _mostly(_REAL, _NOT_A_NUMBER)
+
+
+@st.composite
+def _command(draw):
+    """A whole scenario text and the ``run`` or ``sweep`` arguments after
+    the file name."""
+    kind = draw(_mostly(st.sampled_from(KINDS), st.just("other")))
+    keys = sorted(allowed_keys(kind if kind in KINDS else "reeb") - {"kind"})
+    dt = float(draw(_mostly(_MODERATE.filter(bool).map(repr), _REAL).filter(
+        lambda t: float(t) > 0)))
+    # the required keys, and grid: its default, 256, is above the drawn sizes
+    entries = {"kind": kind, "grid": draw(_token("grid", dt)), "dt": repr(dt),
+               "T": draw(_token("T", dt))}
+    if kind == "ftau":
+        entries["spectrum"] = draw(_token("spectrum", dt))
+    optional = [key for key in keys if key not in entries]
+    for key in draw(st.lists(st.sampled_from(optional), max_size=6, unique=True)):
+        entries[key] = draw(_token(key, dt))
+    if draw(_NINE_IN_TEN) and kind in KINDS:
+        for key in _ignored_keys(kind, entries):  # keys the run would not read
+            del entries[key]
+    if not draw(_NINE_IN_TEN):
+        del entries[draw(st.sampled_from(["dt", "T"]))]  # a required key left out
+    if not draw(_NINE_IN_TEN):
+        entries["other-key"] = "1"
+    text = "".join(f"{key}: {value}\n" for key, value in entries.items())
+    if draw(st.integers(0, 2)):
+        return text, ["run"]
+    param = draw(st.sampled_from([*keys, "kind"]))
+    if param == "dt":
+        # a horizon over dt steps of at most the cap, or any dt
+        try:
+            horizon = float(entries.get("T", "1"))
+        except ValueError:  # T is no number: the file will not parse
+            horizon = 1.0
+        values = _mostly(st.integers(1, _MAX_DRAWN_STEPS).map(lambda k: repr(horizon / k)), _REAL)
+    else:
+        values = _token(param, dt) if param != "kind" else st.sampled_from(KINDS)
+    return text, ["sweep", "--param", param,
+                  "--values", ",".join(draw(st.lists(values, min_size=1, max_size=3)))]
+
+
+class TestWholeFileContract:
+    """Every scenario text ends in exit 0-4 with at most one stderr line, no
+    traceback and no warning.  Sweep points run in this process (one CPU),
+    where their warnings and stderr are seen; a file of more than
+    _MAX_DRAWN_STEPS steps is rejected as one of more than MAX_STEPS."""
+
+    @settings(max_examples=250, deadline=None, derandomize=True)
+    @given(_command())
+    def test_drawn_scenario_keeps_the_exit_code_contract(self, command):
+        text, args = command
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "scn.egf")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            out, err = io.StringIO(), io.StringIO()
+            with warnings.catch_warnings(record=True) as caught, \
+                    mock.patch("os.sched_getaffinity", lambda pid: {0}), \
+                    mock.patch("egf.scenarios.MAX_STEPS", _MAX_DRAWN_STEPS), \
+                    contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                warnings.simplefilter("always")
+                code = main([args[0], path, *args[1:], "--out", os.path.join(tmp, "out")])
+        assert code in (0, 1, 2, 3, 4)
+        assert err.getvalue().count("\n") <= 1 and "Traceback" not in err.getvalue()
+        assert [str(w.message) for w in caught] == []
