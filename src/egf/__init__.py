@@ -8,9 +8,9 @@ Subpackages by concern:
 - :mod:`egf.companion` -- the generalized companion matrix B_{n,1},
   weighted matrices of the short-time-existence hypothesis, and the
   n-truncation of power-sum PDE systems.
-- :mod:`egf.parabolic` -- 1-D parabolic solvers on a circle / interval /
-  line, closed-form references (heat kernel, theta function, exact
-  quasi-linear family), decay-rate fitting.
+- :mod:`egf.parabolic` -- 1-D parabolic solvers on a circle / interval,
+  the exact quasi-linear reference family, decay-rate fitting and a
+  parabolicity test.
 - :mod:`egf.flows` -- the flow scenarios: umbilical surface flows,
   diagonal tau-heat flow, twisted products, f(tau)-conformal flows,
   prescribed mean curvature, volume bookkeeping.

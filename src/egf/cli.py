@@ -4,11 +4,11 @@
     egf sweep <scenario-file> --param NAME --values V1,V2,... [--out DIR]
     egf verify [--out DIR]
 
-Exit codes: 0 success, 1 check failure, 2 a scenario file that cannot be
-read, decoded or parsed, 3 validation error or an artifact that cannot be
-written, 4 solver failure, out of memory or a sweep or verify worker
-process that died.  Codes 2-4 print one ``egf: <reason>: <detail>`` line
-on stderr; no input ends in a traceback.
+Exit codes: 0 success, 1 check failure, 2 a usage error or a scenario file
+that cannot be read, decoded or parsed, 3 validation error or an artifact
+that cannot be written, 4 solver failure, out of memory or a sweep or verify
+worker process that died.  Codes 2-4 print one ``egf: <reason>: <detail>``
+line on stderr; no input ends in a traceback.
 """
 
 from __future__ import annotations
@@ -25,8 +25,16 @@ from .scenarios import ScenarioParseError, load_scenario
 __all__ = ["main"]
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors raise, for the exit-code table,
+    instead of printing the usage and exiting; its subparsers are of this class."""
+
+    def error(self, message):
+        raise argparse.ArgumentError(None, message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="egf",
         description="Extrinsic geometric flow scenario runner",
     )
@@ -57,6 +65,7 @@ class _ReadError(Exception):
 
 # (exception, exit code, stderr label); the first row that matches wins.
 _EXIT_CODES = (
+    (argparse.ArgumentError, 2, "usage"),
     (_ReadError, 2, "cannot read scenario"),
     (ScenarioParseError, 2, "parse error"),
     (ValidationError, 3, "invalid scenario"),
@@ -125,9 +134,9 @@ def main(argv=None) -> int:
         if argv[i] == "--values":
             argv[i:i + 2] = [f"--values={argv[i + 1]}"]
             break
-    args = _build_parser().parse_args(argv)
-    command = {"run": _cmd_run, "sweep": _cmd_sweep, "verify": _cmd_verify}[args.command]
     try:
+        args = _build_parser().parse_args(argv)
+        command = {"run": _cmd_run, "sweep": _cmd_sweep, "verify": _cmd_verify}[args.command]
         # one floating-point policy for every command: an overflow, an invalid
         # operation or a division by zero ends it (exit 4); underflow is ignored
         with np.errstate(over="raise", invalid="raise", divide="raise"):

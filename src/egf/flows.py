@@ -35,11 +35,10 @@ from .parabolic import (
     _picard_stepper,
     _propagator,
     _quasilinear_faces,
-    fit_exponential_decay,
     solve_cyclic_tridiag,  # noqa: F401  (perfbench's tracer test wraps this binding)
     solve_heat_circle,
 )
-from .symfun import StructConstants, eval_F, eval_Psi
+from .symfun import StructConstants, eval_F
 
 __all__ = [
     "UmbilicalState",
@@ -57,10 +56,8 @@ __all__ = [
     "twisted_product_flow",
     "prescribed_mean_curvature_flow",
     "ftau_conformal_flow",
-    "sigma_conformal_flow",
     "track_volume",
     "conformal_ode_system",
-    "converge_criterion",
     "umbilical_metric_samples",
 ]
 
@@ -196,14 +193,6 @@ class UmbilicalTrajectory:
     lam: np.ndarray   # (S, N)
     conf: np.ndarray  # (S, N)
     length: float
-    flags: dict
-
-    def state_at(self, idx: int) -> UmbilicalState:
-        return UmbilicalState(
-            CircleField(self.length, self.lam[idx].copy()),
-            CircleField(self.length, self.conf[idx].copy()),
-            float(self.times[idx]),
-        )
 
 
 @dataclass
@@ -248,8 +237,8 @@ def evolve_umbilical(
     """Umbilical flow dlam/dt = (1/2) d_s(psi'(lam) d_s lam).
 
     psi' must be positive on the (10% widened) range of lam; a negative
-    value is a sign violation and rejected, a vanishing minimum only
-    flags the run as degenerate.  The log conformal factor accumulates
+    value is a sign violation and rejected, a vanishing minimum (a
+    degenerate problem) is run.  The log conformal factor accumulates
     -d_s psi(lam) by trapezoid in time, so ghat_t = ghat_0 exp(conf); psi is
     applied to blocks of states, shape (steps, N), so it must act elementwise.
 
@@ -265,9 +254,8 @@ def evolve_umbilical(
     pmin, pmax = float(np.min(probe)), float(np.max(probe))
     if pmin < 0.0:
         raise ValidationError(f"psi' changes sign on the data range (min {pmin:.3g})")
-    degenerate = pmin == 0.0
     if psi_slope is None:
-        k = Conductivity.of_u(lambda u: 0.5 * psi_prime(u), c1=0.5 * pmin, c2=0.5 * pmax)
+        k = Conductivity(lambda u: 0.5 * psi_prime(u), c1=0.5 * pmin, c2=0.5 * pmax)
         produce = _picard_stepper(lam0, _quasilinear_faces(lam0, k), cfg)
     else:
         produce = _propagator(lam0.samples, 0.5 * psi_slope, lam0.h, cfg)
@@ -279,7 +267,6 @@ def evolve_umbilical(
         lam=lam,
         conf=conf,
         length=lam0.length,
-        flags={"degenerate": degenerate},
     )
 
 
@@ -375,46 +362,11 @@ def ftau_conformal_flow(
         a(tau_1) = (1/2) sum_{k=1..n} k df/dtau_k(tau) F_{k-1}(tau_1),
 
     with the full tau vector reconstructed through tau_k = F_k(tau_1).
-    Parabolicity requires a > 0; the coefficient is monitored at every
-    step and the run halts with :class:`EllipticityLossError` the moment
-    the minimum drops to zero or below.
-    """
-    return _conformal_flow(tau1, f, consts, T, cfg, eval_F, range(1, consts.n + 1))
-
-
-def sigma_conformal_flow(
-    sigma1: CircleField,
-    f: TauFunction,
-    consts: StructConstants,
-    T: float,
-    cfg: SolverConfig,
-) -> TauFieldTrajectory:
-    """Psi-variant of :func:`ftau_conformal_flow` for sigma variables.
-
-        dsigma_1/dt = d_s(a d_s sigma_1),
-        a = (1/2) sum_k (n-k+1) df/dsigma_k(sigma) Psi_{k-1}(sigma_1),
-
-    with sigma_k = Psi_k(sigma_1).
-    """
-    return _conformal_flow(sigma1, f, consts, T, cfg, eval_Psi, range(consts.n, 0, -1))
-
-
-def _conformal_flow(
-    u0: CircleField,
-    f: TauFunction,
-    consts: StructConstants,
-    T: float,
-    cfg: SolverConfig,
-    basis: Callable,
-    weights: Sequence[int],
-) -> TauFieldTrajectory:
-    """du_1/dt = d_s(a d_s u_1) with a = (1/2) sum_k w_k df/du_k(u) B_{k-1}(u_1)
-    and u_k = B_k(u_1), for the basis B (F or Psi) and weights w_1..w_n.
-
-    With ``f.slope`` declared, a = (1/2) w_1 slope B_0 is constant and the
-    closed-form propagator steps the flow; otherwise the Picard monitor hook
-    raises :class:`EllipticityLossError` once a <= 0.  Either way the
-    trajectory reports the least a used.
+    Parabolicity requires a > 0.  With ``f.slope`` declared, a = (1/2) slope
+    F_0 is constant and the closed-form propagator steps the flow; otherwise
+    the Picard monitor hook checks a at every step and the run halts with
+    :class:`EllipticityLossError` the moment its minimum drops to zero or
+    below.  Either way the trajectory reports the least a used.
     """
     n = consts.n
     if f.n != n:
@@ -429,26 +381,24 @@ def _conformal_flow(
 
     def faces(v: np.ndarray) -> np.ndarray:
         u = _face_mean(v)
-        g = np.asarray(
-            f.grad(np.stack([np.asarray(basis(k, u, consts)) for k in range(1, n + 1)])),
-            dtype=float,
-        )
+        F = [np.asarray(eval_F(k, u, consts)) for k in range(n + 1)]
+        g = np.asarray(f.grad(np.stack(F[1:])), dtype=float)
         acc = np.zeros_like(u)
-        for k, w in enumerate(weights, start=1):
-            acc += w * g[k - 1] * np.asarray(basis(k - 1, u, consts))
+        for k in range(1, n + 1):
+            acc += k * g[k - 1] * F[k - 1]
         a = 0.5 * acc
         observe(float(np.min(a)))
         return a
 
     if f.slope is None:
-        produce = _picard_stepper(u0, faces, cfg)
+        produce = _picard_stepper(tau1, faces, cfg)
     else:
-        a = 0.5 * (weights[0] * f.slope * basis(0, 0.0, consts))
+        a = 0.5 * (f.slope * eval_F(0, 0.0, consts))
         observe(a)
-        produce = _propagator(u0.samples, a, u0.h, cfg)
-    times, states, _, _ = _march(u0.samples, T, cfg, produce, "conformal flow")
-    taus = np.stack([basis(k, states, consts) for k in range(1, n + 1)])
-    return TauFieldTrajectory(times=times, taus=taus, length=u0.length, a_min=a_min)
+        produce = _propagator(tau1.samples, a, tau1.h, cfg)
+    times, states, _, _ = _march(tau1.samples, T, cfg, produce, "conformal flow")
+    taus = np.stack([eval_F(k, states, consts) for k in range(1, n + 1)])
+    return TauFieldTrajectory(times=times, taus=taus, length=tau1.length, a_min=a_min)
 
 
 def track_volume(tracker: VolumeTracker, s_field: CircleField, dt: float) -> VolumeTracker:
@@ -528,32 +478,6 @@ def conformal_ode_system(
     tau = chain(tau0, [n, *range(2, n + 1)])
     sig = chain(sigma0, range(n, 0, -1))
     return np.arange(nsteps + 1) * dt, tau.T, sig.T
-
-
-def converge_criterion(
-    series: Sequence[tuple[float, float]], tail_tol: float = 1e-2
-) -> bool:
-    """Decide whether the sampled speeds v(t) have finite time integral.
-
-    The trapezoid integral of the samples is always finite; convergence
-    hinges on the tail.  The tail half is fitted to K exp(-alpha t); the
-    extrapolated remainder v_last / alpha must fall below
-    tail_tol * (1 + integral-so-far).  Speeds that decay slower than
-    exponentially fit a small alpha and fail the bound.
-    """
-    pts = [(float(t), float(v)) for t, v in series]
-    if len(pts) < 5:
-        raise ValidationError("need at least 5 samples")
-    ts = np.array([t for t, _ in pts])
-    vs = np.array([v for _, v in pts])
-    integral = float(np.trapezoid(vs, ts))
-    if np.max(vs[len(pts) // 2 :]) == 0.0:
-        return True
-    _, alpha = fit_exponential_decay(pts)
-    if not alpha > 0.0:
-        return False
-    tail = vs[-1] / alpha
-    return tail <= tail_tol * (1.0 + integral)
 
 
 def umbilical_metric_samples(

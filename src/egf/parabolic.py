@@ -1,4 +1,4 @@
-"""1-D parabolic solvers and closed-form reference solutions.
+"""1-D parabolic solvers and the exact quasi-linear reference family.
 
 Spatial domains are a uniform periodic grid on a circle (nodes
 x_i = i * length / N, no duplicated endpoint) or a pinned interval.
@@ -7,11 +7,8 @@ unconditionally stable and monotone) or Crank-Nicolson (theta = 1/2,
 second order).  Quasi-linear problems are handled by lagged-coefficient
 Picard iteration per step.
 
-Closed-form references: the line heat kernel G(t,x,y) =
-(4 pi t)^(-1/2) exp(-(x-y)^2 / (4t)), the periodized kernel written as
-the theta series 1 + 2 sum_n exp(-4 pi^2 n^2 t) cos(2 pi n x), and the
-exact quasi-linear family u = sin x / sqrt(cos^2 x + e^(2t)) for
-k(u) = 1/(1+u^2).
+The closed-form reference is the exact quasi-linear family
+u = sin x / sqrt(cos^2 x + e^(2t)) for k(u) = 1/(1+u^2).
 """
 
 from __future__ import annotations
@@ -21,7 +18,7 @@ import importlib.util
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -41,12 +38,8 @@ __all__ = [
     "SolverConfig",
     "CircleTrajectory",
     "solve_heat_circle",
-    "solve_variable_heat_circle",
     "solve_quasilinear_divergence",
     "solve_linear_interval",
-    "heat_kernel",
-    "convolve_line",
-    "theta_solution",
     "fit_exponential_decay",
     "parabolicity_check",
     "exact_quasilinear_solution",
@@ -135,55 +128,21 @@ class CircleField:
 
 @dataclass
 class Conductivity:
-    """Thermal diffusivity with declared bounds c1 <= k <= c2.
+    """Thermal diffusivity k(u), a function of the state, with declared
+    bounds c1 <= k <= c2.
 
-    ``kind`` is one of ``constant``, ``tabulated-in-x``,
-    ``function-of-u``, ``function-of-t-and-x``.  Evaluations during a
-    run are monitored against [c1, c2]; leaving the band raises
-    :class:`ConductivityRangeError`.  c1 = 0 is accepted (degenerate
-    problems are run, not rejected) and flags the run as degenerate.
+    Evaluations during a run are monitored against [c1, c2]; leaving the
+    band raises :class:`ConductivityRangeError`.  c1 = 0 is accepted
+    (degenerate problems are run, not rejected).
     """
 
-    kind: str
+    func: Callable
     c1: float
     c2: float
-    value: float | None = None
-    table: np.ndarray | None = None
-    func: Callable | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in (
-            "constant",
-            "tabulated-in-x",
-            "function-of-u",
-            "function-of-t-and-x",
-        ):
-            raise ValidationError(f"unknown conductivity kind {self.kind!r}")
         if not (0.0 <= self.c1 <= self.c2) or not np.isfinite(self.c2):
             raise ValidationError("need 0 <= c1 <= c2 < inf")
-
-    @classmethod
-    def constant(cls, c: float) -> "Conductivity":
-        return cls("constant", c1=c, c2=c, value=float(c))
-
-    @classmethod
-    def from_table(cls, values, c1: float | None = None, c2: float | None = None):
-        vals = np.asarray(values, dtype=float)
-        lo = float(vals.min()) if c1 is None else c1
-        hi = float(vals.max()) if c2 is None else c2
-        return cls("tabulated-in-x", c1=lo, c2=hi, table=vals)
-
-    @classmethod
-    def of_u(cls, func: Callable, c1: float, c2: float) -> "Conductivity":
-        return cls("function-of-u", c1=c1, c2=c2, func=func)
-
-    @classmethod
-    def of_tx(cls, func: Callable, c1: float, c2: float) -> "Conductivity":
-        return cls("function-of-t-and-x", c1=c1, c2=c2, func=func)
-
-    @property
-    def degenerate(self) -> bool:
-        return self.c1 == 0.0
 
     def check_range(self, values: np.ndarray) -> None:
         vals = np.asarray(values)
@@ -233,7 +192,6 @@ class CircleTrajectory:
     step_times: np.ndarray  # every accepted step, shape (K+1,)
     means: np.ndarray       # discrete mean per step
     sup_deviation: np.ndarray  # sup |u - mean(u0)| per step
-    flags: dict = field(default_factory=dict)
 
     @property
     def final(self) -> CircleField:
@@ -302,12 +260,6 @@ def _divergence_theta_solve(kface, rhs, dt_theta, h):
     diag = 1.0 + c * (kface + _wrap(kface)[:-2])
     off = -c * kface
     return solve_cyclic_tridiag(off[:-1], diag, off[:-1], off[-1], off[-1], rhs)
-
-
-def _nondivergence_theta_solve(a, rhs, dt_theta, h):
-    """Solve (I - dt_theta * a d_xx) u = rhs on the circle."""
-    ca = dt_theta * a / h**2
-    return solve_cyclic_tridiag(-ca[1:], 1.0 + 2.0 * ca, -ca[:-1], -ca[-1], -ca[0], rhs)
 
 
 def _second_difference(u: np.ndarray, h: float) -> np.ndarray:
@@ -448,7 +400,7 @@ def _march(u0: np.ndarray, T: float, cfg: SolverConfig, produce: Callable,
 
 
 def _circle_march(u0: CircleField, T: float, cfg: SolverConfig, produce: Callable,
-                  context: str, flags: dict | None = None) -> CircleTrajectory:
+                  context: str) -> CircleTrajectory:
     """:func:`_march` on a circle field, with the per-step diagnostics."""
     times, states, (means, sup_dev), _ = _march(u0.samples, T, cfg, produce, context, True)
     return CircleTrajectory(
@@ -458,7 +410,6 @@ def _circle_march(u0: CircleField, T: float, cfg: SolverConfig, produce: Callabl
         step_times=np.arange(means.size) * cfg.dt,
         means=means,
         sup_deviation=sup_dev,
-        flags=flags or {},
     )
 
 
@@ -546,48 +497,6 @@ def _propagator(u0: np.ndarray, c: float, h: float, cfg: SolverConfig) -> Callab
     return produce
 
 
-def _eval_tx_conductivity(k: Conductivity, t: float, x: np.ndarray) -> np.ndarray:
-    if k.kind == "constant":
-        vals = np.full_like(x, k.value)
-    elif k.kind == "tabulated-in-x":
-        if k.table.size != x.size:
-            raise ValidationError("tabulated conductivity length mismatch")
-        vals = k.table
-    elif k.kind == "function-of-t-and-x":
-        vals = np.asarray(k.func(t, x), dtype=float)
-    else:
-        raise ValidationError(f"conductivity kind {k.kind!r} is not (t,x)-evaluable")
-    k.check_range(vals)
-    return vals
-
-
-def solve_variable_heat_circle(
-    u0: CircleField, k: Conductivity, T: float, cfg: SolverConfig
-) -> CircleTrajectory:
-    """dv/dt = k(t,x) d_xx v on the circle (non-divergence comparison form).
-
-    Implicit Euler is monotone here: the discrete sup-norm cannot grow.
-    Accepts constant, tabulated-in-x and function-of-t-and-x kinds;
-    k >= 0 with isolated zeros is run and flagged degenerate.
-    """
-    h, x, theta = u0.h, u0.nodes(), cfg.theta
-
-    def advance(u: np.ndarray, step: int) -> np.ndarray:
-        t_new = step * cfg.dt
-        a_new = _eval_tx_conductivity(k, t_new, x)
-        if theta == 1.0:
-            rhs = u
-        else:
-            a_old = _eval_tx_conductivity(k, t_new - cfg.dt, x)
-            rhs = u + (1.0 - theta) * cfg.dt * a_old * _second_difference(u, h)
-        return _nondivergence_theta_solve(a_new, rhs, theta * cfg.dt, h)
-
-    return _circle_march(
-        u0, T, cfg, _stepper(advance), "solve_variable_heat_circle",
-        {"degenerate": k.degenerate},
-    )
-
-
 def solve_quasilinear_divergence(
     u0: CircleField, k: Conductivity, T: float, cfg: SolverConfig
 ) -> CircleTrajectory:
@@ -604,15 +513,11 @@ def solve_quasilinear_divergence(
     :class:`ConductivityRangeError`.
     """
     produce = _picard_stepper(u0, _quasilinear_faces(u0, k), cfg)
-    return _circle_march(
-        u0, T, cfg, produce, "solve_quasilinear_divergence", {"degenerate": k.degenerate}
-    )
+    return _circle_march(u0, T, cfg, produce, "solve_quasilinear_divergence")
 
 
 def _quasilinear_faces(u0: CircleField, k: Conductivity) -> Callable:
     """The checked face conductivities of :func:`solve_quasilinear_divergence`."""
-    if k.kind != "function-of-u":
-        raise ValidationError("quasilinear solver needs a function-of-u conductivity")
     lo, hi = float(u0.samples.min()), float(u0.samples.max())
     pad = 0.05 * (hi - lo) + 1e-9 * (1.0 + max(abs(lo), abs(hi)))
     low, high = lo - pad, hi + pad
@@ -693,62 +598,7 @@ def _interval_stepper(u0, h, diffusion, drift, cfg: SolverConfig, bc) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# closed-form references
-
-
-def heat_kernel(t: float, x, y):
-    """G(t, x, y) = (4 pi t)^(-1/2) exp(-(x-y)^2 / (4t)) for t > 0."""
-    if t <= 0.0:
-        raise ValidationError("heat kernel needs t > 0")
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    out = np.exp(-((x - y) ** 2) / (4.0 * t)) / math.sqrt(4.0 * math.pi * t)
-    return out if out.ndim else float(out)
-
-
-def convolve_line(
-    y_grid: np.ndarray,
-    u0_samples: np.ndarray,
-    t: float,
-    x_eval: np.ndarray | None = None,
-) -> np.ndarray:
-    """u(t, x) = integral G(t, x, y) u0(y) dy by trapezoid quadrature.
-
-    ``u0_samples`` tabulates decaying data on ``y_grid`` (assumed ~0
-    outside).  The quadrature error is O(dy^2); the neglected tail is
-    bounded by sup|u0| * erfc(L / sqrt(4t)) with L the distance from the
-    evaluation point to the table edge.
-    """
-    if t <= 0.0:
-        raise ValidationError("convolution needs t > 0")
-    y = np.asarray(y_grid, dtype=float)
-    u0 = np.asarray(u0_samples, dtype=float)
-    xe = y if x_eval is None else np.asarray(x_eval, dtype=float)
-    G = heat_kernel(t, xe[:, None], y[None, :])
-    return np.trapezoid(G * u0[None, :], y, axis=1)
-
-
-def theta_solution(x: float, t: float) -> float:
-    """Periodized heat kernel on the unit circle as a theta series.
-
-        theta(x, t) = 1 + 2 sum_{n>=1} exp(-4 pi^2 n^2 t) cos(2 pi n x)
-
-    solves du/dt = d_xx u with period 1 in x; the series is truncated
-    once a term magnitude drops below 1e-15.
-    """
-    if t <= 0.0:
-        raise ValidationError("theta solution needs t > 0")
-    acc = 1.0
-    n = 1
-    while True:
-        amp = 2.0 * math.exp(-4.0 * math.pi**2 * n**2 * t)
-        if amp < 1e-15:
-            break
-        acc += amp * math.cos(2.0 * math.pi * n * x)
-        n += 1
-        if n > 100000:  # unreachable for t > 0, guards the loop
-            break
-    return acc
+# decay fit, parabolicity and the exact quasi-linear family
 
 
 def fit_exponential_decay(series: Sequence[tuple[float, float]]) -> tuple[float, float]:
@@ -805,4 +655,4 @@ def exact_quasilinear_conductivity() -> Conductivity:
     the 10%-padded precondition of the quasilinear solver holds with
     margin for data that attains |u| = 1.
     """
-    return Conductivity.of_u(lambda u: 1.0 / (1.0 + u * u), c1=1.0 / 2.3, c2=1.0)
+    return Conductivity(lambda u: 1.0 / (1.0 + u * u), c1=1.0 / 2.3, c2=1.0)

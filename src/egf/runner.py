@@ -315,8 +315,7 @@ def _run_ftau(scn: FlowScenario) -> RunResult:
 
 def _run_reeb(scn: FlowScenario) -> RunResult:
     geom = reeb.reeb_setup(n_grid=scn.grid)
-    method = scn.get("method")
-    traj = reeb.evolve_reeb_lambda(geom, scn.T, _config(scn), method=method)
+    traj = reeb.evolve_reeb_lambda(geom, scn.T, _config(scn))
     state = traj.final
     met = reeb.reconstruct_metric(state, geom)
     K = reeb.gaussian_curvature(met, state, geom)

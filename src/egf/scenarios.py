@@ -154,7 +154,7 @@ _KIND_KEYS = {
     "prescribed-F": {**_field("init", "cos"), **_field("target", "zero"), "n": (_int(1), 1)},
     "ftau": {**_field("init", "cos"), "f": (_names("scaled-tau1", "scaled-tau2"), "scaled-tau1"),
              "spectrum": (_reals, None), "n": (_int(1), lambda v: len(v["spectrum"]))},
-    "reeb": {"method": (_names("x-space", "arclength-kernel"), "x-space")},
+    "reeb": {"method": (_names("x-space"), "x-space")},
     "pde-reference": {"problem": (_names("exact-quasilinear", "circle-heat-decay"),
                                   "exact-quasilinear"), **_field("init", "cos")},
 }

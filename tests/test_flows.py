@@ -13,12 +13,10 @@ from egf.flows import (
     VolumeTracker,
     circle_derivative,
     conformal_ode_system,
-    converge_criterion,
     evolve_tau_heat,
     evolve_umbilical,
     ftau_conformal_flow,
     prescribed_mean_curvature_flow,
-    sigma_conformal_flow,
     track_volume,
     twisted_product_flow,
     umbilical_metric_samples,
@@ -38,6 +36,7 @@ from egf.symfun import (
     power_sums,
     sigma_from_tau,
 )
+from reeb_oracles import converge_criterion
 
 TWO_PI = 2 * math.pi
 
@@ -486,21 +485,6 @@ class TestFtauConformal:
         with pytest.raises(EllipticityLossError):
             ftau_conformal_flow(tau1, f, consts, 0.1, SolverConfig(dt=1e-3))
 
-    def test_sigma_variant_runs_parabolic(self):
-        # f = (2/n) sigma_2: a_sigma = (n-1)/n Psi_1 = (n-1)/n sigma_1 > 0
-        n = 2
-        spec = CurvatureSpectrum((0.5, 1.1))
-        consts = f_recursion_constants(power_sums(spec))
-        sig = sigma_from_tau(power_sums(spec))
-        sigma1 = cos_field(n=128, amp=0.2, offset=sig.sigma[1])
-        traj = sigma_conformal_flow(
-            sigma1, scaled_tau_k(n, 2), consts, 0.2, SolverConfig(dt=1e-3)
-        )
-        # sigma_1 relaxes toward its mean; sigma_2 = Psi_2(sigma_1) throughout
-        assert traj.taus.shape[0] == n
-        dev = np.max(np.abs(traj.taus[0] - sig.sigma[1]), axis=1)
-        assert dev[-1] < dev[0]
-
     @pytest.mark.parametrize("scheme", ["implicit-euler", "crank-nicolson"])
     def test_picard_matches_propagator(self, scheme):
         # f = (2/n) tau_1 gives a = 1: the generic Picard route against the
@@ -528,7 +512,7 @@ class TestFtauConformal:
         assert traj.a_min == pytest.approx(2.0 / n * faces.min(), rel=1e-12)
 
 
-    @pytest.mark.parametrize("flow", [ftau_conformal_flow, sigma_conformal_flow])
+    @pytest.mark.parametrize("flow", [ftau_conformal_flow])
     def test_mismatched_n_rejected(self, flow):
         # constants built for n = 3 with an n = 2 coefficient function
         consts = f_recursion_constants(power_sums(CurvatureSpectrum((0.4, 0.7, 1.0))))

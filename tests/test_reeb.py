@@ -15,15 +15,12 @@ from egf.reeb import (
     ReebState,
     evolve_reeb_lambda,
     expansion_slope,
-    gauss_cross_check,
     gaussian_curvature,
-    graph_curvature_check,
-    kernel_lambda,
-    n_curve_map,
-    n_curve_residual,
     reconstruct_metric,
     reeb_setup,
 )
+from reeb_oracles import (converge_criterion, gauss_cross_check, graph_curvature_check,
+                          kernel_lambda, n_curve_map, n_curve_residual)
 
 
 @pytest.fixture(scope="module")
@@ -60,8 +57,8 @@ class TestSetup:
 
 
 def test_no_egf_entry_point_imports_scipy_integrate():
-    # quad serves only n_curve_residual and the arclength kernel's seam
-    # distance; a run, a sweep or egf verify does not pay for its import
+    # quad serves only the test oracles; a run, a sweep or egf verify does
+    # not pay for its import
     src = str(pathlib.Path(egf.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     code = ("import sys, egf.cli, egf.runner, egf.acceptance; "
@@ -153,11 +150,6 @@ class TestEvolution:
         lam_k = kernel_lambda(geom, T, xe)
         assert np.max(np.abs(lam_x - lam_k)) < 1e-4
 
-    def test_kernel_method_through_evolve(self, geom):
-        traj = evolve_reeb_lambda(geom, 0.3, SolverConfig(dt=1e-3), method="arclength-kernel")
-        assert traj.times[-1] == pytest.approx(0.3)
-        assert np.max(np.abs(traj.lam[-1])) <= np.max(np.abs(geom.lam0)) + 1e-9
-
     @pytest.mark.parametrize("scheme, bound", [("crank-nicolson", 1.9), ("implicit-euler", 0.95)])
     def test_time_order_by_self_convergence(self, scheme, bound):
         # grid 256 held, dt halved from 4e-3 to 2.5e-4 up to T = 0.1:
@@ -173,16 +165,10 @@ class TestEvolution:
             orders = [math.log2(a / b) for a, b in zip(diffs, diffs[1:])]
             assert min(orders) >= bound, (field, orders)
 
-    def test_unknown_method_rejected(self, geom):
-        with pytest.raises(ValidationError):
-            evolve_reeb_lambda(geom, 0.1, SolverConfig(dt=1e-3), method="spectral")
-
     def test_conformal_speed_integral_diverges(self, geom):
         # the conformal speed sup|2 sin(a) d_x lam| decays only diffusively
         # (the N-curves are infinite lines), so its time integral diverges:
         # consistent with the metrics NOT converging as t -> infinity
-        from egf.flows import converge_criterion
-
         traj = evolve_reeb_lambda(geom, 2.0, SolverConfig(dt=2e-3))
         sin_a = np.sin(geom.alpha)
         speeds = []
