@@ -22,7 +22,7 @@ class ConductivityRangeError(SolverError):
 
 
 class NonConvergenceError(SolverError):
-    """Nonlinear (Picard) iteration failed to reach tolerance."""
+    """Newton iteration of a nonlinear step failed to reach tolerance."""
 
 
 class EllipticityLossError(SolverError):

@@ -32,13 +32,13 @@ from .parabolic import (
     SolverConfig,
     _face_mean,
     _march,
-    _picard_stepper,
+    _newton_stepper,
     _propagator,
     _quasilinear_faces,
     solve_cyclic_tridiag,  # noqa: F401  (perfbench's tracer test wraps this binding)
     solve_heat_circle,
 )
-from .symfun import StructConstants, eval_F
+from .symfun import StructConstants, eval_F, eval_F_prime
 
 __all__ = [
     "UmbilicalState",
@@ -174,7 +174,7 @@ class TauFunction:
     return shapes (...) and (n, ...); both must be numpy-vectorized.
     ``slope`` declares f = slope * u_1 + const, linear in u_1 alone: the
     conformal flows then have a constant coefficient a and take the
-    closed-form propagator instead of Picard iteration.
+    closed-form propagator instead of Newton's method.
     """
 
     n: int
@@ -233,6 +233,7 @@ def evolve_umbilical(
     T: float,
     cfg: SolverConfig,
     psi_slope: float | None = None,
+    psi_second: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> UmbilicalTrajectory:
     """Umbilical flow dlam/dt = (1/2) d_s(psi'(lam) d_s lam).
 
@@ -244,8 +245,9 @@ def evolve_umbilical(
 
     ``psi_slope`` declares psi(lam) = psi_slope * lam (psi and psi_prime must
     agree with it): the flow is then the heat equation with constant
-    coefficient psi_slope / 2, stepped by the closed-form propagator instead
-    of Picard iteration.
+    coefficient psi_slope / 2, stepped by the closed-form propagator.
+    Otherwise each step is solved by Newton's method, whose Jacobian needs
+    ``psi_second`` = psi''.
     """
     lam0 = state.lam
     lo, hi = float(lam0.samples.min()), float(lam0.samples.max())
@@ -255,8 +257,11 @@ def evolve_umbilical(
     if pmin < 0.0:
         raise ValidationError(f"psi' changes sign on the data range (min {pmin:.3g})")
     if psi_slope is None:
-        k = Conductivity(lambda u: 0.5 * psi_prime(u), c1=0.5 * pmin, c2=0.5 * pmax)
-        produce = _picard_stepper(lam0, _quasilinear_faces(lam0, k), cfg)
+        if psi_second is None:
+            raise ValidationError("a psi without a declared slope needs psi''")
+        k = Conductivity(lambda u: 0.5 * psi_prime(u), lambda u: 0.5 * psi_second(u),
+                         c1=0.5 * pmin, c2=0.5 * pmax)
+        produce = _newton_stepper(lam0, _quasilinear_faces(lam0, k), k.dfunc, cfg)
     else:
         produce = _propagator(lam0.samples, 0.5 * psi_slope, lam0.h, cfg)
     flux = (state.conf.samples, 0.5, lambda block: circle_derivative(psi(block), lam0.h))
@@ -364,9 +369,13 @@ def ftau_conformal_flow(
     with the full tau vector reconstructed through tau_k = F_k(tau_1).
     Parabolicity requires a > 0.  With ``f.slope`` declared, a = (1/2) slope
     F_0 is constant and the closed-form propagator steps the flow; otherwise
-    the Picard monitor hook checks a at every step and the run halts with
-    :class:`EllipticityLossError` the moment its minimum drops to zero or
-    below.  Either way the trajectory reports the least a used.
+    Newton's method steps it, its monitor hook checks a at every evaluation
+    and the run halts with :class:`EllipticityLossError` the moment its
+    minimum drops to zero or below.  Either way the trajectory reports the
+    least a used.  Newton's Jacobian takes a'(tau_1) = (1/2) sum_k k
+    df/dtau_k F_{k-1}'(tau_1) with the gradient of f held: exact for f affine
+    in tau, as every f a scenario declares; for any other f the iteration
+    converges more slowly, to the same residual test.
     """
     n = consts.n
     if f.n != n:
@@ -375,23 +384,34 @@ def ftau_conformal_flow(
 
     def observe(amin: float) -> None:
         nonlocal a_min
-        if amin <= 0.0:
+        if not amin > 0.0:  # NaN included
             raise EllipticityLossError(f"parabolicity coefficient reached min a = {amin:.6g}")
         a_min = min(a_min, amin)
 
-    def faces(v: np.ndarray) -> np.ndarray:
-        u = _face_mean(v)
+    def basis(u: np.ndarray) -> tuple:
+        """F_0..F_n at u and the gradient of f at tau = (F_1, ..., F_n)."""
         F = [np.asarray(eval_F(k, u, consts)) for k in range(n + 1)]
-        g = np.asarray(f.grad(np.stack(F[1:])), dtype=float)
+        return F, np.asarray(f.grad(np.stack(F[1:])), dtype=float)
+
+    def faces(v: np.ndarray) -> tuple:
+        u = _face_mean(v)
+        F, g = basis(u)
         acc = np.zeros_like(u)
         for k in range(1, n + 1):
             acc += k * g[k - 1] * F[k - 1]
         a = 0.5 * acc
         observe(float(np.min(a)))
-        return a
+        return u, a
+
+    def slope(u: np.ndarray) -> np.ndarray:
+        _, g = basis(u)
+        acc = np.zeros_like(u)
+        for k in range(2, n + 1):  # F_0' = 0
+            acc += k * g[k - 1] * eval_F_prime(k - 1, u, consts)
+        return 0.5 * acc
 
     if f.slope is None:
-        produce = _picard_stepper(tau1, faces, cfg)
+        produce = _newton_stepper(tau1, faces, slope, cfg)
     else:
         a = 0.5 * (f.slope * eval_F(0, 0.0, consts))
         observe(a)

@@ -4,8 +4,8 @@ Spatial domains are a uniform periodic grid on a circle (nodes
 x_i = i * length / N, no duplicated endpoint) or a pinned interval.
 Time stepping is the theta-method: implicit Euler (theta = 1,
 unconditionally stable and monotone) or Crank-Nicolson (theta = 1/2,
-second order).  Quasi-linear problems are handled by lagged-coefficient
-Picard iteration per step.
+second order).  Each step of a quasi-linear problem solves the nonlinear
+theta scheme by Newton's method, one cyclic solve per step in most steps.
 
 The closed-form reference is the exact quasi-linear family
 u = sin x / sqrt(cos^2 x + e^(2t)) for k(u) = 1/(1+u^2).
@@ -128,8 +128,9 @@ class CircleField:
 
 @dataclass
 class Conductivity:
-    """Thermal diffusivity k(u), a function of the state, with declared
-    bounds c1 <= k <= c2.
+    """Thermal diffusivity k(u), a function of the state, with its
+    derivative ``dfunc`` = k'(u) (Newton's Jacobian) and declared bounds
+    c1 <= k <= c2.
 
     Evaluations during a run are monitored against [c1, c2]; leaving the
     band raises :class:`ConductivityRangeError`.  c1 = 0 is accepted
@@ -137,6 +138,7 @@ class Conductivity:
     """
 
     func: Callable
+    dfunc: Callable
     c1: float
     c2: float
 
@@ -163,8 +165,8 @@ class SolverConfig:
     scheme: str = "implicit-euler"
     nonlinear_iterations: int = 25
     tolerance: float = 1e-12
-    # 0: every max(1, nsteps // 200)-th step (see _snapshot_steps): every step
-    # of a run under 400 steps (up to 400 snapshots), then 201 to 301 snapshots
+    # 0: every ceil(nsteps / 200)-th step (see _snapshot_steps): at most 201
+    # snapshots, every step of a run of at most 200 steps
     save_every: int = 0
 
     def __post_init__(self) -> None:
@@ -245,21 +247,18 @@ def _wrap(u: np.ndarray) -> np.ndarray:
 
 def _face_mean(v: np.ndarray) -> np.ndarray:
     """The interface-average state (v_i + v_{i+1}) / 2 of a periodic grid."""
-    return 0.5 * (v + _wrap(v)[..., 2:])
+    w = np.empty_like(v)
+    np.add(v[:-1], v[1:], out=w[:-1])
+    w[-1] = v[-1] + v[0]
+    return np.multiply(w, 0.5, out=w)
 
 
-def _apply_divergence(kface: np.ndarray, u: np.ndarray, h: float) -> np.ndarray:
-    """(D u)_i = [k_{i+1/2}(u_{i+1}-u_i) - k_{i-1/2}(u_i-u_{i-1})] / h^2, periodic."""
-    w = _wrap(u)
-    return (kface * (w[2:] - u) - _wrap(kface)[:-2] * (u - w[:-2])) / h**2
-
-
-def _divergence_theta_solve(kface, rhs, dt_theta, h):
-    """Solve (I - dt_theta * D_kface) u = rhs on the circle (a symmetric system)."""
-    c = dt_theta / h**2
-    diag = 1.0 + c * (kface + _wrap(kface)[:-2])
-    off = -c * kface
-    return solve_cyclic_tridiag(off[:-1], diag, off[:-1], off[-1], off[-1], rhs)
+def _forward_difference(v: np.ndarray) -> np.ndarray:
+    """v_{i+1} - v_i of a periodic grid."""
+    d = np.empty_like(v)
+    np.subtract(v[1:], v[:-1], out=d[:-1])
+    d[-1] = v[0] - v[-1]
+    return d
 
 
 def _second_difference(u: np.ndarray, h: float) -> np.ndarray:
@@ -299,8 +298,9 @@ def _nsteps(T: float, dt: float) -> int:
 
 def _snapshot_steps(nsteps: int, save_every: int) -> np.ndarray:
     """The snapshot policy: step 0, every ``every``-th step and the last step,
-    with ``every = save_every``, or ``max(1, nsteps // 200)`` when it is 0."""
-    every = save_every if save_every > 0 else max(1, nsteps // 200)
+    with ``every = save_every``, or ``max(1, ceil(nsteps / 200))`` when it is
+    0 (at most 201 snapshots)."""
+    every = save_every if save_every > 0 else max(1, -(-nsteps // 200))
     steps = np.arange(0, nsteps + 1, every)
     return steps if steps[-1] == nsteps else np.append(steps, nsteps)
 
@@ -312,7 +312,7 @@ _BLOCK_STEPS = 64
 def _stepper(advance: Callable) -> Callable:
     """The producer of a one-step map: the states u_k = advance(u_{k-1}, k) of
     the given steps, cut short after the first non-finite one.  A solver error
-    of a step (a conductivity or faces hook, Picard) or a floating-point error
+    of a step (a conductivity or faces hook, Newton) or a floating-point error
     (under the CLI's ``np.errstate``) leaves with that step."""
 
     def produce(u: np.ndarray, steps: np.ndarray) -> np.ndarray:
@@ -413,51 +413,80 @@ def _circle_march(u0: CircleField, T: float, cfg: SolverConfig, produce: Callabl
     )
 
 
-def _picard_stepper(u0: CircleField, faces: Callable, cfg: SolverConfig) -> Callable:
-    """The producer of du/dt = D_{faces(u)} u, one lagged-coefficient Picard
-    iteration per step.
+def _newton_stepper(u0: CircleField, faces: Callable, slope: Callable,
+                    cfg: SolverConfig) -> Callable:
+    """The producer of du/dt = D_{k(u)} u on the circle, (D_k v)_i =
+    [k_{i+1/2}(v_{i+1} - v_i) - k_{i-1/2}(v_i - v_{i-1})] / h^2, each step
+    solving the theta scheme G(v) = v - theta dt D_{k(v)} v - rhs = 0 by
+    Newton's method.
 
-    ``faces(v)`` gives the face conductivities of a state v and is the
-    monitor hook: it raises when they leave their admissible range.  Each
-    step's iteration starts from the linear predictor 2 u_n - u_{n-1} (step 1
-    from u_n); the explicit Crank-Nicolson half uses faces(u_n).  The
-    predictor moves the start, not the fixed point: about 3 solves per step
-    instead of 4 on the exact family.  The hook sees the predictor too; one
-    it rejects (an overshoot at a steep front can leave the admissible range
-    that every state keeps) is dropped, and the step starts from u_n.  The
-    iteration stops at a sup-change of at most ``cfg.tolerance`` (1 + sup
-    |u0|), or raises :class:`NonConvergenceError` after
-    ``cfg.nonlinear_iterations`` solves.
+    ``faces(v)`` gives (w, k(w)) at the face states w_i = (v_i + v_{i+1})/2
+    of a state v and is the monitor hook: it raises when v or k leaves its
+    admissible range.  ``slope(w)`` gives k'(w); it is called only when a
+    solve follows.  The Jacobian of G is cyclic tridiagonal, not symmetric,
+    and its columns sum to 1, so each update keeps the discrete mean.  Each
+    step starts from the linear predictor 2 u_n - u_{n-1} (step 1 from u_n);
+    the hook sees the predictor too, and one it rejects (an overshoot at a
+    steep front can leave the admissible range that every state keeps) is
+    dropped for u_n.  The iteration stops at sup |G| <= ``cfg.tolerance``
+    (1 + sup |u0|), a test that needs no further solve (Kelley, *Iterative
+    Methods for Linear and Nonlinear Equations*, SIAM 1995, ch. 5), or raises
+    :class:`NonConvergenceError` once it would need more than
+    ``cfg.nonlinear_iterations`` solves.  The accepted iterate's faces and
+    flux differences give the next step's explicit Crank-Nicolson half, so a
+    step that takes one solve evaluates the faces twice.  The producer
+    serves one march: it keeps the last state and its faces between calls,
+    and starts afresh at step 1.
     """
-    h, dt_theta, explicit = u0.h, cfg.theta * cfg.dt, (1.0 - cfg.theta) * cfg.dt
+    implicit = cfg.theta * cfg.dt / u0.h**2
+    explicit = (1.0 - cfg.theta) * cfg.dt / u0.h**2
     stop = cfg.tolerance * (float(np.max(np.abs(u0.samples))) + 1.0)
-    previous = None
+    previous = accepted = None
+
+    def evaluate(v: np.ndarray) -> tuple:
+        """(v, face states w, k(w), forward differences d, flux differences
+        q_i - q_{i-1} with q = k(w) d): D_{k(v)} v is the last over h^2."""
+        w, kface = faces(v)
+        d = _forward_difference(v)
+        q = kface * d
+        dq = np.empty_like(q)
+        np.subtract(q[1:], q[:-1], out=dq[1:])
+        dq[0] = q[0] - q[-1]
+        return v, w, kface, d, dq
 
     def advance(u: np.ndarray, step: int) -> np.ndarray:
-        nonlocal previous
-        # kface: the faces of the start v, or None until they are evaluated
-        kface = faces(u) if explicit else None
-        rhs = u if kface is None else u + explicit * _apply_divergence(kface, u, h)
-        v = u
+        nonlocal previous, accepted
+        if step == 1:
+            previous, accepted = None, evaluate(u)
+        # the explicit half: the flux differences of u's own evaluation
+        rhs = u + explicit * accepted[4] if explicit else u
+        current = accepted
         if previous is not None:
-            guess = 2.0 * u - previous
             try:
-                kface, v = faces(guess), guess
+                current = evaluate(2.0 * u - previous)
             except SolverError:
                 pass  # the hook rejects the predictor, not a state: start from u_n
         previous = u
-        delta = math.inf
-        for iteration in range(cfg.nonlinear_iterations):
-            if iteration or kface is None:
-                kface = faces(v)
-            vnext = _divergence_theta_solve(kface, rhs, dt_theta, h)
-            delta = float(np.abs(vnext - v).max())
-            v = vnext
-            if delta <= stop:
+        for solves in range(cfg.nonlinear_iterations + 1):
+            v, w, kface, d, dq = current
+            g = v - rhs
+            g -= implicit * dq
+            residual = np.abs(g).max()
+            if residual <= stop:
+                accepted = current
                 return v
-        raise NonConvergenceError(
-            f"Picard iteration stalled (last delta {delta:.3e})"
-        )
+            if solves == cfg.nonlinear_iterations:
+                break
+            # dG/dv: row i holds lower_{i-1}, 1 - lower_i - upper_{i-1}, upper_i
+            half = (0.5 * implicit) * slope(w) * d
+            ck = implicit * kface
+            lower, upper = half - ck, -ck - half
+            diag = 1.0 - lower
+            diag[1:] -= upper[:-1]
+            diag[0] -= upper[-1]
+            correction = solve_cyclic_tridiag(lower[:-1], diag, upper[:-1], lower[-1], upper[-1], g)
+            current = evaluate(v - correction)
+        raise NonConvergenceError(f"Newton iteration stalled (last residual {residual:.3e})")
 
     return _stepper(advance)
 
@@ -503,32 +532,35 @@ def solve_quasilinear_divergence(
     """du/dt = d_x(k(u) d_x u) on the circle, conservative stencil.
 
     Face conductivities are evaluated at the interface-average state,
-    k((u_i + u_{i+1})/2); coefficients lag one Picard iterate per step
-    (at most ``cfg.nonlinear_iterations``, to sup-change below
-    ``cfg.tolerance``).  The discrete mean is conserved exactly by the
-    flux form, and under implicit Euler the sup-norm is non-increasing.
+    k((u_i + u_{i+1})/2); each step is solved by Newton's method with
+    Jacobian from ``k.dfunc`` (at most ``cfg.nonlinear_iterations`` solves,
+    to a residual below ``cfg.tolerance`` (1 + sup |u0|)).  The discrete
+    mean is conserved exactly by the flux form, and under implicit Euler the
+    sup-norm is non-increasing.
 
     Preconditions: k is evaluable and within [c1, c2] on the range of u0
     widened by 10% (5% on each side); leaving that band raises
     :class:`ConductivityRangeError`.
     """
-    produce = _picard_stepper(u0, _quasilinear_faces(u0, k), cfg)
+    produce = _newton_stepper(u0, _quasilinear_faces(u0, k), k.dfunc, cfg)
     return _circle_march(u0, T, cfg, produce, "solve_quasilinear_divergence")
 
 
 def _quasilinear_faces(u0: CircleField, k: Conductivity) -> Callable:
-    """The checked face conductivities of :func:`solve_quasilinear_divergence`."""
+    """The monitor hook of :func:`solve_quasilinear_divergence`: (face
+    states, checked face conductivities) of a state."""
     lo, hi = float(u0.samples.min()), float(u0.samples.max())
     pad = 0.05 * (hi - lo) + 1e-9 * (1.0 + max(abs(lo), abs(hi)))
     low, high = lo - pad, hi + pad
     k.check_range(np.asarray(k.func(np.linspace(low, high, 257)), dtype=float))
 
-    def faces(v: np.ndarray) -> np.ndarray:
+    def faces(v: np.ndarray) -> tuple:
         if v.min() < low or v.max() > high:
             raise ConductivityRangeError("state left the widened initial range")
-        vals = np.asarray(k.func(_face_mean(v)), dtype=float)
+        w = _face_mean(v)
+        vals = np.asarray(k.func(w), dtype=float)
         k.check_range(vals)
-        return vals
+        return w, vals
 
     return faces
 
@@ -648,11 +680,12 @@ def exact_quasilinear_solution(t, x):
 
 
 def exact_quasilinear_conductivity() -> Conductivity:
-    """k(u) = 1/(1+u^2) for the exact family.
+    """k(u) = 1/(1+u^2), k'(u) = -2u/(1+u^2)^2, for the exact family.
 
     On the solution range |u| <= 1 the bounds are 1/2 <= k <= 1; the
     declared band is widened (c1 = 1/2.3, covering |u| up to ~1.14) so
     the 10%-padded precondition of the quasilinear solver holds with
     margin for data that attains |u| = 1.
     """
-    return Conductivity(lambda u: 1.0 / (1.0 + u * u), c1=1.0 / 2.3, c2=1.0)
+    return Conductivity(lambda u: 1.0 / (1.0 + u * u),
+                        lambda u: -2.0 * u / (1.0 + u * u) ** 2, c1=1.0 / 2.3, c2=1.0)

@@ -63,8 +63,6 @@ class ReebGeometry:
     alpha: np.ndarray
     alpha_prime: np.ndarray
     lam0: np.ndarray
-    alpha_func: Callable[[np.ndarray], np.ndarray]
-    alpha_prime_func: Callable[[np.ndarray], np.ndarray]
 
     @property
     def h(self) -> float:
@@ -148,18 +146,11 @@ def reeb_setup(
         raise ValidationError("alpha must be strictly increasing")
     if alpha_prime is not None:
         ap = np.asarray(alpha_prime(x), dtype=float)
-        ap_func = alpha_prime
     else:
-        h = x[1] - x[0]
-        ap = np.gradient(a, h)
-
-        def ap_func(pts, _a=alpha, _h=1e-6):
-            pts = np.asarray(pts, dtype=float)
-            return (np.asarray(_a(pts + _h)) - np.asarray(_a(pts - _h))) / (2 * _h)
-
+        ap = np.gradient(a, x[1] - x[0])
     lam0 = ap * np.abs(np.cos(a))
     lam0[0] = lam0[-1] = 0.0
-    return ReebGeometry(x, a, ap, lam0, alpha, ap_func)
+    return ReebGeometry(x, a, ap, lam0)
 
 
 def evolve_reeb_lambda(

@@ -1,7 +1,10 @@
 """Closed forms and cross-checks that the tests use as oracles; no run, sweep
 or criterion calls them.  The arclength heat kernel (:func:`kernel_lambda`)
 never sees x = 0: its agreement with the x-space Reeb solver is the
-correctness argument for that solver."""
+correctness argument for that solver.  A Reeb geometry keeps its leaf angle
+only on the grid, so the oracles that evaluate it between nodes take the
+leaf-angle function ``alpha`` (and its derivative ``alpha_prime``) as
+arguments."""
 
 import math
 from typing import Callable, Sequence
@@ -71,6 +74,8 @@ def _branch_kernel(
 
 def kernel_lambda(
     geom: ReebGeometry,
+    alpha: Callable,
+    alpha_prime: Callable,
     t: float,
     x_eval: np.ndarray,
     lam0: np.ndarray | None = None,
@@ -89,8 +94,9 @@ def kernel_lambda(
     evaluated the same way on the mirrored geometry -alpha(-x) with data
     lam_0(-x), for which the N-curve equation and the x-space evolution
     keep their form.  Only for mirror-symmetric geometry and data does
-    the value at -x equal the value at x.  The quadrature is trapezoid
-    with step ``ds``.
+    the value at -x equal the value at x.  ``alpha`` and ``alpha_prime`` are
+    the leaf angle of ``geom`` and its derivative; without ``lam0`` the data
+    is alpha' |cos alpha|.  The quadrature is trapezoid with step ``ds``.
     """
     if t <= 0.0:
         raise ValidationError("kernel evaluation needs t > 0")
@@ -99,8 +105,8 @@ def kernel_lambda(
 
         def data(p):
             return (
-                np.asarray(geom.alpha_prime_func(p), dtype=float)
-                * np.abs(np.cos(np.asarray(geom.alpha_func(p), dtype=float)))
+                np.asarray(alpha_prime(p), dtype=float)
+                * np.abs(np.cos(np.asarray(alpha(p), dtype=float)))
             )
 
     else:
@@ -115,7 +121,7 @@ def kernel_lambda(
         pts = (side * xe > 1e-12) & (side * xe < 1.0 - 1e-12)
         if np.any(pts):
             out[pts] = _branch_kernel(
-                lambda p, _s=side: _s * np.asarray(geom.alpha_func(_s * p), dtype=float),
+                lambda p, _s=side: _s * np.asarray(alpha(_s * p), dtype=float),
                 lambda p, _s=side: data(_s * p),
                 t,
                 side * xe[pts],
@@ -138,7 +144,7 @@ def _seam_distance(alpha_func: Callable, x0: float) -> float:
 
 
 def n_curve_map(
-    geom: ReebGeometry, s: float, x_points: Sequence[float], ds_max: float = 1e-3
+    alpha: Callable, s: float, x_points: Sequence[float], ds_max: float = 1e-3
 ) -> tuple[np.ndarray, np.ndarray]:
     """Flow x_points along dx/ds = -sin(alpha(x)) for length s (RK4).
 
@@ -147,14 +153,14 @@ def n_curve_map(
     geometry).
     """
     x = np.asarray(x_points, dtype=float).copy()
-    stationary = np.abs(np.sin(np.asarray(geom.alpha_func(x)))) < 1e-14
+    stationary = np.abs(np.sin(np.asarray(alpha(x)))) < 1e-14
     if s == 0.0:
         return x, stationary
     nsub = max(1, int(math.ceil(abs(s) / ds_max)))
     ds = s / nsub
 
     def vel(p):
-        return -np.sin(np.asarray(geom.alpha_func(p), dtype=float))
+        return -np.sin(np.asarray(alpha(p), dtype=float))
 
     for _ in range(nsub):
         k1 = vel(x)
@@ -166,10 +172,10 @@ def n_curve_map(
     return x, stationary
 
 
-def n_curve_residual(geom: ReebGeometry, x0: float, phi: float, s: float) -> float:
+def n_curve_residual(alpha: Callable, x0: float, phi: float, s: float) -> float:
     """|s + int_x0^phi dxi / sin(alpha(xi))|, the implicit-formula residual."""
     val, _ = quad(
-        lambda xi: 1.0 / math.sin(float(np.asarray(geom.alpha_func(xi)))),
+        lambda xi: 1.0 / math.sin(float(np.asarray(alpha(xi)))),
         x0,
         phi,
         limit=200,
@@ -177,19 +183,20 @@ def n_curve_residual(geom: ReebGeometry, x0: float, phi: float, s: float) -> flo
     return abs(s + val)
 
 
-def graph_curvature_check(geom: ReebGeometry, x0: float, h: float = 1e-5) -> float:
+def graph_curvature_check(alpha: Callable, alpha_prime: Callable, x0: float,
+                          h: float = 1e-5) -> float:
     """|alpha'|cos alpha| - f''/(1+f'^2)^(3/2)| at x0, f' = tan(alpha).
 
     f'' is a central difference of tan(alpha); requires |alpha(x0)| far
     enough from pi/2 that tan is finite at the stencil points.
     """
-    a0 = float(np.asarray(geom.alpha_func(x0)))
+    a0 = float(np.asarray(alpha(x0)))
     if abs(abs(a0) - 0.5 * math.pi) < 10 * h:
         raise ValidationError("graph formula needs tan(alpha) finite near x0")
-    fp = lambda x: np.tan(np.asarray(geom.alpha_func(x), dtype=float))
+    fp = lambda x: np.tan(np.asarray(alpha(x), dtype=float))
     fpp = (fp(x0 + h) - fp(x0 - h)) / (2.0 * h)
     graph = fpp / (1.0 + fp(x0) ** 2) ** 1.5
-    direct = float(np.asarray(geom.alpha_prime_func(x0))) * abs(math.cos(a0))
+    direct = float(np.asarray(alpha_prime(x0))) * abs(math.cos(a0))
     return float(abs(direct - graph))
 
 

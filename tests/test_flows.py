@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from egf import parabolic
+from egf import flows, parabolic
 from egf.errors import EllipticityLossError, ValidationError
 from egf.flows import (
     MeanCurvatureState,
@@ -24,7 +24,6 @@ from egf.flows import (
 from egf.parabolic import (
     CircleField,
     SolverConfig,
-    _divergence_theta_solve,
     _second_difference,
     solve_heat_circle,
 )
@@ -36,6 +35,7 @@ from egf.symfun import (
     power_sums,
     sigma_from_tau,
 )
+from picard_oracle import divergence_theta_solve, picard_stepper
 from reeb_oracles import converge_criterion
 
 TWO_PI = 2 * math.pi
@@ -52,6 +52,10 @@ def psi2(lam):
 
 def psi2_prime(lam):
     return np.full_like(np.asarray(lam, dtype=float), 2.0)
+
+
+def psi2_second(lam):
+    return np.zeros_like(np.asarray(lam, dtype=float))
 
 
 def test_circle_derivative_matches_roll_formula_bitwise():
@@ -83,7 +87,8 @@ class TestUmbilical:
     def test_conformal_factor_matches_step_loop_bitwise(self):
         lam0 = cos_field(n=64, amp=0.3)
         cfg = SolverConfig(dt=1e-2, save_every=1)
-        traj = evolve_umbilical(UmbilicalState.initial(lam0), psi2, psi2_prime, 0.3, cfg)
+        traj = evolve_umbilical(UmbilicalState.initial(lam0), psi2, psi2_prime, 0.3, cfg,
+                                psi_second=psi2_second)
         conf = [np.zeros(64)]
         for i in range(1, traj.times.size):
             dt = traj.times[i] - traj.times[i - 1]
@@ -93,17 +98,26 @@ class TestUmbilical:
         assert np.asarray(conf).tobytes() == traj.conf.tobytes()
 
     @pytest.mark.parametrize("scheme", ["implicit-euler", "crank-nicolson"])
-    def test_picard_matches_declared_linear_psi(self, scheme):
-        # psi = 2 lam by Picard iteration against the closed form psi_slope
-        # selects, curvature and conformal factor alike
+    def test_picard_matches_declared_linear_psi(self, monkeypatch, scheme):
+        # psi = 2 lam by Newton's method, and by the Picard oracle in its
+        # place, against the closed form psi_slope selects, curvature and
+        # conformal factor alike
         lam0 = cos_field(n=128, amp=0.3)
         cfg = SolverConfig(dt=1e-3, scheme=scheme, save_every=7)
         state = UmbilicalState.initial(lam0)
-        picard = evolve_umbilical(state, psi2, psi2_prime, 0.5, cfg)
         closed = evolve_umbilical(state, psi2, psi2_prime, 0.5, cfg, psi_slope=2.0)
-        assert picard.times.tobytes() == closed.times.tobytes()
-        assert np.max(np.abs(picard.lam - closed.lam)) <= 1e-12 * 0.3
-        assert np.max(np.abs(picard.conf - closed.conf)) <= 1e-12 * 0.3
+        newton = evolve_umbilical(state, psi2, psi2_prime, 0.5, cfg, psi_second=psi2_second)
+        monkeypatch.setattr(flows, "_newton_stepper", picard_stepper)
+        picard = evolve_umbilical(state, psi2, psi2_prime, 0.5, cfg, psi_second=psi2_second)
+        for traj in (newton, picard):
+            assert traj.times.tobytes() == closed.times.tobytes()
+            assert np.max(np.abs(traj.lam - closed.lam)) <= 1e-12 * 0.3
+            assert np.max(np.abs(traj.conf - closed.conf)) <= 1e-12 * 0.3
+
+    def test_nonlinear_psi_needs_its_second_derivative(self):
+        with pytest.raises(ValidationError, match="psi''"):
+            evolve_umbilical(UmbilicalState.initial(cos_field(n=64, amp=0.3)), psi2, psi2_prime,
+                             0.1, SolverConfig(dt=1e-2))
 
     @pytest.mark.parametrize("scheme, bound", [("crank-nicolson", 1.9), ("implicit-euler", 0.95)])
     def test_conformal_factor_time_order_by_self_convergence(self, scheme, bound):
@@ -126,6 +140,7 @@ class TestUmbilical:
             psi2_prime,
             0.5,
             SolverConfig(dt=1e-4, scheme="crank-nicolson"),
+            psi_second=psi2_second,
         )
         x = lam0.nodes()
         expected = 0.3 * math.exp(-0.5) * np.cos(x)
@@ -133,9 +148,8 @@ class TestUmbilical:
 
     def test_constant_lambda_frozen(self):
         lam0 = CircleField(TWO_PI, np.full(64, 0.4))
-        traj = evolve_umbilical(
-            UmbilicalState.initial(lam0), psi2, psi2_prime, 1.0, SolverConfig(dt=1e-2)
-        )
+        traj = evolve_umbilical(UmbilicalState.initial(lam0), psi2, psi2_prime, 1.0,
+                                SolverConfig(dt=1e-2), psi_second=psi2_second)
         assert np.allclose(traj.lam[-1], 0.4, atol=1e-13)
         assert np.allclose(traj.conf[-1], 0.0, atol=1e-13)
 
@@ -156,7 +170,8 @@ class TestUmbilical:
         n_leaf = 1
         lam0 = cos_field(n=256, amp=0.3)
         cfg = SolverConfig(dt=1e-3, save_every=1)
-        traj = evolve_umbilical(UmbilicalState.initial(lam0), psi2, psi2_prime, 0.5, cfg)
+        traj = evolve_umbilical(UmbilicalState.initial(lam0), psi2, psi2_prime, 0.5, cfg,
+                                psi_second=psi2_second)
         x = lam0.nodes()
         h = lam0.h
         c0 = np.concatenate([[0.0], np.cumsum(0.5 * (lam0.samples[1:] + lam0.samples[:-1]) * h)])
@@ -185,6 +200,7 @@ class TestUmbilical:
             psi2_prime,
             0.4,
             SolverConfig(dt=2e-4, scheme="crank-nicolson"),
+            psi_second=psi2_second,
         )
         h = lam0.h
         for i in (len(traj.times) // 2, len(traj.times) - 1):
@@ -202,6 +218,7 @@ class TestUmbilical:
             psi2_prime,
             0.3,
             SolverConfig(dt=1e-3, scheme="crank-nicolson"),
+            psi_second=psi2_second,
         )
         idx = len(traj.times) - 1
         x0, g00, gij = umbilical_metric_samples(
@@ -297,7 +314,7 @@ class TestTwisted:
         worst = 0.0
         for k in range(1, traj.times.size):
             rhs = phi + (1 - theta) * cfg.dt / n * _second_difference(phi, h)
-            phi = _divergence_theta_solve(np.full(ny, 1.0 / n), rhs.T, theta * cfg.dt, h).T
+            phi = divergence_theta_solve(np.full(ny, 1.0 / n), rhs.T, theta * cfg.dt, h).T
             worst = max(worst, float(np.max(np.abs(phi - traj.phi[k]))))
         assert worst <= 1e-12 * np.max(np.abs(traj.phi[0]))
 
@@ -473,7 +490,7 @@ class TestFtauConformal:
         tau1 = cos_field(n=64, amp=0.1, offset=-1.2)
         with pytest.raises(EllipticityLossError) as info:
             ftau_conformal_flow(tau1, scaled_tau_k(n, 2), consts, 0.1, SolverConfig(dt=1e-3))
-        # raised by the faces hook in the first step's Picard iteration
+        # raised by the faces hook at the first step's start
         assert "during conformal flow at step 1 (t = 0.001)" in str(info.value)
 
     def test_constant_f_loses_ellipticity(self):
@@ -485,31 +502,49 @@ class TestFtauConformal:
         with pytest.raises(EllipticityLossError):
             ftau_conformal_flow(tau1, f, consts, 0.1, SolverConfig(dt=1e-3))
 
+    def test_nan_coefficient_loses_ellipticity(self):
+        # a NaN coefficient is a loss of parabolicity, not a Newton iteration
+        # that stalls on NaN systems
+        n = 2
+        consts = f_recursion_constants(power_sums(CurvatureSpectrum((0.5, 1.1))))
+        f = TauFunction(n, lambda tau: tau[1], lambda tau: np.full_like(tau, np.nan))
+        with pytest.raises(EllipticityLossError, match="min a = nan"):
+            ftau_conformal_flow(cos_field(n=64, amp=0.2, offset=1.6), f, consts, 0.1,
+                                SolverConfig(dt=1e-2))
+
     @pytest.mark.parametrize("scheme", ["implicit-euler", "crank-nicolson"])
-    def test_picard_matches_propagator(self, scheme):
-        # f = (2/n) tau_1 gives a = 1: the generic Picard route against the
-        # closed form the declared slope selects; measured 9.6e-15 and 7.4e-14
+    def test_picard_matches_propagator(self, monkeypatch, scheme):
+        # f = (2/n) tau_1 gives a = 1: the generic route by Newton's method,
+        # and by the Picard oracle in its place, against the closed form the
+        # declared slope selects
         n = 2
         consts = f_recursion_constants(power_sums(CurvatureSpectrum((0.4, 1.0))))
         x = np.arange(128) * TWO_PI / 128
         tau1 = CircleField(TWO_PI, 1.4 + 0.2 * np.cos(x) + 0.1 * np.sin(2 * x))
         cfg = SolverConfig(dt=1e-3, scheme=scheme, save_every=1)
-        picard = ftau_conformal_flow(tau1, scaled_tau_k(n, 1), consts, 0.5, cfg)
         declared = scaled_tau_k(n, 1, slope=2.0 / n)
         closed = ftau_conformal_flow(tau1, declared, consts, 0.5, cfg)
-        assert np.max(np.abs(picard.taus - closed.taus)) <= 1e-12 * np.max(np.abs(tau1.samples))
+        newton = ftau_conformal_flow(tau1, scaled_tau_k(n, 1), consts, 0.5, cfg)
+        monkeypatch.setattr(flows, "_newton_stepper", picard_stepper)
+        picard = ftau_conformal_flow(tau1, scaled_tau_k(n, 1), consts, 0.5, cfg)
         assert closed.a_min == 1.0
-        assert picard.a_min == pytest.approx(1.0, abs=1e-12)
+        for traj in (newton, picard):
+            assert np.max(np.abs(traj.taus - closed.taus)) <= 1e-12 * np.max(np.abs(tau1.samples))
+            assert traj.a_min == pytest.approx(1.0, abs=1e-12)
 
-    def test_picard_reports_least_coefficient_seen(self):
+    def test_picard_reports_least_coefficient_seen(self, monkeypatch):
         # f = (2/n) tau_2: a = (2/n) tau_1 on the faces; implicit Euler keeps
-        # the minimum of tau_1 from falling, so the least a is the initial one
+        # the minimum of tau_1 from falling, so the least a is the initial
+        # one, by Newton's method and by the Picard oracle alike
         n = 2
         consts = f_recursion_constants(power_sums(CurvatureSpectrum((0.5, 1.1))))
         tau1 = cos_field(n=64, amp=0.2, offset=1.6)
-        traj = ftau_conformal_flow(tau1, scaled_tau_k(n, 2), consts, 0.1, SolverConfig(dt=1e-2))
         faces = 0.5 * (tau1.samples + np.roll(tau1.samples, -1))
-        assert traj.a_min == pytest.approx(2.0 / n * faces.min(), rel=1e-12)
+        for stepper in (flows._newton_stepper, picard_stepper):
+            monkeypatch.setattr(flows, "_newton_stepper", stepper)
+            traj = ftau_conformal_flow(tau1, scaled_tau_k(n, 2), consts, 0.1,
+                                       SolverConfig(dt=1e-2))
+            assert traj.a_min == pytest.approx(2.0 / n * faces.min(), rel=1e-12)
 
 
     @pytest.mark.parametrize("flow", [ftau_conformal_flow])
@@ -528,6 +563,55 @@ class TestFtauConformal:
         for k in range(0, consts.n + 1):
             rows = np.asarray([basis(k, row, consts) for row in states])
             assert basis(k, states, consts).tobytes() == rows.tobytes()
+
+
+class TestNewtonAgainstPicard:
+    """The non-slope conformal and umbilical routes by Newton's method against
+    the Picard oracle put in its place: the same discrete solution, to
+    1e-12 (1 + sup |u0|), at about one solve per step (an exact Jacobian)."""
+
+    def _both(self, monkeypatch, run):
+        solves = []
+        solve = parabolic.solve_cyclic_tridiag
+
+        def counted(*args):
+            solves.append(1)
+            return solve(*args)
+
+        monkeypatch.setattr(parabolic, "solve_cyclic_tridiag", counted)
+        newton = run()
+        newton_solves = len(solves)
+        monkeypatch.setattr(flows, "_newton_stepper", picard_stepper)
+        return newton, run(), newton_solves
+
+    @pytest.mark.parametrize("scheme", ["implicit-euler", "crank-nicolson"])
+    def test_ftau_scaled_tau2(self, monkeypatch, scheme):
+        # f = (2/n) tau_2: a = (2/n) tau_1, a' = 2/n through F_1' = F_0 / n;
+        # measured 3.5e-13 and 1.8e-13, 201 solves in 200 steps
+        n = 2
+        consts = f_recursion_constants(power_sums(CurvatureSpectrum((0.5, 1.1))))
+        tau1 = cos_field(n=128, amp=0.3, offset=1.6)
+        cfg = SolverConfig(dt=1e-3, scheme=scheme, save_every=1)
+        newton, picard, solves = self._both(monkeypatch, lambda: ftau_conformal_flow(
+            tau1, scaled_tau_k(n, 2), consts, 0.2, cfg))
+        scale = 1.0 + np.max(np.abs(tau1.samples))
+        assert np.max(np.abs(newton.taus - picard.taus)) <= 1e-12 * scale
+        assert solves <= 1.05 * 200
+
+    @pytest.mark.parametrize("scheme", ["implicit-euler", "crank-nicolson"])
+    def test_umbilical_cubic_psi(self, monkeypatch, scheme):
+        # psi = lam + lam^3: conductivity (1 + 3 lam^2) / 2, slope 3 lam;
+        # measured 5.3e-13 and 2.7e-13, 201 solves in 200 steps (over 400
+        # with the slope left out of the Jacobian)
+        lam0 = cos_field(n=128, amp=0.5)
+        cfg = SolverConfig(dt=1e-3, scheme=scheme, save_every=1)
+        newton, picard, solves = self._both(monkeypatch, lambda: evolve_umbilical(
+            UmbilicalState.initial(lam0), lambda u: u + u**3, lambda u: 1.0 + 3.0 * u**2,
+            0.2, cfg, psi_second=lambda u: 6.0 * u))
+        scale = 1.0 + np.max(np.abs(lam0.samples))
+        assert np.max(np.abs(newton.lam - picard.lam)) <= 1e-12 * scale
+        assert np.max(np.abs(newton.conf - picard.conf)) <= 1e-12 * scale
+        assert solves <= 1.05 * 200
 
 
 class TestVolumeTracker:

@@ -13,6 +13,8 @@ from egf.parabolic import SolverConfig, _d_x
 from egf.reeb import (
     ReebGeometry,
     ReebState,
+    _default_alpha,
+    _default_alpha_prime,
     evolve_reeb_lambda,
     expansion_slope,
     gaussian_curvature,
@@ -42,8 +44,8 @@ class TestSetup:
         assert geom.lam0[0] == 0.0 and geom.lam0[-1] == 0.0
         assert np.all(geom.lam0 >= 0.0)
 
-    def test_graph_curvature_cross_check(self, geom):
-        assert graph_curvature_check(geom, 0.5) < 1e-8
+    def test_graph_curvature_cross_check(self):
+        assert graph_curvature_check(_default_alpha, _default_alpha_prime, 0.5) < 1e-8
 
     def test_bad_alpha_rejected(self):
         with pytest.raises(ValidationError):
@@ -69,30 +71,30 @@ def test_no_egf_entry_point_imports_scipy_integrate():
 
 
 class TestNCurveMap:
-    def test_zero_length_identity(self, geom):
+    def test_zero_length_identity(self):
         pts = np.array([-0.7, -0.2, 0.0, 0.4, 0.9])
-        phi, stat = n_curve_map(geom, 0.0, pts)
+        phi, stat = n_curve_map(_default_alpha, 0.0, pts)
         assert np.array_equal(phi, pts)
         assert stat.tolist() == [False, False, True, False, False]
 
-    def test_origin_stationary(self, geom):
-        phi, stat = n_curve_map(geom, 3.0, [0.0])
+    def test_origin_stationary(self):
+        phi, stat = n_curve_map(_default_alpha, 3.0, [0.0])
         assert phi[0] == 0.0 and stat[0]
 
-    def test_small_s_taylor(self, geom):
+    def test_small_s_taylor(self):
         # phi_s(x) ~ x - s sin(alpha(x)) + O(s^2)
         x0, s = 0.5, 1e-3
-        phi, _ = n_curve_map(geom, s, [x0])
+        phi, _ = n_curve_map(_default_alpha, s, [x0])
         expected = x0 - s * math.sin(math.pi / 4)
         assert phi[0] == pytest.approx(expected, abs=1e-6)
 
-    def test_implicit_integral_residual(self, geom):
+    def test_implicit_integral_residual(self):
         x0, s = 0.5, 0.8
-        phi, _ = n_curve_map(geom, s, [x0])
-        assert n_curve_residual(geom, x0, float(phi[0]), s) < 1e-8
+        phi, _ = n_curve_map(_default_alpha, s, [x0])
+        assert n_curve_residual(_default_alpha, x0, float(phi[0]), s) < 1e-8
 
-    def test_flow_moves_toward_center(self, geom):
-        phi, _ = n_curve_map(geom, 1.0, [0.5, -0.5])
+    def test_flow_moves_toward_center(self):
+        phi, _ = n_curve_map(_default_alpha, 1.0, [0.5, -0.5])
         assert 0.0 < phi[0] < 0.5
         assert -0.5 < phi[1] < 0.0
 
@@ -147,7 +149,7 @@ class TestEvolution:
         traj = evolve_reeb_lambda(geom, T, SolverConfig(dt=5e-4, scheme="crank-nicolson"))
         xe = np.linspace(0.2, 0.9, 29)
         lam_x = np.interp(xe, geom.x, traj.lam[-1])
-        lam_k = kernel_lambda(geom, T, xe)
+        lam_k = kernel_lambda(geom, _default_alpha, _default_alpha_prime, T, xe)
         assert np.max(np.abs(lam_x - lam_k)) < 1e-4
 
     @pytest.mark.parametrize("scheme, bound", [("crank-nicolson", 1.9), ("implicit-euler", 0.95)])
@@ -265,8 +267,6 @@ class TestCurvature:
             alpha=np.full(n + 1, 0.3),
             alpha_prime=np.zeros(n + 1),
             lam0=np.zeros(n + 1),
-            alpha_func=lambda p: np.full_like(np.asarray(p, float), 0.3),
-            alpha_prime_func=lambda p: np.zeros_like(np.asarray(p, float)),
         )
         state = ReebState(np.zeros(n + 1), np.zeros(n + 1))
         assert np.max(gauss_cross_check(state, geom)) == 0.0
@@ -313,5 +313,6 @@ class TestParityBroken:
         geom, lam0, state, _, _ = broken
         for side in (1.0, -1.0):
             window = (side * geom.x >= 0.2) & (side * geom.x <= 0.8)
-            lam_k = kernel_lambda(geom, 0.1, geom.x[window], lam0=lam0)
+            lam_k = kernel_lambda(geom, _default_alpha, _default_alpha_prime, 0.1, geom.x[window],
+                                   lam0=lam0)
             assert np.max(np.abs(lam_k - state.lam[window])) <= 1e-6
