@@ -2,18 +2,15 @@
 
 Subpackages by concern:
 
-- :mod:`egf.symfun` -- power sums, elementary symmetric functions, the
-  conformal recursion functions F_k / Psi_k, Newton transformations,
-  ellipticity quantities.
-- :mod:`egf.companion` -- the generalized companion matrix B_{n,1},
-  weighted matrices of the short-time-existence hypothesis, and the
-  n-truncation of power-sum PDE systems.
+- :mod:`egf.symfun` -- power sums, elementary symmetric functions and the
+  conformal recursion functions F_k / Psi_k.
+- :mod:`egf.companion` -- the generalized companion matrix B_{n,1} and
+  its weighted powers.
 - :mod:`egf.parabolic` -- 1-D parabolic solvers on a circle / interval,
-  the exact quasi-linear reference family, decay-rate fitting and a
-  parabolicity test.
-- :mod:`egf.flows` -- the flow scenarios: umbilical surface flows,
-  diagonal tau-heat flow, twisted products, f(tau)-conformal flows,
-  prescribed mean curvature, volume bookkeeping.
+  the exact quasi-linear reference family and decay-rate fitting.
+- :mod:`egf.flows` -- the flow scenarios: umbilical surface flows with
+  their volume, twisted products, f(tau)-conformal flows and prescribed
+  mean curvature.
 - :mod:`egf.reeb` -- the Reeb-foliation-on-the-torus case study.
 - :mod:`egf.chartgeom` -- extraction of b, A, tau_i from a sampled
   metric in biregular foliated coordinates.

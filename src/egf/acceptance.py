@@ -8,6 +8,8 @@ the whole suite.  The same checks back ``tests/test_acceptance.py`` and the
 Criteria 1, 2, 6, 7 and 9 run bundled scenarios (:data:`BUNDLED`) through
 :func:`egf.runner.run_scenario` and read their clause numbers from the run;
 criterion 9 takes the metrics of criterion 1's grid-512 run as an argument.
+Criterion 8 runs its umbilical problem (:data:`UMBILICITY`) the same way and
+reads the curvature and conformal factor from the run's fields.
 
 Criterion 5 note: with the symmetric default geometry (leaf angle
 pi x / 2) the evolved curvature stays even in x, so V_t(0) = 0 and the
@@ -40,12 +42,7 @@ from .companion import (
     vandermonde_relation,
     weighted_power_matrix,
 )
-from .flows import (
-    UmbilicalState,
-    conformal_ode_system,
-    evolve_umbilical,
-    umbilical_metric_samples,
-)
+from .flows import conformal_ode_system, umbilical_metric_samples
 from .parabolic import CircleField, SolverConfig
 from .reeb import (
     evolve_reeb_lambda,
@@ -68,7 +65,7 @@ from .symfun import (
     sigma_from_tau,
 )
 
-__all__ = ["CriterionResult", "run_all", "CRITERIA", "BUNDLED"]
+__all__ = ["CriterionResult", "run_all", "CRITERIA", "BUNDLED", "UMBILICITY"]
 
 # The bundled scenarios that criteria 1, 2, 6, 7 and 9 run, as the entries of
 # their files under scenarios/.
@@ -91,6 +88,14 @@ BUNDLED = {
         "scheme": "crank-nicolson", "init": "zero", "target": "cos",
     },
 }
+
+# Criterion 8's umbilical problem, which no bundled file holds.
+UMBILICITY = {
+    "kind": "umbilical", "grid": "512", "dt": "0.001", "T": "1.0", "scheme": "crank-nicolson",
+    "init": "cos", "init-amplitude": "0.25", "psi": "linear", "psi-slope": "2",
+    "save-every": "250",
+}
+
 
 @dataclass
 class CriterionResult:
@@ -321,24 +326,14 @@ def criterion_7() -> CriterionResult:
 
 def criterion_8() -> CriterionResult:
     t0 = time.perf_counter()
-    grid = 512
-    x = np.arange(grid) * 2 * math.pi / grid
-    lam0 = CircleField(2 * math.pi, 0.25 * np.cos(x))
-    psi = lambda u: 2.0 * np.asarray(u, dtype=float)
-    psi_prime = lambda u: np.full_like(np.asarray(u, dtype=float), 2.0)
-    traj = evolve_umbilical(
-        UmbilicalState.initial(lam0),
-        psi,
-        psi_prime,
-        1.0,
-        SolverConfig(dt=1e-3, scheme="crank-nicolson", save_every=250),
-        psi_slope=2.0,
-    )
+    res = _run(UMBILICITY)
+    lam, conf, length = res.fields["lambda"], res.fields["conf"], res.scenario.length
+    lam0 = CircleField(length, lam[0])
     worst_off = 0.0
     worst_lam = 0.0
-    for idx in range(traj.times.size):
+    for idx in range(res.times.size):
         x0, g00, gij = umbilical_metric_samples(
-            lam0, CircleField(2 * math.pi, traj.conf[idx]), leaf_dim=2
+            lam0, CircleField(length, conf[idx]), leaf_dim=2
         )
         ext = weingarten_from_chart(ChartMetric(x0, g00, gij))
         diag = np.einsum("mii->mi", ext.A)
@@ -347,7 +342,7 @@ def criterion_8() -> CriterionResult:
         worst_off = max(worst_off, float(np.max(np.abs(off_diag))))
         sl = slice(2, -2)
         worst_lam = max(
-            worst_lam, float(np.max(np.abs(mean_diag[sl] - traj.lam[idx][sl])))
+            worst_lam, float(np.max(np.abs(mean_diag[sl] - lam[idx][sl])))
         )
     elapsed = time.perf_counter() - t0
     clauses = [

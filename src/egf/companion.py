@@ -1,4 +1,4 @@
-"""Generalized companion matrix and n-truncation of power-sum systems.
+"""Generalized companion matrix B_{n,1} of a curvature spectrum.
 
 The matrix B_{n,1} closes the infinite chain of power-sum PDEs at order
 n: its characteristic polynomial is
@@ -7,13 +7,12 @@ n: its characteristic polynomial is
 
 its eigenvalues are the principal curvatures, and v_j = (1, 2 k_j,
 3 k_j^2, ..., n k_j^(n-1)) is an eigenvector for k_j.  The weighted
-matrices
+matrix
 
     Btilde = sum_{m>=1} (m/2) f_m B^(m-1)
-    Atilde_ij = (i/2) sum_{m=0..n-1} tau_{i+m-1} df_m/dtau_j
 
-enter the negative-definiteness hypothesis for short-time existence of
-the flows; power sums with index above n are resolved through F_k.
+enters the negative-definiteness hypothesis for short-time existence of
+the flows.
 """
 
 from __future__ import annotations
@@ -24,25 +23,15 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DefectiveSpectrumError, ValidationError
-from .symfun import (
-    CurvatureSpectrum,
-    ElemSymVector,
-    PowerSumVector,
-    StructConstants,
-    eval_F,
-)
+from .symfun import CurvatureSpectrum, ElemSymVector
 
 __all__ = [
     "CompanionMatrix",
-    "TruncationSystem",
     "build_companion",
     "char_poly_coefficients",
     "eigenpair_check",
     "vandermonde_relation",
     "weighted_power_matrix",
-    "tilde_A_matrix",
-    "hypothesis_check_T02",
-    "truncate_second_order",
 ]
 
 
@@ -56,22 +45,6 @@ class CompanionMatrix:
 
     def power(self, p: int) -> np.ndarray:
         return np.linalg.matrix_power(self.entries, p)
-
-
-@dataclass(frozen=True)
-class TruncationSystem:
-    """Principal part of the n-truncated system for one flow power m.
-
-    The truncated system reads  d/dt tau = principal * dxx(tau) + a_m,
-    where principal = (m/2) B^(m-1) and the first-order remainder
-    a_m(tau, dx tau) comes from differentiating the closure relation; it
-    is not stored in closed form (see ``note``).
-    """
-
-    n: int
-    m: int
-    principal: np.ndarray
-    note: str
 
 
 def build_companion(sigma: ElemSymVector) -> CompanionMatrix:
@@ -169,71 +142,3 @@ def weighted_power_matrix(f: Sequence[float], B: CompanionMatrix) -> np.ndarray:
         if fm != 0.0:
             out += (m / 2.0) * fm * B.power(m - 1)
     return out
-
-
-def tilde_A_matrix(
-    tau: PowerSumVector,
-    f_partials: np.ndarray,
-    consts: StructConstants | None = None,
-) -> np.ndarray:
-    """Atilde_ij = (i/2) sum_{m=0..n-1} tau_{i+m-1} df_m/dtau_j.
-
-    ``f_partials[m, j-1]`` holds df_m/dtau_j at the evaluation point for
-    m = 0..n-1.  Indices i+m-1 run from 0 to 2n-2: tau_0 = n, and any
-    index above n is resolved through F_k(tau_1) with the supplied
-    structure constants (required whenever n >= 2).
-    """
-    n = tau.n
-    fp = np.asarray(f_partials, dtype=float)
-    if fp.shape != (n, n):
-        raise ValidationError(f"f_partials must be {n}x{n} (rows m=0..n-1)")
-
-    def tau_at(idx: int) -> float:
-        if idx == 0:
-            return float(n)
-        if idx <= n:
-            return tau.tau[idx - 1]
-        if consts is None:
-            raise ValidationError(
-                f"tau_{idx} exceeds n={n}: structure constants required"
-            )
-        return float(eval_F(idx, tau.tau[0], consts))
-
-    active = [m for m in range(n) if np.any(fp[m] != 0.0)]
-    A = np.zeros((n, n))
-    for i in range(1, n + 1):
-        row = np.zeros(n)
-        for m in active:
-            row += tau_at(i + m - 1) * fp[m]
-        A[i - 1] = (i / 2.0) * row
-    return A
-
-
-def hypothesis_check_T02(Btilde: np.ndarray, Atilde: np.ndarray) -> tuple[bool, float]:
-    """Negative definiteness of Btilde + Atilde, tested on the symmetric part.
-
-    Returns (negative_definite, margin) with margin the largest
-    eigenvalue of (M + M^T)/2; the hypothesis holds iff margin < 0.
-    """
-    M = np.asarray(Btilde) + np.asarray(Atilde)
-    sym = 0.5 * (M + M.T)
-    margin = float(np.max(np.linalg.eigvalsh(sym)))
-    return margin < 0.0, margin
-
-
-def truncate_second_order(sigma: ElemSymVector, m: int) -> TruncationSystem:
-    """Principal part (m/2) B_{n,1}^(m-1) of the n-truncated system."""
-    if not 1 <= m <= sigma.n:
-        raise ValidationError(f"flow power m={m} out of range 1..{sigma.n}")
-    B = build_companion(sigma)
-    principal = (m / 2.0) * B.power(m - 1)
-    return TruncationSystem(
-        n=sigma.n,
-        m=m,
-        principal=principal,
-        note=(
-            "omitted lower-order remainder a_m(tau, dx tau) collects the "
-            "dx-derivatives of the closure coefficients; available only "
-            "numerically as the difference of the two sides"
-        ),
-    )

@@ -8,19 +8,18 @@ and discretized by central differences.
 Implemented flows (all conformal in the leafwise metric):
 
 - umbilical surface flow     dlam/dt = (1/2) d_s(psi'(lam) d_s lam)
-- diagonal tau-heat flow     dtau_i/dt = d_ss tau_i
 - twisted-product flow       dphi/dt = (1/n) d_yy phi  per base point
 - prescribed mean curvature  w = tau_1 - F,  dw/dt = d_ss w
 - f(tau)-conformal flow      dtau_1/dt = d_s(a(tau) d_s tau_1),
                              a = (1/2) sum_k k df/dtau_k F_{k-1}(tau_1)
 
-plus volume bookkeeping d(vol)/dt = (1/2) integral tr(S) dvol and the
+plus the volume of a conformal flow from its log conformal factor, and the
 driven conformal ODE chains that keep phi_k / psi_k constant.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -36,7 +35,6 @@ from .parabolic import (
     _propagator,
     _quasilinear_faces,
     solve_cyclic_tridiag,  # noqa: F401  (perfbench's tracer test wraps this binding)
-    solve_heat_circle,
 )
 from .symfun import StructConstants, eval_F, eval_F_prime
 
@@ -44,7 +42,6 @@ __all__ = [
     "UmbilicalState",
     "TwistedState",
     "MeanCurvatureState",
-    "VolumeTracker",
     "TauFunction",
     "UmbilicalTrajectory",
     "TwistedTrajectory",
@@ -52,7 +49,6 @@ __all__ = [
     "TauFieldTrajectory",
     "circle_derivative",
     "evolve_umbilical",
-    "evolve_tau_heat",
     "twisted_product_flow",
     "prescribed_mean_curvature_flow",
     "ftau_conformal_flow",
@@ -129,56 +125,18 @@ class MeanCurvatureState:
             raise ValidationError("tau1 and target must share one grid")
 
 
-@dataclass
-class VolumeTracker:
-    """Volume of the evolving metric, tracked through its density.
-
-    The density rho along the N-curve carries the measure:
-    vol = integral rho ds (trapezoid = grid mean times length on the
-    periodic grid).  A conformal deformation with trace tr(S) updates it
-    pointwise by rho *= exp((dt/2) tr S), one forward step in time.
-    """
-
-    n: int
-    length: float
-    density: np.ndarray
-    t: float = 0.0
-    history: list = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        self.density = np.asarray(self.density, dtype=float)
-        if np.min(self.density) <= 0.0:
-            raise ValidationError("volume density must be positive")
-        if not self.history:
-            self.history.append((self.t, self.vol))
-
-    @classmethod
-    def uniform(cls, n: int, length: float, grid: int, vol0: float = 1.0):
-        return cls(n, length, np.full(grid, vol0 / length))
-
-    @property
-    def vol(self) -> float:
-        return float(self.density.mean() * self.length)
-
-    @property
-    def normalization_factor(self) -> float:
-        """phi_t = vol^(-2/n), the dilation taking g_t to unit volume."""
-        return self.vol ** (-2.0 / self.n)
-
-
 @dataclass(frozen=True)
 class TauFunction:
-    """f(tau) together with its gradient d f / d tau_k.
+    """The gradient d f / d tau_k of a coefficient function f(tau).
 
-    ``func`` and ``grad`` act on a stacked array of shape (n, ...) and
-    return shapes (...) and (n, ...); both must be numpy-vectorized.
-    ``slope`` declares f = slope * u_1 + const, linear in u_1 alone: the
-    conformal flows then have a constant coefficient a and take the
-    closed-form propagator instead of Newton's method.
+    ``grad`` acts on a stacked array of shape (n, ...) and returns shape
+    (n, ...); it must be numpy-vectorized.  ``slope`` declares f = slope *
+    u_1 + const, linear in u_1 alone: the conformal flows then have a
+    constant coefficient a and take the closed-form propagator instead of
+    Newton's method.
     """
 
     n: int
-    func: Callable[[np.ndarray], np.ndarray]
     grad: Callable[[np.ndarray], np.ndarray]
     slope: float | None = None
 
@@ -272,25 +230,6 @@ def evolve_umbilical(
         lam=lam,
         conf=conf,
         length=lam0.length,
-    )
-
-
-def evolve_tau_heat(
-    taus: Sequence[CircleField], T: float, cfg: SolverConfig
-) -> TauFieldTrajectory:
-    """Diagonal tau-heat flow: every component diffuses, dtau_i/dt = d_ss tau_i.
-
-    This is the flow whose leafwise deformation has traceless-free
-    coefficient absorbed so each power sum obeys the plain heat equation
-    along the N-curve; the long-time limit of each component is its
-    initial mean.
-    """
-    trajs = [solve_heat_circle(f, T, cfg) for f in taus]
-    times = trajs[0].times
-    return TauFieldTrajectory(
-        times=times,
-        taus=np.stack([tr.states for tr in trajs]),
-        length=taus[0].length,
     )
 
 
@@ -421,24 +360,20 @@ def ftau_conformal_flow(
     return TauFieldTrajectory(times=times, taus=taus, length=tau1.length, a_min=a_min)
 
 
-def track_volume(tracker: VolumeTracker, s_field: CircleField, dt: float) -> VolumeTracker:
-    """Advance the volume by one step of d(vol)/dt = (1/2) integral tr(S) dvol.
+def track_volume(rho0: np.ndarray, conf: np.ndarray, length: float) -> np.ndarray:
+    """The volumes of a conformal flow at its snapshots.
 
-    ``s_field`` samples tr(S) along the N-curve (for a conformal
-    deformation S = s ghat that is n * s).  The density update is the
-    exact per-node integrating factor exp((dt/2) tr S) of the frozen
-    coefficient, and vol is its trapezoid integral; vol <= 0 would
-    signal blow-up of the discretization and raises.
+    d(vol)/dt = (1/2) integral tr(S) dvol, and tr S is the time derivative
+    of the log conformal factor ``conf`` (one snapshot per row, shape
+    (S, N)), so the density along the N-curve is rho0 exp(conf / 2) at every
+    time and vol is its trapezoid integral, the grid mean times ``length``
+    on the periodic grid.  A volume that is not positive and finite signals
+    blow-up and raises.
     """
-    if s_field.n != tracker.density.size:
-        raise ValidationError("trace field and tracker density grids differ")
-    tracker.density = tracker.density * np.exp(0.5 * dt * s_field.samples)
-    tracker.t += dt
-    vol = tracker.vol
-    if not np.isfinite(vol) or vol <= 0.0:
-        raise SolverError("volume tracker left the positive range (blow-up)")
-    tracker.history.append((tracker.t, vol))
-    return tracker
+    vols = length * np.mean(rho0 * np.exp(0.5 * conf), axis=-1)
+    if not np.all(np.isfinite(vols) & (vols > 0.0)):
+        raise SolverError("volume left the positive range (blow-up)")
+    return vols
 
 
 def conformal_ode_system(

@@ -41,7 +41,6 @@ __all__ = [
     "solve_quasilinear_divergence",
     "solve_linear_interval",
     "fit_exponential_decay",
-    "parabolicity_check",
     "exact_quasilinear_solution",
     "exact_quasilinear_conductivity",
 ]
@@ -122,9 +121,6 @@ class CircleField:
     def mean(self) -> float:
         return float(self.samples.mean())
 
-    def copy(self) -> "CircleField":
-        return CircleField(self.length, self.samples.copy())
-
 
 @dataclass
 class Conductivity:
@@ -194,10 +190,6 @@ class CircleTrajectory:
     step_times: np.ndarray  # every accepted step, shape (K+1,)
     means: np.ndarray       # discrete mean per step
     sup_deviation: np.ndarray  # sup |u - mean(u0)| per step
-
-    @property
-    def final(self) -> CircleField:
-        return CircleField(self.length, self.states[-1].copy())
 
 
 # ---------------------------------------------------------------------------
@@ -630,7 +622,7 @@ def _interval_stepper(u0, h, diffusion, drift, cfg: SolverConfig, bc) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# decay fit, parabolicity and the exact quasi-linear family
+# decay fit and the exact quasi-linear family
 
 
 def fit_exponential_decay(series: Sequence[tuple[float, float]]) -> tuple[float, float]:
@@ -654,18 +646,6 @@ def fit_exponential_decay(series: Sequence[tuple[float, float]]) -> tuple[float,
     logs = np.log([v for _, v in positive])
     slope, intercept = np.polyfit(ts, logs, 1)
     return float(np.exp(intercept)), float(-slope)
-
-
-def parabolicity_check(A: np.ndarray) -> tuple[bool, float]:
-    """Smallest eigenvalue c of the symmetric part of A; parabolic iff c > 0.
-
-    c is the best constant in <A v, v> >= c <v, v>.
-    """
-    M = np.asarray(A, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValidationError("need a square matrix")
-    c = float(np.min(np.linalg.eigvalsh(0.5 * (M + M.T))))
-    return c > 0.0, c
 
 
 def exact_quasilinear_solution(t, x):

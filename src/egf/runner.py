@@ -179,8 +179,8 @@ def _run_pde_reference(scn: FlowScenario) -> RunResult:
 def _run_tau_heat(scn: FlowScenario) -> RunResult:
     x = _circle_nodes(scn)
     tau1 = CircleField(scn.length, build_field(scn, "init", x))
-    traj = flows.evolve_tau_heat([tau1], scn.T, _config(scn))
-    states = traj.taus[0]
+    traj = solve_heat_circle(tau1, scn.T, _config(scn))
+    states = traj.states
     sup = np.max(np.abs(states - tau1.mean()), axis=1)
     drift = _drift(states.mean(axis=1))
     checks = [
@@ -213,12 +213,7 @@ def _run_umbilical(scn: FlowScenario) -> RunResult:
     traj = flows.evolve_umbilical(
         flows.UmbilicalState.initial(lam0), psi, psi_prime, scn.T, _config(scn), psi_slope=slope
     )
-    tracker = flows.VolumeTracker(1, scn.length, np.exp(-c0))
-    vols = [tracker.vol]
-    trS = -flows.circle_derivative(psi(traj.lam), h)
-    for i in range(1, traj.times.size):
-        dt = float(traj.times[i] - traj.times[i - 1])
-        vols.append(flows.track_volume(tracker, CircleField(scn.length, trS[i]), dt).vol)
+    vols = flows.track_volume(np.exp(-c0), traj.conf, scn.length)
     sup = np.max(np.abs(traj.lam), axis=1)
     # d_s conf = -2 (lambda - lambda_0) up to the time and stencil errors.  The
     # residual measured at most 0.5 (slope dt + h^2) sup |d_ss lambda_0| over
@@ -237,7 +232,7 @@ def _run_umbilical(scn: FlowScenario) -> RunResult:
     ]
     return _result(scn, checks, traj.times, {"x": x}, {"lambda": traj.lam, "conf": traj.conf},
                    {"sup_lambda": sup, "volume": vols}, _fit_alpha(traj.times, sup),
-                   {"volume": vols[-1]})
+                   {"volume": float(vols[-1])})
 
 
 def _run_twisted(scn: FlowScenario) -> RunResult:
@@ -289,9 +284,6 @@ def _run_ftau(scn: FlowScenario) -> RunResult:
     which = scn.get("f")
     k_idx = 1 if which == "scaled-tau1" else 2
 
-    def func(tau):
-        return 2.0 / n * tau[k_idx - 1]
-
     def grad(tau):
         g = np.zeros_like(tau)
         g[k_idx - 1] = 2.0 / n
@@ -299,7 +291,7 @@ def _run_ftau(scn: FlowScenario) -> RunResult:
 
     x = _circle_nodes(scn)
     tau1 = CircleField(scn.length, build_field(scn, "init", x))
-    f = flows.TauFunction(n, func, grad, slope=2.0 / n if k_idx == 1 else None)
+    f = flows.TauFunction(n, grad, slope=2.0 / n if k_idx == 1 else None)
     traj = flows.ftau_conformal_flow(tau1, f, consts, scn.T, _config(scn))
     states = traj.taus[0]
     sup = np.max(np.abs(states - states[0].mean()), axis=1)

@@ -1,9 +1,8 @@
 """Symmetric-function algebra of principal curvatures.
 
 Power sums tau_j = sum_i k_i^j and elementary symmetric functions sigma_j
-of a curvature spectrum (k_1, ..., k_n), the conformal recursion functions
-F_k / Psi_k with their structure constants phi_k / psi_k, Newton
-transformations, and the ellipticity quantities mu_{m;ij}.
+of a curvature spectrum (k_1, ..., k_n), and the conformal recursion
+functions F_k / Psi_k with their structure constants phi_k / psi_k.
 
 Conventions used throughout:
 
@@ -26,7 +25,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb, factorial
-from typing import Callable, Sequence
 
 import numpy as np
 
@@ -39,7 +37,6 @@ __all__ = [
     "StructConstants",
     "power_sums",
     "sigma_from_tau",
-    "tau_from_sigma",
     "extend_power_sums",
     "f_recursion_constants",
     "peel_phi",
@@ -47,12 +44,6 @@ __all__ = [
     "eval_F",
     "eval_F_prime",
     "eval_Psi",
-    "eval_Psi_prime",
-    "newton_transform",
-    "newton_transform_trace",
-    "mu_coefficient",
-    "ellipticity_check",
-    "psi_umbilical",
 ]
 
 
@@ -178,22 +169,6 @@ def sigma_from_tau(tau: PowerSumVector) -> ElemSymVector:
     return ElemSymVector(n, tuple(sigma))
 
 
-def tau_from_sigma(sigma: ElemSymVector) -> PowerSumVector:
-    """Inverse of :func:`sigma_from_tau` (Newton's identities, reversed).
-
-        tau_j = sum_{i=1..j-1} (-1)^(i-1) sigma_i tau_{j-i} + (-1)^(j-1) j sigma_j
-    """
-    n = sigma.n
-    s = sigma.sigma
-    tau: list[float] = []
-    for j in range(1, n + 1):
-        acc = (-1.0) ** (j - 1) * j * s[j]
-        for i in range(1, j):
-            acc += (-1.0) ** (i - 1) * s[i] * tau[j - i - 1]
-        tau.append(acc)
-    return PowerSumVector(n, tuple(tau))
-
-
 def extend_power_sums(tau: PowerSumVector, upto: int) -> np.ndarray:
     """(tau_1, ..., tau_upto) with indices above n closed by Cayley-Hamilton.
 
@@ -317,92 +292,3 @@ def eval_Psi(k: int, sigma1, consts: StructConstants):
         for i in range(2, k + 1):
             out = out + _psi_coeff(n, k, i) * consts.psi_k(i) * s ** (k - i)
     return out if out.ndim else float(out)
-
-
-def eval_Psi_prime(k: int, sigma1, consts: StructConstants):
-    """Psi_k'(sigma_1) = ((n-k+1)/n) Psi_{k-1}(sigma_1); Psi_0' = 0."""
-    if k == 0:
-        s = np.asarray(sigma1, dtype=float)
-        z = np.zeros_like(s)
-        return z if z.ndim else 0.0
-    prev = eval_Psi(k - 1, sigma1, consts)
-    return (consts.n - k + 1) / consts.n * prev
-
-
-def newton_transform(sigma: ElemSymVector, r: int) -> tuple[float, ...]:
-    """Coefficients (c_0, ..., c_r) of T_r(A) = sum_i c_i A^i.
-
-    T_r(A) = sum_{i=0..r} (-1)^i sigma_{r-i} A^i, so c_i = (-1)^i sigma_{r-i}.
-    """
-    if not 0 <= r <= sigma.n:
-        raise IndexError(f"T_{r} undefined for n={sigma.n}")
-    return tuple((-1.0) ** i * sigma.sigma[r - i] for i in range(r + 1))
-
-
-def newton_transform_trace(sigma: ElemSymVector, tau: PowerSumVector, r: int) -> float:
-    """tr T_r(A) = sum_i c_i tau_i, contracted against (tau_0, ..., tau_r).
-
-    Equals (n - r) sigma_r identically.
-    """
-    coeffs = newton_transform(sigma, r)
-    taus = tau.with_tau0()
-    return float(sum(c * taus[i] for i, c in enumerate(coeffs)))
-
-
-def mu_coefficient(m: int, i: int, j: int, spec: CurvatureSpectrum) -> float:
-    """mu_{m;ij} = sum_{a=0..m-1} k_i^a k_j^(m-1-a) for 1 <= i <= j <= n, 1 <= m < n."""
-    n = spec.n
-    if not (1 <= m < n):
-        raise IndexError(f"m={m} out of range 1..{n - 1}")
-    if not (1 <= i <= j <= n):
-        raise IndexError(f"pair (i={i}, j={j}) out of range for n={n}")
-    ki, kj = spec.k[i - 1], spec.k[j - 1]
-    return float(sum(ki**a * kj ** (m - 1 - a) for a in range(m)))
-
-
-def ellipticity_check(f: Sequence[float], spec: CurvatureSpectrum) -> tuple[bool, float]:
-    """Test sum_{m=1..n-1} f_m mu_{m;ij} < 0 for every pair i <= j.
-
-    ``f`` is (f_1, ..., f_{n-1}) evaluated at the point.  Returns
-    (holds, margin) where margin is the largest pair value; the
-    condition holds strictly iff margin < 0.  Scaling all f_m by a
-    positive constant rescales the margin but not the outcome.
-    """
-    n = spec.n
-    if len(f) != n - 1:
-        raise ValidationError(f"need f_1..f_{n - 1} ({n - 1} values), got {len(f)}")
-    margin = -np.inf
-    for i in range(1, n + 1):
-        for j in range(i, n + 1):
-            val = sum(f[m - 1] * mu_coefficient(m, i, j, spec) for m in range(1, n))
-            margin = max(margin, val)
-    return bool(margin < 0.0), float(margin)
-
-
-def psi_umbilical(
-    f: Sequence[Callable[[np.ndarray], float] | float],
-    lam: float,
-    n: int,
-) -> tuple[float, float, bool]:
-    """The umbilical speed function psi and its slope.
-
-        psi(lam) = - sum_{m=0..n-1} f_m(n lam, n lam^2, ..., n lam^n) lam^m
-
-    ``f`` lists the coefficient functions f_0..f_{n-1}; plain numbers are
-    accepted as constants.  Returns (psi, psi', psi' > 0); the derivative
-    is a central difference, which is exact for the affine psi produced
-    by constant f_m.
-    """
-
-    def value(x: float) -> float:
-        tau_umb = np.array([n * x**m for m in range(1, n + 1)], dtype=float)
-        acc = 0.0
-        for m, fm in enumerate(f):
-            coeff = fm(tau_umb) if callable(fm) else float(fm)
-            acc += coeff * x**m
-        return -acc
-
-    val = value(lam)
-    h = max(1e-6, 1e-6 * abs(lam))
-    slope = (value(lam + h) - value(lam - h)) / (2.0 * h)
-    return val, slope, bool(slope > 0.0)

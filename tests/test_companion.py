@@ -5,9 +5,6 @@ from egf.companion import (
     build_companion,
     char_poly_coefficients,
     eigenpair_check,
-    hypothesis_check_T02,
-    tilde_A_matrix,
-    truncate_second_order,
     vandermonde_relation,
     weighted_power_matrix,
 )
@@ -19,6 +16,7 @@ from egf.symfun import (
     power_sums,
     sigma_from_tau,
 )
+from paper_oracles import hypothesis_check_T02, tilde_A_matrix, truncate_second_order
 
 
 def companion_of(*k):

@@ -4,16 +4,14 @@ import numpy as np
 import pytest
 
 from egf import flows, parabolic
-from egf.errors import EllipticityLossError, ValidationError
+from egf.errors import EllipticityLossError, SolverError, ValidationError
 from egf.flows import (
     MeanCurvatureState,
     TauFunction,
     TwistedState,
     UmbilicalState,
-    VolumeTracker,
     circle_derivative,
     conformal_ode_system,
-    evolve_tau_heat,
     evolve_umbilical,
     ftau_conformal_flow,
     prescribed_mean_curvature_flow,
@@ -176,14 +174,8 @@ class TestUmbilical:
         h = lam0.h
         c0 = np.concatenate([[0.0], np.cumsum(0.5 * (lam0.samples[1:] + lam0.samples[:-1]) * h)])
         rho0 = np.exp(-n_leaf * c0)
-        tracker = VolumeTracker(n_leaf, TWO_PI, rho0)
-        vols = [tracker.vol]
-        for i in range(1, traj.times.size):
-            lam = traj.lam[i]
-            trS = n_leaf * (-circle_derivative(psi2(lam), h))
-            track_volume(tracker, CircleField(TWO_PI, trS), traj.times[i] - traj.times[i - 1])
-            vols.append(tracker.vol)
-        vols = np.asarray(vols)
+        # tr S = n_leaf d(conf)/dt
+        vols = track_volume(rho0, n_leaf * traj.conf, TWO_PI)
         assert np.all(np.diff(vols) < 0.0)
         # rate check at t=0 against (8.2): dV/dt = -(n/2) int lam psi rho ds
         expected_rate = -(n_leaf / 2.0) * np.sum(lam0.samples * psi2(lam0.samples) * rho0) * h
@@ -236,29 +228,29 @@ class TestUmbilical:
 class TestTauHeat:
     def test_constant_stationary(self):
         tau1 = CircleField(TWO_PI, np.full(64, 2.2))
-        traj = evolve_tau_heat([tau1], 1.0, SolverConfig(dt=1e-2))
-        assert np.allclose(traj.taus[0, -1], 2.2, atol=1e-13)
+        traj = solve_heat_circle(tau1, 1.0, SolverConfig(dt=1e-2))
+        assert np.allclose(traj.states[-1], 2.2, atol=1e-13)
 
     def test_cos_decay_to_harmonic_limit(self):
         tau1 = cos_field(n=256)
         T = 1.0
-        traj = evolve_tau_heat([tau1], T, SolverConfig(dt=1e-4, scheme="crank-nicolson"))
+        traj = solve_heat_circle(tau1, T, SolverConfig(dt=1e-4, scheme="crank-nicolson"))
         x = tau1.nodes()
-        assert np.max(np.abs(traj.taus[0, -1] - math.exp(-T) * np.cos(x))) < 1e-4
+        assert np.max(np.abs(traj.states[-1] - math.exp(-T) * np.cos(x))) < 1e-4
         # long-time limit is the initial mean (zero here)
-        long = evolve_tau_heat([tau1], 12.0, SolverConfig(dt=1e-2))
-        assert np.max(np.abs(long.taus[0, -1])) < 1e-5
+        long = solve_heat_circle(tau1, 12.0, SolverConfig(dt=1e-2))
+        assert np.max(np.abs(long.states[-1])) < 1e-5
 
     def test_derivative_also_satisfies_heat_equation(self):
         # N(tau_1) of the solution equals the solution from N(tau_1) data
         tau1 = cos_field(n=256, amp=0.7)
         h = tau1.h
         cfg = SolverConfig(dt=1e-3)
-        a = evolve_tau_heat([tau1], 0.5, cfg)
+        a = solve_heat_circle(tau1, 0.5, cfg)
         d0 = CircleField(TWO_PI, circle_derivative(tau1.samples, h))
-        b = evolve_tau_heat([d0], 0.5, cfg)
-        got = circle_derivative(a.taus[0, -1], h)
-        assert np.max(np.abs(got - b.taus[0, -1])) < 1e-10
+        b = solve_heat_circle(d0, 0.5, cfg)
+        got = circle_derivative(a.states[-1], h)
+        assert np.max(np.abs(got - b.states[-1])) < 1e-10
 
 
 class TestTwisted:
@@ -354,7 +346,7 @@ class TestTwisted:
 class TestPrescribedMeanCurvature:
     def test_stationary_when_matched(self):
         F = cos_field(n=64, amp=0.5)
-        state = MeanCurvatureState(F.copy(), F)
+        state = MeanCurvatureState(CircleField(TWO_PI, F.samples.copy()), F)
         traj = prescribed_mean_curvature_flow(state, 1.0, SolverConfig(dt=1e-2))
         assert np.max(traj.residual_sup) < 1e-13
 
@@ -363,8 +355,8 @@ class TestPrescribedMeanCurvature:
         zero = CircleField(TWO_PI, np.zeros(128))
         cfg = SolverConfig(dt=1e-3)
         a = prescribed_mean_curvature_flow(MeanCurvatureState(tau0, zero), 0.7, cfg)
-        b = evolve_tau_heat([tau0], 0.7, cfg)
-        assert np.max(np.abs(a.tau1[-1] - b.taus[0, -1])) < 1e-12
+        b = solve_heat_circle(tau0, 0.7, cfg)
+        assert np.max(np.abs(a.tau1[-1] - b.states[-1])) < 1e-12
         # Reeb integral identity: zero-mean tau_1 keeps zero mean
         assert abs(a.tau1[-1].mean()) < 1e-13
 
@@ -432,17 +424,14 @@ class TestPrescribedMeanCurvature:
 
 
 def scaled_tau_k(n, k, slope=None):
-    """f(tau) = (2/n) tau_k with exact gradient; ``slope`` declares f linear in tau_1."""
-
-    def func(tau):
-        return 2.0 / n * tau[k - 1]
+    """The gradient of f(tau) = (2/n) tau_k; ``slope`` declares f linear in tau_1."""
 
     def grad(tau):
         g = np.zeros_like(tau)
         g[k - 1] = 2.0 / n
         return g
 
-    return TauFunction(n, func, grad, slope)
+    return TauFunction(n, grad, slope)
 
 
 class TestFtauConformal:
@@ -497,7 +486,7 @@ class TestFtauConformal:
         n = 2
         spec = CurvatureSpectrum((0.4, 1.0))
         consts = f_recursion_constants(power_sums(spec))
-        f = TauFunction(n, lambda tau: np.ones_like(tau[0]), lambda tau: np.zeros_like(tau))
+        f = TauFunction(n, lambda tau: np.zeros_like(tau))  # f = 1
         tau1 = cos_field(n=64, amp=0.1, offset=1.0)
         with pytest.raises(EllipticityLossError):
             ftau_conformal_flow(tau1, f, consts, 0.1, SolverConfig(dt=1e-3))
@@ -507,7 +496,7 @@ class TestFtauConformal:
         # that stalls on NaN systems
         n = 2
         consts = f_recursion_constants(power_sums(CurvatureSpectrum((0.5, 1.1))))
-        f = TauFunction(n, lambda tau: tau[1], lambda tau: np.full_like(tau, np.nan))
+        f = TauFunction(n, lambda tau: np.full_like(tau, np.nan))
         with pytest.raises(EllipticityLossError, match="min a = nan"):
             ftau_conformal_flow(cos_field(n=64, amp=0.2, offset=1.6), f, consts, 0.1,
                                 SolverConfig(dt=1e-2))
@@ -615,30 +604,27 @@ class TestNewtonAgainstPicard:
 
 
 class TestVolumeTracker:
+    """track_volume: the trapezoid integral of the density rho0 exp(conf / 2)."""
+
     def test_zero_deformation(self):
-        tracker = VolumeTracker.uniform(2, TWO_PI, 64, vol0=3.0)
-        zero = CircleField(TWO_PI, np.zeros(64))
-        for _ in range(10):
-            track_volume(tracker, zero, 0.1)
-        assert tracker.vol == pytest.approx(3.0, rel=1e-14)
+        vols = track_volume(np.full(64, 3.0 / TWO_PI), np.zeros((10, 64)), TWO_PI)
+        assert vols == pytest.approx(np.full(10, 3.0), rel=1e-14)
 
     def test_constant_conformal_trace_exponential(self):
-        # tr S = n s const: vol(t) = vol(0) exp(n s t / 2) exactly
+        # tr S = n s const, so conf = n s t: vol(t) = vol(0) exp(n s t / 2) exactly
         n, s = 3, -0.4
-        tracker = VolumeTracker.uniform(n, TWO_PI, 32, vol0=2.0)
-        field = CircleField(TWO_PI, np.full(32, n * s))
-        for _ in range(100):
-            track_volume(tracker, field, 0.01)
-        assert tracker.vol == pytest.approx(2.0 * math.exp(n * s * 1.0 / 2), rel=1e-12)
-        assert tracker.normalization_factor == pytest.approx(
-            tracker.vol ** (-2.0 / n), rel=1e-14
-        )
+        t = np.linspace(0.0, 1.0, 101)
+        conf = np.repeat((n * s * t)[:, None], 32, axis=1)
+        vols = track_volume(np.full(32, 2.0 / TWO_PI), conf, TWO_PI)
+        assert vols == pytest.approx(2.0 * np.exp(n * s * t / 2), rel=1e-12)
 
     def test_history_and_positive(self):
-        tracker = VolumeTracker.uniform(1, TWO_PI, 16)
-        track_volume(tracker, CircleField(TWO_PI, np.zeros(16)), 0.5)
-        assert len(tracker.history) == 2
-        assert tracker.history[-1][0] == pytest.approx(0.5)
+        # one volume per snapshot; one that is not positive and finite is a blow-up
+        assert track_volume(np.ones(16), np.zeros((2, 16)), TWO_PI).shape == (2,)
+        for rho0, conf in ((-np.ones(16), np.zeros((2, 16))),
+                           (np.ones(16), np.full((2, 16), np.nan))):
+            with pytest.raises(SolverError, match="blow-up"):
+                track_volume(rho0, conf, TWO_PI)
 
 
 class TestConformalODE:
@@ -729,17 +715,3 @@ class TestConvergeCriterion:
     def test_all_zero_true(self):
         ts = np.linspace(0, 2, 20)
         assert converge_criterion([(t, 0.0) for t in ts])
-
-
-class TestNormalization:
-    def test_rescaling_gives_unit_volume(self):
-        # the emitted dilation vol^(-2/n) scales the leafwise metric so
-        # the rescaled volume is exactly one: phi^(n/2) vol = 1
-        n = 3
-        tracker = VolumeTracker.uniform(n, TWO_PI, 32, vol0=2.7)
-        field = CircleField(TWO_PI, np.full(32, -0.6))
-        for _ in range(40):
-            track_volume(tracker, field, 0.05)
-        assert tracker.normalization_factor ** (n / 2.0) * tracker.vol == pytest.approx(
-            1.0, rel=1e-12
-        )

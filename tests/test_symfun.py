@@ -8,19 +8,21 @@ from egf.symfun import (
     CurvatureSpectrum,
     ElemSymVector,
     PowerSumVector,
-    ellipticity_check,
     eval_F,
     eval_F_prime,
     eval_Psi,
-    eval_Psi_prime,
     extend_power_sums,
     f_recursion_constants,
+    power_sums,
+    sigma_from_tau,
+)
+from paper_oracles import (
+    ellipticity_check,
+    eval_Psi_prime,
     mu_coefficient,
     newton_transform,
     newton_transform_trace,
-    power_sums,
     psi_umbilical,
-    sigma_from_tau,
     tau_from_sigma,
 )
 
