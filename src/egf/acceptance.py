@@ -5,7 +5,7 @@ Each criterion function runs its problem at pinned parameters and returns a
 the whole suite.  The same checks back ``tests/test_acceptance.py`` and the
 ``egf verify`` command.
 
-Criteria 1, 2, 6, 7 and 9 run bundled scenarios (:data:`BUNDLED`) through
+Criteria 1, 2, 5, 6, 7 and 9 run bundled scenarios (:data:`BUNDLED`) through
 :func:`egf.runner.run_scenario` and read their clause numbers from the run;
 criterion 9 takes the metrics of criterion 1's grid-512 run as an argument.
 Criterion 8 runs its umbilical problem (:data:`UMBILICITY`) the same way and
@@ -16,7 +16,8 @@ pi x / 2) the evolved curvature stays even in x, so V_t(0) = 0 and the
 Gaussian curvature is an even function with K ~ c x^2 near the center.
 Its sign therefore does NOT change across x = 0, and the near-zero
 slope clause degenerates to 0 = 0 (compared with a small absolute
-floor).  The sign-change clause is evaluated literally and fails; see
+floor).  The sign-change clause is evaluated literally, on the range of K
+each side of x = 0 that the Reeb run reports, and fails; see
 the README's "Known honest failure" section for the full analysis.
 """
 
@@ -43,14 +44,7 @@ from .companion import (
     weighted_power_matrix,
 )
 from .flows import conformal_ode_system, umbilical_metric_samples
-from .parabolic import CircleField, SolverConfig
-from .reeb import (
-    evolve_reeb_lambda,
-    expansion_slope,
-    gaussian_curvature,
-    reconstruct_metric,
-    reeb_setup,
-)
+from .parabolic import CircleField
 from .runner import RunResult, fork_map, run_scenario
 from .scenarios import parse_entries
 from .symfun import (
@@ -67,8 +61,8 @@ from .symfun import (
 
 __all__ = ["CriterionResult", "run_all", "CRITERIA", "BUNDLED", "UMBILICITY"]
 
-# The bundled scenarios that criteria 1, 2, 6, 7 and 9 run, as the entries of
-# their files under scenarios/.
+# The bundled scenarios that criteria 1, 2, 5, 6, 7 and 9 run, as the entries
+# of their files under scenarios/.
 BUNDLED = {
     "exact-quasilinear": {
         "kind": "pde-reference", "problem": "exact-quasilinear", "grid": "512",
@@ -86,6 +80,10 @@ BUNDLED = {
     "prescribed-F": {
         "kind": "prescribed-F", "grid": "256", "dt": "0.001", "T": "5.0",
         "scheme": "crank-nicolson", "init": "zero", "target": "cos",
+    },
+    "reeb": {
+        "kind": "reeb", "grid": "2048", "dt": "0.0001", "T": "0.1",
+        "scheme": "crank-nicolson", "method": "x-space", "save-every": "50",
     },
 }
 
@@ -246,30 +244,22 @@ def criterion_4() -> CriterionResult:
 
 def criterion_5() -> CriterionResult:
     t0 = time.perf_counter()
-    geom = reeb_setup(n_grid=2048)
-    traj = evolve_reeb_lambda(geom, 0.1, SolverConfig(dt=1e-4, scheme="crank-nicolson"))
-    state = traj.final
-    met = reconstruct_metric(state, geom)
-    K = gaussian_curvature(met, state, geom)
-    i0 = geom.n_nodes // 2
-    det_res = float(np.max(np.abs(met.det - np.exp(-state.U(geom)))))
-    left = (geom.x < 0) & (geom.x >= -0.1)
-    right = (geom.x > 0) & (geom.x <= 0.1)
-    sign_change = bool(
-        (np.all(K[left] < 0) and np.all(K[right] > 0))
-        or (np.all(K[left] > 0) and np.all(K[right] < 0))
-    )
-    slope, target = expansion_slope(K, state, geom)
+    m = _run(BUNDLED["reeb"]).metrics
+    K0, det_res = m["K0"], m["det_residual"]
+    left_min, left_max = m["K_left_min"], m["K_left_max"]
+    right_min, right_max = m["K_right_min"], m["K_right_max"]
+    sign_change = (left_max < 0 and right_min > 0) or (left_min > 0 and right_max < 0)
+    slope, target = m["slope"], m["slope_target"]
     # absolute floor handles the degenerate case where both sides vanish
     slope_ok = abs(slope - target) <= 0.05 * abs(target) + 1e-10
     elapsed = time.perf_counter() - t0
     clauses = [
-        (abs(K[i0]) <= 1e-6, f"|K(0)| = {abs(K[i0]):.3e} <= 1e-6"),
+        (abs(K0) <= 1e-6, f"|K(0)| = {abs(K0):.3e} <= 1e-6"),
         (
             sign_change,
             "K strictly changes sign across x=0 on [-0.1, 0.1]: "
-            f"left range [{K[left].min():.3e}, {K[left].max():.3e}], "
-            f"right range [{K[right].min():.3e}, {K[right].max():.3e}] "
+            f"left range [{left_min:.3e}, {left_max:.3e}], "
+            f"right range [{right_min:.3e}, {right_max:.3e}] "
             "(parity of the symmetric geometry keeps K even; see README, "
             "Known honest failure)",
         ),

@@ -54,6 +54,7 @@ __all__ = [
     "ftau_conformal_flow",
     "track_volume",
     "conformal_ode_system",
+    "umbilical_log_factor",
     "umbilical_metric_samples",
 ]
 
@@ -435,12 +436,21 @@ def conformal_ode_system(
     return np.arange(nsteps + 1) * dt, tau.T, sig.T
 
 
+def umbilical_log_factor(lam0: CircleField) -> np.ndarray:
+    """c0(s) = -2 * integral_0^s lam0, the log of the initial leafwise metric
+    factor of an umbilical flow, by cumulative trapezoid (c0(0) = 0)."""
+    vals = lam0.samples
+    c0 = np.zeros(lam0.n)
+    c0[1:] = np.cumsum(-(vals[1:] + vals[:-1]) * lam0.h)
+    return c0
+
+
 def umbilical_metric_samples(
     lam0: CircleField, conf: CircleField, leaf_dim: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Leafwise metric samples exp(c0 + conf) * Id along the N-curve.
 
-    c0(s) = -2 * integral_0^s lam0 encodes the initial umbilical shape
+    c0 = :func:`umbilical_log_factor` encodes the initial umbilical shape
     (the chart Weingarten operator of exp(c) Id is -(1/2) c' Id), so the
     reconstructed chart metric returns A = lam * Id.  Periodicity of c0
     requires zero-mean lam0, which is also what the closed-curve
@@ -450,12 +460,6 @@ def umbilical_metric_samples(
     """
     if abs(lam0.mean()) > 1e-10:
         raise ValidationError("initial curvature must have zero circle-mean")
-    s = lam0.nodes()
-    h = lam0.h
-    vals = lam0.samples
-    c0 = np.zeros(lam0.n)
-    # cumulative trapezoid of -2 lam0 along s
-    c0[1:] = np.cumsum(-2.0 * 0.5 * (vals[1:] + vals[:-1]) * h)
-    factor = np.exp(c0 + conf.samples)
+    factor = np.exp(umbilical_log_factor(lam0) + conf.samples)
     gij = factor[:, None, None] * np.eye(leaf_dim)[None, :, :]
-    return s, np.ones(lam0.n), gij
+    return lam0.nodes(), np.ones(lam0.n), gij

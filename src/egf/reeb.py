@@ -25,6 +25,8 @@ metric).  The evolved metric is reconstructed from
 and its Gaussian curvature is
 
     K_t = -(1 / (2 sqrt(det))) d_x(d_x g22 / sqrt(det)).
+
+The functions take and return arrays; the caller forms U from V.
 """
 
 from __future__ import annotations
@@ -40,9 +42,6 @@ from .parabolic import SolverConfig, _d_x, _interval_stepper, _march
 
 __all__ = [
     "ReebGeometry",
-    "ReebState",
-    "ReebMetric",
-    "ReebTrajectory",
     "reeb_setup",
     "evolve_reeb_lambda",
     "reconstruct_metric",
@@ -71,46 +70,6 @@ class ReebGeometry:
     @property
     def n_nodes(self) -> int:
         return self.x.size
-
-
-@dataclass
-class ReebState:
-    """Evolving curvature lam with the accumulated metric exponent.
-
-    U(x) = -sin(alpha(x)) V(x) with V(x) = int_0^t d_x lam; U(0) = 0 for
-    all t because sin(alpha(0)) = 0.
-    """
-
-    lam: np.ndarray
-    V: np.ndarray
-    t: float = 0.0
-
-    def U(self, geom: ReebGeometry) -> np.ndarray:
-        return -np.sin(geom.alpha) * self.V
-
-
-@dataclass
-class ReebMetric:
-    """Frame components of g_t on the grid; det = e^-U identically."""
-
-    g11: np.ndarray
-    g12: np.ndarray
-    g22: np.ndarray
-    det: np.ndarray
-
-
-@dataclass
-class ReebTrajectory:
-    times: np.ndarray
-    lam: np.ndarray  # (S, M)
-    V: np.ndarray    # (S, M)
-
-    def state_at(self, idx: int) -> ReebState:
-        return ReebState(self.lam[idx].copy(), self.V[idx].copy(), float(self.times[idx]))
-
-    @property
-    def final(self) -> ReebState:
-        return self.state_at(-1)
 
 
 def _default_alpha(x):
@@ -158,7 +117,7 @@ def evolve_reeb_lambda(
     T: float,
     cfg: SolverConfig,
     lam0: np.ndarray | None = None,
-) -> ReebTrajectory:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Heat flow of the leaf curvature along N-curves up to time T.
 
     Solves the degenerate interval problem
@@ -168,7 +127,8 @@ def evolve_reeb_lambda(
     with lam(+-1) pinned to 0; this is the arclength heat equation
     d(lam)/dt = d_ss lam written in the x coordinate (the change of
     variables produces the first-order term), and the implicit solver
-    tolerates the coefficient vanishing at x = 0.
+    tolerates the coefficient vanishing at x = 0.  Returns (times, lam, V),
+    one row of lam and V per snapshot.
     """
     lam_init = geom.lam0 if lam0 is None else np.asarray(lam0, dtype=float)
     sin_a = np.sin(geom.alpha)
@@ -180,7 +140,7 @@ def evolve_reeb_lambda(
     slope = (np.zeros(geom.n_nodes), -0.5, lambda block: _d_x(block.T, geom.h).T)
     times, lam, _, (V,) = _march(start, T, cfg, produce, "evolve_reeb_lambda",
                                  integrals=[slope])
-    return ReebTrajectory(times, lam, V)
+    return times, lam, V
 
 
 def _d_x4(values: np.ndarray, h: float) -> np.ndarray:
@@ -195,21 +155,23 @@ def _d_x4(values: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
-def reconstruct_metric(state: ReebState, geom: ReebGeometry) -> ReebMetric:
-    """Frame components of the evolved metric from the exponent U."""
-    U = state.U(geom)
+def reconstruct_metric(
+    U: np.ndarray, geom: ReebGeometry
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Frame components (g11, g12, g22, det) of the evolved metric on the
+    grid, from the exponent U; det = e^-U identically."""
     e = np.exp(-U)
     sin_a, cos_a = np.sin(geom.alpha), np.cos(geom.alpha)
     g11 = sin_a**2 + cos_a**2 * e
     g12 = sin_a * cos_a * (e - 1.0)
     g22 = cos_a**2 + sin_a**2 * e
-    return ReebMetric(g11=g11, g12=g12, g22=g22, det=g11 * g22 - g12**2)
+    return g11, g12, g22, g11 * g22 - g12**2
 
 
 def gaussian_curvature(
-    metric: ReebMetric, state: ReebState, geom: ReebGeometry
+    U: np.ndarray, g22: np.ndarray, det: np.ndarray, h: float
 ) -> np.ndarray:
-    """K = -(1/(2 sqrt(det))) d_x(d_x g22 / sqrt(det)) on the grid.
+    """K = -(1/(2 sqrt(det))) d_x(d_x g22 / sqrt(det)) on the grid of step h.
 
     Central differences in x (fourth order in the interior: the value
     K(0) = 0 is a structural cancellation between the two halves of g22
@@ -218,21 +180,20 @@ def gaussian_curvature(
     U must stay bounded relative to its scale) or the determinant is not
     finite and positive.
     """
-    h = geom.h
-    U = state.U(geom)
     d2U = np.abs(np.diff(U, 2)) / h**2
     scale = 1.0 + np.max(np.abs(U))
     if not np.all(np.isfinite(U)) or np.max(d2U) * h > 50.0 * scale:
         raise ValidationError("metric exponent is not smooth on this grid")
-    if not np.all(np.isfinite(metric.det) & (metric.det > 0.0)):
+    if not np.all(np.isfinite(det) & (det > 0.0)):
         raise ValidationError("metric determinant is not finite and positive on this grid")
-    sqrt_det = np.sqrt(metric.det)
-    inner = _d_x4(metric.g22, h) / sqrt_det
+    sqrt_det = np.sqrt(det)
+    inner = _d_x4(g22, h) / sqrt_det
     return -_d_x4(inner, h) / (2.0 * sqrt_det)
 
 
 def expansion_slope(
-    K: np.ndarray, state: ReebState, geom: ReebGeometry, half_width: float = 0.05
+    K: np.ndarray, U: np.ndarray, V: np.ndarray, geom: ReebGeometry,
+    half_width: float = 0.05,
 ) -> tuple[float, float]:
     """Fitted near-zero slope of e^-U K against the closed-form target.
 
@@ -249,13 +210,12 @@ def expansion_slope(
     e^-U K ~ c x over |x| <= half_width, widened to the nodes x = +-h where
     h exceeds it.  Returns (fitted, target).
     """
-    U = state.U(geom)
     y = np.exp(-U) * K
     mask = np.abs(geom.x) <= half_width
     i0 = geom.n_nodes // 2
     mask[i0 - 1 : i0 + 2] = True
     xs = geom.x[mask]
     slope = float(np.dot(xs, y[mask]) / np.dot(xs, xs))
-    v0 = float(np.interp(0.0, geom.x, state.V))
+    v0 = float(np.interp(0.0, geom.x, V))
     a1 = float(np.interp(0.0, geom.x, geom.alpha_prime))
     return slope, -3.0 * a1**3 * v0

@@ -202,18 +202,16 @@ def _run_umbilical(scn: FlowScenario) -> RunResult:
     slope = scn.get("psi-slope")
     lam0 = CircleField(scn.length, lam0_samples)
     h = lam0.h
-    c0 = np.concatenate(
-        [[0.0], np.cumsum(0.5 * (lam0_samples[1:] + lam0_samples[:-1]) * h)]
-    )
-    if np.max(-c0) > np.log(np.finfo(float).max):
+    log_rho0 = 0.5 * flows.umbilical_log_factor(lam0)  # -int lam0
+    if np.max(log_rho0) > np.log(np.finfo(float).max):
         raise ValidationError("volume density overflows: the integral of the initial "
-                              f"curvature reaches {np.min(c0):.3e}")
+                              f"curvature reaches {-np.max(log_rho0):.3e}")
     psi = lambda u: slope * np.asarray(u, dtype=float)
     psi_prime = lambda u: np.full_like(np.asarray(u, dtype=float), slope)
     traj = flows.evolve_umbilical(
         flows.UmbilicalState.initial(lam0), psi, psi_prime, scn.T, _config(scn), psi_slope=slope
     )
-    vols = flows.track_volume(np.exp(-c0), traj.conf, scn.length)
+    vols = flows.track_volume(np.exp(log_rho0), traj.conf, scn.length)
     sup = np.max(np.abs(traj.lam), axis=1)
     # d_s conf = -2 (lambda - lambda_0) up to the time and stencil errors.  The
     # residual measured at most 0.5 (slope dt + h^2) sup |d_ss lambda_0| over
@@ -307,27 +305,32 @@ def _run_ftau(scn: FlowScenario) -> RunResult:
 
 def _run_reeb(scn: FlowScenario) -> RunResult:
     geom = reeb.reeb_setup(n_grid=scn.grid)
-    traj = reeb.evolve_reeb_lambda(geom, scn.T, _config(scn))
-    state = traj.final
-    met = reeb.reconstruct_metric(state, geom)
-    K = reeb.gaussian_curvature(met, state, geom)
+    times, lam, V = reeb.evolve_reeb_lambda(geom, scn.T, _config(scn))
+    U = -np.sin(geom.alpha) * V
+    _, _, g22, det = reeb.reconstruct_metric(U[-1], geom)
+    K = reeb.gaussian_curvature(U[-1], g22, det, geom.h)
     i0 = geom.n_nodes // 2
-    det_res = float(np.max(np.abs(met.det - np.exp(-state.U(geom)))))
-    sup = np.max(np.abs(traj.lam), axis=1)
-    slope, slope_target = reeb.expansion_slope(K, state, geom)
+    det_res = float(np.max(np.abs(det - np.exp(-U[-1]))))
+    sup = np.max(np.abs(lam), axis=1)
+    slope, slope_target = reeb.expansion_slope(K, U[-1], V[-1], geom)
+    # K each side of x = 0 over |x| <= 0.1, widened to the nodes x = +-h
+    near = np.abs(geom.x) <= 0.1
+    near[i0 - 1 : i0 + 2] = True
+    left, right = K[:i0][near[:i0]], K[i0 + 1 :][near[i0 + 1 :]]
     checks = [
         Check("K_t(0)=0", abs(K[i0]) <= 1e-6, f"|K(0)| = {abs(K[i0]):.3e}"),
         Check("det-identity", det_res <= 1e-12, f"max |det - e^-U| = {det_res:.3e}"),
         Check("boundary-pinned",
-              bool(np.all(traj.lam[:, 0] == 0.0) and np.all(traj.lam[:, -1] == 0.0)),
+              bool(np.all(lam[:, 0] == 0.0) and np.all(lam[:, -1] == 0.0)),
               "lambda(+-1) = 0 at every kept step"),
         _monotone("monotone-sup-curvature", sup, "sup |lambda| non-increasing"),
     ]
-    fields = {"lambda": traj.lam, "V": traj.V, "U": -np.sin(geom.alpha) * traj.V}
     metrics = {"K0": float(K[i0]), "det_residual": det_res, "slope": slope,
-               "slope_target": slope_target}
-    return _result(scn, checks, traj.times, {"x": geom.x}, fields, {"sup_lambda": sup},
-                   _fit_alpha(traj.times, sup), metrics)
+               "slope_target": slope_target,
+               "K_left_min": float(left.min()), "K_left_max": float(left.max()),
+               "K_right_min": float(right.min()), "K_right_max": float(right.max())}
+    return _result(scn, checks, times, {"x": geom.x}, {"lambda": lam, "V": V, "U": U},
+                   {"sup_lambda": sup}, _fit_alpha(times, sup), metrics)
 
 
 _RUNNERS = {

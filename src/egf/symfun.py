@@ -37,7 +37,6 @@ __all__ = [
     "StructConstants",
     "power_sums",
     "sigma_from_tau",
-    "extend_power_sums",
     "f_recursion_constants",
     "peel_phi",
     "peel_psi",
@@ -85,10 +84,6 @@ class PowerSumVector:
             raise ValidationError("need exactly n power sums tau_1..tau_n")
         object.__setattr__(self, "tau", tuple(float(v) for v in self.tau))
 
-    def with_tau0(self) -> np.ndarray:
-        """Return (tau_0, tau_1, ..., tau_n) with tau_0 = n prepended."""
-        return np.concatenate([[float(self.n)], self.tau])
-
 
 @dataclass(frozen=True)
 class ElemSymVector:
@@ -111,11 +106,10 @@ class StructConstants:
     """Structure constants phi_2..phi_kmax and psi_2..psi_n of F_k / Psi_k.
 
     Determined by the state at t = 0 and constant along any conformal
-    flow; phi_1 = psi_1 = 0 by convention and is not stored.  When built
-    from an n-spectrum, phi is carried up to kmax = max(n, 2n-2): the
-    power sums above index n are fixed by the characteristic polynomial,
-    so the extra constants are exact, and they let F_k resolve every
-    index a truncated system can produce.
+    flow; phi_1 = psi_1 = 0 by convention and is not stored.
+    :func:`f_recursion_constants` carries phi up to kmax = n, the highest
+    index a run or criterion evaluates F_k at.  Longer phi is accepted and
+    extends F_k to kmax = len(phi) + 1.
     """
 
     n: int
@@ -169,33 +163,15 @@ def sigma_from_tau(tau: PowerSumVector) -> ElemSymVector:
     return ElemSymVector(n, tuple(sigma))
 
 
-def extend_power_sums(tau: PowerSumVector, upto: int) -> np.ndarray:
-    """(tau_1, ..., tau_upto) with indices above n closed by Cayley-Hamilton.
-
-        tau_j = sum_{i=1..n} (-1)^(i-1) sigma_i tau_{j-i}   for j > n,
-
-    which is exact for any n-point spectrum (tau_0 = n).
-    """
-    n = tau.n
-    sig = sigma_from_tau(tau).sigma
-    full = list(tau.with_tau0())  # tau_0..tau_n
-    for j in range(n + 1, upto + 1):
-        full.append(
-            sum((-1.0) ** (i - 1) * sig[i] * full[j - i] for i in range(1, n + 1))
-        )
-    return np.asarray(full[1 : upto + 1])
-
-
 def f_recursion_constants(tau0: PowerSumVector) -> StructConstants:
     """Structure constants from the state at t = 0.
 
     phi_k is fixed by requiring tau_k = F_k(tau_1) at t = 0, peeling the
-    recursion from k = 2 upward (power sums above index n supplied by
-    :func:`extend_power_sums`, up to the 2n-2 a truncation can touch);
-    psi_k analogously from sigma_k = Psi_k(sigma_1).
+    recursion from k = 2 up to n; psi_k analogously from
+    sigma_k = Psi_k(sigma_1).
     """
     n = tau0.n
-    phi = peel_phi(n, extend_power_sums(tau0, max(n, 2 * n - 2)))
+    phi = peel_phi(n, tau0.tau)
     psi = peel_psi(n, sigma_from_tau(tau0).sigma[1:])
     return StructConstants(n, tuple(phi), tuple(psi))
 
@@ -243,8 +219,9 @@ def eval_F(k: int, tau1, consts: StructConstants):
 
         F_k(t) = t^k / n^(k-1) + sum_{i=2..k} C(k,i) phi_i t^(k-i) / n^(k-i).
 
-    Indices up to ``consts.kmax_phi`` (= 2n-2 for spectrum-built
-    constants) are evaluable; anything larger raises IndexError.
+    Indices up to ``consts.kmax_phi`` (= n for the constants of
+    :func:`f_recursion_constants`) are evaluable; anything larger raises
+    IndexError.
     """
     n = consts.n
     if not 0 <= k <= consts.kmax_phi:

@@ -3,6 +3,8 @@ criterion calls them.  They read the library's symmetric-function algebra
 (:mod:`egf.symfun`) and companion matrix (:mod:`egf.companion`).
 
 - the inverse Newton identities (tau from sigma) and Psi_k';
+- the power sums above index n by Cayley-Hamilton, and the structure
+  constants that carry phi_k up to the 2n-2 a truncation can touch;
 - the Newton transformations T_r(A) and their traces;
 - the ellipticity quantities mu_{m;ij} and their test;
 - the umbilical speed function psi;
@@ -27,7 +29,42 @@ from egf.symfun import (
     StructConstants,
     eval_F,
     eval_Psi,
+    f_recursion_constants,
+    peel_phi,
+    sigma_from_tau,
 )
+
+
+def with_tau0(tau: PowerSumVector) -> np.ndarray:
+    """Return (tau_0, tau_1, ..., tau_n) with tau_0 = n prepended."""
+    return np.concatenate([[float(tau.n)], tau.tau])
+
+
+def extend_power_sums(tau: PowerSumVector, upto: int) -> np.ndarray:
+    """(tau_1, ..., tau_upto) with indices above n closed by Cayley-Hamilton.
+
+        tau_j = sum_{i=1..n} (-1)^(i-1) sigma_i tau_{j-i}   for j > n,
+
+    which is exact for any n-point spectrum (tau_0 = n).
+    """
+    n = tau.n
+    sig = sigma_from_tau(tau).sigma
+    full = list(with_tau0(tau))  # tau_0..tau_n
+    for j in range(n + 1, upto + 1):
+        full.append(
+            sum((-1.0) ** (i - 1) * sig[i] * full[j - i] for i in range(1, n + 1))
+        )
+    return np.asarray(full[1 : upto + 1])
+
+
+def extended_constants(tau0: PowerSumVector) -> StructConstants:
+    """:func:`egf.symfun.f_recursion_constants` with phi carried up to
+    kmax = max(n, 2n-2): the power sums above index n are fixed by the
+    characteristic polynomial, so the extra constants are exact, and they let
+    F_k resolve every index a truncated system can produce."""
+    n = tau0.n
+    phi = peel_phi(n, extend_power_sums(tau0, max(n, 2 * n - 2)))
+    return StructConstants(n, tuple(phi), f_recursion_constants(tau0).psi)
 
 
 def tau_from_sigma(sigma: ElemSymVector) -> PowerSumVector:
@@ -72,7 +109,7 @@ def newton_transform_trace(sigma: ElemSymVector, tau: PowerSumVector, r: int) ->
     Equals (n - r) sigma_r identically.
     """
     coeffs = newton_transform(sigma, r)
-    taus = tau.with_tau0()
+    taus = with_tau0(tau)
     return float(sum(c * taus[i] for i, c in enumerate(coeffs)))
 
 
@@ -145,7 +182,8 @@ def tilde_A_matrix(
     ``f_partials[m, j-1]`` holds df_m/dtau_j at the evaluation point for
     m = 0..n-1.  Indices i+m-1 run from 0 to 2n-2: tau_0 = n, and any
     index above n is resolved through F_k(tau_1) with the supplied
-    structure constants (required whenever n >= 2).
+    structure constants (required whenever n >= 2; built by
+    :func:`extended_constants`).
     """
     n = tau.n
     fp = np.asarray(f_partials, dtype=float)

@@ -14,7 +14,7 @@ from scipy.integrate import quad
 
 from egf.errors import ValidationError
 from egf.parabolic import fit_exponential_decay
-from egf.reeb import ReebGeometry, ReebState, _d_x4
+from egf.reeb import ReebGeometry, _d_x4
 
 
 def heat_kernel(t: float, x, y):
@@ -201,7 +201,7 @@ def graph_curvature_check(alpha: Callable, alpha_prime: Callable, x0: float,
 
 
 def gauss_cross_check(
-    state: ReebState, geom: ReebGeometry, psi_slope: float = 2.0
+    lam: np.ndarray, U: np.ndarray, geom: ReebGeometry, psi_slope: float = 2.0
 ) -> np.ndarray:
     """Residual between the divergence-form and metric-form curvature.
 
@@ -217,15 +217,16 @@ def gauss_cross_check(
 
     (the divergence term is fixed at t = 0 by K_0 = 0, which forces
     Div(∇0_N N) = lam_0^2 - N(lam_0); that identity holds exactly for
-    the frame field sin a cos a a').  Returns |difference| on the grid;
-    both vanish at t = 0.
+    the frame field sin a cos a a').  ``lam`` and ``U`` are the curvature
+    and the exponent at one time.  Returns |difference| on the grid; both
+    vanish at t = 0.
     """
     h = geom.h
-    W = psi_slope * state.U(geom)
+    W = psi_slope * U
     sin_a, cos_a = np.sin(geom.alpha), np.cos(geom.alpha)
     base = sin_a * cos_a * geom.alpha_prime
     div_term = np.exp(0.5 * W) * _d_x4(np.exp(0.5 * W) * base, h)
-    K_div = div_term - sin_a * _d_x4(state.lam, h) - state.lam**2
+    K_div = div_term - sin_a * _d_x4(lam, h) - lam**2
     e = np.exp(-W)
     g22 = cos_a**2 + sin_a**2 * e
     sqrt_det = np.sqrt(e)

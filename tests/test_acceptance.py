@@ -75,15 +75,15 @@ def test_criterion_5_reeb_case_study():
     # the documented cause, on the same configuration: V_t(0) vanishes
     # and K is even, so it cannot strictly change sign across x = 0
     geom = reeb_setup(n_grid=2048)
-    state = evolve_reeb_lambda(
-        geom, 0.1, SolverConfig(dt=1e-4, scheme="crank-nicolson")
-    ).final
-    K = gaussian_curvature(reconstruct_metric(state, geom), state, geom)
+    _, _, V = evolve_reeb_lambda(geom, 0.1, SolverConfig(dt=1e-4, scheme="crank-nicolson"))
+    U = -np.sin(geom.alpha) * V[-1]
+    _, _, g22, det = reconstruct_metric(U, geom)
+    K = gaussian_curvature(U, g22, det, geom.h)
     left = (geom.x < 0) & (geom.x >= -0.1)
     right = (geom.x > 0) & (geom.x <= 0.1)
     i0 = geom.n_nodes // 2
     assert geom.x[i0] == 0.0
-    assert abs(state.V[i0]) <= 1e-10
+    assert abs(V[-1, i0]) <= 1e-10
     k = np.arange(1, np.count_nonzero(right) + 1)
     assert np.max(np.abs(K[i0 + k] - K[i0 - k])) <= 1e-8
 
@@ -94,6 +94,13 @@ def test_criterion_5_reeb_case_study():
     assert sign[0].startswith("ok: " if literal else "FAIL: "), report
     assert result.passed == literal, report
     assert not literal
+
+    # criterion 5 reads these figures off the bundled reeb run
+    m = runner.run_scenario(parse_entries(acceptance.BUNDLED["reeb"])).metrics
+    assert m["K0"] == K[i0]
+    assert m["det_residual"] == np.max(np.abs(det - np.exp(-U)))
+    assert [m["K_left_min"], m["K_left_max"], m["K_right_min"], m["K_right_max"]] == [
+        K[left].min(), K[left].max(), K[right].min(), K[right].max()]
 
 
 def test_criterion_6_twisted_product_limit():

@@ -12,11 +12,11 @@ from egf.errors import DefectiveSpectrumError, ValidationError
 from egf.symfun import (
     CurvatureSpectrum,
     PowerSumVector,
-    f_recursion_constants,
     power_sums,
     sigma_from_tau,
 )
-from paper_oracles import hypothesis_check_T02, tilde_A_matrix, truncate_second_order
+from paper_oracles import (extended_constants, hypothesis_check_T02, tilde_A_matrix,
+                           truncate_second_order)
 
 
 def companion_of(*k):
@@ -178,7 +178,7 @@ class TestWeightedMatrices:
         partials[2] = 1.0  # m = 2 touches tau_{i+1}, up to tau_4
         with pytest.raises(ValidationError):
             tilde_A_matrix(tau, partials)
-        consts = f_recursion_constants(tau)
+        consts = extended_constants(tau)
         A = tilde_A_matrix(tau, partials, consts)
         # row i holds (i/2) tau_{i+1}: check against true power sums
         k = spec.as_array()

@@ -12,7 +12,6 @@ from egf.errors import ValidationError
 from egf.parabolic import SolverConfig, _d_x
 from egf.reeb import (
     ReebGeometry,
-    ReebState,
     _default_alpha,
     _default_alpha_prime,
     evolve_reeb_lambda,
@@ -32,8 +31,20 @@ def geom():
 
 @pytest.fixture(scope="module")
 def evolved(geom):
+    """(times, lam, V) of the evolution up to T = 0.1."""
     cfg = SolverConfig(dt=2e-4, scheme="crank-nicolson")
     return evolve_reeb_lambda(geom, 0.1, cfg)
+
+
+def exponent(geom, V):
+    """The metric exponent U = -sin(alpha) V."""
+    return -np.sin(geom.alpha) * V
+
+
+def curvature(geom, U):
+    """K of the metric with exponent U."""
+    _, _, g22, det = reconstruct_metric(U, geom)
+    return gaussian_curvature(U, g22, det, geom.h)
 
 
 class TestSetup:
@@ -101,54 +112,57 @@ class TestNCurveMap:
 
 class TestEvolution:
     def test_zero_data_stays_zero(self, geom):
-        traj = evolve_reeb_lambda(
+        _, lam, _ = evolve_reeb_lambda(
             geom, 0.05, SolverConfig(dt=1e-3), lam0=np.zeros(geom.n_nodes)
         )
-        assert np.max(np.abs(traj.lam[-1])) == 0.0
+        assert np.max(np.abs(lam[-1])) == 0.0
 
     def test_V_matches_step_loop_bitwise(self, geom):
         # reference: the per-step trapezoid sum of d_x lam over every step
         lam0 = geom.lam0 + 0.05 * np.sin(math.pi * geom.x)  # V_t(0) != 0
         cfg = SolverConfig(dt=1e-3, scheme="crank-nicolson", save_every=1)
-        traj = evolve_reeb_lambda(geom, 0.1, cfg, lam0=lam0)
-        V = np.zeros_like(traj.lam)
-        for i in range(1, traj.times.size):
-            dt = traj.times[i] - traj.times[i - 1]
+        times, lam, V_run = evolve_reeb_lambda(geom, 0.1, cfg, lam0=lam0)
+        V = np.zeros_like(lam)
+        for i in range(1, times.size):
+            dt = times[i] - times[i - 1]
             V[i] = V[i - 1] + 0.5 * dt * (
-                _d_x(traj.lam[i - 1], geom.h) + _d_x(traj.lam[i], geom.h)
+                _d_x(lam[i - 1], geom.h) + _d_x(lam[i], geom.h)
             )
-        assert traj.V.tobytes() == V.tobytes()
+        assert V_run.tobytes() == V.tobytes()
 
     def test_boundary_pinned_exactly(self, evolved):
-        assert np.all(evolved.lam[:, 0] == 0.0)
-        assert np.all(evolved.lam[:, -1] == 0.0)
+        _, lam, _ = evolved
+        assert np.all(lam[:, 0] == 0.0)
+        assert np.all(lam[:, -1] == 0.0)
 
     def test_sup_norm_non_increasing(self, evolved):
-        sup = np.max(np.abs(evolved.lam), axis=1)
+        _, lam, _ = evolved
+        sup = np.max(np.abs(lam), axis=1)
         assert np.all(np.diff(sup) <= 1e-12)
 
     def test_center_value_frozen(self, geom, evolved):
         # the degenerate point x = 0 sits at infinite arclength along the
         # N-curves: nothing reaches it, so its value never moves
         i0 = geom.n_nodes // 2
-        assert evolved.lam[-1, i0] == pytest.approx(math.pi / 2, rel=1e-12)
+        _, lam, _ = evolved
+        assert lam[-1, i0] == pytest.approx(math.pi / 2, rel=1e-12)
 
     def test_pointwise_decay_away_from_center(self, geom):
-        traj = evolve_reeb_lambda(geom, 0.5, SolverConfig(dt=5e-4, scheme="crank-nicolson"))
+        _, lam, _ = evolve_reeb_lambda(geom, 0.5, SolverConfig(dt=5e-4, scheme="crank-nicolson"))
         window = (np.abs(geom.x) >= 0.1) & (np.abs(geom.x) <= 0.9)
-        assert np.all(traj.lam[-1][window] < geom.lam0[window])
+        assert np.all(lam[-1][window] < geom.lam0[window])
 
     def test_evenness_preserved(self, geom, evolved):
         # geometry, data and pinning are mirror symmetric, so lam stays even
-        lam = evolved.lam[-1]
+        lam = evolved[1][-1]
         assert np.max(np.abs(lam - lam[::-1])) < 1e-10
 
     def test_cross_method_agreement(self, geom):
         # x-space (drift-included) vs arclength heat kernel on [0.2, 0.9]
         T = 0.5
-        traj = evolve_reeb_lambda(geom, T, SolverConfig(dt=5e-4, scheme="crank-nicolson"))
+        _, lam, _ = evolve_reeb_lambda(geom, T, SolverConfig(dt=5e-4, scheme="crank-nicolson"))
         xe = np.linspace(0.2, 0.9, 29)
-        lam_x = np.interp(xe, geom.x, traj.lam[-1])
+        lam_x = np.interp(xe, geom.x, lam[-1])
         lam_k = kernel_lambda(geom, _default_alpha, _default_alpha_prime, T, xe)
         assert np.max(np.abs(lam_x - lam_k)) < 1e-4
 
@@ -159,10 +173,10 @@ class TestEvolution:
         # measured p = 2.000 and 0.986-0.998, so the degenerate centre does
         # not lower the order
         geom = reeb_setup(n_grid=256)
-        finals = [evolve_reeb_lambda(geom, 0.1, SolverConfig(dt=dt, scheme=scheme)).final
-                  for dt in (4e-3, 2e-3, 1e-3, 5e-4, 2.5e-4)]
-        for field in ("lam", "V"):
-            states = [getattr(state, field) for state in finals]
+        runs = [evolve_reeb_lambda(geom, 0.1, SolverConfig(dt=dt, scheme=scheme))
+                for dt in (4e-3, 2e-3, 1e-3, 5e-4, 2.5e-4)]
+        for field, idx in (("lam", 1), ("V", 2)):
+            states = [run[idx][-1] for run in runs]
             diffs = [np.max(np.abs(a - b)) for a, b in zip(states, states[1:])]
             orders = [math.log2(a / b) for a, b in zip(diffs, diffs[1:])]
             assert min(orders) >= bound, (field, orders)
@@ -171,92 +185,88 @@ class TestEvolution:
         # the conformal speed sup|2 sin(a) d_x lam| decays only diffusively
         # (the N-curves are infinite lines), so its time integral diverges:
         # consistent with the metrics NOT converging as t -> infinity
-        traj = evolve_reeb_lambda(geom, 2.0, SolverConfig(dt=2e-3))
+        times, lam, _ = evolve_reeb_lambda(geom, 2.0, SolverConfig(dt=2e-3))
         sin_a = np.sin(geom.alpha)
         speeds = []
-        for i, t in enumerate(traj.times):
-            dlam = np.gradient(traj.lam[i], geom.h)
+        for i, t in enumerate(times):
+            dlam = np.gradient(lam[i], geom.h)
             speeds.append((float(t), float(np.max(np.abs(2.0 * sin_a * dlam)))))
         assert not converge_criterion(speeds)
 
 
 class TestMetric:
     def test_initial_metric_is_identity(self, geom):
-        state = ReebState(geom.lam0.copy(), np.zeros(geom.n_nodes))
-        met = reconstruct_metric(state, geom)
-        assert np.allclose(met.g11, 1.0, atol=1e-15)
-        assert np.allclose(met.g22, 1.0, atol=1e-15)
-        assert np.allclose(met.g12, 0.0, atol=1e-15)
+        g11, g12, g22, _ = reconstruct_metric(np.zeros(geom.n_nodes), geom)
+        assert np.allclose(g11, 1.0, atol=1e-15)
+        assert np.allclose(g22, 1.0, atol=1e-15)
+        assert np.allclose(g12, 0.0, atol=1e-15)
 
     def test_determinant_identity(self, geom, evolved):
-        state = evolved.final
-        met = reconstruct_metric(state, geom)
-        assert np.max(np.abs(met.det - np.exp(-state.U(geom)))) <= 1e-12
+        U = exponent(geom, evolved[2][-1])
+        det = reconstruct_metric(U, geom)[3]
+        assert np.max(np.abs(det - np.exp(-U))) <= 1e-12
 
     def test_center_row(self, geom, evolved):
         # U(0) = 0 exactly, so g11(0) = 1
         i0 = geom.n_nodes // 2
-        met = reconstruct_metric(evolved.final, geom)
-        assert met.g11[i0] == pytest.approx(1.0, abs=1e-14)
+        g11 = reconstruct_metric(exponent(geom, evolved[2][-1]), geom)[0]
+        assert g11[i0] == pytest.approx(1.0, abs=1e-14)
 
     def test_exponent_grows_while_det_stays_positive(self, geom):
         # operationalized non-convergence: for each t the determinant is
         # bounded away from zero, but sup |U_t| keeps growing
         sups = []
         for T in (0.25, 0.5, 1.0):
-            traj = evolve_reeb_lambda(geom, T, SolverConfig(dt=1e-3))
-            st = traj.final
-            met = reconstruct_metric(st, geom)
-            assert np.min(met.det) > 0.0
-            sups.append(np.max(np.abs(st.U(geom))))
+            _, _, V = evolve_reeb_lambda(geom, T, SolverConfig(dt=1e-3))
+            U = exponent(geom, V[-1])
+            det = reconstruct_metric(U, geom)[3]
+            assert np.min(det) > 0.0
+            sups.append(np.max(np.abs(U)))
         assert sups[0] < sups[1] < sups[2]
         assert sups[2] > 1.5 * sups[0]
 
 
 class TestCurvature:
     def test_flat_at_t0(self, geom):
-        state = ReebState(geom.lam0.copy(), np.zeros(geom.n_nodes))
-        K = gaussian_curvature(reconstruct_metric(state, geom), state, geom)
+        K = curvature(geom, np.zeros(geom.n_nodes))
         # cos^2 + sin^2 carries ~1e-16 noise; two derivatives divide by h^2
         assert np.max(np.abs(K)) < 1e-9
 
     def test_center_value_small(self, geom, evolved):
-        state = evolved.final
-        K = gaussian_curvature(reconstruct_metric(state, geom), state, geom)
+        K = curvature(geom, exponent(geom, evolved[2][-1]))
         i0 = geom.n_nodes // 2
         assert abs(K[i0]) < 1e-6
 
     def test_curvature_is_even(self, geom, evolved):
         # mirror symmetry of the whole construction forces K(-x) = K(x);
         # in particular K cannot change sign across x = 0
-        state = evolved.final
-        K = gaussian_curvature(reconstruct_metric(state, geom), state, geom)
+        K = curvature(geom, exponent(geom, evolved[2][-1]))
         assert np.max(np.abs(K - K[::-1])) < 1e-6 * (1 + np.max(np.abs(K)))
 
     def test_expansion_slope_both_sides_vanish(self, geom, evolved):
         # V_t(0) = 0 by parity, so the fitted slope and the closed-form
         # reference -(3/8) pi^3 V_t(0) are both numerical zeros
-        state = evolved.final
-        K = gaussian_curvature(reconstruct_metric(state, geom), state, geom)
-        slope, target = expansion_slope(K, state, geom)
+        V = evolved[2][-1]
+        U = exponent(geom, V)
+        slope, target = expansion_slope(curvature(geom, U), U, V, geom)
         assert abs(slope) < 1e-8
         assert abs(target) < 1e-8
 
     def test_cross_check_t0(self, geom):
-        state = ReebState(geom.lam0.copy(), np.zeros(geom.n_nodes))
-        res = gauss_cross_check(state, geom)
+        res = gauss_cross_check(geom.lam0, np.zeros(geom.n_nodes), geom)
         assert np.max(res[5:-5]) < 1e-8
 
     def test_cross_check_evolved(self, geom, evolved):
-        res = gauss_cross_check(evolved.final, geom)
+        _, lam, V = evolved
+        res = gauss_cross_check(lam[-1], exponent(geom, V[-1]), geom)
         window = (np.abs(geom.x) >= 0.2) & (np.abs(geom.x) <= 0.8)
         assert np.max(res[window]) < 1e-5
 
     def test_non_smooth_exponent_reported(self, geom):
         rng = np.random.default_rng(0)
-        noisy = ReebState(geom.lam0.copy(), 5.0 * rng.standard_normal(geom.n_nodes))
+        noisy = exponent(geom, 5.0 * rng.standard_normal(geom.n_nodes))
         with pytest.raises(ValidationError):
-            gaussian_curvature(reconstruct_metric(noisy, geom), noisy, geom)
+            curvature(geom, noisy)
 
     def test_geodesic_ansatz_zero_residual(self):
         # lam = 0 with constant leaf angle: every term in both formulas dies
@@ -268,8 +278,7 @@ class TestCurvature:
             alpha_prime=np.zeros(n + 1),
             lam0=np.zeros(n + 1),
         )
-        state = ReebState(np.zeros(n + 1), np.zeros(n + 1))
-        assert np.max(gauss_cross_check(state, geom)) == 0.0
+        assert np.max(gauss_cross_check(np.zeros(n + 1), np.zeros(n + 1), geom)) == 0.0
 
 
 class TestParityBroken:
@@ -287,14 +296,15 @@ class TestParityBroken:
         lam0 = geom.lam0 + 0.05 * np.sin(math.pi * geom.x)
         lam0[0] = lam0[-1] = 0.0
         cfg = SolverConfig(dt=1e-4, scheme="crank-nicolson")
-        state = evolve_reeb_lambda(geom, 0.1, cfg, lam0=lam0).final
-        K = gaussian_curvature(reconstruct_metric(state, geom), state, geom)
-        v0 = float(state.V[geom.n_nodes // 2])
+        _, lam, V = evolve_reeb_lambda(geom, 0.1, cfg, lam0=lam0)
+        U = exponent(geom, V[-1])
+        K = curvature(geom, U)
+        v0 = float(V[-1, geom.n_nodes // 2])
         assert abs(v0) > 1e-3  # the configuration is informative
-        return geom, lam0, state, K, v0
+        return geom, lam0, lam[-1], U, V[-1], K, v0
 
     def test_sign_change_near_center(self, broken):
-        geom, _, _, K, v0 = broken
+        geom, *_, K, v0 = broken
         near = np.abs(geom.x) <= 0.01
         right = near & (geom.x > 0)
         left = near & (geom.x < 0)
@@ -303,16 +313,16 @@ class TestParityBroken:
         assert np.all(np.sign(K[left]) == np.sign(v0))
 
     def test_slope_matches_closed_form(self, broken):
-        geom, _, state, K, v0 = broken
-        slope, target = expansion_slope(K, state, geom, half_width=0.01)
+        geom, _, _, U, V, K, v0 = broken
+        slope, target = expansion_slope(K, U, V, geom, half_width=0.01)
         closed_form = -3.0 / 8.0 * math.pi**3 * v0
         assert target == pytest.approx(closed_form, rel=1e-12)
         assert abs(slope - closed_form) <= 0.05 * abs(closed_form)
 
     def test_kernel_agrees_with_x_space_on_both_sides(self, broken):
-        geom, lam0, state, _, _ = broken
+        geom, lam0, lam, *_ = broken
         for side in (1.0, -1.0):
             window = (side * geom.x >= 0.2) & (side * geom.x <= 0.8)
             lam_k = kernel_lambda(geom, _default_alpha, _default_alpha_prime, 0.1, geom.x[window],
                                    lam0=lam0)
-            assert np.max(np.abs(lam_k - state.lam[window])) <= 1e-6
+            assert np.max(np.abs(lam_k - lam[window])) <= 1e-6

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from egf.cli import main
 from egf.errors import SolverError, ValidationError
+from egf.reeb import gaussian_curvature, reconstruct_metric, reeb_setup
 from egf.csvtext import _BLOCK_ROWS, WIDTH, format_17g
 from egf.runner import (
     RunResult,
@@ -981,6 +982,19 @@ class TestExitCodes:
             assert main(["run", str(path), "--out", str(tmp_path / "out")]) in (0, 1)
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("grid", [16, 18, 20])
+    def test_small_reeb_grid_reports_K_beside_the_centre(self, grid):
+        # no node lies in (0, 0.1] (at grid 20 the node 0.1 rounds above it):
+        # each side's K range is the value at the node next to x = 0
+        res = run_scenario(parse_scenario(f"kind: reeb\ngrid: {grid}\ndt: 0.001\nT: 0.01\n"))
+        geom = reeb_setup(n_grid=grid)
+        U = res.fields["U"][-1]
+        _, _, g22, det = reconstruct_metric(U, geom)
+        K = gaussian_curvature(U, g22, det, geom.h)
+        i0, m = grid // 2, res.metrics
+        assert m["K_left_min"] == m["K_left_max"] == K[i0 - 1]
+        assert m["K_right_min"] == m["K_right_max"] == K[i0 + 1]
 
     @pytest.mark.parametrize("text", [
         # grad of f = (2/n) tau_2 needs n >= 2

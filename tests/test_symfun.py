@@ -11,7 +11,6 @@ from egf.symfun import (
     eval_F,
     eval_F_prime,
     eval_Psi,
-    extend_power_sums,
     f_recursion_constants,
     power_sums,
     sigma_from_tau,
@@ -19,6 +18,8 @@ from egf.symfun import (
 from paper_oracles import (
     ellipticity_check,
     eval_Psi_prime,
+    extend_power_sums,
+    extended_constants,
     mu_coefficient,
     newton_transform,
     newton_transform_trace,
@@ -196,7 +197,12 @@ class TestFPsiEvaluation:
         # reproduce the true power sums of the spectrum.
         spec = spectrum(1.0, 2.0, 3.0)
         tau = power_sums(spec)
-        consts = f_recursion_constants(tau)
+        consts = extended_constants(tau)
+        assert consts.kmax_phi == 4
+        # the run's constants stop at n and agree with the extended ones there
+        run_consts = f_recursion_constants(tau)
+        assert run_consts.kmax_phi == 3
+        assert consts.phi[:2] == run_consts.phi and consts.psi == run_consts.psi
         k_arr = spec.as_array()
         for k in range(4, consts.kmax_phi + 1):
             assert eval_F(k, tau.tau[0], consts) == pytest.approx(
