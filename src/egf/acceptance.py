@@ -317,14 +317,12 @@ def criterion_7() -> CriterionResult:
 def criterion_8() -> CriterionResult:
     t0 = time.perf_counter()
     res = _run(UMBILICITY)
-    lam, conf, length = res.fields["lambda"], res.fields["conf"], res.scenario.length
-    lam0 = CircleField(length, lam[0])
+    lam, conf = res.fields["lambda"], res.fields["conf"]
+    lam0 = CircleField(res.scenario.length, lam[0])
     worst_off = 0.0
     worst_lam = 0.0
     for idx in range(res.times.size):
-        x0, g00, gij = umbilical_metric_samples(
-            lam0, CircleField(length, conf[idx]), leaf_dim=2
-        )
+        x0, g00, gij = umbilical_metric_samples(lam0, conf[idx], leaf_dim=2)
         ext = weingarten_from_chart(ChartMetric(x0, g00, gij))
         diag = np.einsum("mii->mi", ext.A)
         mean_diag = diag.mean(axis=1)

@@ -15,6 +15,11 @@ Implemented flows (all conformal in the leafwise metric):
 
 plus the volume of a conformal flow from its log conformal factor, and the
 driven conformal ODE chains that keep phi_k / psi_k constant.
+
+The flows are functions of arrays: each takes its initial samples (a
+:class:`~egf.parabolic.CircleField`, or a (base, fiber) array for the twisted
+product) and returns a tuple of arrays headed by the snapshot times, one
+snapshot per row.
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ from .parabolic import (
     _face_mean,
     _march,
     _newton_stepper,
+    _nsteps,
     _propagator,
     _quasilinear_faces,
     solve_cyclic_tridiag,  # noqa: F401  (perfbench's tracer test wraps this binding)
@@ -39,14 +45,7 @@ from .parabolic import (
 from .symfun import StructConstants, eval_F, eval_F_prime
 
 __all__ = [
-    "UmbilicalState",
-    "TwistedState",
-    "MeanCurvatureState",
     "TauFunction",
-    "UmbilicalTrajectory",
-    "TwistedTrajectory",
-    "MeanCurvatureTrajectory",
-    "TauFieldTrajectory",
     "circle_derivative",
     "evolve_umbilical",
     "twisted_product_flow",
@@ -70,62 +69,6 @@ def circle_derivative(samples: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
-# ---------------------------------------------------------------------------
-# states
-
-
-@dataclass
-class UmbilicalState:
-    """Umbilical leafwise geometry along the N-curve.
-
-    ``conf`` is the log conformal factor of the evolved leaf metric
-    relative to t = 0 (conf(0, .) = 0), so ghat_t = ghat_0 * exp(conf).
-    """
-
-    lam: CircleField
-    conf: CircleField
-    t: float = 0.0
-
-    @classmethod
-    def initial(cls, lam0: CircleField) -> "UmbilicalState":
-        return cls(lam0, CircleField(lam0.length, np.zeros(lam0.n)), 0.0)
-
-
-@dataclass
-class TwistedState:
-    """Log warping phi(x, y) of a twisted product, f = e^phi.
-
-    ``phi`` is sampled on (base node x_i, fiber node y_j); the fiber is
-    a circle of circumference ``fiber_length``.  ``n`` is the leaf
-    dimension entering the time rescale dphi/dt = (1/n) d_yy phi.
-    """
-
-    phi: np.ndarray
-    fiber_length: float
-    n: int = 1
-    t: float = 0.0
-
-    def __post_init__(self) -> None:
-        self.phi = np.asarray(self.phi, dtype=float)
-        if self.phi.ndim != 2 or self.phi.shape[1] < 8:
-            raise ValidationError("phi must be (base, fiber) with >= 8 fiber samples")
-        if self.fiber_length <= 0 or self.n < 1:
-            raise ValidationError("need positive fiber length and n >= 1")
-
-
-@dataclass
-class MeanCurvatureState:
-    """Mean curvature tau_1 and its prescribed target F along the N-curve."""
-
-    tau1: CircleField
-    target: CircleField
-    t: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.tau1.n != self.target.n or self.tau1.length != self.target.length:
-            raise ValidationError("tau1 and target must share one grid")
-
-
 @dataclass(frozen=True)
 class TauFunction:
     """The gradient d f / d tau_k of a coefficient function f(tau).
@@ -142,65 +85,23 @@ class TauFunction:
     slope: float | None = None
 
 
-# ---------------------------------------------------------------------------
-# trajectories
-
-
-@dataclass
-class UmbilicalTrajectory:
-    times: np.ndarray
-    lam: np.ndarray   # (S, N)
-    conf: np.ndarray  # (S, N)
-    length: float
-
-
-@dataclass
-class TauFieldTrajectory:
-    times: np.ndarray
-    taus: np.ndarray  # (n_components, S, N)
-    length: float
-    a_min: float | None = None  # conformal flows: least coefficient a used
-
-
-@dataclass
-class TwistedTrajectory:
-    times: np.ndarray
-    phi: np.ndarray          # (S, Nx, Ny)
-    limit: np.ndarray        # fiber mean of phi(0, x, .), shape (Nx,)
-    sup_distance: np.ndarray  # sup |phi(t) - limit| per snapshot
-    warp_sup_distance: np.ndarray  # sup |e^phi - e^limit| per snapshot
-
-
-@dataclass
-class MeanCurvatureTrajectory:
-    times: np.ndarray
-    tau1: np.ndarray      # (S, N)
-    conf: np.ndarray      # (S, N) log conformal factor
-    residual_sup: np.ndarray  # sup |tau1 - F| per snapshot
-    mean_w: np.ndarray    # discrete mean of tau1 - F per snapshot
-    length: float
-
-
-# ---------------------------------------------------------------------------
-# flows
-
-
 def evolve_umbilical(
-    state: UmbilicalState,
+    lam0: CircleField,
     psi: Callable[[np.ndarray], np.ndarray],
     psi_prime: Callable[[np.ndarray], np.ndarray],
     T: float,
     cfg: SolverConfig,
     psi_slope: float | None = None,
     psi_second: Callable[[np.ndarray], np.ndarray] | None = None,
-) -> UmbilicalTrajectory:
-    """Umbilical flow dlam/dt = (1/2) d_s(psi'(lam) d_s lam).
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Umbilical flow dlam/dt = (1/2) d_s(psi'(lam) d_s lam) from ``lam0``.
 
-    psi' must be positive on the (10% widened) range of lam; a negative
-    value is a sign violation and rejected, a vanishing minimum (a
-    degenerate problem) is run.  The log conformal factor accumulates
-    -d_s psi(lam) by trapezoid in time, so ghat_t = ghat_0 exp(conf); psi is
-    applied to blocks of states, shape (steps, N), so it must act elementwise.
+    Returns (times, lam, conf), one snapshot per row.  psi' must be positive
+    on the (10% widened) range of lam; a negative value is a sign violation
+    and rejected, a vanishing minimum (a degenerate problem) is run.  The log
+    conformal factor ``conf`` starts at zero and accumulates -d_s psi(lam) by
+    trapezoid in time, so ghat_t = ghat_0 exp(conf); psi is applied to blocks
+    of states, shape (steps, N), so it must act elementwise.
 
     ``psi_slope`` declares psi(lam) = psi_slope * lam (psi and psi_prime must
     agree with it): the flow is then the heat equation with constant
@@ -208,7 +109,6 @@ def evolve_umbilical(
     Otherwise each step is solved by Newton's method, whose Jacobian needs
     ``psi_second`` = psi''.
     """
-    lam0 = state.lam
     lo, hi = float(lam0.samples.min()), float(lam0.samples.max())
     pad = 0.1 * max(hi - lo, 1e-30)
     probe = psi_prime(np.linspace(lo - pad, hi + pad, 257))
@@ -223,75 +123,65 @@ def evolve_umbilical(
         produce = _newton_stepper(lam0, _quasilinear_faces(lam0, k), k.dfunc, cfg)
     else:
         produce = _propagator(lam0.samples, 0.5 * psi_slope, lam0.h, cfg)
-    flux = (state.conf.samples, 0.5, lambda block: circle_derivative(psi(block), lam0.h))
+    flux = (np.zeros(lam0.n), 0.5, lambda block: circle_derivative(psi(block), lam0.h))
     times, lam, _, (conf,) = _march(lam0.samples, T, cfg, produce, "evolve_umbilical",
                                     integrals=[flux])
-    return UmbilicalTrajectory(
-        times=times + state.t,
-        lam=lam,
-        conf=conf,
-        length=lam0.length,
-    )
+    return times, lam, conf
 
 
 def twisted_product_flow(
-    state: TwistedState, T: float, cfg: SolverConfig
-) -> TwistedTrajectory:
-    """Per-base-point fiber heat flow dphi/dt = (1/n) d_yy phi.
+    phi0: np.ndarray, fiber_length: float, n: int, T: float, cfg: SolverConfig
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-base-point fiber heat flow dphi/dt = (1/n) d_yy phi of the log
+    warping phi(x, y) of a twisted product, f = e^phi.
 
-    The reported limit field is the fiber mean of phi(0, x, .): the
-    twisted product converges to the product carrying that mean warp.
+    ``phi0`` is sampled on (base node x_i, fiber node y_j); the fiber is a
+    circle of circumference ``fiber_length``, and ``n`` is the leaf dimension
+    of the time rescale.  Returns (times, phi, sup_distance): the snapshots,
+    shape (S, Nx, Ny), and per snapshot sup |phi(t) - limit|, where the limit
+    is the fiber mean of phi0, the warp of the product the flow converges to.
     """
-    h = state.fiber_length / state.phi.shape[1]
-    limit = state.phi.mean(axis=1)
-    produce = _propagator(state.phi, 1.0 / state.n, h, cfg)
-    times, snaps, _, _ = _march(state.phi, T, cfg, produce, "twisted_product_flow")
-    # one work array the size of the snapshots serves both distances
-    work = np.subtract(snaps, limit[None, :, None])
-    dist = np.abs(work, out=work).max(axis=(1, 2))
-    np.subtract(np.exp(snaps, out=work), np.exp(limit)[None, :, None], out=work)
-    warp = np.abs(work, out=work).max(axis=(1, 2))
-    return TwistedTrajectory(
-        times=state.t + times,
-        phi=snaps,
-        limit=limit,
-        sup_distance=dist,
-        warp_sup_distance=warp,
-    )
+    phi0 = np.asarray(phi0, dtype=float)
+    if phi0.ndim != 2 or phi0.shape[1] < 8:
+        raise ValidationError("phi must be (base, fiber) with >= 8 fiber samples")
+    if fiber_length <= 0 or n < 1:
+        raise ValidationError("need positive fiber length and n >= 1")
+    limit = phi0.mean(axis=1)
+    produce = _propagator(phi0, 1.0 / n, fiber_length / phi0.shape[1], cfg)
+    times, phi, _, _ = _march(phi0, T, cfg, produce, "twisted_product_flow")
+    work = np.subtract(phi, limit[None, :, None])
+    return times, phi, np.abs(work, out=work).max(axis=(1, 2))
 
 
 def prescribed_mean_curvature_flow(
-    state: MeanCurvatureState, T: float, cfg: SolverConfig, n: int = 1
-) -> MeanCurvatureTrajectory:
-    """Relax tau_1 toward a prescribed zero-average target F.
+    tau0: CircleField, target: CircleField, T: float, cfg: SolverConfig, n: int = 1
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Relax the mean curvature tau_1 from ``tau0`` toward a prescribed
+    zero-average target F on the same grid.
 
     w = tau_1 - F satisfies the heat equation along the N-curve, so
-    tau_1(t) = F + w(t) and the residual decays exponentially.  The log
-    conformal factor accumulates -(2/n) d_s w.  A target whose discrete
-    mean exceeds 1e-8 in magnitude is rejected: the zero-average
-    condition is what the closed-curve integral identity forces.
+    tau_1(t) = F + w(t) and the residual decays exponentially.  Returns
+    (times, w, conf): the log conformal factor starts at zero and
+    accumulates -(2/n) d_s w.  A target whose discrete mean exceeds 1e-8 in
+    magnitude is rejected: the zero-average condition is what the
+    closed-curve integral identity forces.
 
     Modeling note: the full statement assumes every normal curve is
     dense in the manifold; the single-closed-curve reduction makes that
     density trivial, so the one fiber here is the faithful unit.
     """
-    F = state.target.samples
+    if tau0.n != target.n or tau0.length != target.length:
+        raise ValidationError("tau1 and target must share one grid")
+    F = target.samples
     if abs(F.mean()) > 1e-8:
         raise ValidationError(
             f"target mean curvature must have zero average (got {F.mean():.3e})"
         )
-    w0 = CircleField(state.tau1.length, state.tau1.samples - F)
-    grad = (np.zeros(w0.n), (2.0 / n) * 0.5, lambda block: circle_derivative(block, w0.h))
-    times, w, _, (conf,) = _march(w0.samples, T, cfg, _propagator(w0.samples, 1.0, w0.h, cfg),
+    w0 = tau0.samples - F
+    grad = (np.zeros(tau0.n), (2.0 / n) * 0.5, lambda block: circle_derivative(block, tau0.h))
+    times, w, _, (conf,) = _march(w0, T, cfg, _propagator(w0, 1.0, tau0.h, cfg),
                                   "prescribed_mean_curvature_flow", integrals=[grad])
-    return MeanCurvatureTrajectory(
-        times=times + state.t,
-        tau1=w + F[None, :],
-        conf=conf,
-        residual_sup=np.max(np.abs(w), axis=1),
-        mean_w=w.mean(axis=1),
-        length=state.tau1.length,
-    )
+    return times, w, conf
 
 
 def ftau_conformal_flow(
@@ -300,7 +190,7 @@ def ftau_conformal_flow(
     consts: StructConstants,
     T: float,
     cfg: SolverConfig,
-) -> TauFieldTrajectory:
+) -> tuple[np.ndarray, np.ndarray, float]:
     """Conformal flow driven by -N(f(tau)), reduced to a quasi-linear PDE.
 
         dtau_1/dt = d_s(a d_s tau_1),
@@ -311,11 +201,12 @@ def ftau_conformal_flow(
     F_0 is constant and the closed-form propagator steps the flow; otherwise
     Newton's method steps it, its monitor hook checks a at every evaluation
     and the run halts with :class:`EllipticityLossError` the moment its
-    minimum drops to zero or below.  Either way the trajectory reports the
-    least a used.  Newton's Jacobian takes a'(tau_1) = (1/2) sum_k k
-    df/dtau_k F_{k-1}'(tau_1) with the gradient of f held: exact for f affine
-    in tau, as every f a scenario declares; for any other f the iteration
-    converges more slowly, to the same residual test.
+    minimum drops to zero or below.  Returns (times, taus, a_min): taus has
+    shape (n, S, N), and a_min is the least a used.  Newton's Jacobian takes
+    a'(tau_1) = (1/2) sum_k k df/dtau_k F_{k-1}'(tau_1) with the gradient of
+    f held: exact for f affine in tau, as every f a scenario declares; for
+    any other f the iteration converges more slowly, to the same residual
+    test.
     """
     n = consts.n
     if f.n != n:
@@ -358,7 +249,7 @@ def ftau_conformal_flow(
         produce = _propagator(tau1.samples, a, tau1.h, cfg)
     times, states, _, _ = _march(tau1.samples, T, cfg, produce, "conformal flow")
     taus = np.stack([eval_F(k, states, consts) for k in range(1, n + 1)])
-    return TauFieldTrajectory(times=times, taus=taus, length=tau1.length, a_min=a_min)
+    return times, taus, a_min
 
 
 def track_volume(rho0: np.ndarray, conf: np.ndarray, length: float) -> np.ndarray:
@@ -406,7 +297,7 @@ def conformal_ode_system(
     if sigma0.size != n:
         raise ValidationError("tau and sigma chains must share n")
 
-    nsteps = int(round(T / dt))
+    nsteps = _nsteps(T, dt)
     t = np.arange(nsteps) * dt
     # w at the start, middle and end of every step
     w_start, w_mid, w_end = (np.array([drive(s) for s in ts.tolist()], dtype=float)
@@ -446,9 +337,10 @@ def umbilical_log_factor(lam0: CircleField) -> np.ndarray:
 
 
 def umbilical_metric_samples(
-    lam0: CircleField, conf: CircleField, leaf_dim: int
+    lam0: CircleField, conf: np.ndarray, leaf_dim: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Leafwise metric samples exp(c0 + conf) * Id along the N-curve.
+    """Leafwise metric samples exp(c0 + conf) * Id along the N-curve, with
+    ``conf`` the log conformal factor at the nodes of ``lam0``.
 
     c0 = :func:`umbilical_log_factor` encodes the initial umbilical shape
     (the chart Weingarten operator of exp(c) Id is -(1/2) c' Id), so the
@@ -460,6 +352,6 @@ def umbilical_metric_samples(
     """
     if abs(lam0.mean()) > 1e-10:
         raise ValidationError("initial curvature must have zero circle-mean")
-    factor = np.exp(umbilical_log_factor(lam0) + conf.samples)
+    factor = np.exp(umbilical_log_factor(lam0) + conf)
     gij = factor[:, None, None] * np.eye(leaf_dim)[None, :, :]
     return lam0.nodes(), np.ones(lam0.n), gij

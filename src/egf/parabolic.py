@@ -625,26 +625,26 @@ def _interval_stepper(u0, h, diffusion, drift, cfg: SolverConfig, bc) -> tuple:
 # decay fit and the exact quasi-linear family
 
 
-def fit_exponential_decay(series: Sequence[tuple[float, float]]) -> tuple[float, float]:
-    """Fit norm(t) ~ K exp(-alpha t) on the tail half of a series.
+def fit_exponential_decay(times: np.ndarray, values: np.ndarray) -> tuple[float, float]:
+    """Fit norm(t) ~ K exp(-alpha t) on the tail half of the samples
+    ``values`` at ``times``.
 
     Least squares on log(norm) vs t over the later half of the samples.
     Returns (K, alpha).  A series that is identically zero on the tail
     reports alpha = +inf (already fully decayed); a constant positive
     tail fits alpha = 0.
     """
-    pts = [(float(t), float(v)) for t, v in series]
-    if len(pts) < 5:
+    ts = np.asarray(times, dtype=float)
+    vs = np.asarray(values, dtype=float)
+    if vs.size < 5:
         raise ValidationError("need at least 5 (t, norm) samples")
-    if any(v < 0.0 for _, v in pts):
+    if np.any(vs < 0.0):
         raise ValidationError("norms must be nonnegative")
-    tail = pts[len(pts) // 2 :]
-    positive = [(t, v) for t, v in tail if v > 0.0]
-    if len(positive) < 2:
+    ts, vs = ts[vs.size // 2 :], vs[vs.size // 2 :]
+    positive = vs > 0.0
+    if np.count_nonzero(positive) < 2:
         return 0.0, math.inf
-    ts = np.array([t for t, _ in positive])
-    logs = np.log([v for _, v in positive])
-    slope, intercept = np.polyfit(ts, logs, 1)
+    slope, intercept = np.polyfit(ts[positive], np.log(vs[positive]), 1)
     return float(np.exp(intercept)), float(-slope)
 
 

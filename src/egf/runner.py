@@ -93,7 +93,7 @@ def _config(scn: FlowScenario) -> SolverConfig:
 
 def _fit_alpha(times, sups) -> float:
     try:
-        return fit_exponential_decay(list(zip(times, sups)))[1]
+        return fit_exponential_decay(times, sups)[1]
     except ValidationError:  # fewer than 5 samples
         return math.nan
 
@@ -208,17 +208,16 @@ def _run_umbilical(scn: FlowScenario) -> RunResult:
                               f"curvature reaches {-np.max(log_rho0):.3e}")
     psi = lambda u: slope * np.asarray(u, dtype=float)
     psi_prime = lambda u: np.full_like(np.asarray(u, dtype=float), slope)
-    traj = flows.evolve_umbilical(
-        flows.UmbilicalState.initial(lam0), psi, psi_prime, scn.T, _config(scn), psi_slope=slope
-    )
-    vols = flows.track_volume(np.exp(log_rho0), traj.conf, scn.length)
-    sup = np.max(np.abs(traj.lam), axis=1)
+    times, lam, conf = flows.evolve_umbilical(lam0, psi, psi_prime, scn.T, _config(scn),
+                                              psi_slope=slope)
+    vols = flows.track_volume(np.exp(log_rho0), conf, scn.length)
+    sup = np.max(np.abs(lam), axis=1)
     # d_s conf = -2 (lambda - lambda_0) up to the time and stencil errors.  The
     # residual measured at most 0.5 (slope dt + h^2) sup |d_ss lambda_0| over
     # grids 32-1024, dt 1e-4 to 5e-2, slopes 0.5-5, T 0.1-2, modes 1-4 and both
     # schemes; the bound is five times that.
-    identity = float(np.max(np.abs(flows.circle_derivative(traj.conf, h)
-                                   + 2.0 * (traj.lam - lam0_samples))))
+    identity = float(np.max(np.abs(flows.circle_derivative(conf, h)
+                                   + 2.0 * (lam - lam0_samples))))
     curvature = float(np.max(np.abs(_second_difference(lam0_samples, h))))
     identity_bound = 5 * 0.5 * (slope * scn.dt + h**2) * curvature
     checks = [
@@ -228,8 +227,8 @@ def _run_umbilical(scn: FlowScenario) -> RunResult:
         Check("conformal-factor-identity", identity <= identity_bound,
               f"max |d_s conf + 2 (lambda - lambda_0)| = {identity:.3e} <= {identity_bound:.3e}"),
     ]
-    return _result(scn, checks, traj.times, {"x": x}, {"lambda": traj.lam, "conf": traj.conf},
-                   {"sup_lambda": sup, "volume": vols}, _fit_alpha(traj.times, sup),
+    return _result(scn, checks, times, {"x": x}, {"lambda": lam, "conf": conf},
+                   {"sup_lambda": sup, "volume": vols}, _fit_alpha(times, sup),
                    {"volume": float(vols[-1])})
 
 
@@ -243,37 +242,33 @@ def _run_twisted(scn: FlowScenario) -> RunResult:
     profile = scn.get("profile")
     a = 1.0 + xb**2 if profile == "one-plus-x-squared" else np.ones(nx)
     phi0 = a[:, None] * np.cos(y)[None, :]
-    state = flows.TwistedState(phi0, fiber_length, n=n)
-    traj = flows.twisted_product_flow(state, scn.T, _config(scn))
+    times, phi, dist = flows.twisted_product_flow(phi0, fiber_length, n, scn.T, _config(scn))
     bound = math.exp(-scn.T / n) * float(np.max(np.abs(a))) * (1 + 1e-2)
     checks = [
-        Check("limit-distance-bound", float(traj.sup_distance[-1]) <= bound,
-              f"{traj.sup_distance[-1]:.6e} <= {bound:.6e}"),
-        _monotone("monotone-convergence", traj.sup_distance,
-                  "sup distance to limit non-increasing"),
+        Check("limit-distance-bound", float(dist[-1]) <= bound, f"{dist[-1]:.6e} <= {bound:.6e}"),
+        _monotone("monotone-convergence", dist, "sup distance to limit non-increasing"),
     ]
-    return _result(scn, checks, traj.times, {"x": xb, "y": y}, {"phi": traj.phi},
-                   {"sup_distance": traj.sup_distance},
-                   _fit_alpha(traj.times, traj.sup_distance), {})
+    return _result(scn, checks, times, {"x": xb, "y": y}, {"phi": phi},
+                   {"sup_distance": dist}, _fit_alpha(times, dist), {})
 
 
 def _run_prescribed(scn: FlowScenario) -> RunResult:
     x = _circle_nodes(scn)
     tau0 = CircleField(scn.length, build_field(scn, "init", x))
     target = CircleField(scn.length, build_field(scn, "target", x))
-    state = flows.MeanCurvatureState(tau0, target)
-    traj = flows.prescribed_mean_curvature_flow(state, scn.T, _config(scn), n=scn.get("n"))
+    times, w, conf = flows.prescribed_mean_curvature_flow(tau0, target, scn.T, _config(scn),
+                                                          n=scn.get("n"))
+    residual = np.max(np.abs(w), axis=1)
     w0 = float(np.max(np.abs(tau0.samples - target.samples)))
     bound = math.exp(-scn.T) * (1 + 1e-2) * w0
-    drift = _drift(traj.mean_w)
+    drift = _drift(w.mean(axis=1))
     checks = [
-        Check("residual-decay-bound", float(traj.residual_sup[-1]) <= bound,
-              f"{traj.residual_sup[-1]:.6e} <= {bound:.6e}"),
+        Check("residual-decay-bound", float(residual[-1]) <= bound,
+              f"{residual[-1]:.6e} <= {bound:.6e}"),
         Check("mean-conservation", drift <= 1e-10, f"drift {drift:.3e}"),
     ]
-    return _result(scn, checks, traj.times, {"x": x}, {"tau1": traj.tau1, "conf": traj.conf},
-                   {"sup_residual": traj.residual_sup},
-                   _fit_alpha(traj.times, traj.residual_sup), {"drift": drift})
+    return _result(scn, checks, times, {"x": x}, {"tau1": w + target.samples, "conf": conf},
+                   {"sup_residual": residual}, _fit_alpha(times, residual), {"drift": drift})
 
 
 def _run_ftau(scn: FlowScenario) -> RunResult:
@@ -290,17 +285,17 @@ def _run_ftau(scn: FlowScenario) -> RunResult:
     x = _circle_nodes(scn)
     tau1 = CircleField(scn.length, build_field(scn, "init", x))
     f = flows.TauFunction(n, grad, slope=2.0 / n if k_idx == 1 else None)
-    traj = flows.ftau_conformal_flow(tau1, f, consts, scn.T, _config(scn))
-    states = traj.taus[0]
+    times, taus, a_min = flows.ftau_conformal_flow(tau1, f, consts, scn.T, _config(scn))
+    states = taus[0]
     sup = np.max(np.abs(states - states[0].mean()), axis=1)
     drift = _drift(states.mean(axis=1))
     checks = [
         Check("mass-conservation", drift <= 1e-10, f"drift {drift:.3e}"),
-        Check("parabolicity-maintained", traj.a_min > 0.0, f"min a = {traj.a_min:.6g} > 0"),
+        Check("parabolicity-maintained", a_min > 0.0, f"min a = {a_min:.6g} > 0"),
     ]
-    fields = {f"tau{k}": traj.taus[k - 1] for k in range(1, n + 1)}
-    return _result(scn, checks, traj.times, {"x": x}, fields, {"sup_deviation": sup},
-                   _fit_alpha(traj.times, sup), {"drift": drift})
+    fields = {f"tau{k}": taus[k - 1] for k in range(1, n + 1)}
+    return _result(scn, checks, times, {"x": x}, fields, {"sup_deviation": sup},
+                   _fit_alpha(times, sup), {"drift": drift})
 
 
 def _run_reeb(scn: FlowScenario) -> RunResult:

@@ -147,7 +147,7 @@ _KIND_KEYS = {
     "umbilical": {**_field("init", "cos"), "psi": (_names("linear"), "linear"),
                   "psi-slope": (_positive, 2.0)},
     "tau-heat": _field("init", "cos"),
-    "twisted": {"base-grid": (_int(1), 16), "fiber-grid": (_int(1), lambda v: v["grid"]),
+    "twisted": {"base-grid": (_int(1), 16), "fiber-grid": (_int(8), lambda v: v["grid"]),
                 "n": (_int(1), 1),
                 "profile": (_names("one-plus-x-squared", "constant"), "one-plus-x-squared"),
                 "fiber-length": (_positive, 2.0 * math.pi)},

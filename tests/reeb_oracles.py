@@ -253,7 +253,7 @@ def converge_criterion(
     integral = float(np.trapezoid(vs, ts))
     if np.max(vs[len(pts) // 2 :]) == 0.0:
         return True
-    _, alpha = fit_exponential_decay(pts)
+    _, alpha = fit_exponential_decay(ts, vs)
     if not alpha > 0.0:
         return False
     tail = vs[-1] / alpha

@@ -6,10 +6,7 @@ import pytest
 from egf import flows, parabolic
 from egf.errors import EllipticityLossError, SolverError, ValidationError
 from egf.flows import (
-    MeanCurvatureState,
     TauFunction,
-    TwistedState,
-    UmbilicalState,
     circle_derivative,
     conformal_ode_system,
     evolve_umbilical,
@@ -85,15 +82,15 @@ class TestUmbilical:
     def test_conformal_factor_matches_step_loop_bitwise(self):
         lam0 = cos_field(n=64, amp=0.3)
         cfg = SolverConfig(dt=1e-2, save_every=1)
-        traj = evolve_umbilical(UmbilicalState.initial(lam0), psi2, psi2_prime, 0.3, cfg,
-                                psi_second=psi2_second)
+        times, lam, got = evolve_umbilical(lam0, psi2, psi2_prime, 0.3, cfg,
+                                           psi_second=psi2_second)
         conf = [np.zeros(64)]
-        for i in range(1, traj.times.size):
-            dt = traj.times[i] - traj.times[i - 1]
-            flux_old = circle_derivative(psi2(traj.lam[i - 1]), lam0.h)
-            flux_new = circle_derivative(psi2(traj.lam[i]), lam0.h)
+        for i in range(1, times.size):
+            dt = times[i] - times[i - 1]
+            flux_old = circle_derivative(psi2(lam[i - 1]), lam0.h)
+            flux_new = circle_derivative(psi2(lam[i]), lam0.h)
             conf.append(conf[-1] - 0.5 * dt * (flux_old + flux_new))
-        assert np.asarray(conf).tobytes() == traj.conf.tobytes()
+        assert np.asarray(conf).tobytes() == got.tobytes()
 
     @pytest.mark.parametrize("scheme", ["implicit-euler", "crank-nicolson"])
     def test_picard_matches_declared_linear_psi(self, monkeypatch, scheme):
@@ -102,29 +99,28 @@ class TestUmbilical:
         # conformal factor alike
         lam0 = cos_field(n=128, amp=0.3)
         cfg = SolverConfig(dt=1e-3, scheme=scheme, save_every=7)
-        state = UmbilicalState.initial(lam0)
-        closed = evolve_umbilical(state, psi2, psi2_prime, 0.5, cfg, psi_slope=2.0)
-        newton = evolve_umbilical(state, psi2, psi2_prime, 0.5, cfg, psi_second=psi2_second)
+        times, lam, conf = evolve_umbilical(lam0, psi2, psi2_prime, 0.5, cfg, psi_slope=2.0)
+        newton = evolve_umbilical(lam0, psi2, psi2_prime, 0.5, cfg, psi_second=psi2_second)
         monkeypatch.setattr(flows, "_newton_stepper", picard_stepper)
-        picard = evolve_umbilical(state, psi2, psi2_prime, 0.5, cfg, psi_second=psi2_second)
-        for traj in (newton, picard):
-            assert traj.times.tobytes() == closed.times.tobytes()
-            assert np.max(np.abs(traj.lam - closed.lam)) <= 1e-12 * 0.3
-            assert np.max(np.abs(traj.conf - closed.conf)) <= 1e-12 * 0.3
+        picard = evolve_umbilical(lam0, psi2, psi2_prime, 0.5, cfg, psi_second=psi2_second)
+        for traj_times, traj_lam, traj_conf in (newton, picard):
+            assert traj_times.tobytes() == times.tobytes()
+            assert np.max(np.abs(traj_lam - lam)) <= 1e-12 * 0.3
+            assert np.max(np.abs(traj_conf - conf)) <= 1e-12 * 0.3
 
     def test_nonlinear_psi_needs_its_second_derivative(self):
         with pytest.raises(ValidationError, match="psi''"):
-            evolve_umbilical(UmbilicalState.initial(cos_field(n=64, amp=0.3)), psi2, psi2_prime,
-                             0.1, SolverConfig(dt=1e-2))
+            evolve_umbilical(cos_field(n=64, amp=0.3), psi2, psi2_prime, 0.1,
+                             SolverConfig(dt=1e-2))
 
     @pytest.mark.parametrize("scheme, bound", [("crank-nicolson", 1.9), ("implicit-euler", 0.95)])
     def test_conformal_factor_time_order_by_self_convergence(self, scheme, bound):
         # linear psi, grid 128 held, dt halved from 4e-3 to 5e-4 up to T = 0.5:
         # successive final conformal factors differ by dt^p; measured p = 2.000
         # and 1.000
-        state = UmbilicalState.initial(cos_field(n=128, amp=0.25))
-        finals = [evolve_umbilical(state, psi2, psi2_prime, 0.5,
-                                   SolverConfig(dt=dt, scheme=scheme), psi_slope=2.0).conf[-1]
+        lam0 = cos_field(n=128, amp=0.25)
+        finals = [evolve_umbilical(lam0, psi2, psi2_prime, 0.5,
+                                   SolverConfig(dt=dt, scheme=scheme), psi_slope=2.0)[2][-1]
                   for dt in (4e-3, 2e-3, 1e-3, 5e-4)]
         diffs = [np.max(np.abs(a - b)) for a, b in zip(finals, finals[1:])]
         orders = [math.log2(a / b) for a, b in zip(diffs, diffs[1:])]
@@ -132,8 +128,8 @@ class TestUmbilical:
 
     def test_psi_2lambda_is_plain_heat(self):
         lam0 = cos_field(n=256, amp=0.3)
-        traj = evolve_umbilical(
-            UmbilicalState.initial(lam0),
+        _, lam, _ = evolve_umbilical(
+            lam0,
             psi2,
             psi2_prime,
             0.5,
@@ -142,20 +138,20 @@ class TestUmbilical:
         )
         x = lam0.nodes()
         expected = 0.3 * math.exp(-0.5) * np.cos(x)
-        assert np.max(np.abs(traj.lam[-1] - expected)) < 1e-4
+        assert np.max(np.abs(lam[-1] - expected)) < 1e-4
 
     def test_constant_lambda_frozen(self):
         lam0 = CircleField(TWO_PI, np.full(64, 0.4))
-        traj = evolve_umbilical(UmbilicalState.initial(lam0), psi2, psi2_prime, 1.0,
-                                SolverConfig(dt=1e-2), psi_second=psi2_second)
-        assert np.allclose(traj.lam[-1], 0.4, atol=1e-13)
-        assert np.allclose(traj.conf[-1], 0.0, atol=1e-13)
+        _, lam, conf = evolve_umbilical(lam0, psi2, psi2_prime, 1.0,
+                                        SolverConfig(dt=1e-2), psi_second=psi2_second)
+        assert np.allclose(lam[-1], 0.4, atol=1e-13)
+        assert np.allclose(conf[-1], 0.0, atol=1e-13)
 
     def test_sign_violating_psi_rejected(self):
         lam0 = cos_field(amp=1.0)
         with pytest.raises(ValidationError):
             evolve_umbilical(
-                UmbilicalState.initial(lam0),
+                lam0,
                 lambda u: u**2,
                 lambda u: 2.0 * u,  # psi' changes sign on [-1.1, 1.1]
                 0.1,
@@ -168,14 +164,13 @@ class TestUmbilical:
         n_leaf = 1
         lam0 = cos_field(n=256, amp=0.3)
         cfg = SolverConfig(dt=1e-3, save_every=1)
-        traj = evolve_umbilical(UmbilicalState.initial(lam0), psi2, psi2_prime, 0.5, cfg,
-                                psi_second=psi2_second)
+        _, _, conf = evolve_umbilical(lam0, psi2, psi2_prime, 0.5, cfg, psi_second=psi2_second)
         x = lam0.nodes()
         h = lam0.h
         c0 = np.concatenate([[0.0], np.cumsum(0.5 * (lam0.samples[1:] + lam0.samples[:-1]) * h)])
         rho0 = np.exp(-n_leaf * c0)
         # tr S = n_leaf d(conf)/dt
-        vols = track_volume(rho0, n_leaf * traj.conf, TWO_PI)
+        vols = track_volume(rho0, n_leaf * conf, TWO_PI)
         assert np.all(np.diff(vols) < 0.0)
         # rate check at t=0 against (8.2): dV/dt = -(n/2) int lam psi rho ds
         expected_rate = -(n_leaf / 2.0) * np.sum(lam0.samples * psi2(lam0.samples) * rho0) * h
@@ -186,8 +181,8 @@ class TestUmbilical:
         # for psi = 2 lam the accumulated factor satisfies
         # d_s conf = -2 (lam_t - lam_0): integrate d_t(d_s conf) = -2 d_t lam
         lam0 = cos_field(n=256, amp=0.3)
-        traj = evolve_umbilical(
-            UmbilicalState.initial(lam0),
+        times, lam, conf = evolve_umbilical(
+            lam0,
             psi2,
             psi2_prime,
             0.4,
@@ -195,34 +190,32 @@ class TestUmbilical:
             psi_second=psi2_second,
         )
         h = lam0.h
-        for i in (len(traj.times) // 2, len(traj.times) - 1):
-            lhs = circle_derivative(traj.conf[i], h)
-            rhs = -2.0 * (traj.lam[i] - lam0.samples)
+        for i in (len(times) // 2, len(times) - 1):
+            lhs = circle_derivative(conf[i], h)
+            rhs = -2.0 * (lam[i] - lam0.samples)
             assert np.max(np.abs(lhs - rhs)) < 5e-4
 
     def test_chart_roundtrip_recovers_lambda(self):
         from egf.chartgeom import ChartMetric, weingarten_from_chart
 
         lam0 = cos_field(n=512, amp=0.25)
-        traj = evolve_umbilical(
-            UmbilicalState.initial(lam0),
+        times, lam, conf = evolve_umbilical(
+            lam0,
             psi2,
             psi2_prime,
             0.3,
             SolverConfig(dt=1e-3, scheme="crank-nicolson"),
             psi_second=psi2_second,
         )
-        idx = len(traj.times) - 1
-        x0, g00, gij = umbilical_metric_samples(
-            lam0, CircleField(TWO_PI, traj.conf[idx]), leaf_dim=2
-        )
+        idx = len(times) - 1
+        x0, g00, gij = umbilical_metric_samples(lam0, conf[idx], leaf_dim=2)
         ext = weingarten_from_chart(ChartMetric(x0, g00, gij))
         lam_rec = ext.A[:, 0, 0]
         off = np.abs(ext.A[:, 0, 1]).max() + np.abs(ext.A[:, 1, 0]).max()
         assert off == 0.0
         # interior comparison (one-sided stencils at the chart ends are noisier)
         sl = slice(2, -2)
-        assert np.max(np.abs(lam_rec[sl] - traj.lam[idx][sl])) < 5e-4
+        assert np.max(np.abs(lam_rec[sl] - lam[idx][sl])) < 5e-4
 
 
 class TestTauHeat:
@@ -256,9 +249,8 @@ class TestTauHeat:
 class TestTwisted:
     def test_fiber_constant_stationary(self):
         phi0 = np.tile(np.linspace(0.2, 0.8, 16)[:, None], (1, 32))
-        state = TwistedState(phi0, TWO_PI, n=2)
-        traj = twisted_product_flow(state, 1.0, SolverConfig(dt=1e-2))
-        assert np.max(np.abs(traj.phi[-1] - phi0)) < 1e-13
+        _, phi, _ = twisted_product_flow(phi0, TWO_PI, 2, 1.0, SolverConfig(dt=1e-2))
+        assert np.max(np.abs(phi[-1] - phi0)) < 1e-13
 
     def test_eigenfunction_decay_with_time_rescale(self):
         # phi = a(x) cos y decays like e^(-t/n)
@@ -266,20 +258,19 @@ class TestTwisted:
         xb = np.linspace(-1, 1, nx)
         y = np.arange(ny) * TWO_PI / ny
         phi0 = (1 + xb**2)[:, None] * np.cos(y)[None, :]
-        state = TwistedState(phi0, TWO_PI, n=n)
         T = 1.5
-        traj = twisted_product_flow(state, T, SolverConfig(dt=1e-3, scheme="crank-nicolson"))
+        _, phi, _ = twisted_product_flow(phi0, TWO_PI, n, T,
+                                         SolverConfig(dt=1e-3, scheme="crank-nicolson"))
         expected = math.exp(-T / n) * phi0
-        assert np.max(np.abs(traj.phi[-1] - expected)) < 5e-4
-        assert np.allclose(traj.limit, 0.0, atol=1e-15)
+        assert np.max(np.abs(phi[-1] - expected)) < 5e-4
+        assert np.allclose(phi0.mean(axis=1), 0.0, atol=1e-15)
 
     def test_fiber_mean_conserved_per_base_point(self):
         rng = np.random.default_rng(9)
         phi0 = rng.uniform(-1, 1, (10, 64))
-        state = TwistedState(phi0, TWO_PI, n=2)
-        traj = twisted_product_flow(state, 1.0, SolverConfig(dt=1e-2))
+        _, phi, _ = twisted_product_flow(phi0, TWO_PI, 2, 1.0, SolverConfig(dt=1e-2))
         means0 = phi0.mean(axis=1)
-        for snap in traj.phi:
+        for snap in phi:
             assert np.max(np.abs(snap.mean(axis=1) - means0)) < 1e-12
 
     def test_torus_converges_to_flat_product(self):
@@ -287,10 +278,12 @@ class TestTwisted:
         ny = 64
         y = np.arange(ny) * TWO_PI / ny
         phi0 = 0.4 * np.cos(y)[None, :] + np.zeros((8, 1))
-        state = TwistedState(phi0, TWO_PI, n=1)
-        traj = twisted_product_flow(state, 8.0, SolverConfig(dt=1e-2))
-        assert traj.warp_sup_distance[-1] < 2e-3
-        assert np.all(np.diff(traj.warp_sup_distance) <= 1e-12)
+        _, phi, _ = twisted_product_flow(phi0, TWO_PI, 1, 8.0, SolverConfig(dt=1e-2))
+        limit = phi0.mean(axis=1)
+        warp_sup_distance = np.max(np.abs(np.exp(phi) - np.exp(limit)[None, :, None]),
+                                   axis=(1, 2))
+        assert warp_sup_distance[-1] < 2e-3
+        assert np.all(np.diff(warp_sup_distance) <= 1e-12)
 
     @pytest.mark.parametrize("scheme", ["implicit-euler", "crank-nicolson"])
     def test_step_loop_matches_propagator(self, scheme):
@@ -301,14 +294,14 @@ class TestTwisted:
         y = np.arange(ny) * TWO_PI / ny
         phi = (1 + xb**2)[:, None] * np.cos(y)[None, :] + 0.3 * np.sin(5 * y)[None, :]
         cfg = SolverConfig(dt=1e-3, scheme=scheme, save_every=1)
-        traj = twisted_product_flow(TwistedState(phi, TWO_PI, n=n), 0.5, cfg)
+        times, snaps, _ = twisted_product_flow(phi, TWO_PI, n, 0.5, cfg)
         h, theta = TWO_PI / ny, cfg.theta
         worst = 0.0
-        for k in range(1, traj.times.size):
+        for k in range(1, times.size):
             rhs = phi + (1 - theta) * cfg.dt / n * _second_difference(phi, h)
             phi = divergence_theta_solve(np.full(ny, 1.0 / n), rhs.T, theta * cfg.dt, h).T
-            worst = max(worst, float(np.max(np.abs(phi - traj.phi[k]))))
-        assert worst <= 1e-12 * np.max(np.abs(traj.phi[0]))
+            worst = max(worst, float(np.max(np.abs(phi - snaps[k]))))
+        assert worst <= 1e-12 * np.max(np.abs(snaps[0]))
 
     @pytest.mark.parametrize("T, save_every", [(5.0, 0), (0.5, 7), (0.13, 0)])
     def test_snapshot_steps_only_and_bit_identical(self, monkeypatch, T, save_every):
@@ -332,7 +325,7 @@ class TestTwisted:
             return every_step
 
         monkeypatch.setattr("egf.flows._propagator", recording)
-        traj = twisted_product_flow(TwistedState(phi0, TWO_PI, n=1), T, cfg)
+        _, phi, _ = twisted_product_flow(phi0, TWO_PI, 1, T, cfg)
         keep = parabolic._snapshot_steps(parabolic._nsteps(T, cfg.dt), save_every)
         assert asked == keep[1:].tolist()
 
@@ -340,46 +333,57 @@ class TestTwisted:
         stepped = lambda u, steps: dense(u, steps)
         stepped.closed_form = False
         _, states, _, _ = parabolic._march(phi0, T, cfg, stepped, "reference")
-        assert traj.phi.tobytes() == states.tobytes()
+        assert phi.tobytes() == states.tobytes()
+
+    @pytest.mark.parametrize("shape, fiber_length, n, message", [
+        ((4, 7), TWO_PI, 1, ">= 8 fiber samples"),
+        ((32,), TWO_PI, 1, ">= 8 fiber samples"),
+        ((4, 8), 0.0, 1, "positive fiber length"),
+        ((4, 8), -1.0, 1, "positive fiber length"),
+        ((4, 8), TWO_PI, 0, "n >= 1"),
+    ])
+    def test_invalid_data_rejected(self, shape, fiber_length, n, message):
+        with pytest.raises(ValidationError, match=message):
+            twisted_product_flow(np.zeros(shape), fiber_length, n, 0.1, SolverConfig(dt=1e-2))
 
 
 class TestPrescribedMeanCurvature:
     def test_stationary_when_matched(self):
         F = cos_field(n=64, amp=0.5)
-        state = MeanCurvatureState(CircleField(TWO_PI, F.samples.copy()), F)
-        traj = prescribed_mean_curvature_flow(state, 1.0, SolverConfig(dt=1e-2))
-        assert np.max(traj.residual_sup) < 1e-13
+        _, w, _ = prescribed_mean_curvature_flow(CircleField(TWO_PI, F.samples.copy()), F, 1.0,
+                                                 SolverConfig(dt=1e-2))
+        assert np.max(np.abs(w)) < 1e-13
 
     def test_zero_target_reduces_to_tau_heat(self):
         tau0 = cos_field(n=128, amp=0.8)
         zero = CircleField(TWO_PI, np.zeros(128))
         cfg = SolverConfig(dt=1e-3)
-        a = prescribed_mean_curvature_flow(MeanCurvatureState(tau0, zero), 0.7, cfg)
+        _, w, _ = prescribed_mean_curvature_flow(tau0, zero, 0.7, cfg)
+        tau1 = w + zero.samples
         b = solve_heat_circle(tau0, 0.7, cfg)
-        assert np.max(np.abs(a.tau1[-1] - b.states[-1])) < 1e-12
+        assert np.max(np.abs(tau1[-1] - b.states[-1])) < 1e-12
         # Reeb integral identity: zero-mean tau_1 keeps zero mean
-        assert abs(a.tau1[-1].mean()) < 1e-13
+        assert abs(tau1[-1].mean()) < 1e-13
 
     def test_relaxation_to_cos_target(self):
         n = 256
         F = cos_field(n=n)
         tau0 = CircleField(TWO_PI, np.zeros(n))
         T = 2.0
-        traj = prescribed_mean_curvature_flow(
-            MeanCurvatureState(tau0, F), T, SolverConfig(dt=1e-4, scheme="crank-nicolson")
+        _, w, _ = prescribed_mean_curvature_flow(
+            tau0, F, T, SolverConfig(dt=1e-4, scheme="crank-nicolson")
         )
         x = F.nodes()
         expected = (1 - math.exp(-T)) * np.cos(x)
-        assert np.max(np.abs(traj.tau1[-1] - expected)) < 1e-4
+        assert np.max(np.abs(w[-1] + F.samples - expected)) < 1e-4
 
     def test_mean_conservation_of_w(self):
         rng = np.random.default_rng(5)
         tau0 = CircleField(TWO_PI, rng.uniform(-1, 1, 128))
         F = cos_field(n=128)
-        traj = prescribed_mean_curvature_flow(
-            MeanCurvatureState(tau0, F), 1.0, SolverConfig(dt=1e-3)
-        )
-        assert np.max(np.abs(traj.mean_w - traj.mean_w[0])) < 1e-12
+        _, w, _ = prescribed_mean_curvature_flow(tau0, F, 1.0, SolverConfig(dt=1e-3))
+        mean_w = w.mean(axis=1)
+        assert np.max(np.abs(mean_w - mean_w[0])) < 1e-12
 
     @pytest.mark.parametrize("field", ["conf", "tau1"])
     @pytest.mark.parametrize("scheme, bound", [("crank-nicolson", 1.9), ("implicit-euler", 0.95)])
@@ -387,10 +391,14 @@ class TestPrescribedMeanCurvature:
         # zero start relaxing to cos x, grid 128 held, dt halved from 4e-3 to
         # 5e-4 up to T = 0.5: successive final states differ by dt^p; measured
         # p = 2.000 and 0.998-1.001
-        state = MeanCurvatureState(CircleField(TWO_PI, np.zeros(128)), cos_field(n=128))
-        finals = [getattr(prescribed_mean_curvature_flow(
-                      state, 0.5, SolverConfig(dt=dt, scheme=scheme)), field)[-1]
-                  for dt in (4e-3, 2e-3, 1e-3, 5e-4)]
+        tau0, F = CircleField(TWO_PI, np.zeros(128)), cos_field(n=128)
+
+        def final(dt):
+            _, w, conf = prescribed_mean_curvature_flow(tau0, F, 0.5,
+                                                        SolverConfig(dt=dt, scheme=scheme))
+            return conf[-1] if field == "conf" else w[-1] + F.samples
+
+        finals = [final(dt) for dt in (4e-3, 2e-3, 1e-3, 5e-4)]
         diffs = [np.max(np.abs(a - b)) for a, b in zip(finals, finals[1:])]
         orders = [math.log2(a / b) for a, b in zip(diffs, diffs[1:])]
         assert min(orders) >= bound, orders
@@ -399,9 +407,13 @@ class TestPrescribedMeanCurvature:
         tau0 = cos_field(n=64)
         bad = cos_field(n=64, offset=0.3)
         with pytest.raises(ValidationError):
-            prescribed_mean_curvature_flow(
-                MeanCurvatureState(tau0, bad), 1.0, SolverConfig(dt=1e-2)
-            )
+            prescribed_mean_curvature_flow(tau0, bad, 1.0, SolverConfig(dt=1e-2))
+
+    @pytest.mark.parametrize("target", [cos_field(n=32), CircleField(1.0, np.cos(np.arange(64)))],
+                             ids=["other-size", "other-length"])
+    def test_target_on_another_grid_rejected(self, target):
+        with pytest.raises(ValidationError, match="share one grid"):
+            prescribed_mean_curvature_flow(cos_field(n=64), target, 1.0, SolverConfig(dt=1e-2))
 
     @pytest.mark.parametrize("amp", [0.0, 0.7])
     def test_conformal_factor_matches_step_loop_bitwise(self, amp):
@@ -412,7 +424,7 @@ class TestPrescribedMeanCurvature:
         tau0 = CircleField(TWO_PI, amp * np.sin(3 * x))
         F = CircleField(TWO_PI, np.zeros(64))
         cfg = SolverConfig(dt=1e-2, scheme="crank-nicolson", save_every=1)
-        traj = prescribed_mean_curvature_flow(MeanCurvatureState(tau0, F), 0.5, cfg, n=3)
+        _, _, got = prescribed_mean_curvature_flow(tau0, F, 0.5, cfg, n=3)
         ref = solve_heat_circle(CircleField(TWO_PI, tau0.samples - F.samples), 0.5, cfg)
         conf = [np.zeros(64)]
         for i in range(1, ref.states.shape[0]):
@@ -420,7 +432,7 @@ class TestPrescribedMeanCurvature:
             g_old = circle_derivative(ref.states[i - 1], tau0.h)
             g_new = circle_derivative(ref.states[i], tau0.h)
             conf.append(conf[-1] - (2.0 / 3) * 0.5 * dt * (g_old + g_new))
-        assert np.asarray(conf).tobytes() == traj.conf.tobytes()
+        assert np.asarray(conf).tobytes() == got.tobytes()
 
 
 def scaled_tau_k(n, k, slope=None):
@@ -442,12 +454,12 @@ class TestFtauConformal:
         consts = f_recursion_constants(power_sums(spec))
         tau1 = cos_field(n=256, amp=0.3, offset=1.4)
         T = 0.5
-        traj = ftau_conformal_flow(
+        _, taus, _ = ftau_conformal_flow(
             tau1, scaled_tau_k(n, 1), consts, T, SolverConfig(dt=1e-4, scheme="crank-nicolson")
         )
         x = tau1.nodes()
         expected = 1.4 + 0.3 * math.exp(-T) * np.cos(x)
-        assert np.max(np.abs(traj.taus[0, -1] - expected)) < 1e-4
+        assert np.max(np.abs(taus[0, -1] - expected)) < 1e-4
 
     def test_tau2_identity_propagates(self):
         # independently integrating the tau_2 chain with the same drive
@@ -458,16 +470,15 @@ class TestFtauConformal:
         consts = f_recursion_constants(tau0)
         tau1 = cos_field(n=256, amp=0.2, offset=tau0.tau[0])
         cfg = SolverConfig(dt=1e-3, save_every=1)
-        traj = ftau_conformal_flow(tau1, scaled_tau_k(n, 1), consts, 0.3, cfg)
-        h = tau1.h
+        times, taus, _ = ftau_conformal_flow(tau1, scaled_tau_k(n, 1), consts, 0.3, cfg)
         # drive: dtau_1/dt = -(n/2) N(s) => N(s) = -(2/n) dtau_1/dt;
         # chain: dtau_2/dt = -tau_1 N(s) = (2/n) tau_1 dtau_1/dt
-        tau2 = np.asarray(eval_F(2, traj.taus[0, 0], consts))
-        for i in range(1, traj.times.size):
-            dtau1 = traj.taus[0, i] - traj.taus[0, i - 1]
-            mid = 0.5 * (traj.taus[0, i] + traj.taus[0, i - 1])
+        tau2 = np.asarray(eval_F(2, taus[0, 0], consts))
+        for i in range(1, times.size):
+            dtau1 = taus[0, i] - taus[0, i - 1]
+            mid = 0.5 * (taus[0, i] + taus[0, i - 1])
             tau2 = tau2 + (2.0 / n) * mid * dtau1
-        expected = np.asarray(eval_F(2, traj.taus[0, -1], consts))
+        expected = np.asarray(eval_F(2, taus[0, -1], consts))
         assert np.max(np.abs(tau2 - expected)) < 1e-6
 
     def test_tau2_flow_requires_positive_tau1(self):
@@ -512,14 +523,14 @@ class TestFtauConformal:
         tau1 = CircleField(TWO_PI, 1.4 + 0.2 * np.cos(x) + 0.1 * np.sin(2 * x))
         cfg = SolverConfig(dt=1e-3, scheme=scheme, save_every=1)
         declared = scaled_tau_k(n, 1, slope=2.0 / n)
-        closed = ftau_conformal_flow(tau1, declared, consts, 0.5, cfg)
+        _, closed, closed_a_min = ftau_conformal_flow(tau1, declared, consts, 0.5, cfg)
         newton = ftau_conformal_flow(tau1, scaled_tau_k(n, 1), consts, 0.5, cfg)
         monkeypatch.setattr(flows, "_newton_stepper", picard_stepper)
         picard = ftau_conformal_flow(tau1, scaled_tau_k(n, 1), consts, 0.5, cfg)
-        assert closed.a_min == 1.0
-        for traj in (newton, picard):
-            assert np.max(np.abs(traj.taus - closed.taus)) <= 1e-12 * np.max(np.abs(tau1.samples))
-            assert traj.a_min == pytest.approx(1.0, abs=1e-12)
+        assert closed_a_min == 1.0
+        for _, taus, a_min in (newton, picard):
+            assert np.max(np.abs(taus - closed)) <= 1e-12 * np.max(np.abs(tau1.samples))
+            assert a_min == pytest.approx(1.0, abs=1e-12)
 
     def test_picard_reports_least_coefficient_seen(self, monkeypatch):
         # f = (2/n) tau_2: a = (2/n) tau_1 on the faces; implicit Euler keeps
@@ -531,9 +542,9 @@ class TestFtauConformal:
         faces = 0.5 * (tau1.samples + np.roll(tau1.samples, -1))
         for stepper in (flows._newton_stepper, picard_stepper):
             monkeypatch.setattr(flows, "_newton_stepper", stepper)
-            traj = ftau_conformal_flow(tau1, scaled_tau_k(n, 2), consts, 0.1,
-                                       SolverConfig(dt=1e-2))
-            assert traj.a_min == pytest.approx(2.0 / n * faces.min(), rel=1e-12)
+            _, _, a_min = ftau_conformal_flow(tau1, scaled_tau_k(n, 2), consts, 0.1,
+                                              SolverConfig(dt=1e-2))
+            assert a_min == pytest.approx(2.0 / n * faces.min(), rel=1e-12)
 
 
     @pytest.mark.parametrize("flow", [ftau_conformal_flow])
@@ -584,7 +595,7 @@ class TestNewtonAgainstPicard:
         newton, picard, solves = self._both(monkeypatch, lambda: ftau_conformal_flow(
             tau1, scaled_tau_k(n, 2), consts, 0.2, cfg))
         scale = 1.0 + np.max(np.abs(tau1.samples))
-        assert np.max(np.abs(newton.taus - picard.taus)) <= 1e-12 * scale
+        assert np.max(np.abs(newton[1] - picard[1])) <= 1e-12 * scale
         assert solves <= 1.05 * 200
 
     @pytest.mark.parametrize("scheme", ["implicit-euler", "crank-nicolson"])
@@ -595,11 +606,12 @@ class TestNewtonAgainstPicard:
         lam0 = cos_field(n=128, amp=0.5)
         cfg = SolverConfig(dt=1e-3, scheme=scheme, save_every=1)
         newton, picard, solves = self._both(monkeypatch, lambda: evolve_umbilical(
-            UmbilicalState.initial(lam0), lambda u: u + u**3, lambda u: 1.0 + 3.0 * u**2,
+            lam0, lambda u: u + u**3, lambda u: 1.0 + 3.0 * u**2,
             0.2, cfg, psi_second=lambda u: 6.0 * u))
         scale = 1.0 + np.max(np.abs(lam0.samples))
-        assert np.max(np.abs(newton.lam - picard.lam)) <= 1e-12 * scale
-        assert np.max(np.abs(newton.conf - picard.conf)) <= 1e-12 * scale
+        (_, newton_lam, newton_conf), (_, picard_lam, picard_conf) = newton, picard
+        assert np.max(np.abs(newton_lam - picard_lam)) <= 1e-12 * scale
+        assert np.max(np.abs(newton_conf - picard_conf)) <= 1e-12 * scale
         assert solves <= 1.05 * 200
 
 
@@ -634,6 +646,12 @@ class TestConformalODE:
         )
         assert np.allclose(tau[-1], [3.0, 5.0])
         assert np.allclose(sig[-1], [3.0, 2.0])
+
+    @pytest.mark.parametrize("T", [-1.0, -0.1])
+    def test_negative_horizon_rejected(self, T):
+        with pytest.raises(ValidationError, match="nonnegative"):
+            conformal_ode_system(lambda t: 1.0, np.array([3.0, 5.0]), np.array([3.0, 2.0]),
+                                 T, 1e-2)
 
     def test_constant_drive_quadratic_oracle(self):
         # n = 2, N(s) = 1: tau_1(t) = tau_1(0) - t,

@@ -736,31 +736,29 @@ class TestThetaSolution:
 class TestDecayFit:
     def test_pure_exponential(self):
         ts = np.linspace(0, 5, 60)
-        series = [(t, 2.0 * math.exp(-t)) for t in ts]
-        K, alpha = fit_exponential_decay(series)
+        K, alpha = fit_exponential_decay(ts, 2.0 * np.exp(-ts))
         assert alpha == pytest.approx(1.0, abs=1e-10)
         assert K == pytest.approx(2.0, rel=1e-9)
 
     def test_exact_quasilinear_rate(self):
         # sup-norm of the exact solution decays exactly like e^-t
         ts = np.linspace(0, 3, 31)
-        series = [(t, float(np.max(np.abs(exact_quasilinear_solution(t, np.linspace(0, 2 * math.pi, 512)))))) for t in ts]
-        _, alpha = fit_exponential_decay(series)
+        x = np.linspace(0, 2 * math.pi, 512)
+        sups = [np.max(np.abs(exact_quasilinear_solution(t, x))) for t in ts]
+        _, alpha = fit_exponential_decay(ts, sups)
         assert alpha >= 1.0 - 0.02
 
     def test_constant_series(self):
-        series = [(t, 1.5) for t in np.linspace(0, 2, 20)]
-        _, alpha = fit_exponential_decay(series)
+        _, alpha = fit_exponential_decay(np.linspace(0, 2, 20), np.full(20, 1.5))
         assert alpha == pytest.approx(0.0, abs=1e-12)
 
     def test_all_zero_series(self):
-        series = [(t, 0.0) for t in np.linspace(0, 2, 20)]
-        _, alpha = fit_exponential_decay(series)
+        _, alpha = fit_exponential_decay(np.linspace(0, 2, 20), np.zeros(20))
         assert alpha == math.inf
 
     def test_too_few_points(self):
         with pytest.raises(ValidationError):
-            fit_exponential_decay([(0, 1), (1, 0.5)])
+            fit_exponential_decay([0, 1], [1, 0.5])
 
 
 def parabolicity_check(A: np.ndarray) -> tuple[bool, float]:

@@ -587,9 +587,8 @@ class TestObservedChecks:
         evolve = flows.evolve_umbilical
 
         def flipped(*args, **kwargs):
-            traj = evolve(*args, **kwargs)
-            traj.conf = -traj.conf
-            return traj
+            times, lam, conf = evolve(*args, **kwargs)
+            return times, lam, -conf
 
         monkeypatch.setattr(flows, "evolve_umbilical", flipped)
         res = run_scenario(parse_scenario(UMBILICAL.format(amp=0.3)))
@@ -632,6 +631,12 @@ class TestCli:
     def test_validation_error_exit_3(self, tmp_path):
         path = self._write(tmp_path, "kind: mystery\ndt: 0.1\nT: 1\n")
         assert main(["run", path, "--out", str(tmp_path / "out")]) == 3
+
+    def test_short_fiber_grid_exit_3_names_the_key(self, tmp_path, capsys):
+        path = self._write(tmp_path, "kind: twisted\ngrid: 64\ndt: 0.01\nT: 0.1\nfiber-grid: 7\n")
+        assert main(["run", path, "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert "fiber-grid must be at least 8" in err and err.count("\n") == 1
 
     def test_nonzero_average_target_exit_3(self, tmp_path):
         text = (
@@ -1118,7 +1123,9 @@ def _token(key: str, dt: float):
                        steps.map(lambda k: repr((k + 0.5) * dt)) | _REAL | _NOT_A_NUMBER)
     if key == "grid":
         return _count(8, _MAX_DRAWN_GRID)
-    if key in ("base-grid", "fiber-grid"):
+    if key == "fiber-grid":
+        return _count(8, _MAX_DRAWN_GRID)
+    if key == "base-grid":
         return _count(1, _MAX_DRAWN_GRID)
     if key == "n":
         return _count(1, 5)
