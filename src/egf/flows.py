@@ -105,7 +105,8 @@ def evolve_umbilical(
 
     ``psi_slope`` declares psi(lam) = psi_slope * lam (psi and psi_prime must
     agree with it): the flow is then the heat equation with constant
-    coefficient psi_slope / 2, stepped by the closed-form propagator.
+    coefficient psi_slope / 2, stepped by the closed-form propagator, which
+    gives conf in closed form too: only the snapshot steps are computed.
     Otherwise each step is solved by Newton's method, whose Jacobian needs
     ``psi_second`` = psi''.
     """
@@ -162,7 +163,8 @@ def prescribed_mean_curvature_flow(
     w = tau_1 - F satisfies the heat equation along the N-curve, so
     tau_1(t) = F + w(t) and the residual decays exponentially.  Returns
     (times, w, conf): the log conformal factor starts at zero and
-    accumulates -(2/n) d_s w.  A target whose discrete mean exceeds 1e-8 in
+    accumulates -(2/n) d_s w by trapezoid in time.  The closed-form
+    propagator gives w and that sum at the snapshot steps alone.  A target whose discrete mean exceeds 1e-8 in
     magnitude is rejected: the zero-average condition is what the
     closed-curve integral identity forces.
 

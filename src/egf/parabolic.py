@@ -48,20 +48,19 @@ __all__ = [
 _SCHEMES = {"implicit-euler": 1.0, "crank-nicolson": 0.5}
 
 
-def _lapack_dgtsv() -> Callable:
-    """LAPACK dgtsv from scipy's compiled module ``scipy.linalg._flapack``,
-    loaded under that name without running ``scipy/linalg/__init__.py``
-    (whose imports, numpy.f2py and numpy.testing among them, serve no solver
-    here and cost about 0.4 s and 18 MiB on a 2-core x86-64 host).  It is
-    the module that
-    ``scipy.linalg.lapack`` takes dgtsv from, so either import order gives
-    the same function object."""
+def _flapack():
+    """scipy's compiled LAPACK module ``scipy.linalg._flapack``, loaded under
+    that name without running ``scipy/linalg/__init__.py`` (whose imports,
+    numpy.f2py and numpy.testing among them, serve no solver here and cost
+    about 0.4 s and 18 MiB on a 2-core x86-64 host).  It is the module that
+    ``scipy.linalg.lapack`` takes its routines from, so either import order
+    gives the same function objects."""
     name = "scipy.linalg._flapack"
     if name in sys.modules:
-        return sys.modules[name].dgtsv
+        return sys.modules[name]
     spec = importlib.util.find_spec("scipy")  # finds the package, does not import it
     if spec is None or not spec.submodule_search_locations:
-        raise ImportError("egf needs scipy, for LAPACK dgtsv", name="scipy")
+        raise ImportError("egf needs scipy, for LAPACK", name="scipy")
     base = os.path.join(spec.submodule_search_locations[0], "linalg", "_flapack")
     path = next((base + suffix for suffix in importlib.machinery.EXTENSION_SUFFIXES
                  if os.path.isfile(base + suffix)), None)
@@ -71,10 +70,12 @@ def _lapack_dgtsv() -> Callable:
     module = importlib.util.module_from_spec(importlib.util.spec_from_loader(name, loader))
     loader.exec_module(module)
     sys.modules[name] = module
-    return module.dgtsv
+    return module
 
 
-dgtsv = _lapack_dgtsv()
+_LAPACK = _flapack()
+# a tridiagonal solve, and the factor-then-solve pair for a matrix that serves every step
+dgtsv, dgttrf, dgttrs = _LAPACK.dgtsv, _LAPACK.dgttrf, _LAPACK.dgttrs
 
 
 def __getattr__(name: str):
@@ -338,16 +339,19 @@ def _march(u0: np.ndarray, T: float, cfg: SolverConfig, produce: Callable,
     ``produce(u, steps)`` gives the states of ``steps`` (at most _BLOCK_STEPS
     consecutive steps of 1..round(T/dt)) from u, the state before them.  A
     producer declares ``closed_form`` when each state it gives depends on its
-    own step number alone; with no per-step consumer (no ``track``, no
-    ``integrals``) such a producer is asked for the snapshot steps only.  Each
-    block is checked finite (else :class:`UnstableConfigurationError` names
-    ``context``, the step and t; a solver or floating-point error of a
-    :func:`_stepper` step is re-raised naming them too), then folded into the
-    snapshot rows of :func:`_snapshot_steps`, with ``track`` the per-step
-    mean and sup |u - mean(u0)|, and each running trapezoid ``(start, weight,
-    rate)`` of ``integrals``: c_0 = start, c_k = c_{k-1} - weight dt (r_{k-1}
-    + r_k) with r = rate(block), kept at the snapshot steps.  Returns (times,
-    states, (means, sup_deviation) or None, kept integrals).
+    own step number alone, and then also gives ``produce.sums(steps)``, the
+    running sums S_k = u_0 + ... + u_k; without ``track`` such a producer is
+    asked for the snapshot steps only.  Each block is checked finite (else
+    :class:`UnstableConfigurationError` names ``context``, the step and t; a
+    solver or floating-point error of a :func:`_stepper` step is re-raised
+    naming them too), then folded into the snapshot rows of
+    :func:`_snapshot_steps`, with ``track`` the per-step mean and sup |u -
+    mean(u0)|, and each running trapezoid ``(start, weight, rate)`` of
+    ``integrals``: c_0 = start, c_k = c_{k-1} - weight dt (r_{k-1} + r_k)
+    with r = rate(state), kept at the snapshot steps.  Under a closed-form
+    producer ``rate`` must be linear, and c_k = start - weight dt rate(2 S_k -
+    u_0 - u_k) at the kept steps alone; otherwise the sum runs step by step.
+    Returns (times, states, (means, sup_deviation) or None, kept integrals).
     """
     nsteps = _nsteps(T, cfg.dt)
     keep = _snapshot_steps(nsteps, cfg.save_every)
@@ -361,7 +365,7 @@ def _march(u0: np.ndarray, T: float, cfg: SolverConfig, produce: Callable,
         mean0 = float(u0.mean())
         means, sup_dev = np.empty(nsteps + 1), np.empty(nsteps + 1)
         means[0], sup_dev[0] = mean0, np.max(np.abs(u0 - mean0))
-    sparse = produce.closed_form and not track and not integrals
+    sparse = produce.closed_form and not track
     todo = keep if sparse else np.arange(nsteps + 1)
     u, slot = u0, 1
     for first in range(1, todo.size, _BLOCK_STEPS):
@@ -384,9 +388,15 @@ def _march(u0: np.ndarray, T: float, cfg: SolverConfig, produce: Callable,
         end = int(np.searchsorted(keep, steps[-1], side="right"))
         rows = np.searchsorted(steps, keep[slot:end])
         states[slot:end] = block[rows]
-        for i, (_, weight, rate) in enumerate(integrals):
-            c = _trapezoid_accumulate(last[i], weight * np.diff(steps * cfg.dt), rate(block))
-            kept[i][slot:end], last[i] = c[rows], c[-1]
+        if sparse and integrals:
+            # r_0 + 2 (r_1 + ... + r_{k-1}) + r_k of a linear rate, in one term
+            pairs = 2.0 * produce.sums(keep[slot:end]) - u0 - states[slot:end]
+        for i, (start, weight, rate) in enumerate(integrals):
+            if sparse:
+                kept[i][slot:end] = start - weight * cfg.dt * rate(pairs)
+            else:
+                c = _trapezoid_accumulate(last[i], weight * np.diff(steps * cfg.dt), rate(block))
+                kept[i][slot:end], last[i] = c[rows], c[-1]
         slot, u = end, block[-1]
     return keep * cfg.dt, states, (means, sup_dev) if track else None, kept
 
@@ -503,18 +513,40 @@ def _propagator(u0: np.ndarray, c: float, h: float, cfg: SolverConfig) -> Callab
     in closed form: the theta-method matrix is circulant, so the FFT
     diagonalizes it (Davis, *Circulant Matrices*, 1979).  State k is
     irfft(u0_hat g^k), g_j = (1 - (1-theta) dt l_j) / (1 + theta dt l_j),
-    l_j = (4 c / h^2) sin^2(pi j / N), from its own step number alone.
+    l_j = (4 c / h^2) sin^2(pi j / N), from its own step number alone.  So
+    is the running sum S_k = u_0 + ... + u_k = irfft(u0_hat (1 - g^(k+1)) /
+    (1 - g)), (k + 1) u0_hat in a mode with g = 1, which
+    ``produce.sums(steps)`` gives for each k of ``steps``.
     """
     n = u0.shape[-1]
     lam = (4.0 * c / h**2) * np.sin(np.pi * np.arange(n // 2 + 1) / n) ** 2
     g = (1.0 - (1.0 - cfg.theta) * cfg.dt * lam) / (1.0 + cfg.theta * cfg.dt * lam)
+    # 1 - g, formed exactly: the sums divide by it, and near g = 1 the
+    # difference 1 - g would keep few digits
+    gap = cfg.dt * lam / (1.0 + cfg.theta * cfg.dt * lam)
     u_hat = np.fft.rfft(u0, axis=-1)
+    # 1 - g^m is -expm1(m log g) where g > 0, which keeps its digits near
+    # g = 1; Crank-Nicolson's high modes (dt l > 2) have g <= 0, where log g
+    # does not exist and the power is taken as it is
+    positive, decaying = gap < 1.0, gap > 0.0
+    log_g = np.log1p(-gap[positive])
 
     def produce(u: np.ndarray, steps: np.ndarray) -> np.ndarray:
         powers = g ** steps.reshape(-1, *[1] * u0.ndim)
         return np.fft.irfft(u_hat * powers, n=n, axis=-1)
 
+    def sums(steps: np.ndarray) -> np.ndarray:
+        m = steps[:, None] + 1.0
+        geometric = np.empty((steps.size, g.size))
+        geometric[:, positive] = -np.expm1(m * log_g)
+        geometric[:, ~positive] = 1.0 - g[~positive] ** m
+        geometric[:, decaying] /= gap[decaying]
+        geometric[:, ~decaying] = m
+        geometric = geometric.reshape(steps.size, *[1] * (u0.ndim - 1), g.size)
+        return np.fft.irfft(u_hat * geometric, n=n, axis=-1)
+
     produce.closed_form = True
+    produce.sums = sums
     return produce
 
 
@@ -594,27 +626,25 @@ def _interval_stepper(u0, h, diffusion, drift, cfg: SolverConfig, bc) -> tuple:
     ca = cfg.dt * a / h**2
     cb = cfg.dt * b / (2.0 * h)
     # interior operator rows; boundary rows pin the value
-    lower = -theta * (ca - cb)
-    upper = -theta * (ca + cb)
+    lower = -theta * (ca - cb)[1:]
+    upper = -theta * (ca + cb)[:-1]
     diag = 1.0 + 2.0 * theta * ca
     diag[0] = diag[-1] = 1.0
-    ab = np.zeros((3, n))
-    ab[0, 1:] = upper[:-1]
-    ab[0, 1] = 0.0  # row 0 is the pin
-    ab[1] = diag
-    ab[2, :-1] = lower[1:]
-    ab[2, -2] = 0.0  # row n-1 is the pin
+    upper[0] = lower[-1] = 0.0
+    # the matrix serves every step: LU-factored once (LAPACK dgttrf, the
+    # elimination with partial pivoting that dgtsv runs), solved each step (dgttrs)
+    *factors, info = dgttrf(lower, diag, upper)
+    if info:
+        raise np.linalg.LinAlgError(f"singular interval system (dgttrf info {info})")
 
     def advance(u: np.ndarray, step: int) -> np.ndarray:
-        rhs = u.copy()
         if theta != 1.0:
             # only interior rows count: the pins below overwrite both ends
             rhs = u + (1.0 - theta) * cfg.dt * (a * _second_difference(u, h) + b * _d_x(u, h))
+        else:
+            rhs = u.copy()
         rhs[0], rhs[-1] = bc
-        # LAPACK dgtsv, the routine solve_banded((1, 1), ...) calls; ab is kept
-        u, info = dgtsv(ab[2, :-1], ab[1], ab[0, 1:], rhs, overwrite_b=1)[3:]
-        if info:
-            raise np.linalg.LinAlgError(f"singular interval system (dgtsv info {info})")
+        u = dgttrs(*factors, rhs, overwrite_b=1)[0]
         u[0], u[-1] = bc  # exact pinning (solve leaves round-off residue)
         return u
 

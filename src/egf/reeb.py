@@ -206,16 +206,25 @@ def expansion_slope(
     and K = -(1/(2 sqrt(det))) d_x(d_x g22 / sqrt(det)) ~ -3 a1^3 V_0 x.
     The factor e^-U = 1 + O(x) leaves the slope unchanged, so the
     reference value is -3 a1^3 V_t(0), which is -(3/8) pi^3 V_t(0) for
-    the default alpha = pi x / 2.  The fit is least squares of
-    e^-U K ~ c x over |x| <= half_width, widened to the nodes x = +-h where
-    h exceeds it.  Returns (fitted, target).
+    the default alpha = pi x / 2.
+
+    The model: the odd part (y(x) - y(-x)) / 2 of y = e^-U K is c1 x +
+    c3 x^3 + c5 x^5 on 0 < x <= half_width, and c1 is the slope.  The odd
+    part drops the even terms of y; the cubic and quintic terms take up the
+    curvature of y across the window, which biases a fit of c1 x alone (by
+    9 % at V_t(0) = 0.018 on the default window).  The fit is least squares
+    over the nodes of the window, widened to the node x = h where h exceeds
+    it, with no more terms than nodes.  Returns (fitted, target).
     """
     y = np.exp(-U) * K
-    mask = np.abs(geom.x) <= half_width
     i0 = geom.n_nodes // 2
-    mask[i0 - 1 : i0 + 2] = True
-    xs = geom.x[mask]
-    slope = float(np.dot(xs, y[mask]) / np.dot(xs, xs))
+    # the nodes 0 < x <= half_width, at least x = h
+    j = np.arange(1, max(1, int(np.count_nonzero(geom.x[i0 + 1:] <= half_width))) + 1)
+    xs = 0.5 * (geom.x[i0 + j] - geom.x[i0 - j])
+    odd = 0.5 * (y[i0 + j] - y[i0 - j])
+    # columns (x / x_max)^p keep the least-squares system well scaled
+    powers = np.array([1, 3, 5][:j.size])
+    coef = np.linalg.lstsq((xs / xs[-1])[:, None] ** powers, odd, rcond=None)[0]
     v0 = float(np.interp(0.0, geom.x, V))
     a1 = float(np.interp(0.0, geom.x, geom.alpha_prime))
-    return slope, -3.0 * a1**3 * v0
+    return float(coef[0] / xs[-1]), -3.0 * a1**3 * v0

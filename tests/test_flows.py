@@ -53,6 +53,39 @@ def psi2_second(lam):
     return np.zeros_like(np.asarray(lam, dtype=float))
 
 
+def recording_propagator(asked, closed_form=True):
+    """The propagator, recording in ``asked`` the steps it is asked for;
+    with ``closed_form=False`` the march takes every step and sums the
+    conformal factor step by step."""
+
+    def propagator(u0, c, h, cfg):
+        produce = parabolic._propagator(u0, c, h, cfg)
+
+        def recorded(u, steps):
+            asked.extend(steps.tolist())
+            return produce(u, steps)
+
+        recorded.closed_form, recorded.sums = closed_form, produce.sums
+        return recorded
+
+    return propagator
+
+
+def assert_sparse_march(monkeypatch, flow, T, cfg):
+    """``flow()`` (times, states, conf) asks the propagator for the kept steps
+    only; its states have the bits of the march through every step, and conf
+    is within 1e-12 (1 + sup |conf|) of that march's per-step trapezoid sum."""
+    asked = []
+    monkeypatch.setattr(flows, "_propagator", recording_propagator(asked))
+    _, states, conf = flow()
+    keep = parabolic._snapshot_steps(parabolic._nsteps(T, cfg.dt), cfg.save_every)
+    assert asked == keep[1:].tolist()
+    monkeypatch.setattr(flows, "_propagator", recording_propagator([], closed_form=False))
+    _, dense_states, dense_conf = flow()
+    assert states.tobytes() == dense_states.tobytes()
+    assert np.max(np.abs(conf - dense_conf)) <= 1e-12 * (1.0 + np.max(np.abs(dense_conf)))
+
+
 def test_circle_derivative_matches_roll_formula_bitwise():
     rng = np.random.default_rng(3)
     s = rng.standard_normal((5, 32))
@@ -107,6 +140,13 @@ class TestUmbilical:
             assert traj_times.tobytes() == times.tobytes()
             assert np.max(np.abs(traj_lam - lam)) <= 1e-12 * 0.3
             assert np.max(np.abs(traj_conf - conf)) <= 1e-12 * 0.3
+
+    @pytest.mark.parametrize("T, save_every", [(5.0, 0), (0.5, 7), (0.13, 0)])
+    def test_linear_psi_marches_snapshot_steps_only(self, monkeypatch, T, save_every):
+        lam0 = cos_field(n=128, amp=0.3)
+        cfg = SolverConfig(dt=1e-3, scheme="crank-nicolson", save_every=save_every)
+        assert_sparse_march(monkeypatch, lambda: evolve_umbilical(
+            lam0, psi2, psi2_prime, T, cfg, psi_slope=2.0), T, cfg)
 
     def test_nonlinear_psi_needs_its_second_derivative(self):
         with pytest.raises(ValidationError, match="psi''"):
@@ -313,18 +353,7 @@ class TestTwisted:
         phi0 = (1 + xb**2)[:, None] * np.cos(y)[None, :]
         cfg = SolverConfig(dt=1e-3, scheme="crank-nicolson", save_every=save_every)
         asked = []
-
-        def recording(u0, c, h, cfg):
-            produce = parabolic._propagator(u0, c, h, cfg)
-
-            def every_step(u, steps):
-                asked.extend(steps.tolist())
-                return produce(u, steps)
-
-            every_step.closed_form = produce.closed_form
-            return every_step
-
-        monkeypatch.setattr("egf.flows._propagator", recording)
+        monkeypatch.setattr(flows, "_propagator", recording_propagator(asked))
         _, phi, _ = twisted_product_flow(phi0, TWO_PI, 1, T, cfg)
         keep = parabolic._snapshot_steps(parabolic._nsteps(T, cfg.dt), save_every)
         assert asked == keep[1:].tolist()
@@ -403,6 +432,13 @@ class TestPrescribedMeanCurvature:
         orders = [math.log2(a / b) for a, b in zip(diffs, diffs[1:])]
         assert min(orders) >= bound, orders
 
+    @pytest.mark.parametrize("T, save_every", [(5.0, 0), (0.5, 7), (0.13, 0)])
+    def test_snapshot_steps_only(self, monkeypatch, T, save_every):
+        tau0, F = cos_field(n=128, amp=0.4, freq=3), cos_field(n=128)
+        cfg = SolverConfig(dt=1e-3, scheme="crank-nicolson", save_every=save_every)
+        assert_sparse_march(monkeypatch, lambda: prescribed_mean_curvature_flow(
+            tau0, F, T, cfg), T, cfg)
+
     def test_nonzero_average_target_rejected(self):
         tau0 = cos_field(n=64)
         bad = cos_field(n=64, offset=0.3)
@@ -417,22 +453,35 @@ class TestPrescribedMeanCurvature:
 
     @pytest.mark.parametrize("amp", [0.0, 0.7])
     def test_conformal_factor_matches_step_loop_bitwise(self, amp):
-        # reference: the per-step trapezoid sum over the same heat solve;
-        # n = 3 makes the coefficient inexact, and amp = 0 keeps every
-        # increment zero, where the sign of the zero sum must match too
+        # oracle: the per-step trapezoid sum over the states of every step.
+        # The flow takes the sum in closed form at the kept steps, so it holds
+        # to 1e-12 (1 + sup |conf|); amp = 0 keeps every term zero, and there
+        # the bits match, +0 included.  n = 3 makes the coefficient inexact.
+        # At dt 1e-2 Crank-Nicolson's modes 16 and up have g < 0 (dt l > 2)
+        # and the cos 29x term lives there; at dt 1e-4 mode 1 has 1 - g = 1e-4
+        # and the sum runs over 20,000 steps.  The mean mode adds (k + 1) 0.2
         x = np.arange(64) * TWO_PI / 64
-        tau0 = CircleField(TWO_PI, amp * np.sin(3 * x))
+        tau0 = CircleField(TWO_PI, amp * (0.2 + np.sin(x) + np.sin(3 * x) + 0.5 * np.cos(29 * x)))
         F = CircleField(TWO_PI, np.zeros(64))
-        cfg = SolverConfig(dt=1e-2, scheme="crank-nicolson", save_every=1)
-        _, _, got = prescribed_mean_curvature_flow(tau0, F, 0.5, cfg, n=3)
-        ref = solve_heat_circle(CircleField(TWO_PI, tau0.samples - F.samples), 0.5, cfg)
-        conf = [np.zeros(64)]
-        for i in range(1, ref.states.shape[0]):
-            dt = ref.times[i] - ref.times[i - 1]
-            g_old = circle_derivative(ref.states[i - 1], tau0.h)
-            g_new = circle_derivative(ref.states[i], tau0.h)
-            conf.append(conf[-1] - (2.0 / 3) * 0.5 * dt * (g_old + g_new))
-        assert np.asarray(conf).tobytes() == got.tobytes()
+        for scheme in ("crank-nicolson", "implicit-euler"):
+            for dt, T, every in ((1e-2, 0.5, 1), (1e-2, 0.5, 7), (1e-4, 2.0, 0)):
+                cfg = SolverConfig(dt=dt, scheme=scheme, save_every=every)
+                _, _, got = prescribed_mean_curvature_flow(tau0, F, T, cfg, n=3)
+                ref = solve_heat_circle(CircleField(TWO_PI, tau0.samples - F.samples), T,
+                                        SolverConfig(dt=dt, scheme=scheme, save_every=1))
+                conf = [np.zeros(64)]
+                for i in range(1, ref.states.shape[0]):
+                    dt_i = ref.times[i] - ref.times[i - 1]
+                    g_old = circle_derivative(ref.states[i - 1], tau0.h)
+                    g_new = circle_derivative(ref.states[i], tau0.h)
+                    conf.append(conf[-1] - (2.0 / 3) * 0.5 * dt_i * (g_old + g_new))
+                keep = parabolic._snapshot_steps(parabolic._nsteps(T, dt), every)
+                conf = np.asarray(conf)[keep]
+                if amp == 0.0:
+                    assert got.tobytes() == conf.tobytes() == np.zeros_like(conf).tobytes()
+                else:
+                    bound = 1e-12 * (1.0 + np.max(np.abs(conf)))
+                    assert np.max(np.abs(got - conf)) <= bound, (scheme, dt)
 
 
 def scaled_tau_k(n, k, slope=None):

@@ -586,22 +586,26 @@ class TestIntervalStep:
             0.5 * np.linspace(0.0, 1.0, 65), 0.05)
 
     @staticmethod
-    def _banded(dl, d, du, b, overwrite_b=0):
+    def _banded(dl, d, du, du2, ipiv, b, overwrite_b=0):
         ab = np.zeros((3, d.size))
         ab[0, 1:], ab[1], ab[2, :-1] = du, d, dl
-        return None, None, None, solve_banded((1, 1), ab, b, check_finite=False), 0
+        return solve_banded((1, 1), ab, b, check_finite=False), 0
 
     @pytest.mark.parametrize("scheme", ["crank-nicolson", "implicit-euler"])
     def test_dgtsv_step_equals_solve_banded_bitwise(self, monkeypatch, scheme):
-        # the step calls LAPACK dgtsv, the routine solve_banded((1, 1)) reaches
+        # the step solves with the LAPACK dgttrf factors of its matrix; with the
+        # factorization left out and each solve by solve_banded((1, 1)) (LAPACK
+        # dgtsv) in its place, every state keeps its bits
         cfg = SolverConfig(dt=1e-3, scheme=scheme, save_every=1)
         direct = solve_linear_interval(*self.ARGS, cfg)[1]
-        monkeypatch.setattr(parabolic, "dgtsv", self._banded)
+        monkeypatch.setattr(parabolic, "dgttrf", lambda dl, d, du: (dl, d, du, None, None, 0))
+        monkeypatch.setattr(parabolic, "dgttrs", self._banded)
         assert solve_linear_interval(*self.ARGS, cfg)[1].tobytes() == direct.tobytes()
 
     def test_singular_system_raises(self, monkeypatch):
-        monkeypatch.setattr(parabolic, "dgtsv", lambda *a, **k: (None, None, None, a[3], 2))
-        with pytest.raises(np.linalg.LinAlgError, match="dgtsv info 2"):
+        monkeypatch.setattr(parabolic, "dgttrf", lambda dl, d, du: (dl, d, du, None, None, 2))
+        monkeypatch.setattr(parabolic, "dgttrs", None)  # raised before step 1 is solved
+        with pytest.raises(np.linalg.LinAlgError, match="dgttrf info 2"):
             solve_linear_interval(*self.ARGS, SolverConfig(dt=1e-3))
 
 
@@ -615,8 +619,8 @@ def _python(code: str) -> list:
 
 
 class TestLapackBinding:
-    """dgtsv comes from scipy's compiled LAPACK module, without the package
-    init of scipy.linalg."""
+    """dgtsv, dgttrf and dgttrs come from scipy's compiled LAPACK module,
+    without the package init of scipy.linalg."""
 
     def test_entry_points_leave_scipy_linalg_out(self):
         code = ("import sys, egf, egf.cli, egf.runner, egf.acceptance; "
@@ -635,8 +639,9 @@ class TestLapackBinding:
                                                ("scipy.linalg.lapack", "egf.parabolic")])
     def test_dgtsv_is_scipys_in_either_import_order(self, first, second):
         code = (f"import sys, {first}, {second}; "
-                "print(sys.modules['egf.parabolic'].dgtsv is scipy.linalg.lapack.dgtsv)")
-        assert _python(code) == ["True"]
+                "print(*(getattr(sys.modules['egf.parabolic'], f) is getattr(scipy.linalg.lapack, f) "
+                "for f in ('dgtsv', 'dgttrf', 'dgttrs')))")
+        assert _python(code) == ["True"] * 3
 
     def test_solve_banded_is_imported_on_first_access(self):
         assert parabolic.solve_banded is solve_banded
@@ -647,7 +652,7 @@ class TestLapackBinding:
         monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
         monkeypatch.setattr(importlib.util, "find_spec", lambda name: None)
         with pytest.raises(ImportError, match="egf needs scipy"):
-            parabolic._lapack_dgtsv()
+            parabolic._flapack()
 
     def test_missing_lapack_module_raises_import_error(self, monkeypatch, tmp_path):
         spec = importlib.machinery.ModuleSpec("scipy", None, is_package=True)
@@ -655,7 +660,7 @@ class TestLapackBinding:
         monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
         monkeypatch.setattr(importlib.util, "find_spec", lambda name: spec)
         with pytest.raises(ImportError, match="scipy has no compiled LAPACK module .*_flapack"):
-            parabolic._lapack_dgtsv()
+            parabolic._flapack()
 
 
 class TestHeatKernel:

@@ -314,7 +314,7 @@ class TestParityBroken:
 
     def test_slope_matches_closed_form(self, broken):
         geom, _, _, U, V, K, v0 = broken
-        slope, target = expansion_slope(K, U, V, geom, half_width=0.01)
+        slope, target = expansion_slope(K, U, V, geom)
         closed_form = -3.0 / 8.0 * math.pi**3 * v0
         assert target == pytest.approx(closed_form, rel=1e-12)
         assert abs(slope - closed_form) <= 0.05 * abs(closed_form)

@@ -516,6 +516,22 @@ class TestRunner:
         for column in columns[1:]:
             assert np.array([column[k] for k in shared]).tobytes() == first.tobytes()
 
+    def test_prescribed_conformal_factor_does_not_depend_on_the_snapshot_cadence(self):
+        # the march takes the conformal factor in closed form at each kept step:
+        # every cadence gives the same bits at the times it keeps
+        base = load_scenario(SCENARIO_DIR / "prescribed-F.egf")
+        columns = []
+        for every in (1, 2, 3, 25):
+            res = run_scenario(parse_entries({**base.entries, "save-every": str(every)}))
+            steps = np.round(res.times / base.dt).astype(int).tolist()
+            columns.append(dict(zip(steps, res.fields["conf"])))
+        shared = sorted(set.intersection(*(set(c) for c in columns)))
+        assert shared == [*range(0, 5000, 150), 5000]
+        first = np.array([columns[0][k] for k in shared])
+        assert np.max(np.abs(first[-1])) > 1.0  # the factor is far from its zero start
+        for column in columns[1:]:
+            assert np.array([column[k] for k in shared]).tobytes() == first.tobytes()
+
     def test_ftau_scenario(self):
         scn = parse_scenario(
             "kind: ftau\ngrid: 64\ndt: 0.005\nT: 0.1\nf: scaled-tau1\n"
