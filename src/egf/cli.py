@@ -71,7 +71,9 @@ _EXIT_CODES = (
     (ValidationError, 3, "invalid scenario"),
     (OSError, 3, "cannot write artifacts"),
     (SolverError, 4, "solver failure"),
-    (FloatingPointError, 4, "floating-point error"),
+    # FloatingPointError from numpy's error state, OverflowError from Python
+    # float and int arithmetic
+    (ArithmeticError, 4, "floating-point error"),
     (MemoryError, 4, "out of memory"),
     (BrokenExecutor, 4, "worker process lost"),
 )

@@ -17,16 +17,14 @@ the flows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .errors import DefectiveSpectrumError, ValidationError
-from .symfun import CurvatureSpectrum, ElemSymVector
+from .symfun import CurvatureSpectrum
 
 __all__ = [
-    "CompanionMatrix",
     "build_companion",
     "char_poly_coefficients",
     "eigenpair_check",
@@ -35,41 +33,33 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CompanionMatrix:
-    """B_{n,1} together with the sigma vector that generated it."""
-
-    n: int
-    entries: np.ndarray
-    sigma: ElemSymVector
-
-    def power(self, p: int) -> np.ndarray:
-        return np.linalg.matrix_power(self.entries, p)
-
-
-def build_companion(sigma: ElemSymVector) -> CompanionMatrix:
-    """Assemble B_{n,1} from sigma.
+def build_companion(sigma) -> np.ndarray:
+    """Assemble B_{n,1} from sigma = (sigma_0 = 1, sigma_1, ..., sigma_n).
 
     Superdiagonal entry (i, i+1) is i/(i+1) (1-based), last row entry
     (n, i) is (-1)^(n-i) (n/i) sigma_{n-i+1}.
     """
-    n = sigma.n
+    sig = [float(v) for v in sigma]
+    if len(sig) < 2:
+        raise ValidationError("need sigma_0..sigma_n (n+1 entries, n >= 1)")
+    if sig[0] != 1.0:
+        raise ValidationError("sigma_0 must equal 1")
+    n = len(sig) - 1
     B = np.zeros((n, n))
     for i in range(1, n):
         B[i - 1, i] = i / (i + 1)
     for i in range(1, n + 1):
-        B[n - 1, i - 1] = (-1.0) ** (n - i) * n / i * sigma.sigma[n - i + 1]
-    return CompanionMatrix(n, B, sigma)
+        B[n - 1, i - 1] = (-1.0) ** (n - i) * n / i * sig[n - i + 1]
+    return B
 
 
-def char_poly_coefficients(B: CompanionMatrix) -> np.ndarray:
-    """Coefficients of det(xI - B) in descending powers, leading 1.
+def char_poly_coefficients(A: np.ndarray) -> np.ndarray:
+    """Coefficients of det(xI - A) in descending powers, leading 1.
 
-    Faddeev-LeVerrier recursion on traces of powers; expected to match
-    ((-1)^i sigma_i) entry for entry.
+    Faddeev-LeVerrier recursion on traces of powers; for A = B_{n,1}
+    expected to match ((-1)^i sigma_i) entry for entry.
     """
-    A = B.entries
-    n = B.n
+    n = A.shape[0]
     coeffs = np.empty(n + 1)
     coeffs[0] = 1.0
     M = np.zeros((n, n))
@@ -83,7 +73,7 @@ def _eigvector(n: int, kj: float) -> np.ndarray:
     return np.array([(i + 1) * kj**i for i in range(n)])
 
 
-def eigenpair_check(B: CompanionMatrix, spec: CurvatureSpectrum) -> float:
+def eigenpair_check(B: np.ndarray, spec: CurvatureSpectrum) -> float:
     """Largest normalized eigenpair residual over the spectrum.
 
     For each principal curvature k_j, with v_j = (1, 2 k_j, ..., n k_j^(n-1)):
@@ -93,17 +83,17 @@ def eigenpair_check(B: CompanionMatrix, spec: CurvatureSpectrum) -> float:
     Returns max_j r_j.  Valid for repeated roots too (the identity does
     not require diagonalizability).
     """
-    if spec.n != B.n:
+    if spec.n != B.shape[0]:
         raise ValidationError("spectrum size does not match matrix")
     worst = 0.0
     for kj in spec.k:
-        v = _eigvector(B.n, kj)
-        res = np.max(np.abs(B.entries @ v - kj * v)) / (1.0 + np.max(np.abs(v)))
+        v = _eigvector(spec.n, kj)
+        res = np.max(np.abs(B @ v - kj * v)) / (1.0 + np.max(np.abs(v)))
         worst = max(worst, res)
     return float(worst)
 
 
-def vandermonde_relation(B: CompanionMatrix, spec: CurvatureSpectrum) -> float:
+def vandermonde_relation(B: np.ndarray, spec: CurvatureSpectrum) -> float:
     """Normalized residual of B V = V D on the Vandermonde-type matrix.
 
     The columns of V are the eigenvectors v_j = (1, 2 k_j, ..., n k_j^(n-1)),
@@ -114,31 +104,31 @@ def vandermonde_relation(B: CompanionMatrix, spec: CurvatureSpectrum) -> float:
     minimal spectral gap is below 1e-8: V is (near-)singular there and
     diagonalizability is only guaranteed for distinct roots.
     """
-    if spec.n != B.n:
+    if spec.n != B.shape[0]:
         raise ValidationError("spectrum size does not match matrix")
     k = spec.as_array()
     if spec.n > 1 and np.min(np.diff(k)) < 1e-8:
         raise DefectiveSpectrumError(
             f"minimal spectral gap {np.min(np.diff(k)):.3e} < 1e-8"
         )
-    n = B.n
-    i = np.arange(1, n + 1)[:, None]
+    i = np.arange(1, spec.n + 1)[:, None]
     V = i * k[None, :] ** (i - 1)
-    R = B.entries @ V - V @ np.diag(k)
+    R = B @ V - V @ np.diag(k)
     return float(np.max(np.abs(R)) / (1.0 + np.max(np.abs(V))))
 
 
-def weighted_power_matrix(f: Sequence[float], B: CompanionMatrix) -> np.ndarray:
+def weighted_power_matrix(f: Sequence[float], B: np.ndarray) -> np.ndarray:
     """Btilde = sum_{m=1..len(f)} (m/2) f_m B^(m-1).
 
     ``f`` lists f_1, f_2, ... evaluated at the point; up to n entries are
     meaningful (single-power flows with m = n still truncate through
     B^(n-1)).
     """
-    if len(f) > B.n:
-        raise ValidationError(f"at most n={B.n} weights f_1..f_n are meaningful")
-    out = np.zeros((B.n, B.n))
+    n = B.shape[0]
+    if len(f) > n:
+        raise ValidationError(f"at most n={n} weights f_1..f_n are meaningful")
+    out = np.zeros((n, n))
     for m, fm in enumerate(f, start=1):
         if fm != 0.0:
-            out += (m / 2.0) * fm * B.power(m - 1)
+            out += (m / 2.0) * fm * np.linalg.matrix_power(B, m - 1)
     return out

@@ -24,7 +24,6 @@ snapshot per row.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -45,7 +44,6 @@ from .parabolic import (
 from .symfun import StructConstants, eval_F, eval_F_prime
 
 __all__ = [
-    "TauFunction",
     "circle_derivative",
     "evolve_umbilical",
     "twisted_product_flow",
@@ -67,22 +65,6 @@ def circle_derivative(samples: np.ndarray, h: float) -> np.ndarray:
     out[..., -1] = s[..., 0] - s[..., -2]
     out /= 2.0 * h
     return out
-
-
-@dataclass(frozen=True)
-class TauFunction:
-    """The gradient d f / d tau_k of a coefficient function f(tau).
-
-    ``grad`` acts on a stacked array of shape (n, ...) and returns shape
-    (n, ...); it must be numpy-vectorized.  ``slope`` declares f = slope *
-    u_1 + const, linear in u_1 alone: the conformal flows then have a
-    constant coefficient a and take the closed-form propagator instead of
-    Newton's method.
-    """
-
-    n: int
-    grad: Callable[[np.ndarray], np.ndarray]
-    slope: float | None = None
 
 
 def evolve_umbilical(
@@ -188,10 +170,11 @@ def prescribed_mean_curvature_flow(
 
 def ftau_conformal_flow(
     tau1: CircleField,
-    f: TauFunction,
+    grad: Callable[[np.ndarray], np.ndarray],
     consts: StructConstants,
     T: float,
     cfg: SolverConfig,
+    slope: float | None = None,
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """Conformal flow driven by -N(f(tau)), reduced to a quasi-linear PDE.
 
@@ -199,8 +182,11 @@ def ftau_conformal_flow(
         a(tau_1) = (1/2) sum_{k=1..n} k df/dtau_k(tau) F_{k-1}(tau_1),
 
     with the full tau vector reconstructed through tau_k = F_k(tau_1).
-    Parabolicity requires a > 0.  With ``f.slope`` declared, a = (1/2) slope
-    F_0 is constant and the closed-form propagator steps the flow; otherwise
+    ``grad`` gives the gradient df/dtau_k of the coefficient function f: it
+    maps a stacked array of shape (n, ...) to shape (n, ...) and must be
+    numpy-vectorized.  Parabolicity requires a > 0.  ``slope`` declares
+    f = slope * tau_1 + const, linear in tau_1 alone: a = (1/2) slope F_0 is
+    then constant and the closed-form propagator steps the flow; otherwise
     Newton's method steps it, its monitor hook checks a at every evaluation
     and the run halts with :class:`EllipticityLossError` the moment its
     minimum drops to zero or below.  Returns (times, taus, a_min): taus has
@@ -211,8 +197,6 @@ def ftau_conformal_flow(
     test.
     """
     n = consts.n
-    if f.n != n:
-        raise ValidationError("coefficient function and constants disagree on n")
     a_min = np.inf
 
     def observe(amin: float) -> None:
@@ -224,7 +208,7 @@ def ftau_conformal_flow(
     def basis(u: np.ndarray) -> tuple:
         """F_0..F_n at u and the gradient of f at tau = (F_1, ..., F_n)."""
         F = [np.asarray(eval_F(k, u, consts)) for k in range(n + 1)]
-        return F, np.asarray(f.grad(np.stack(F[1:])), dtype=float)
+        return F, np.asarray(grad(np.stack(F[1:])), dtype=float)
 
     def faces(v: np.ndarray) -> tuple:
         u = _face_mean(v)
@@ -236,17 +220,17 @@ def ftau_conformal_flow(
         observe(float(np.min(a)))
         return u, a
 
-    def slope(u: np.ndarray) -> np.ndarray:
+    def a_prime(u: np.ndarray) -> np.ndarray:
         _, g = basis(u)
         acc = np.zeros_like(u)
         for k in range(2, n + 1):  # F_0' = 0
             acc += k * g[k - 1] * eval_F_prime(k - 1, u, consts)
         return 0.5 * acc
 
-    if f.slope is None:
-        produce = _newton_stepper(tau1, faces, slope, cfg)
+    if slope is None:
+        produce = _newton_stepper(tau1, faces, a_prime, cfg)
     else:
-        a = 0.5 * (f.slope * eval_F(0, 0.0, consts))
+        a = 0.5 * (slope * eval_F(0, 0.0, consts))
         observe(a)
         produce = _propagator(tau1.samples, a, tau1.h, cfg)
     times, states, _, _ = _march(tau1.samples, T, cfg, produce, "conformal flow")

@@ -47,6 +47,11 @@ __all__ = [
 
 _SCHEMES = {"implicit-euler": 1.0, "crank-nicolson": 0.5}
 
+# Newton's method on a quasi-linear step: at most _NEWTON_SOLVES solves, to a
+# residual of at most _NEWTON_TOLERANCE (1 + sup |u0|)
+_NEWTON_SOLVES = 25
+_NEWTON_TOLERANCE = 1e-12
+
 
 def _flapack():
     """scipy's compiled LAPACK module ``scipy.linalg._flapack``, loaded under
@@ -160,8 +165,6 @@ class SolverConfig:
 
     dt: float
     scheme: str = "implicit-euler"
-    nonlinear_iterations: int = 25
-    tolerance: float = 1e-12
     # 0: every ceil(nsteps / 200)-th step (see _snapshot_steps): at most 201
     # snapshots, every step of a run of at most 200 steps
     save_every: int = 0
@@ -169,8 +172,6 @@ class SolverConfig:
     def __post_init__(self) -> None:
         if self.dt <= 0.0:
             raise ValidationError("dt must be positive")
-        if self.tolerance <= 0.0:
-            raise ValidationError("tolerance must be positive")
         if self.scheme not in _SCHEMES:
             raise ValidationError(
                 f"scheme must be one of {sorted(_SCHEMES)}, got {self.scheme!r}"
@@ -430,19 +431,18 @@ def _newton_stepper(u0: CircleField, faces: Callable, slope: Callable,
     step starts from the linear predictor 2 u_n - u_{n-1} (step 1 from u_n);
     the hook sees the predictor too, and one it rejects (an overshoot at a
     steep front can leave the admissible range that every state keeps) is
-    dropped for u_n.  The iteration stops at sup |G| <= ``cfg.tolerance``
+    dropped for u_n.  The iteration stops at sup |G| <= _NEWTON_TOLERANCE
     (1 + sup |u0|), a test that needs no further solve (Kelley, *Iterative
     Methods for Linear and Nonlinear Equations*, SIAM 1995, ch. 5), or raises
-    :class:`NonConvergenceError` once it would need more than
-    ``cfg.nonlinear_iterations`` solves.  The accepted iterate's faces and
-    flux differences give the next step's explicit Crank-Nicolson half, so a
-    step that takes one solve evaluates the faces twice.  The producer
-    serves one march: it keeps the last state and its faces between calls,
-    and starts afresh at step 1.
+    :class:`NonConvergenceError` once it would need more than _NEWTON_SOLVES
+    solves.  The accepted iterate's faces and flux differences give the next
+    step's explicit Crank-Nicolson half, so a step that takes one solve
+    evaluates the faces twice.  The producer serves one march: it keeps the
+    last state and its faces between calls, and starts afresh at step 1.
     """
     implicit = cfg.theta * cfg.dt / u0.h**2
     explicit = (1.0 - cfg.theta) * cfg.dt / u0.h**2
-    stop = cfg.tolerance * (float(np.max(np.abs(u0.samples))) + 1.0)
+    stop = _NEWTON_TOLERANCE * (float(np.max(np.abs(u0.samples))) + 1.0)
     previous = accepted = None
 
     def evaluate(v: np.ndarray) -> tuple:
@@ -469,7 +469,7 @@ def _newton_stepper(u0: CircleField, faces: Callable, slope: Callable,
             except SolverError:
                 pass  # the hook rejects the predictor, not a state: start from u_n
         previous = u
-        for solves in range(cfg.nonlinear_iterations + 1):
+        for solves in range(_NEWTON_SOLVES + 1):
             v, w, kface, d, dq = current
             g = v - rhs
             g -= implicit * dq
@@ -477,7 +477,7 @@ def _newton_stepper(u0: CircleField, faces: Callable, slope: Callable,
             if residual <= stop:
                 accepted = current
                 return v
-            if solves == cfg.nonlinear_iterations:
+            if solves == _NEWTON_SOLVES:
                 break
             # dG/dv: row i holds lower_{i-1}, 1 - lower_i - upper_{i-1}, upper_i
             half = (0.5 * implicit) * slope(w) * d
@@ -557,10 +557,10 @@ def solve_quasilinear_divergence(
 
     Face conductivities are evaluated at the interface-average state,
     k((u_i + u_{i+1})/2); each step is solved by Newton's method with
-    Jacobian from ``k.dfunc`` (at most ``cfg.nonlinear_iterations`` solves,
-    to a residual below ``cfg.tolerance`` (1 + sup |u0|)).  The discrete
-    mean is conserved exactly by the flux form, and under implicit Euler the
-    sup-norm is non-increasing.
+    Jacobian from ``k.dfunc`` (at most _NEWTON_SOLVES solves, to a residual
+    below _NEWTON_TOLERANCE (1 + sup |u0|)).  The discrete mean is conserved
+    exactly by the flux form, and under implicit Euler the sup-norm is
+    non-increasing.
 
     Preconditions: k is evaluable and within [c1, c2] on the range of u0
     widened by 10% (5% on each side); leaving that band raises

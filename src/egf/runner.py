@@ -99,13 +99,14 @@ def _fit_alpha(times, sups) -> float:
 
 
 def run_scenario(scn: FlowScenario) -> RunResult:
-    """Run the scenario.  A solver or floating-point error leaves with the
-    scenario kind added to its message, and ``outside a step`` when no time
-    step of the run raised it (a step's error names the solver, the step and
-    t already)."""
+    """Run the scenario.  A solver error or an arithmetic one (numpy's
+    floating-point error, Python's overflow) leaves with the scenario kind
+    added to its message, and ``outside a step`` when no time step of the
+    run raised it (a step's error names the solver, the step and t
+    already)."""
     try:
         return _RUNNERS[scn.kind](scn)
-    except (SolverError, FloatingPointError) as exc:
+    except (SolverError, ArithmeticError) as exc:
         where = "" if hasattr(exc, "step") else ", outside a step"
         raise type(exc)(f"{exc} (kind {scn.kind}{where})") from None
 
@@ -284,8 +285,8 @@ def _run_ftau(scn: FlowScenario) -> RunResult:
 
     x = _circle_nodes(scn)
     tau1 = CircleField(scn.length, build_field(scn, "init", x))
-    f = flows.TauFunction(n, grad, slope=2.0 / n if k_idx == 1 else None)
-    times, taus, a_min = flows.ftau_conformal_flow(tau1, f, consts, scn.T, _config(scn))
+    times, taus, a_min = flows.ftau_conformal_flow(tau1, grad, consts, scn.T, _config(scn),
+                                                   slope=2.0 / n if k_idx == 1 else None)
     states = taus[0]
     sup = np.max(np.abs(states - states[0].mean()), axis=1)
     drift = _drift(states.mean(axis=1))

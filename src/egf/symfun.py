@@ -32,8 +32,6 @@ from .errors import ValidationError
 
 __all__ = [
     "CurvatureSpectrum",
-    "PowerSumVector",
-    "ElemSymVector",
     "StructConstants",
     "power_sums",
     "sigma_from_tau",
@@ -70,35 +68,6 @@ class CurvatureSpectrum:
 
     def as_array(self) -> np.ndarray:
         return np.asarray(self.k, dtype=float)
-
-
-@dataclass(frozen=True)
-class PowerSumVector:
-    """tau = (tau_1, ..., tau_n); tau_0 = n is implicit."""
-
-    n: int
-    tau: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if self.n < 1 or len(self.tau) != self.n:
-            raise ValidationError("need exactly n power sums tau_1..tau_n")
-        object.__setattr__(self, "tau", tuple(float(v) for v in self.tau))
-
-
-@dataclass(frozen=True)
-class ElemSymVector:
-    """sigma = (sigma_0 = 1, sigma_1, ..., sigma_n)."""
-
-    n: int
-    sigma: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if self.n < 1 or len(self.sigma) != self.n + 1:
-            raise ValidationError("need sigma_0..sigma_n (n+1 entries)")
-        sig = tuple(float(v) for v in self.sigma)
-        if sig[0] != 1.0:
-            raise ValidationError("sigma_0 must equal 1")
-        object.__setattr__(self, "sigma", sig)
 
 
 @dataclass(frozen=True)
@@ -139,41 +108,42 @@ class StructConstants:
         return 0.0 if k == 1 else self.psi[k - 2]
 
 
-def power_sums(spec: CurvatureSpectrum) -> PowerSumVector:
-    """tau_j = k_1^j + ... + k_n^j for j = 1..n."""
+def power_sums(spec: CurvatureSpectrum) -> np.ndarray:
+    """tau_j = k_1^j + ... + k_n^j for j = 1..n, as the array (tau_1, ..., tau_n)."""
     k = spec.as_array()
-    powers = k[None, :] ** np.arange(1, spec.n + 1)[:, None]
-    return PowerSumVector(spec.n, tuple(powers.sum(axis=1)))
+    return (k[None, :] ** np.arange(1, spec.n + 1)[:, None]).sum(axis=1)
 
 
-def sigma_from_tau(tau: PowerSumVector) -> ElemSymVector:
-    """Convert power sums to elementary symmetric functions.
+def sigma_from_tau(tau) -> np.ndarray:
+    """Convert power sums (tau_1, ..., tau_n) to elementary symmetric
+    functions (sigma_0 = 1, sigma_1, ..., sigma_n).
 
     Newton's identities, solved forward:
         j*sigma_j = sum_{i=1..j} (-1)^(i-1) sigma_{j-i} tau_i
     """
-    n = tau.n
-    t = tau.tau
+    t = [float(v) for v in tau]
+    if not t:
+        raise ValidationError("need power sums tau_1..tau_n with n >= 1")
     sigma = [1.0]
-    for j in range(1, n + 1):
+    for j in range(1, len(t) + 1):
         acc = 0.0
         for i in range(1, j + 1):
             acc += (-1.0) ** (i - 1) * sigma[j - i] * t[i - 1]
         sigma.append(acc / j)
-    return ElemSymVector(n, tuple(sigma))
+    return np.array(sigma)
 
 
-def f_recursion_constants(tau0: PowerSumVector) -> StructConstants:
-    """Structure constants from the state at t = 0.
+def f_recursion_constants(tau0) -> StructConstants:
+    """Structure constants from the power sums (tau_1, ..., tau_n) at t = 0.
 
     phi_k is fixed by requiring tau_k = F_k(tau_1) at t = 0, peeling the
     recursion from k = 2 up to n; psi_k analogously from
     sigma_k = Psi_k(sigma_1).
     """
-    n = tau0.n
-    phi = peel_phi(n, tau0.tau)
-    psi = peel_psi(n, sigma_from_tau(tau0).sigma[1:])
-    return StructConstants(n, tuple(phi), tuple(psi))
+    t = [float(v) for v in tau0]
+    sigma = sigma_from_tau(t)[1:].tolist()
+    n = len(t)
+    return StructConstants(n, tuple(peel_phi(n, t)), tuple(peel_psi(n, sigma)))
 
 
 def peel_phi(n: int, tau) -> list:

@@ -24,8 +24,6 @@ from egf.companion import build_companion
 from egf.errors import ValidationError
 from egf.symfun import (
     CurvatureSpectrum,
-    ElemSymVector,
-    PowerSumVector,
     StructConstants,
     eval_F,
     eval_Psi,
@@ -35,20 +33,20 @@ from egf.symfun import (
 )
 
 
-def with_tau0(tau: PowerSumVector) -> np.ndarray:
+def with_tau0(tau) -> np.ndarray:
     """Return (tau_0, tau_1, ..., tau_n) with tau_0 = n prepended."""
-    return np.concatenate([[float(tau.n)], tau.tau])
+    return np.concatenate([[float(len(tau))], tau])
 
 
-def extend_power_sums(tau: PowerSumVector, upto: int) -> np.ndarray:
+def extend_power_sums(tau, upto: int) -> np.ndarray:
     """(tau_1, ..., tau_upto) with indices above n closed by Cayley-Hamilton.
 
         tau_j = sum_{i=1..n} (-1)^(i-1) sigma_i tau_{j-i}   for j > n,
 
     which is exact for any n-point spectrum (tau_0 = n).
     """
-    n = tau.n
-    sig = sigma_from_tau(tau).sigma
+    n = len(tau)
+    sig = sigma_from_tau(tau)
     full = list(with_tau0(tau))  # tau_0..tau_n
     for j in range(n + 1, upto + 1):
         full.append(
@@ -57,30 +55,31 @@ def extend_power_sums(tau: PowerSumVector, upto: int) -> np.ndarray:
     return np.asarray(full[1 : upto + 1])
 
 
-def extended_constants(tau0: PowerSumVector) -> StructConstants:
+def extended_constants(tau0) -> StructConstants:
     """:func:`egf.symfun.f_recursion_constants` with phi carried up to
     kmax = max(n, 2n-2): the power sums above index n are fixed by the
     characteristic polynomial, so the extra constants are exact, and they let
     F_k resolve every index a truncated system can produce."""
-    n = tau0.n
+    n = len(tau0)
     phi = peel_phi(n, extend_power_sums(tau0, max(n, 2 * n - 2)))
     return StructConstants(n, tuple(phi), f_recursion_constants(tau0).psi)
 
 
-def tau_from_sigma(sigma: ElemSymVector) -> PowerSumVector:
-    """Inverse of :func:`egf.symfun.sigma_from_tau` (Newton's identities, reversed).
+def tau_from_sigma(sigma) -> np.ndarray:
+    """Inverse of :func:`egf.symfun.sigma_from_tau` (Newton's identities,
+    reversed): (tau_1, ..., tau_n) from (sigma_0 = 1, sigma_1, ..., sigma_n).
 
         tau_j = sum_{i=1..j-1} (-1)^(i-1) sigma_i tau_{j-i} + (-1)^(j-1) j sigma_j
     """
-    n = sigma.n
-    s = sigma.sigma
+    s = [float(v) for v in sigma]
+    n = len(s) - 1
     tau: list[float] = []
     for j in range(1, n + 1):
         acc = (-1.0) ** (j - 1) * j * s[j]
         for i in range(1, j):
             acc += (-1.0) ** (i - 1) * s[i] * tau[j - i - 1]
         tau.append(acc)
-    return PowerSumVector(n, tuple(tau))
+    return np.array(tau)
 
 
 def eval_Psi_prime(k: int, sigma1, consts: StructConstants):
@@ -93,17 +92,19 @@ def eval_Psi_prime(k: int, sigma1, consts: StructConstants):
     return (consts.n - k + 1) / consts.n * prev
 
 
-def newton_transform(sigma: ElemSymVector, r: int) -> tuple[float, ...]:
-    """Coefficients (c_0, ..., c_r) of T_r(A) = sum_i c_i A^i.
+def newton_transform(sigma, r: int) -> tuple[float, ...]:
+    """Coefficients (c_0, ..., c_r) of T_r(A) = sum_i c_i A^i, from
+    sigma = (sigma_0 = 1, sigma_1, ..., sigma_n).
 
     T_r(A) = sum_{i=0..r} (-1)^i sigma_{r-i} A^i, so c_i = (-1)^i sigma_{r-i}.
     """
-    if not 0 <= r <= sigma.n:
-        raise IndexError(f"T_{r} undefined for n={sigma.n}")
-    return tuple((-1.0) ** i * sigma.sigma[r - i] for i in range(r + 1))
+    n = len(sigma) - 1
+    if not 0 <= r <= n:
+        raise IndexError(f"T_{r} undefined for n={n}")
+    return tuple((-1.0) ** i * float(sigma[r - i]) for i in range(r + 1))
 
 
-def newton_transform_trace(sigma: ElemSymVector, tau: PowerSumVector, r: int) -> float:
+def newton_transform_trace(sigma, tau, r: int) -> float:
     """tr T_r(A) = sum_i c_i tau_i, contracted against (tau_0, ..., tau_r).
 
     Equals (n - r) sigma_r identically.
@@ -173,7 +174,7 @@ def psi_umbilical(
 
 
 def tilde_A_matrix(
-    tau: PowerSumVector,
+    tau,
     f_partials: np.ndarray,
     consts: StructConstants | None = None,
 ) -> np.ndarray:
@@ -185,7 +186,7 @@ def tilde_A_matrix(
     structure constants (required whenever n >= 2; built by
     :func:`extended_constants`).
     """
-    n = tau.n
+    n = len(tau)
     fp = np.asarray(f_partials, dtype=float)
     if fp.shape != (n, n):
         raise ValidationError(f"f_partials must be {n}x{n} (rows m=0..n-1)")
@@ -194,12 +195,12 @@ def tilde_A_matrix(
         if idx == 0:
             return float(n)
         if idx <= n:
-            return tau.tau[idx - 1]
+            return tau[idx - 1]
         if consts is None:
             raise ValidationError(
                 f"tau_{idx} exceeds n={n}: structure constants required"
             )
-        return float(eval_F(idx, tau.tau[0], consts))
+        return float(eval_F(idx, tau[0], consts))
 
     active = [m for m in range(n) if np.any(fp[m] != 0.0)]
     A = np.zeros((n, n))
@@ -239,14 +240,15 @@ class TruncationSystem:
     note: str
 
 
-def truncate_second_order(sigma: ElemSymVector, m: int) -> TruncationSystem:
-    """Principal part (m/2) B_{n,1}^(m-1) of the n-truncated system."""
-    if not 1 <= m <= sigma.n:
-        raise ValidationError(f"flow power m={m} out of range 1..{sigma.n}")
-    B = build_companion(sigma)
-    principal = (m / 2.0) * B.power(m - 1)
+def truncate_second_order(sigma, m: int) -> TruncationSystem:
+    """Principal part (m/2) B_{n,1}^(m-1) of the n-truncated system, from
+    sigma = (sigma_0 = 1, sigma_1, ..., sigma_n)."""
+    n = len(sigma) - 1
+    if not 1 <= m <= n:
+        raise ValidationError(f"flow power m={m} out of range 1..{n}")
+    principal = (m / 2.0) * np.linalg.matrix_power(build_companion(sigma), m - 1)
     return TruncationSystem(
-        n=sigma.n,
+        n=n,
         m=m,
         principal=principal,
         note=(

@@ -3,8 +3,8 @@
 Each step of :func:`picard_stepper` solves the same theta scheme as
 ``egf.parabolic._newton_stepper`` by freezing the face conductivities at the
 last iterate, so its fixed point is the same discrete solution; only the
-stopping slack differs (a sup-change, not a residual, below ``cfg.tolerance``
-(1 + sup |u0|)).  It takes the Newton stepper's arguments, so a test can put
+stopping slack differs (a sup-change, not a residual, below the Newton
+step's tolerance ``parabolic._NEWTON_TOLERANCE`` (1 + sup |u0|)).  It takes the Newton stepper's arguments, so a test can put
 it in the Newton stepper's place and run any quasi-linear route through it.
 """
 
@@ -13,6 +13,7 @@ from typing import Callable
 
 import numpy as np
 
+from egf import parabolic
 from egf.errors import NonConvergenceError, SolverError
 from egf.parabolic import CircleField, SolverConfig, _stepper, _wrap, solve_cyclic_tridiag
 
@@ -40,12 +41,12 @@ def picard_stepper(u0: CircleField, faces: Callable, slope: Callable,
     the monitor hook.  Each step's iteration starts from the linear predictor
     2 u_n - u_{n-1} (step 1 from u_n), dropped for u_n when the hook rejects
     it; the explicit Crank-Nicolson half uses the faces of u_n.  The
-    iteration stops at a sup-change of at most ``cfg.tolerance`` (1 + sup
-    |u0|), or raises :class:`NonConvergenceError` after
-    ``cfg.nonlinear_iterations`` solves.
+    iteration stops at a sup-change of at most ``_NEWTON_TOLERANCE`` (1 + sup
+    |u0|), or raises :class:`NonConvergenceError` after ``_NEWTON_SOLVES``
+    solves, the Newton step's constants in :mod:`egf.parabolic`.
     """
     h, dt_theta, explicit = u0.h, cfg.theta * cfg.dt, (1.0 - cfg.theta) * cfg.dt
-    stop = cfg.tolerance * (float(np.max(np.abs(u0.samples))) + 1.0)
+    stop = parabolic._NEWTON_TOLERANCE * (float(np.max(np.abs(u0.samples))) + 1.0)
     previous = None
 
     def advance(u: np.ndarray, step: int) -> np.ndarray:
@@ -64,7 +65,7 @@ def picard_stepper(u0: CircleField, faces: Callable, slope: Callable,
                 pass
         previous = u
         delta = math.inf
-        for iteration in range(cfg.nonlinear_iterations):
+        for iteration in range(parabolic._NEWTON_SOLVES):
             if iteration or kface is None:
                 kface = faces(v)[1]
             vnext = divergence_theta_solve(kface, rhs, dt_theta, h)

@@ -11,7 +11,6 @@ from egf.companion import (
 from egf.errors import DefectiveSpectrumError, ValidationError
 from egf.symfun import (
     CurvatureSpectrum,
-    PowerSumVector,
     power_sums,
     sigma_from_tau,
 )
@@ -27,7 +26,7 @@ def companion_of(*k):
 class TestBuildCompanion:
     def test_n2_layout(self):
         B, _ = companion_of(1.0, 2.0)  # sigma_1 = 3, sigma_2 = 2
-        assert np.allclose(B.entries, [[0.0, 0.5], [-4.0, 3.0]])
+        assert np.allclose(B, [[0.0, 0.5], [-4.0, 3.0]])
 
     def test_n3_layout(self):
         B, _ = companion_of(1.0, 2.0, 3.0)  # sigma = (6, 11, 6)
@@ -36,12 +35,19 @@ class TestBuildCompanion:
             [0.0, 0.0, 2.0 / 3.0],
             [3 * 6.0, -1.5 * 11.0, 6.0],
         ]
-        assert np.allclose(B.entries, expected)
+        assert np.allclose(B, expected)
 
     def test_n1(self):
         B, _ = companion_of(4.2)
-        assert B.entries.shape == (1, 1)
-        assert B.entries[0, 0] == pytest.approx(4.2)
+        assert B.shape == (1, 1)
+        assert B[0, 0] == pytest.approx(4.2)
+
+    def test_rejects_bad_sigma(self):
+        # sigma_0 = 1 by convention, and n >= 1 needs sigma_0 and sigma_1
+        with pytest.raises(ValidationError, match="sigma_0 must equal 1"):
+            build_companion((2.0, 3.0, 2.0))
+        with pytest.raises(ValidationError, match="n >= 1"):
+            build_companion((1.0,))
 
     def test_char_poly_matches_sigma_signs(self):
         rng = np.random.default_rng(0)
@@ -51,7 +57,7 @@ class TestBuildCompanion:
             sig = sigma_from_tau(power_sums(spec))
             B = build_companion(sig)
             coeffs = char_poly_coefficients(B)
-            expected = [(-1.0) ** i * sig.sigma[i] for i in range(n + 1)]
+            expected = [(-1.0) ** i * sig[i] for i in range(n + 1)]
             for c, e in zip(coeffs, expected):
                 assert abs(c - e) <= 1e-9 * (1.0 + abs(e))
 
@@ -60,13 +66,13 @@ class TestEigenstructure:
     def test_explicit_2x2(self):
         B, spec = companion_of(1.0, 2.0)
         v1 = np.array([1.0, 2.0])  # (1, 2 k_1) for k_1 = 1
-        assert np.allclose(B.entries @ v1, 1.0 * v1)
+        assert np.allclose(B @ v1, 1.0 * v1)
         assert eigenpair_check(B, spec) <= 1e-12
 
     def test_explicit_3x3(self):
         B, spec = companion_of(1.0, 2.0, 3.0)
         v2 = np.array([1.0, 4.0, 12.0])  # (1, 2k, 3k^2) for k = 2
-        assert np.max(np.abs(B.entries @ v2 - 2.0 * v2)) <= 1e-12 * 12
+        assert np.max(np.abs(B @ v2 - 2.0 * v2)) <= 1e-12 * 12
         assert eigenpair_check(B, spec) <= 1e-12
 
     def test_repeated_root_single_eigenvector(self):
@@ -79,7 +85,7 @@ class TestEigenstructure:
         # columns are the eigenvectors (1, 2 k_j)
         V = np.array([[1.0, 1.0], [2.0, 4.0]])
         D = np.diag([1.0, 2.0])
-        assert np.allclose(B.entries @ V, V @ D)
+        assert np.allclose(B @ V, V @ D)
         assert vandermonde_relation(B, spec) <= 1e-12
 
     def test_vandermonde_n1(self):
@@ -123,7 +129,7 @@ class TestWeightedMatrices:
 
     def test_f2_gives_B(self):
         B, _ = companion_of(1.0, 2.0)
-        assert np.allclose(weighted_power_matrix([0.0, 1.0], B), B.entries)
+        assert np.allclose(weighted_power_matrix([0.0, 1.0], B), B)
 
     def test_f3_squared_matrix_entries(self):
         # (3/2) B_{3,1}^2 in closed form: first rows shift, last row
@@ -131,7 +137,7 @@ class TestWeightedMatrices:
         rng = np.random.default_rng(4)
         spec = CurvatureSpectrum(tuple(rng.uniform(-2, 2, 3)))
         sig = sigma_from_tau(power_sums(spec))
-        s1, s2, s3 = sig.sigma[1], sig.sigma[2], sig.sigma[3]
+        s1, s2, s3 = sig[1], sig[2], sig[3]
         B = build_companion(sig)
         M = weighted_power_matrix([0.0, 0.0, 1.0], B)
         expected = np.array(
@@ -155,7 +161,7 @@ class TestWeightedMatrices:
 
     def test_tilde_A_n1(self):
         # n = 1: A_11 = (1/2) tau_0 f_{0,tau_1} with tau_0 = n = 1
-        tau = PowerSumVector(1, (2.0,))
+        tau = np.array([2.0])
         A = tilde_A_matrix(tau, np.array([[3.0]]))
         assert A[0, 0] == pytest.approx(0.5 * 1.0 * 3.0)
 
@@ -168,7 +174,7 @@ class TestWeightedMatrices:
         partials[1] = grad
         A = tilde_A_matrix(tau, partials)
         i = np.arange(1, 4)[:, None]
-        expected = i / 2.0 * np.asarray(tau.tau)[:, None] * grad[None, :]
+        expected = i / 2.0 * tau[:, None] * grad[None, :]
         assert np.allclose(A, expected)
 
     def test_tilde_A_overflow_requires_consts(self):
@@ -212,7 +218,7 @@ class TestTruncation:
         assert np.allclose(sys1.principal, 0.5 * np.eye(3))
 
     def test_m2_n2_example(self):
-        sig = sigma_from_tau(PowerSumVector(2, (3.0, 5.0)))
+        sig = sigma_from_tau((3.0, 5.0))
         sys2 = truncate_second_order(sig, 2)
         assert np.allclose(sys2.principal, [[0.0, 0.5], [-4.0, 3.0]])
         # row 2 encodes dtau_2/dt = (tau_2 - tau_1^2) dxx tau_1 + tau_1 dxx tau_2
@@ -221,7 +227,7 @@ class TestTruncation:
         assert sys2.principal[1, 1] == pytest.approx(tau1)
 
     def test_m_out_of_range(self):
-        sig = sigma_from_tau(PowerSumVector(2, (3.0, 5.0)))
+        sig = sigma_from_tau((3.0, 5.0))
         with pytest.raises(ValidationError):
             truncate_second_order(sig, 3)
 
@@ -254,7 +260,7 @@ class TestTruncation:
             sig = sigma_from_tau(
                 power_sums(CurvatureSpectrum(tuple(kfields(x0))))
             )
-            Bp = np.linalg.matrix_power(build_companion(sig).entries, p)
+            Bp = np.linalg.matrix_power(build_companion(sig), p)
             for i in range(1, n + 1):
                 lhs = (tau_j(x0 + h, i + p) - tau_j(x0 - h, i + p)) / (2 * h)
                 rhs = (i + p) / i * sum(
@@ -285,7 +291,7 @@ class TestTruncation:
 
         def b_row(x):
             sig = sigma_from_tau(power_sums(CurvatureSpectrum(tuple(kfields(x)))))
-            return build_companion(sig).entries[n - 1]
+            return build_companion(sig)[n - 1]
 
         x0, h = 0.7, 1e-4
 
@@ -326,7 +332,7 @@ class TestShortTimeHypothesisIntegration:
         for k, expect in (((0.5, 1.2), True), ((-1.2, -0.5), False)):
             spec = CurvatureSpectrum(k)
             tau = power_sums(spec)
-            fval = -2.0 / n * tau.tau[0]
+            fval = -2.0 / n * tau[0]
             B = build_companion(sigma_from_tau(tau))
             Btilde = weighted_power_matrix([fval], B)
             partials = np.zeros((n, n))

@@ -360,8 +360,10 @@ class TestQuasilinear:
         with pytest.raises(ConductivityRangeError):
             solve_quasilinear_divergence(u0, k, 0.1, SolverConfig(dt=1e-2))
 
-    def test_stalled_newton_names_solver_step_and_t(self):
-        cfg = SolverConfig(dt=1e-2, nonlinear_iterations=1, tolerance=1e-300)
+    def test_stalled_newton_names_solver_step_and_t(self, monkeypatch):
+        monkeypatch.setattr(parabolic, "_NEWTON_SOLVES", 1)
+        monkeypatch.setattr(parabolic, "_NEWTON_TOLERANCE", 1e-300)
+        cfg = SolverConfig(dt=1e-2)
         with pytest.raises(NonConvergenceError) as info:
             solve_quasilinear_divergence(circle_cos(n=64), exact_quasilinear_conductivity(),
                                          0.1, cfg)
@@ -495,12 +497,12 @@ class TestPicardPredictor:
         # the reference: every step's Picard iteration starts from u_n
         faces = _quasilinear_faces(u0, k)
         h, theta = u0.h, cfg.theta
-        stop = cfg.tolerance * (1.0 + np.max(np.abs(u0.samples)))
+        stop = parabolic._NEWTON_TOLERANCE * (1.0 + np.max(np.abs(u0.samples)))
         u, ref = u0.samples, [u0.samples]
         for _ in range(nsteps):
             rhs = u + (1.0 - theta) * cfg.dt * apply_divergence(faces(u)[1], u, h)
             v = u
-            for _ in range(cfg.nonlinear_iterations):
+            for _ in range(parabolic._NEWTON_SOLVES):
                 vnext = divergence_theta_solve(faces(v)[1], rhs, theta * cfg.dt, h)
                 done = np.max(np.abs(vnext - v)) <= stop
                 v = vnext

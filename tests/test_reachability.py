@@ -80,7 +80,7 @@ _SCAN = textwrap.dedent("""
 # No command reaches these two, but perfbench's tracer binds them by name:
 # solve_linear_interval as a layer, a note and the interval probe,
 # trajectory_rows in the writer's note.  They go when perfbench names what the
-# runs use instead (ROADMAP, open item 4).
+# runs use instead (ROADMAP, open item 2).
 UNREACHED = [
     "parabolic.solve_linear_interval",
     "runner.RunResult.trajectory_rows",

@@ -984,6 +984,27 @@ class TestExitCodes:
         kind = text.split("\n", 1)[0].removeprefix("kind: ")
         assert err.endswith(f" (kind {kind}, outside a step)\n")
 
+    @pytest.mark.parametrize("spectrum", [
+        # Python float power overflows in peel_phi: t1**k at k = 150
+        ",".join(["1.0"] * 150),
+        # an integer power too large for a float: n ** (k - 1) in peel_phi
+        ",".join(["1.0", "-1.0"] * 100),
+    ], ids=["ftau-150-equal-curvatures", "ftau-200-alternating-curvatures"])
+    def test_python_arithmetic_error_exits_4(self, tmp_path, capsys, spectrum):
+        # Python's own float and int arithmetic raises OverflowError, not
+        # numpy's FloatingPointError; it takes the same exit and line
+        path = tmp_path / "scn.egf"
+        path.write_text(f"kind: ftau\ngrid: 64\ndt: 0.01\nT: 0.1\nf: scaled-tau1\n"
+                        f"spectrum: {spectrum}\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 4
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        err = capsys.readouterr().err
+        assert err.startswith("egf: floating-point error: ") and err.count("\n") == 1
+        assert err.endswith(" (kind ftau, outside a step)\n")
+        assert not (tmp_path / "out").exists()
+
     def test_error_in_a_step_names_kind_step_and_t(self, tmp_path, capsys):
         path = tmp_path / "scn.egf"
         path.write_text("kind: ftau\ngrid: 64\ndt: 0.01\nT: 1\nf: scaled-tau2\n"
