@@ -106,10 +106,10 @@ def evolve_umbilical(
         produce = _newton_stepper(lam0, _quasilinear_faces(lam0, k), k.dfunc, cfg)
     else:
         produce = _propagator(lam0.samples, 0.5 * psi_slope, lam0.h, cfg)
-    flux = (np.zeros(lam0.n), 0.5, lambda block: circle_derivative(psi(block), lam0.h))
-    times, lam, _, (conf,) = _march(lam0.samples, T, cfg, produce, "evolve_umbilical",
-                                    integrals=[flux])
-    return times, lam, conf
+    times, lam, _, pairs = _march(lam0.samples, T, cfg, produce, "evolve_umbilical",
+                                  integrand=lambda block: circle_derivative(psi(block), lam0.h))
+    # a subtraction from +0, so zero pair sums give +0
+    return times, lam, 0.0 - 0.5 * cfg.dt * pairs
 
 
 def twisted_product_flow(
@@ -162,10 +162,10 @@ def prescribed_mean_curvature_flow(
             f"target mean curvature must have zero average (got {F.mean():.3e})"
         )
     w0 = tau0.samples - F
-    grad = (np.zeros(tau0.n), (2.0 / n) * 0.5, lambda block: circle_derivative(block, tau0.h))
-    times, w, _, (conf,) = _march(w0, T, cfg, _propagator(w0, 1.0, tau0.h, cfg),
-                                  "prescribed_mean_curvature_flow", integrals=[grad])
-    return times, w, conf
+    times, w, _, pairs = _march(w0, T, cfg, _propagator(w0, 1.0, tau0.h, cfg),
+                                "prescribed_mean_curvature_flow",
+                                integrand=lambda block: circle_derivative(block, tau0.h))
+    return times, w, 0.0 - (2.0 / n) * 0.5 * cfg.dt * pairs
 
 
 def ftau_conformal_flow(

@@ -19,7 +19,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 import numpy.fft  # noqa: F401  (the propagator's, loaded here rather than inside a run)
@@ -271,15 +271,6 @@ def _d_x(values: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
-def _trapezoid_accumulate(start: np.ndarray, coef: np.ndarray, rate: np.ndarray) -> np.ndarray:
-    """Rows c_0 = start, c_i = c_{i-1} - coef_i (rate_{i-1} + rate_i) for i = 1..len(coef),
-    taken in step order: bit-identical to the sequential loop, signed zeros included."""
-    out = np.empty_like(rate)
-    out[0] = start
-    np.multiply(coef[:, None], rate[:-1] + rate[1:], out=out[1:])
-    return np.subtract.accumulate(out, axis=0, out=out)
-
-
 # ---------------------------------------------------------------------------
 # the stepping core
 
@@ -334,7 +325,7 @@ def _step_error(kind: type, message: str, context: str, step: int, dt: float) ->
 
 
 def _march(u0: np.ndarray, T: float, cfg: SolverConfig, produce: Callable,
-           context: str, track: bool = False, integrals: Sequence = ()):
+           context: str, track: bool = False, integrand: Callable | None = None):
     """The time loop of every stepping solver: a fold over blocks of states.
 
     ``produce(u, steps)`` gives the states of ``steps`` (at most _BLOCK_STEPS
@@ -346,27 +337,30 @@ def _march(u0: np.ndarray, T: float, cfg: SolverConfig, produce: Callable,
     :class:`UnstableConfigurationError` names ``context``, the step and t; a
     solver or floating-point error of a :func:`_stepper` step is re-raised
     naming them too), then folded into the snapshot rows of
-    :func:`_snapshot_steps`, with ``track`` the per-step mean and sup |u -
-    mean(u0)|, and each running trapezoid ``(start, weight, rate)`` of
-    ``integrals``: c_0 = start, c_k = c_{k-1} - weight dt (r_{k-1} + r_k)
-    with r = rate(state), kept at the snapshot steps.  Under a closed-form
-    producer ``rate`` must be linear, and c_k = start - weight dt rate(2 S_k -
-    u_0 - u_k) at the kept steps alone; otherwise the sum runs step by step.
-    Returns (times, states, (means, sup_deviation) or None, kept integrals).
+    :func:`_snapshot_steps` and, with ``track``, the per-step mean and sup |u -
+    mean(u0)|.
+    With an ``integrand`` p, a map of a block of states taken row by row,
+    the march also keeps the trapezoid pair sums P_k = p_0 + 2 (p_1 + ... +
+    p_{k-1}) + p_k at the snapshot steps (P_0 = 0): the integral of p up to
+    t_k is (dt / 2) P_k.  Under a closed-form producer p must be linear, and
+    P_k = p(2 S_k - u_0 - u_k); under a one-step producer P_k = 2 D_k - (p_k -
+    p_0) + 2k p_0 with D_k = (p_1 - p_0) + ... + (p_k - p_0) added up one step
+    at a time, so P's bits do not depend on the snapshot steps (a sum of p
+    itself would lose digits where p is large and slow, as at Reeb's centre).
+    Returns (times, states, (means, sup_deviation) or None, P or None).
     """
     nsteps = _nsteps(T, cfg.dt)
     keep = _snapshot_steps(nsteps, cfg.save_every)
     states = np.empty((keep.size, *u0.shape))
     states[0] = u0
-    kept = [np.empty_like(states) for _ in integrals]
-    last = [np.asarray(start, dtype=float) for start, _, _ in integrals]
-    for rows_out, start in zip(kept, last):
-        rows_out[0] = start
     if track:
         mean0 = float(u0.mean())
         means, sup_dev = np.empty(nsteps + 1), np.empty(nsteps + 1)
         means[0], sup_dev[0] = mean0, np.max(np.abs(u0 - mean0))
     sparse = produce.closed_form and not track
+    pairs = None if integrand is None else np.zeros_like(states)
+    if integrand is not None and not sparse:
+        p0, total = integrand(u0[None])[0], 0.0  # total: D_k of the steps so far
     todo = keep if sparse else np.arange(nsteps + 1)
     u, slot = u0, 1
     for first in range(1, todo.size, _BLOCK_STEPS):
@@ -389,17 +383,17 @@ def _march(u0: np.ndarray, T: float, cfg: SolverConfig, produce: Callable,
         end = int(np.searchsorted(keep, steps[-1], side="right"))
         rows = np.searchsorted(steps, keep[slot:end])
         states[slot:end] = block[rows]
-        if sparse and integrals:
-            # r_0 + 2 (r_1 + ... + r_{k-1}) + r_k of a linear rate, in one term
-            pairs = 2.0 * produce.sums(keep[slot:end]) - u0 - states[slot:end]
-        for i, (start, weight, rate) in enumerate(integrals):
-            if sparse:
-                kept[i][slot:end] = start - weight * cfg.dt * rate(pairs)
-            else:
-                c = _trapezoid_accumulate(last[i], weight * np.diff(steps * cfg.dt), rate(block))
-                kept[i][slot:end], last[i] = c[rows], c[-1]
+        if integrand is not None and sparse:
+            pairs[slot:end] = integrand(2.0 * produce.sums(keep[slot:end]) - u0 - states[slot:end])
+        elif integrand is not None:
+            deviations = integrand(block) - p0
+            kept_at = dict(zip(rows.tolist(), range(slot, end)))
+            for row in range(1, steps.size):
+                total += deviations[row]
+                if row in kept_at:
+                    pairs[kept_at[row]] = 2.0 * total - deviations[row] + (2 * steps[row]) * p0
         slot, u = end, block[-1]
-    return keep * cfg.dt, states, (means, sup_dev) if track else None, kept
+    return keep * cfg.dt, states, (means, sup_dev) if track else None, pairs
 
 
 def _circle_march(u0: CircleField, T: float, cfg: SolverConfig, produce: Callable,
@@ -596,21 +590,19 @@ def solve_linear_interval(
     drift: np.ndarray | None,
     T: float,
     cfg: SolverConfig,
-    bc: tuple[float, float] = (0.0, 0.0),
 ) -> tuple[np.ndarray, np.ndarray]:
-    """du/dt = a(x) d_xx u + b(x) d_x u on an interval, Dirichlet-pinned ends.
-
-    The endpoint values are held at ``bc`` exactly at every step.
-    a(x) >= 0 may vanish at interior points (degenerate problems are the
-    point of this entry); the implicit theta-method tolerates that.
-    Returns (times, states) at the steps of :func:`_snapshot_steps`.
+    """du/dt = a(x) d_xx u + b(x) d_x u on an interval, both ends held at 0
+    exactly at every step.  a(x) >= 0 may vanish at interior points
+    (degenerate problems are the point of this entry); the implicit
+    theta-method tolerates that.  Returns (times, states) at the steps of
+    :func:`_snapshot_steps`.
     """
-    start, produce = _interval_stepper(u0, h, diffusion, drift, cfg, bc)
+    start, produce = _interval_stepper(u0, h, diffusion, drift, cfg)
     times, states, _, _ = _march(start, T, cfg, produce, "solve_linear_interval")
     return times, states
 
 
-def _interval_stepper(u0, h, diffusion, drift, cfg: SolverConfig, bc) -> tuple:
+def _interval_stepper(u0, h, diffusion, drift, cfg: SolverConfig) -> tuple:
     """(pinned start state, producer) of :func:`solve_linear_interval`."""
     start = np.asarray(u0, dtype=float).copy()
     n = start.size
@@ -621,7 +613,7 @@ def _interval_stepper(u0, h, diffusion, drift, cfg: SolverConfig, bc) -> tuple:
     if np.min(a) < 0.0:
         raise ValidationError("diffusion coefficient must be nonnegative")
     theta = cfg.theta
-    start[0], start[-1] = bc
+    start[0] = start[-1] = 0.0
 
     ca = cfg.dt * a / h**2
     cb = cfg.dt * b / (2.0 * h)
@@ -638,14 +630,15 @@ def _interval_stepper(u0, h, diffusion, drift, cfg: SolverConfig, bc) -> tuple:
         raise np.linalg.LinAlgError(f"singular interval system (dgttrf info {info})")
 
     def advance(u: np.ndarray, step: int) -> np.ndarray:
+        rhs = u.copy()
         if theta != 1.0:
-            # only interior rows count: the pins below overwrite both ends
-            rhs = u + (1.0 - theta) * cfg.dt * (a * _second_difference(u, h) + b * _d_x(u, h))
-        else:
-            rhs = u.copy()
-        rhs[0], rhs[-1] = bc
+            # the explicit half of the interior rows: the ends are pinned
+            second = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / h**2
+            first = (u[2:] - u[:-2]) / (2.0 * h)
+            rhs[1:-1] += (1.0 - theta) * cfg.dt * (a[1:-1] * second + b[1:-1] * first)
+        rhs[0] = rhs[-1] = 0.0
         u = dgttrs(*factors, rhs, overwrite_b=1)[0]
-        u[0], u[-1] = bc  # exact pinning (solve leaves round-off residue)
+        u[0] = u[-1] = 0.0  # exact pinning (solve leaves round-off residue)
         return u
 
     return start, _stepper(advance)

@@ -135,12 +135,11 @@ def evolve_reeb_lambda(
     cos_a = np.cos(geom.alpha)
     diffusion = sin_a**2
     drift = sin_a * cos_a * geom.alpha_prime
-    start, produce = _interval_stepper(lam_init, geom.h, diffusion, drift, cfg, (0.0, 0.0))
-    # V_k = V_{k-1} + (dt / 2) (d_x lam_{k-1} + d_x lam_k)
-    slope = (np.zeros(geom.n_nodes), -0.5, lambda block: _d_x(block.T, geom.h).T)
-    times, lam, _, (V,) = _march(start, T, cfg, produce, "evolve_reeb_lambda",
-                                 integrals=[slope])
-    return times, lam, V
+    start, produce = _interval_stepper(lam_init, geom.h, diffusion, drift, cfg)
+    # V = (dt / 2) d_x P with P the trapezoid pair sums of lam, at the kept steps only
+    times, lam, _, pairs = _march(start, T, cfg, produce, "evolve_reeb_lambda",
+                                  integrand=lambda block: block)
+    return times, lam, 0.5 * cfg.dt * _d_x(pairs.T, geom.h).T
 
 
 def _d_x4(values: np.ndarray, h: float) -> np.ndarray:

@@ -51,11 +51,15 @@ from .errors import ValidationError
 from .parabolic import exact_quasilinear_solution
 
 __all__ = ["FlowScenario", "ScenarioParseError", "parse_scenario", "parse_entries",
-           "load_scenario", "build_field", "FIELD_FORMS", "KINDS", "MAX_STEPS"]
+           "load_scenario", "build_field", "FIELD_FORMS", "KINDS", "MAX_STEPS", "MAX_SPECTRUM"]
 
 # The most time steps T / dt a scenario may ask for: 2,000 times the longest
 # bundled run (5,000 steps), and far short of a run that would not end.
 MAX_STEPS = 10_000_000
+
+# The longest ftau spectrum: symfun's recursion divides by the integer n ** (k - 1)
+# for k up to n, which must convert to a float (143 values on IEEE doubles).
+MAX_SPECTRUM = next(n for n in range(1, sys.maxsize) if (n + 1) ** n > sys.float_info.max)
 
 KINDS = (
     "umbilical",
@@ -310,6 +314,9 @@ def load_scenario(path) -> FlowScenario:
 def _validate_kind(scn: FlowScenario) -> None:
     """The rules that tie keys together, beyond what each key's reader admits."""
     if scn.kind == "ftau":
+        if len(scn.get("spectrum")) > MAX_SPECTRUM:
+            raise ValidationError(f"spectrum has {len(scn.get('spectrum'))} values; at most "
+                                  f"{MAX_SPECTRUM} are admitted (n ** (n - 1) must be a float)")
         if len(scn.get("spectrum")) != scn.get("n"):
             raise ValidationError("spectrum length must equal n")
         if scn.get("f") == "scaled-tau2" and scn.get("n") < 2:

@@ -301,6 +301,29 @@ class TestPropagatorOracle:
             assert block[k - 1].tobytes() == produce(u0.samples, np.array([k]))[0].tobytes()
 
     @pytest.mark.parametrize("scheme", SCHEMES)
+    @pytest.mark.parametrize("T, save_every", [(0.5, 1), (0.5, 7), (2.0, 0)])
+    def test_closed_form_pair_sums_match_the_stepped_propagator(self, scheme, T, save_every):
+        # the march's one integral rule by both routes, for a linear integrand:
+        # p(2 S_k - u_0 - u_k) from the closed-form sums at the kept steps, and
+        # the running sum over every step of the same propagator stepped one
+        # state at a time through _stepper
+        u0 = _mixed_field()
+        cfg = SolverConfig(dt=1e-3, scheme=scheme, save_every=save_every)
+        produce = _propagator(u0.samples, 0.7, u0.h, cfg)
+        stepped = parabolic._stepper(lambda u, step: produce(u, np.array([step]))[0])
+
+        def integrand(block):
+            return 2.5 * block - np.roll(block, 1, axis=-1)
+
+        _, states, _, closed = parabolic._march(u0.samples, T, cfg, produce, "closed",
+                                                integrand=integrand)
+        _, stepped_states, _, running = parabolic._march(u0.samples, T, cfg, stepped, "stepped",
+                                                         integrand=integrand)
+        assert states.tobytes() == stepped_states.tobytes()
+        assert closed[0].tobytes() == running[0].tobytes() == np.zeros(u0.n).tobytes()
+        assert np.max(np.abs(closed - running)) <= 1e-12 * (1.0 + np.max(np.abs(running)))
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
     def test_quasilinear_with_constant_valued_k(self, scheme):
         # measured 2.2e-14 (implicit Euler) and 1.8e-14 (Crank-Nicolson)
         u0, c = _mixed_field(), 0.7

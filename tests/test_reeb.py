@@ -118,17 +118,34 @@ class TestEvolution:
         assert np.max(np.abs(lam[-1])) == 0.0
 
     def test_V_matches_step_loop_bitwise(self, geom):
-        # reference: the per-step trapezoid sum of d_x lam over every step
+        # reference: V = (dt / 2) d_x P with P the running pair sums of lam,
+        # summed as deviations from lam_0 in a loop over every step; the
+        # per-step trapezoid sum of d_x lam it replaced agrees to 1e-12 (1 +
+        # sup |V|)
         lam0 = geom.lam0 + 0.05 * np.sin(math.pi * geom.x)  # V_t(0) != 0
         cfg = SolverConfig(dt=1e-3, scheme="crank-nicolson", save_every=1)
         times, lam, V_run = evolve_reeb_lambda(geom, 0.1, cfg, lam0=lam0)
         V = np.zeros_like(lam)
+        total = np.zeros(geom.n_nodes)
+        for k in range(1, times.size):
+            total += lam[k] - lam[0]
+            pairs = 2.0 * total - (lam[k] - lam[0]) + (2 * k) * lam[0]
+            V[k] = 0.5 * cfg.dt * _d_x(pairs, geom.h)
+        assert V_run.tobytes() == V.tobytes()
+        trapezoid = np.zeros_like(lam)
         for i in range(1, times.size):
             dt = times[i] - times[i - 1]
-            V[i] = V[i - 1] + 0.5 * dt * (
+            trapezoid[i] = trapezoid[i - 1] + 0.5 * dt * (
                 _d_x(lam[i - 1], geom.h) + _d_x(lam[i], geom.h)
             )
-        assert V_run.tobytes() == V.tobytes()
+        assert np.max(np.abs(V_run - trapezoid)) <= 1e-12 * (1.0 + np.max(np.abs(trapezoid)))
+
+    def test_final_V_does_not_depend_on_the_snapshot_cadence(self, geom):
+        # the running sum takes every step in step order, whatever rows are kept
+        # (1,000 steps: the default cadence keeps every 5th)
+        finals = [evolve_reeb_lambda(geom, 0.1, SolverConfig(
+            dt=1e-4, scheme="crank-nicolson", save_every=every))[2][-1] for every in (1, 7, 50, 0)]
+        assert all(V.tobytes() == finals[0].tobytes() for V in finals[1:])
 
     def test_boundary_pinned_exactly(self, evolved):
         _, lam, _ = evolved

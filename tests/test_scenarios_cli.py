@@ -30,6 +30,7 @@ from egf.runner import (
 from egf.scenarios import (
     FIELD_FORMS,
     KINDS,
+    MAX_SPECTRUM,
     MAX_STEPS,
     ScenarioParseError,
     _ignored_keys,
@@ -985,13 +986,11 @@ class TestExitCodes:
         assert err.endswith(f" (kind {kind}, outside a step)\n")
 
     @pytest.mark.parametrize("spectrum", [
-        # Python float power overflows in peel_phi: t1**k at k = 150
-        ",".join(["1.0"] * 150),
-        # an integer power too large for a float: n ** (k - 1) in peel_phi
-        ",".join(["1.0", "-1.0"] * 100),
-    ], ids=["ftau-150-equal-curvatures", "ftau-200-alternating-curvatures"])
+        # Python float power overflows in peel_phi: t1**k, t1 = 286, at k = 126
+        ",".join(["2.0"] * 143),
+    ], ids=["ftau-143-equal-curvatures"])
     def test_python_arithmetic_error_exits_4(self, tmp_path, capsys, spectrum):
-        # Python's own float and int arithmetic raises OverflowError, not
+        # Python's own float arithmetic raises OverflowError, not
         # numpy's FloatingPointError; it takes the same exit and line
         path = tmp_path / "scn.egf"
         path.write_text(f"kind: ftau\ngrid: 64\ndt: 0.01\nT: 0.1\nf: scaled-tau1\n"
@@ -1004,6 +1003,23 @@ class TestExitCodes:
         assert err.startswith("egf: floating-point error: ") and err.count("\n") == 1
         assert err.endswith(" (kind ftau, outside a step)\n")
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("count, code", [(143, 0), (144, 3)])
+    def test_spectrum_longer_than_the_recursion_takes_exits_3(self, tmp_path, capsys, count,
+                                                              code):
+        # F_k and phi_k divide by n ** (k - 1) for k up to n, a float up to n = 143
+        assert MAX_SPECTRUM == 143
+        path = tmp_path / "scn.egf"
+        path.write_text("kind: ftau\ngrid: 64\ndt: 0.01\nT: 0.1\nspectrum: "
+                        + ",".join(["0.1"] * count) + "\n")
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == code
+        err = capsys.readouterr().err
+        if code:
+            assert err.startswith("egf: invalid scenario: spectrum has 144 values")
+            assert err.count("\n") == 1
+            assert not (tmp_path / "out").exists()
+        else:
+            assert err == "" and (tmp_path / "out" / "trajectory.csv").exists()
 
     def test_error_in_a_step_names_kind_step_and_t(self, tmp_path, capsys):
         path = tmp_path / "scn.egf"
