@@ -106,8 +106,8 @@ def evolve_umbilical(
         produce = _newton_stepper(lam0, _quasilinear_faces(lam0, k), k.dfunc, cfg)
     else:
         produce = _propagator(lam0.samples, 0.5 * psi_slope, lam0.h, cfg)
-    times, lam, _, pairs = _march(lam0.samples, T, cfg, produce, "evolve_umbilical",
-                                  integrand=lambda block: circle_derivative(psi(block), lam0.h))
+    times, lam, pairs = _march(lam0.samples, T, cfg, produce, "evolve_umbilical",
+                               integrand=lambda block: circle_derivative(psi(block), lam0.h))
     # a subtraction from +0, so zero pair sums give +0
     return times, lam, 0.0 - 0.5 * cfg.dt * pairs
 
@@ -131,7 +131,7 @@ def twisted_product_flow(
         raise ValidationError("need positive fiber length and n >= 1")
     limit = phi0.mean(axis=1)
     produce = _propagator(phi0, 1.0 / n, fiber_length / phi0.shape[1], cfg)
-    times, phi, _, _ = _march(phi0, T, cfg, produce, "twisted_product_flow")
+    times, phi, _ = _march(phi0, T, cfg, produce, "twisted_product_flow")
     work = np.subtract(phi, limit[None, :, None])
     return times, phi, np.abs(work, out=work).max(axis=(1, 2))
 
@@ -162,9 +162,9 @@ def prescribed_mean_curvature_flow(
             f"target mean curvature must have zero average (got {F.mean():.3e})"
         )
     w0 = tau0.samples - F
-    times, w, _, pairs = _march(w0, T, cfg, _propagator(w0, 1.0, tau0.h, cfg),
-                                "prescribed_mean_curvature_flow",
-                                integrand=lambda block: circle_derivative(block, tau0.h))
+    times, w, pairs = _march(w0, T, cfg, _propagator(w0, 1.0, tau0.h, cfg),
+                             "prescribed_mean_curvature_flow",
+                             integrand=lambda block: circle_derivative(block, tau0.h))
     return times, w, 0.0 - (2.0 / n) * 0.5 * cfg.dt * pairs
 
 
@@ -233,7 +233,7 @@ def ftau_conformal_flow(
         a = 0.5 * (slope * eval_F(0, 0.0, consts))
         observe(a)
         produce = _propagator(tau1.samples, a, tau1.h, cfg)
-    times, states, _, _ = _march(tau1.samples, T, cfg, produce, "conformal flow")
+    times, states, _ = _march(tau1.samples, T, cfg, produce, "conformal flow")
     taus = np.stack([eval_F(k, states, consts) for k in range(1, n + 1)])
     return times, taus, a_min
 

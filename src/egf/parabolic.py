@@ -184,14 +184,12 @@ class SolverConfig:
 
 @dataclass
 class CircleTrajectory:
-    """Snapshots plus per-step scalar diagnostics of one run."""
+    """One run of a circle solver: its snapshots at the steps of
+    :func:`_snapshot_steps`, and the time of every step it took."""
 
-    length: float
     times: np.ndarray       # snapshot times, shape (S,)
     states: np.ndarray      # snapshot fields, shape (S, N)
-    step_times: np.ndarray  # every accepted step, shape (K+1,)
-    means: np.ndarray       # discrete mean per step
-    sup_deviation: np.ndarray  # sup |u - mean(u0)| per step
+    step_times: np.ndarray  # k dt for every step k = 0..K, shape (K+1,)
 
 
 # ---------------------------------------------------------------------------
@@ -325,20 +323,19 @@ def _step_error(kind: type, message: str, context: str, step: int, dt: float) ->
 
 
 def _march(u0: np.ndarray, T: float, cfg: SolverConfig, produce: Callable,
-           context: str, track: bool = False, integrand: Callable | None = None):
-    """The time loop of every stepping solver: a fold over blocks of states.
+           context: str, integrand: Callable | None = None):
+    """The time loop of every stepping solver: a fold over blocks of states
+    into the snapshot rows of :func:`_snapshot_steps`.
 
     ``produce(u, steps)`` gives the states of ``steps`` (at most _BLOCK_STEPS
-    consecutive steps of 1..round(T/dt)) from u, the state before them.  A
+    steps of 1..round(T/dt), in order) from u, the state before them.  A
     producer declares ``closed_form`` when each state it gives depends on its
     own step number alone, and then also gives ``produce.sums(steps)``, the
-    running sums S_k = u_0 + ... + u_k; without ``track`` such a producer is
-    asked for the snapshot steps only.  Each block is checked finite (else
-    :class:`UnstableConfigurationError` names ``context``, the step and t; a
-    solver or floating-point error of a :func:`_stepper` step is re-raised
-    naming them too), then folded into the snapshot rows of
-    :func:`_snapshot_steps` and, with ``track``, the per-step mean and sup |u -
-    mean(u0)|.
+    running sums S_k = u_0 + ... + u_k; it is asked for the snapshot steps
+    only, a one-step producer for every step.  Each block is checked finite
+    (else :class:`UnstableConfigurationError` names ``context``, the step and
+    t; a solver or floating-point error of a :func:`_stepper` step is
+    re-raised naming them too).
     With an ``integrand`` p, a map of a block of states taken row by row,
     the march also keeps the trapezoid pair sums P_k = p_0 + 2 (p_1 + ... +
     p_{k-1}) + p_k at the snapshot steps (P_0 = 0): the integral of p up to
@@ -347,21 +344,17 @@ def _march(u0: np.ndarray, T: float, cfg: SolverConfig, produce: Callable,
     p_0) + 2k p_0 with D_k = (p_1 - p_0) + ... + (p_k - p_0) added up one step
     at a time, so P's bits do not depend on the snapshot steps (a sum of p
     itself would lose digits where p is large and slow, as at Reeb's centre).
-    Returns (times, states, (means, sup_deviation) or None, P or None).
+    Returns (times, states, P or None), one row per snapshot.
     """
     nsteps = _nsteps(T, cfg.dt)
     keep = _snapshot_steps(nsteps, cfg.save_every)
     states = np.empty((keep.size, *u0.shape))
     states[0] = u0
-    if track:
-        mean0 = float(u0.mean())
-        means, sup_dev = np.empty(nsteps + 1), np.empty(nsteps + 1)
-        means[0], sup_dev[0] = mean0, np.max(np.abs(u0 - mean0))
-    sparse = produce.closed_form and not track
+    closed = produce.closed_form
     pairs = None if integrand is None else np.zeros_like(states)
-    if integrand is not None and not sparse:
+    if integrand is not None and not closed:
         p0, total = integrand(u0[None])[0], 0.0  # total: D_k of the steps so far
-    todo = keep if sparse else np.arange(nsteps + 1)
+    todo = keep if closed else np.arange(nsteps + 1)
     u, slot = u0, 1
     for first in range(1, todo.size, _BLOCK_STEPS):
         # the block leads with the last state before it
@@ -377,13 +370,10 @@ def _march(u0: np.ndarray, T: float, cfg: SolverConfig, produce: Callable,
             step = int(steps[np.argmin(finite)])
             raise _step_error(UnstableConfigurationError, "non-finite iterate", context, step,
                               cfg.dt)
-        if track:
-            means[steps] = block.mean(axis=1)
-            sup_dev[steps] = np.max(np.abs(block - mean0), axis=1)
         end = int(np.searchsorted(keep, steps[-1], side="right"))
         rows = np.searchsorted(steps, keep[slot:end])
         states[slot:end] = block[rows]
-        if integrand is not None and sparse:
+        if integrand is not None and closed:
             pairs[slot:end] = integrand(2.0 * produce.sums(keep[slot:end]) - u0 - states[slot:end])
         elif integrand is not None:
             deviations = integrand(block) - p0
@@ -393,21 +383,7 @@ def _march(u0: np.ndarray, T: float, cfg: SolverConfig, produce: Callable,
                 if row in kept_at:
                     pairs[kept_at[row]] = 2.0 * total - deviations[row] + (2 * steps[row]) * p0
         slot, u = end, block[-1]
-    return keep * cfg.dt, states, (means, sup_dev) if track else None, pairs
-
-
-def _circle_march(u0: CircleField, T: float, cfg: SolverConfig, produce: Callable,
-                  context: str) -> CircleTrajectory:
-    """:func:`_march` on a circle field, with the per-step diagnostics."""
-    times, states, (means, sup_dev), _ = _march(u0.samples, T, cfg, produce, context, True)
-    return CircleTrajectory(
-        length=u0.length,
-        times=times,
-        states=states,
-        step_times=np.arange(means.size) * cfg.dt,
-        means=means,
-        sup_deviation=sup_dev,
-    )
+    return keep * cfg.dt, states, pairs
 
 
 def _newton_stepper(u0: CircleField, faces: Callable, slope: Callable,
@@ -498,8 +474,9 @@ def solve_heat_circle(u0: CircleField, T: float, cfg: SolverConfig) -> CircleTra
     round-off); deviations from the mean decay at the first discrete
     eigenvalue rate.
     """
-    return _circle_march(u0, T, cfg, _propagator(u0.samples, 1.0, u0.h, cfg),
-                         "solve_heat_circle")
+    produce = _propagator(u0.samples, 1.0, u0.h, cfg)
+    times, states, _ = _march(u0.samples, T, cfg, produce, "solve_heat_circle")
+    return CircleTrajectory(times, states, np.arange(_nsteps(T, cfg.dt) + 1) * cfg.dt)
 
 
 def _propagator(u0: np.ndarray, c: float, h: float, cfg: SolverConfig) -> Callable:
@@ -561,7 +538,8 @@ def solve_quasilinear_divergence(
     :class:`ConductivityRangeError`.
     """
     produce = _newton_stepper(u0, _quasilinear_faces(u0, k), k.dfunc, cfg)
-    return _circle_march(u0, T, cfg, produce, "solve_quasilinear_divergence")
+    times, states, _ = _march(u0.samples, T, cfg, produce, "solve_quasilinear_divergence")
+    return CircleTrajectory(times, states, np.arange(_nsteps(T, cfg.dt) + 1) * cfg.dt)
 
 
 def _quasilinear_faces(u0: CircleField, k: Conductivity) -> Callable:
@@ -598,7 +576,7 @@ def solve_linear_interval(
     :func:`_snapshot_steps`.
     """
     start, produce = _interval_stepper(u0, h, diffusion, drift, cfg)
-    times, states, _, _ = _march(start, T, cfg, produce, "solve_linear_interval")
+    times, states, _ = _march(start, T, cfg, produce, "solve_linear_interval")
     return times, states
 
 

@@ -137,8 +137,8 @@ def evolve_reeb_lambda(
     drift = sin_a * cos_a * geom.alpha_prime
     start, produce = _interval_stepper(lam_init, geom.h, diffusion, drift, cfg)
     # V = (dt / 2) d_x P with P the trapezoid pair sums of lam, at the kept steps only
-    times, lam, _, pairs = _march(start, T, cfg, produce, "evolve_reeb_lambda",
-                                  integrand=lambda block: block)
+    times, lam, pairs = _march(start, T, cfg, produce, "evolve_reeb_lambda",
+                               integrand=lambda block: block)
     return times, lam, 0.5 * cfg.dt * _d_x(pairs.T, geom.h).T
 
 

@@ -127,9 +127,13 @@ def _result(scn, checks, times, axes, fields, columns, alpha, metrics) -> RunRes
     return RunResult(scn, checks, times, axes, fields, header, rows, metrics)
 
 
-def _drift(means: np.ndarray) -> float:
-    """The largest distance of a conserved mean from its start."""
-    return float(np.max(np.abs(means - means[0])))
+def _deviation(states: np.ndarray) -> tuple[np.ndarray, float]:
+    """Per snapshot, sup |u - mean(u_0)| of the snapshot states u (one row
+    each), and the drift of the conserved mean: the largest distance of a
+    snapshot's mean from mean(u_0)."""
+    means = states.mean(axis=1)
+    sup = np.max(np.abs(states - means[0]), axis=1)
+    return sup, float(np.max(np.abs(means - means[0])))
 
 
 def _monotone(name: str, series: np.ndarray, detail: str) -> Check:
@@ -152,8 +156,8 @@ def _run_pde_reference(scn: FlowScenario) -> RunResult:
         u0 = CircleField(scn.length, build_field(scn, "init", x))
         traj = solve_heat_circle(u0, scn.T, _config(scn))
     sup = np.max(np.abs(traj.states), axis=1)
-    alpha = _fit_alpha(traj.step_times, traj.sup_deviation)
-    drift = _drift(traj.means)
+    deviation, drift = _deviation(traj.states)
+    alpha = _fit_alpha(traj.times, deviation)
     if not exact_problem:
         checks = [
             Check("fitted-alpha-near-one", 0.99 <= alpha <= 1.01, f"alpha {alpha:.6f}"),
@@ -181,14 +185,12 @@ def _run_tau_heat(scn: FlowScenario) -> RunResult:
     x = _circle_nodes(scn)
     tau1 = CircleField(scn.length, build_field(scn, "init", x))
     traj = solve_heat_circle(tau1, scn.T, _config(scn))
-    states = traj.states
-    sup = np.max(np.abs(states - tau1.mean()), axis=1)
-    drift = _drift(states.mean(axis=1))
+    sup, drift = _deviation(traj.states)
     checks = [
         Check("mean-conservation", drift <= 1e-10, f"drift {drift:.3e}"),
         _monotone("monotone-sup-deviation", sup, "sup |tau1 - mean| non-increasing"),
     ]
-    return _result(scn, checks, traj.times, {"x": x}, {"tau1": states},
+    return _result(scn, checks, traj.times, {"x": x}, {"tau1": traj.states},
                    {"sup_deviation": sup}, _fit_alpha(traj.times, sup), {"drift": drift})
 
 
@@ -262,7 +264,7 @@ def _run_prescribed(scn: FlowScenario) -> RunResult:
     residual = np.max(np.abs(w), axis=1)
     w0 = float(np.max(np.abs(tau0.samples - target.samples)))
     bound = math.exp(-scn.T) * (1 + 1e-2) * w0
-    drift = _drift(w.mean(axis=1))
+    _, drift = _deviation(w)
     checks = [
         Check("residual-decay-bound", float(residual[-1]) <= bound,
               f"{residual[-1]:.6e} <= {bound:.6e}"),
@@ -274,7 +276,18 @@ def _run_prescribed(scn: FlowScenario) -> RunResult:
 
 def _run_ftau(scn: FlowScenario) -> RunResult:
     n = scn.get("n")
-    consts = f_recursion_constants(power_sums(CurvatureSpectrum(scn.get("spectrum"))))
+    # the powers k^j of the spectrum, j up to n, may leave the doubles: a
+    # property of the input, so an overflow here is not the solver's
+    try:
+        with np.errstate(over="raise"):
+            consts = f_recursion_constants(power_sums(CurvatureSpectrum(scn.get("spectrum"))))
+        # phi, which F_k reads, may reach inf through a Python float product,
+        # which does not raise (psi, which no run reads, may too)
+        if not np.all(np.isfinite(consts.phi)):
+            raise OverflowError
+    except ArithmeticError:
+        raise ValidationError("spectrum overflows: its power sums or structure constants "
+                              "leave the doubles") from None
     which = scn.get("f")
     k_idx = 1 if which == "scaled-tau1" else 2
 
@@ -287,9 +300,7 @@ def _run_ftau(scn: FlowScenario) -> RunResult:
     tau1 = CircleField(scn.length, build_field(scn, "init", x))
     times, taus, a_min = flows.ftau_conformal_flow(tau1, grad, consts, scn.T, _config(scn),
                                                    slope=2.0 / n if k_idx == 1 else None)
-    states = taus[0]
-    sup = np.max(np.abs(states - states[0].mean()), axis=1)
-    drift = _drift(states.mean(axis=1))
+    sup, drift = _deviation(taus[0])
     checks = [
         Check("mass-conservation", drift <= 1e-10, f"drift {drift:.3e}"),
         Check("parabolicity-maintained", a_min > 0.0, f"min a = {a_min:.6g} > 0"),

@@ -1,4 +1,5 @@
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -21,6 +22,8 @@ from egf.parabolic import (
     _second_difference,
     solve_heat_circle,
 )
+from egf.runner import run_scenario
+from egf.scenarios import parse_scenario
 from egf.symfun import (
     CurvatureSpectrum,
     eval_F,
@@ -33,6 +36,7 @@ from picard_oracle import divergence_theta_solve, picard_stepper
 from reeb_oracles import converge_criterion
 
 TWO_PI = 2 * math.pi
+SCENARIO_DIR = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def cos_field(n=128, amp=1.0, freq=1, offset=0.0):
@@ -52,13 +56,13 @@ def psi2_second(lam):
     return np.zeros_like(np.asarray(lam, dtype=float))
 
 
-def recording_propagator(asked, closed_form=True):
-    """The propagator, recording in ``asked`` the steps it is asked for;
-    with ``closed_form=False`` the march takes every step and sums the
+def recording_propagator(asked, closed_form=True, make=parabolic._propagator):
+    """The propagator ``make``, recording in ``asked`` the steps it is asked
+    for; with ``closed_form=False`` the march takes every step and sums the
     conformal factor step by step."""
 
     def propagator(u0, c, h, cfg):
-        produce = parabolic._propagator(u0, c, h, cfg)
+        produce = make(u0, c, h, cfg)
 
         def recorded(u, steps):
             asked.extend(steps.tolist())
@@ -252,6 +256,45 @@ class TestUmbilical:
 
 
 class TestTauHeat:
+    @pytest.mark.parametrize("text", [
+        (SCENARIO_DIR / "heat-decay.egf").read_text(),
+        "kind: tau-heat\ngrid: 64\ndt: 0.001\nT: 2\ninit: gaussian-bump\n",
+    ], ids=["circle-heat-decay", "tau-heat"])
+    def test_runs_march_snapshot_steps_only(self, monkeypatch, text):
+        # every check and the decay fit read the snapshots: the propagator is
+        # asked for the kept steps only (heat-decay: 200 of its 3,000), and the
+        # run has the bits of the march through every step
+        scn = parse_scenario(text)
+        asked = []
+        monkeypatch.setattr(parabolic, "_propagator", recording_propagator(asked))
+        sparse = run_scenario(scn)
+        keep = parabolic._snapshot_steps(parabolic._nsteps(scn.T, scn.dt), scn.save_every)
+        assert asked == keep[1:].tolist() and len(asked) == 200
+        monkeypatch.setattr(parabolic, "_propagator", recording_propagator([], closed_form=False))
+        dense = run_scenario(scn)
+        assert [f.tobytes() for f in sparse.fields.values()] == [
+            f.tobytes() for f in dense.fields.values()]
+        assert sparse.summary_rows == dense.summary_rows
+        assert [c.line() for c in sparse.checks] == [c.line() for c in dense.checks]
+
+    def test_mean_conservation_fails_on_a_leaking_propagator(self, monkeypatch):
+        # a seeded defect, c k added to state k, is seen at the snapshots:
+        # heat-decay's drift reads 3000 c at its last snapshot
+        def leaking(u0, c, h, cfg, make=parabolic._propagator):
+            produce = make(u0, c, h, cfg)
+
+            def leaked(u, steps):
+                return produce(u, steps) + 1e-13 * steps[:, None]
+
+            leaked.closed_form, leaked.sums = True, produce.sums
+            return leaked
+
+        scn = parse_scenario((SCENARIO_DIR / "heat-decay.egf").read_text())
+        assert {c.name: c.passed for c in run_scenario(scn).checks}["mean-conservation"]
+        monkeypatch.setattr(parabolic, "_propagator", leaking)
+        check = {c.name: c for c in run_scenario(scn).checks}["mean-conservation"]
+        assert not check.passed and check.detail == "drift 3.000e-10"
+
     def test_constant_stationary(self):
         tau1 = CircleField(TWO_PI, np.full(64, 2.2))
         traj = solve_heat_circle(tau1, 1.0, SolverConfig(dt=1e-2))
@@ -354,7 +397,7 @@ class TestTwisted:
         dense = parabolic._propagator(phi0, 1.0, TWO_PI / ny, cfg)
         stepped = lambda u, steps: dense(u, steps)
         stepped.closed_form = False
-        _, states, _, _ = parabolic._march(phi0, T, cfg, stepped, "reference")
+        _, states, _ = parabolic._march(phi0, T, cfg, stepped, "reference")
         assert phi.tobytes() == states.tobytes()
 
     @pytest.mark.parametrize("shape, fiber_length, n, message", [

@@ -29,7 +29,6 @@ from egf.parabolic import (
 )
 from egf.parabolic import (
     _BLOCK_STEPS,
-    _circle_march,
     _face_mean,
     _newton_stepper,
     _nsteps,
@@ -76,8 +75,8 @@ class TestHeatCircle:
     def test_mean_conservation(self):
         rng = np.random.default_rng(0)
         u0 = CircleField(2 * math.pi, rng.uniform(-1, 1, 128) + 0.3)
-        traj = solve_heat_circle(u0, 2.0, SolverConfig(dt=1e-2))
-        assert np.max(np.abs(traj.means - u0.mean())) < 1e-12
+        traj = solve_heat_circle(u0, 2.0, SolverConfig(dt=1e-2, save_every=1))
+        assert np.max(np.abs(traj.states.mean(axis=1) - u0.mean())) < 1e-12
 
     def test_discrete_eigenvalue_decay_bound(self):
         # deviation decays at least like the first discrete eigenvalue
@@ -153,7 +152,6 @@ class TestSteppingCore:
         assert traj.times.tobytes() == (keep * 1e-3).tobytes()
         assert traj.states.tobytes() == every.states[keep].tobytes()
         assert traj.step_times.tobytes() == every.step_times.tobytes()
-        assert traj.sup_deviation.tobytes() == every.sup_deviation.tobytes()
 
     def test_every_step_snapshots_are_preallocated(self):
         # one (steps + 1, N) array, no per-step copies gathered at the end:
@@ -167,8 +165,7 @@ class TestSteppingCore:
         finally:
             tracemalloc.stop()
         assert traj.states.shape == (5001, 256)
-        retained = sum(a.nbytes for a in (
-            traj.times, traj.states, traj.step_times, traj.means, traj.sup_deviation))
+        retained = sum(a.nbytes for a in (traj.times, traj.states, traj.step_times))
         assert peak <= 1.25 * retained
 
     def test_floating_point_error_names_the_step_and_t(self):
@@ -278,9 +275,6 @@ class TestPropagatorOracle:
     """The closed-form propagator is the exact discrete solution of every
     constant-coefficient circle step; the step loops must reproduce it."""
 
-    def _oracle(self, u0, c, T, cfg):
-        return _circle_march(u0, T, cfg, _propagator(u0.samples, c, u0.h, cfg), "oracle")
-
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_heat_is_the_discrete_eigenmode_decay(self, scheme):
         # u0 = cos 3x: u_k = g^k cos 3x with g = (1 - (1-theta) dt l) / (1 + theta dt l)
@@ -315,10 +309,10 @@ class TestPropagatorOracle:
         def integrand(block):
             return 2.5 * block - np.roll(block, 1, axis=-1)
 
-        _, states, _, closed = parabolic._march(u0.samples, T, cfg, produce, "closed",
-                                                integrand=integrand)
-        _, stepped_states, _, running = parabolic._march(u0.samples, T, cfg, stepped, "stepped",
-                                                         integrand=integrand)
+        _, states, closed = parabolic._march(u0.samples, T, cfg, produce, "closed",
+                                             integrand=integrand)
+        _, stepped_states, running = parabolic._march(u0.samples, T, cfg, stepped, "stepped",
+                                                      integrand=integrand)
         assert states.tobytes() == stepped_states.tobytes()
         assert closed[0].tobytes() == running[0].tobytes() == np.zeros(u0.n).tobytes()
         assert np.max(np.abs(closed - running)) <= 1e-12 * (1.0 + np.max(np.abs(running)))
@@ -329,11 +323,13 @@ class TestPropagatorOracle:
         u0, c = _mixed_field(), 0.7
         cfg = SolverConfig(dt=1e-3, scheme=scheme, save_every=1)
         k = Conductivity(lambda u: np.full_like(u, c), np.zeros_like, c, c)
-        traj = solve_quasilinear_divergence(u0, k, 0.5, cfg)
-        ref = self._oracle(u0, c, 0.5, cfg)
-        assert np.max(np.abs(traj.states - ref.states)) <= 1e-12 * np.max(np.abs(u0.samples))
-        assert np.max(np.abs(traj.sup_deviation - ref.sup_deviation)) <= 1e-12 * np.max(
-            np.abs(u0.samples))
+        states = solve_quasilinear_divergence(u0, k, 0.5, cfg).states
+        _, ref, _ = parabolic._march(u0.samples, 0.5, cfg, _propagator(u0.samples, c, u0.h, cfg),
+                                     "oracle")
+        scale = np.max(np.abs(u0.samples))
+        assert np.max(np.abs(states - ref)) <= 1e-12 * scale
+        sup_deviation = [np.max(np.abs(s - u0.mean()), axis=1) for s in (states, ref)]
+        assert np.max(np.abs(sup_deviation[0] - sup_deviation[1])) <= 1e-12 * scale
 
 
 class TestQuasilinear:
@@ -367,12 +363,12 @@ class TestQuasilinear:
         x = np.arange(n) * 2 * math.pi / n
         u0 = CircleField(2 * math.pi, 0.9 * np.sin(x) + 0.1 * np.sin(3 * x))
         traj = solve_quasilinear_divergence(
-            u0, exact_quasilinear_conductivity(), 1.0, SolverConfig(dt=1e-3)
+            u0, exact_quasilinear_conductivity(), 1.0, SolverConfig(dt=1e-3, save_every=1)
         )
         # 1000 Newton steps: the Jacobian's columns sum to 1, so each update
         # keeps the mean; measured 1.1e-16
         assert traj.step_times.size == 1001
-        assert np.max(np.abs(traj.means - u0.mean())) <= 1e-13
+        assert np.max(np.abs(traj.states.mean(axis=1) - u0.mean())) <= 1e-13
         sup = np.max(np.abs(traj.states), axis=1)
         assert np.all(np.diff(sup) <= 1e-12)
 

@@ -21,6 +21,7 @@ from egf.errors import SolverError, ValidationError
 from egf.reeb import gaussian_curvature, reconstruct_metric, reeb_setup
 from egf.csvtext import _BLOCK_ROWS, WIDTH, format_17g
 from egf.runner import (
+    _RUNNERS,
     RunResult,
     _write_table,
     run_scenario,
@@ -39,6 +40,7 @@ from egf.scenarios import (
     parse_entries,
     parse_scenario,
 )
+from egf.symfun import StructConstants
 
 SCENARIO_DIR = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -968,9 +970,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("text", [
         # the propagator's FFT of an amplitude at the largest double overflows
         "kind: prescribed-F\ngrid: 64\ndt: 0.01\nT: 2\ninit-amplitude: 1.7976931348623157e308\n",
-        # the power sums of the spectrum overflow
-        "kind: ftau\ngrid: 64\ndt: 0.01\nT: 0.1\nf: scaled-tau2\nspectrum: 1e300,-5,-1e300\n",
-    ], ids=["prescribed-amplitude-overflow", "ftau-power-sum-overflow"])
+    ], ids=["prescribed-amplitude-overflow"])
     def test_floating_point_error_exits_4(self, tmp_path, capsys, text):
         # one floating-point policy at the CLI boundary: the first overflow,
         # invalid operation or division by zero ends the command
@@ -985,24 +985,54 @@ class TestExitCodes:
         kind = text.split("\n", 1)[0].removeprefix("kind: ")
         assert err.endswith(f" (kind {kind}, outside a step)\n")
 
+    def test_python_arithmetic_error_exits_4(self, tmp_path, capsys, monkeypatch):
+        # Python's own float arithmetic raises OverflowError, not
+        # numpy's FloatingPointError; it takes the same exit and line
+        def overflow(scn):
+            return 10.0 ** 400
+
+        monkeypatch.setitem(_RUNNERS, "tau-heat", overflow)
+        path = tmp_path / "scn.egf"
+        path.write_text("kind: tau-heat\ngrid: 64\ndt: 0.01\nT: 0.1\n")
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("egf: floating-point error: ") and err.count("\n") == 1
+        assert err.endswith(" (kind tau-heat, outside a step)\n")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("spectrum", [
         # Python float power overflows in peel_phi: t1**k, t1 = 286, at k = 126
         ",".join(["2.0"] * 143),
-    ], ids=["ftau-143-equal-curvatures"])
-    def test_python_arithmetic_error_exits_4(self, tmp_path, capsys, spectrum):
-        # Python's own float arithmetic raises OverflowError, not
-        # numpy's FloatingPointError; it takes the same exit and line
+        # numpy's power overflows in the power sums
+        "1e300,-5,-1e300",
+        "1e200,1e200",
+    ], ids=["ftau-143-equal-curvatures", "ftau-power-sum-overflow", "ftau-square-overflow"])
+    def test_spectrum_overflow_exits_3(self, tmp_path, capsys, spectrum):
+        # an overflow of the structure constants is a property of the input:
+        # the run rejects the spectrum before its first step, under the CLI's
+        # floating-point policy and outside it
+        text = f"kind: ftau\ngrid: 64\ndt: 0.01\nT: 0.1\nf: scaled-tau1\nspectrum: {spectrum}\n"
         path = tmp_path / "scn.egf"
-        path.write_text(f"kind: ftau\ngrid: 64\ndt: 0.01\nT: 0.1\nf: scaled-tau1\n"
-                        f"spectrum: {spectrum}\n")
+        path.write_text(text)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 4
+            assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 3
+            with pytest.raises(ValidationError, match="^spectrum overflows"):
+                run_scenario(parse_scenario(text))
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         err = capsys.readouterr().err
-        assert err.startswith("egf: floating-point error: ") and err.count("\n") == 1
-        assert err.endswith(" (kind ftau, outside a step)\n")
+        assert err.startswith("egf: invalid scenario: spectrum overflows") and err.count("\n") == 1
         assert not (tmp_path / "out").exists()
+
+    def test_spectrum_whose_phi_reaches_inf_exits_3(self, tmp_path, capsys, monkeypatch):
+        # a Python float product overflows to inf without raising: phi, which
+        # F_k reads, is checked finite as well
+        monkeypatch.setattr("egf.runner.f_recursion_constants",
+                            lambda tau: StructConstants(2, (math.inf,), (0.0,)))
+        path = tmp_path / "scn.egf"
+        path.write_text("kind: ftau\ngrid: 64\ndt: 0.01\nT: 0.1\nspectrum: 0.5,1\n")
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 3
+        assert capsys.readouterr().err.startswith("egf: invalid scenario: spectrum overflows")
 
     @pytest.mark.parametrize("count, code", [(143, 0), (144, 3)])
     def test_spectrum_longer_than_the_recursion_takes_exits_3(self, tmp_path, capsys, count,
