@@ -48,7 +48,6 @@ from .parabolic import CircleField
 from .runner import RunResult, fork_map, run_scenario
 from .scenarios import parse_entries
 from .symfun import (
-    CurvatureSpectrum,
     eval_F,
     eval_Psi,
     f_recursion_constants,
@@ -147,11 +146,11 @@ def criterion_2() -> CriterionResult:
     return _result(2, "circle heat decay", clauses, t0)
 
 
-def _random_spectrum(rng, n: int) -> CurvatureSpectrum:
+def _random_spectrum(rng, n: int) -> np.ndarray:
     while True:
         k = np.sort(rng.uniform(-5.0, 5.0, n))
         if n == 1 or np.min(np.diff(k)) > 1e-2:
-            return CurvatureSpectrum(tuple(k))
+            return k
 
 
 def criterion_3() -> CriterionResult:
@@ -211,18 +210,17 @@ def criterion_4() -> CriterionResult:
     worst = 0.0
     for trial in range(100):
         n = 1 + trial % 6
-        spec = CurvatureSpectrum(tuple(rng.uniform(-3.0, 3.0, n)))
-        tau = power_sums(spec)
+        tau = power_sums(rng.uniform(-3.0, 3.0, n))
         sig = sigma_from_tau(tau)
-        consts = f_recursion_constants(tau)
+        phi = f_recursion_constants(tau)
+        psi = peel_psi(n, sig[1:].tolist())
         for k in range(1, n + 1):
-            worst = max(worst, abs(eval_F(k, tau[0], consts) - tau[k - 1]))
-            worst = max(worst, abs(eval_Psi(k, sig[1], consts) - sig[k]))
+            worst = max(worst, abs(eval_F(k, tau[0], n, phi) - tau[k - 1]))
+            worst = max(worst, abs(eval_Psi(k, sig[1], n, psi) - sig[k]))
 
     # driven chains: phi_k / psi_k drift over t in [0, 1] at dt = 1e-4
     n = 4
-    spec = CurvatureSpectrum((-1.2, 0.3, 0.9, 2.1))
-    tau0 = power_sums(spec)
+    tau0 = power_sums((-1.2, 0.3, 0.9, 2.1))
     sig0 = sigma_from_tau(tau0)[1:]
     _, tau_traj, sig_traj = conformal_ode_system(
         lambda t: math.sin(3.0 * t) + 0.4, tau0, sig0, 1.0, 1e-4

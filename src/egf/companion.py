@@ -12,7 +12,9 @@ matrix
     Btilde = sum_{m>=1} (m/2) f_m B^(m-1)
 
 enters the negative-definiteness hypothesis for short-time existence of
-the flows.
+the flows.  The functions take arrays: sigma = (sigma_0 = 1, sigma_1, ...,
+sigma_n), and a spectrum as any sequence of curvatures, which
+:func:`egf.symfun.curvatures` checks and sorts.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DefectiveSpectrumError, ValidationError
-from .symfun import CurvatureSpectrum
+from .symfun import curvatures
 
 __all__ = [
     "build_companion",
@@ -73,8 +75,8 @@ def _eigvector(n: int, kj: float) -> np.ndarray:
     return np.array([(i + 1) * kj**i for i in range(n)])
 
 
-def eigenpair_check(B: np.ndarray, spec: CurvatureSpectrum) -> float:
-    """Largest normalized eigenpair residual over the spectrum.
+def eigenpair_check(B: np.ndarray, k) -> float:
+    """Largest normalized eigenpair residual over the spectrum ``k``.
 
     For each principal curvature k_j, with v_j = (1, 2 k_j, ..., n k_j^(n-1)):
 
@@ -83,17 +85,18 @@ def eigenpair_check(B: np.ndarray, spec: CurvatureSpectrum) -> float:
     Returns max_j r_j.  Valid for repeated roots too (the identity does
     not require diagonalizability).
     """
-    if spec.n != B.shape[0]:
+    k = curvatures(k)
+    if k.size != B.shape[0]:
         raise ValidationError("spectrum size does not match matrix")
     worst = 0.0
-    for kj in spec.k:
-        v = _eigvector(spec.n, kj)
+    for kj in k.tolist():
+        v = _eigvector(k.size, kj)
         res = np.max(np.abs(B @ v - kj * v)) / (1.0 + np.max(np.abs(v)))
         worst = max(worst, res)
     return float(worst)
 
 
-def vandermonde_relation(B: np.ndarray, spec: CurvatureSpectrum) -> float:
+def vandermonde_relation(B: np.ndarray, k) -> float:
     """Normalized residual of B V = V D on the Vandermonde-type matrix.
 
     The columns of V are the eigenvectors v_j = (1, 2 k_j, ..., n k_j^(n-1)),
@@ -104,14 +107,14 @@ def vandermonde_relation(B: np.ndarray, spec: CurvatureSpectrum) -> float:
     minimal spectral gap is below 1e-8: V is (near-)singular there and
     diagonalizability is only guaranteed for distinct roots.
     """
-    if spec.n != B.shape[0]:
+    k = curvatures(k)
+    if k.size != B.shape[0]:
         raise ValidationError("spectrum size does not match matrix")
-    k = spec.as_array()
-    if spec.n > 1 and np.min(np.diff(k)) < 1e-8:
+    if k.size > 1 and np.min(np.diff(k)) < 1e-8:
         raise DefectiveSpectrumError(
             f"minimal spectral gap {np.min(np.diff(k)):.3e} < 1e-8"
         )
-    i = np.arange(1, spec.n + 1)[:, None]
+    i = np.arange(1, k.size + 1)[:, None]
     V = i * k[None, :] ** (i - 1)
     R = B @ V - V @ np.diag(k)
     return float(np.max(np.abs(R)) / (1.0 + np.max(np.abs(V))))

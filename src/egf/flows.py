@@ -41,7 +41,7 @@ from .parabolic import (
     _quasilinear_faces,
     solve_cyclic_tridiag,  # noqa: F401  (perfbench's tracer test wraps this binding)
 )
-from .symfun import StructConstants, eval_F, eval_F_prime
+from .symfun import eval_F, eval_F_prime
 
 __all__ = [
     "circle_derivative",
@@ -171,7 +171,7 @@ def prescribed_mean_curvature_flow(
 def ftau_conformal_flow(
     tau1: CircleField,
     grad: Callable[[np.ndarray], np.ndarray],
-    consts: StructConstants,
+    phi: tuple[float, ...],
     T: float,
     cfg: SolverConfig,
     slope: float | None = None,
@@ -181,7 +181,9 @@ def ftau_conformal_flow(
         dtau_1/dt = d_s(a d_s tau_1),
         a(tau_1) = (1/2) sum_{k=1..n} k df/dtau_k(tau) F_{k-1}(tau_1),
 
-    with the full tau vector reconstructed through tau_k = F_k(tau_1).
+    with the full tau vector reconstructed through tau_k = F_k(tau_1) from the
+    structure constants ``phi`` = (phi_2, ..., phi_n) of
+    :func:`egf.symfun.f_recursion_constants`, so n = len(phi) + 1.
     ``grad`` gives the gradient df/dtau_k of the coefficient function f: it
     maps a stacked array of shape (n, ...) to shape (n, ...) and must be
     numpy-vectorized.  Parabolicity requires a > 0.  ``slope`` declares
@@ -196,7 +198,7 @@ def ftau_conformal_flow(
     any other f the iteration converges more slowly, to the same residual
     test.
     """
-    n = consts.n
+    n = len(phi) + 1
     a_min = np.inf
 
     def observe(amin: float) -> None:
@@ -207,7 +209,7 @@ def ftau_conformal_flow(
 
     def basis(u: np.ndarray) -> tuple:
         """F_0..F_n at u and the gradient of f at tau = (F_1, ..., F_n)."""
-        F = [np.asarray(eval_F(k, u, consts)) for k in range(n + 1)]
+        F = [np.asarray(eval_F(k, u, n, phi)) for k in range(n + 1)]
         return F, np.asarray(grad(np.stack(F[1:])), dtype=float)
 
     def faces(v: np.ndarray) -> tuple:
@@ -224,17 +226,17 @@ def ftau_conformal_flow(
         _, g = basis(u)
         acc = np.zeros_like(u)
         for k in range(2, n + 1):  # F_0' = 0
-            acc += k * g[k - 1] * eval_F_prime(k - 1, u, consts)
+            acc += k * g[k - 1] * eval_F_prime(k - 1, u, n, phi)
         return 0.5 * acc
 
     if slope is None:
         produce = _newton_stepper(tau1, faces, a_prime, cfg)
     else:
-        a = 0.5 * (slope * eval_F(0, 0.0, consts))
+        a = 0.5 * (slope * eval_F(0, 0.0, n, phi))
         observe(a)
         produce = _propagator(tau1.samples, a, tau1.h, cfg)
     times, states, _ = _march(tau1.samples, T, cfg, produce, "conformal flow")
-    taus = np.stack([eval_F(k, states, consts) for k in range(1, n + 1)])
+    taus = np.stack([eval_F(k, states, n, phi) for k in range(1, n + 1)])
     return times, taus, a_min
 
 

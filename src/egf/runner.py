@@ -39,7 +39,7 @@ from .parabolic import (
     solve_quasilinear_divergence,
 )
 from .scenarios import FlowScenario, build_field, parse_entries
-from .symfun import CurvatureSpectrum, f_recursion_constants, power_sums
+from .symfun import f_recursion_constants, power_sums
 
 __all__ = ["Check", "RunResult", "run_scenario", "write_artifacts", "sweep_values", "fork_map"]
 
@@ -280,10 +280,10 @@ def _run_ftau(scn: FlowScenario) -> RunResult:
     # property of the input, so an overflow here is not the solver's
     try:
         with np.errstate(over="raise"):
-            consts = f_recursion_constants(power_sums(CurvatureSpectrum(scn.get("spectrum"))))
+            phi = f_recursion_constants(power_sums(scn.get("spectrum")))
         # phi, which F_k reads, may reach inf through a Python float product,
-        # which does not raise (psi, which no run reads, may too)
-        if not np.all(np.isfinite(consts.phi)):
+        # which does not raise
+        if not np.all(np.isfinite(phi)):
             raise OverflowError
     except ArithmeticError:
         raise ValidationError("spectrum overflows: its power sums or structure constants "
@@ -298,7 +298,7 @@ def _run_ftau(scn: FlowScenario) -> RunResult:
 
     x = _circle_nodes(scn)
     tau1 = CircleField(scn.length, build_field(scn, "init", x))
-    times, taus, a_min = flows.ftau_conformal_flow(tau1, grad, consts, scn.T, _config(scn),
+    times, taus, a_min = flows.ftau_conformal_flow(tau1, grad, phi, scn.T, _config(scn),
                                                    slope=2.0 / n if k_idx == 1 else None)
     sup, drift = _deviation(taus[0])
     checks = [

@@ -17,13 +17,16 @@ Conventions used throughout:
 
     F_k'  = (k/n) F_{k-1},   Psi_k' = ((n-k+1)/n) Psi_{k-1}
 
+The functions take and return numbers and arrays: a spectrum is any
+sequence of curvatures, checked and sorted by :func:`curvatures`, and the
+structure constants are the tuples (phi_2, ..., phi_n) of
+:func:`f_recursion_constants` and (psi_2, ..., psi_n) of :func:`peel_psi`.
 All operations are pure functions on value data and are safe for
 concurrent use.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb, factorial
 
 import numpy as np
@@ -31,8 +34,7 @@ import numpy as np
 from .errors import ValidationError
 
 __all__ = [
-    "CurvatureSpectrum",
-    "StructConstants",
+    "curvatures",
     "power_sums",
     "sigma_from_tau",
     "f_recursion_constants",
@@ -44,74 +46,24 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CurvatureSpectrum:
-    """Principal curvatures at a point, stored sorted ascending.
+def curvatures(k) -> np.ndarray:
+    """Principal curvatures at a point, as a float array sorted ascending.
 
-    ``k`` is canonicalized on construction; symmetric functions do not
-    depend on the ordering, so this only fixes the representation.
+    The symmetric functions do not depend on the ordering; sorting fixes the
+    order every sum is taken in.  An empty or non-finite spectrum raises.
     """
-
-    k: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.k) < 1:
-            raise ValidationError("curvature spectrum needs n >= 1 entries")
-        vals = tuple(sorted(float(v) for v in self.k))
-        if not all(np.isfinite(vals)):
-            raise ValidationError("curvature spectrum entries must be finite")
-        object.__setattr__(self, "k", vals)
-
-    @property
-    def n(self) -> int:
-        return len(self.k)
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.k, dtype=float)
+    vals = sorted(float(v) for v in k)
+    if not vals:
+        raise ValidationError("curvature spectrum needs n >= 1 entries")
+    if not all(np.isfinite(vals)):
+        raise ValidationError("curvature spectrum entries must be finite")
+    return np.asarray(vals)
 
 
-@dataclass(frozen=True)
-class StructConstants:
-    """Structure constants phi_2..phi_kmax and psi_2..psi_n of F_k / Psi_k.
-
-    Determined by the state at t = 0 and constant along any conformal
-    flow; phi_1 = psi_1 = 0 by convention and is not stored.
-    :func:`f_recursion_constants` carries phi up to kmax = n, the highest
-    index a run or criterion evaluates F_k at.  Longer phi is accepted and
-    extends F_k to kmax = len(phi) + 1.
-    """
-
-    n: int
-    phi: tuple[float, ...]
-    psi: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.phi) < max(self.n - 1, 0) or len(self.psi) != max(self.n - 1, 0):
-            raise ValidationError("need phi_2..phi_n (at least) and psi_2..psi_n")
-        object.__setattr__(self, "phi", tuple(float(v) for v in self.phi))
-        object.__setattr__(self, "psi", tuple(float(v) for v in self.psi))
-
-    @property
-    def kmax_phi(self) -> int:
-        """Largest k for which F_k is evaluable."""
-        return len(self.phi) + 1
-
-    def phi_k(self, k: int) -> float:
-        """phi_k for 1 <= k <= kmax_phi (phi_1 = 0)."""
-        if not 1 <= k <= self.kmax_phi:
-            raise IndexError(f"phi_{k} unavailable (have k <= {self.kmax_phi})")
-        return 0.0 if k == 1 else self.phi[k - 2]
-
-    def psi_k(self, k: int) -> float:
-        if not 1 <= k <= self.n:
-            raise IndexError(f"psi_{k} undefined for n={self.n}")
-        return 0.0 if k == 1 else self.psi[k - 2]
-
-
-def power_sums(spec: CurvatureSpectrum) -> np.ndarray:
+def power_sums(k) -> np.ndarray:
     """tau_j = k_1^j + ... + k_n^j for j = 1..n, as the array (tau_1, ..., tau_n)."""
-    k = spec.as_array()
-    return (k[None, :] ** np.arange(1, spec.n + 1)[:, None]).sum(axis=1)
+    k = curvatures(k)
+    return (k[None, :] ** np.arange(1, k.size + 1)[:, None]).sum(axis=1)
 
 
 def sigma_from_tau(tau) -> np.ndarray:
@@ -133,17 +85,17 @@ def sigma_from_tau(tau) -> np.ndarray:
     return np.array(sigma)
 
 
-def f_recursion_constants(tau0) -> StructConstants:
-    """Structure constants from the power sums (tau_1, ..., tau_n) at t = 0.
+def f_recursion_constants(tau0) -> tuple[float, ...]:
+    """The structure constants (phi_2, ..., phi_n) of F_k, from the power
+    sums (tau_1, ..., tau_n) at t = 0.
 
     phi_k is fixed by requiring tau_k = F_k(tau_1) at t = 0, peeling the
-    recursion from k = 2 up to n; psi_k analogously from
-    sigma_k = Psi_k(sigma_1).
+    recursion from k = 2 up to n, the highest index a run or criterion
+    evaluates F_k at.  The constants psi_k of Psi_k are
+    ``peel_psi(n, sigma_from_tau(tau0)[1:])``.
     """
     t = [float(v) for v in tau0]
-    sigma = sigma_from_tau(t)[1:].tolist()
-    n = len(t)
-    return StructConstants(n, tuple(peel_phi(n, t)), tuple(peel_psi(n, sigma)))
+    return tuple(peel_phi(len(t), t))
 
 
 def peel_phi(n: int, tau) -> list:
@@ -182,20 +134,20 @@ def _psi_coeff(n: int, k: int, i: int) -> float:
     return factorial(n - i) / (factorial(k - i) * factorial(n - k)) / n ** (k - i)
 
 
-def eval_F(k: int, tau1, consts: StructConstants):
-    """F_k evaluated at tau_1 (scalar or array).
+def eval_F(k: int, tau1, n: int, phi):
+    """F_k evaluated at tau_1 (scalar or array), for n curvatures with the
+    structure constants phi = (phi_2, phi_3, ...).
 
     F_0 = n, F_1 = tau_1, and for k >= 2
 
         F_k(t) = t^k / n^(k-1) + sum_{i=2..k} C(k,i) phi_i t^(k-i) / n^(k-i).
 
-    Indices up to ``consts.kmax_phi`` (= n for the constants of
+    Indices up to len(phi) + 1 (= n for the constants of
     :func:`f_recursion_constants`) are evaluable; anything larger raises
     IndexError.
     """
-    n = consts.n
-    if not 0 <= k <= consts.kmax_phi:
-        raise IndexError(f"F_{k} undefined (have k <= {consts.kmax_phi})")
+    if not 0 <= k <= len(phi) + 1:
+        raise IndexError(f"F_{k} undefined (have k <= {len(phi) + 1})")
     t = np.asarray(tau1, dtype=float)
     if k == 0:
         out = np.full_like(t, float(n))
@@ -204,29 +156,29 @@ def eval_F(k: int, tau1, consts: StructConstants):
     else:
         out = t**k / n ** (k - 1)
         for i in range(2, k + 1):
-            out = out + comb(k, i) * consts.phi_k(i) / n ** (k - i) * t ** (k - i)
+            out = out + comb(k, i) * phi[i - 2] / n ** (k - i) * t ** (k - i)
     return out if out.ndim else float(out)
 
 
-def eval_F_prime(k: int, tau1, consts: StructConstants):
+def eval_F_prime(k: int, tau1, n: int, phi):
     """F_k'(tau_1) = (k/n) F_{k-1}(tau_1); F_0' = 0."""
     if k == 0:
         t = np.asarray(tau1, dtype=float)
         z = np.zeros_like(t)
         return z if z.ndim else 0.0
-    prev = eval_F(k - 1, tau1, consts)
-    return k / consts.n * np.asarray(prev) if np.ndim(prev) else k / consts.n * prev
+    prev = eval_F(k - 1, tau1, n, phi)
+    return k / n * np.asarray(prev) if np.ndim(prev) else k / n * prev
 
 
-def eval_Psi(k: int, sigma1, consts: StructConstants):
-    """Psi_k evaluated at sigma_1 (scalar or array).
+def eval_Psi(k: int, sigma1, n: int, psi):
+    """Psi_k evaluated at sigma_1 (scalar or array), for n curvatures with
+    the structure constants psi = (psi_2, ..., psi_n).
 
     Psi_0 = 1, Psi_1 = sigma_1, and for k >= 2
 
         Psi_k(s) = (n-1)!/(k!(n-k)!) s^k / n^(k-1)
                    + sum_{i=2..k} (n-i)!/((k-i)!(n-k)!) psi_i s^(k-i) / n^(k-i).
     """
-    n = consts.n
     if not 0 <= k <= n:
         raise IndexError(f"Psi_{k} undefined for n={n}")
     s = np.asarray(sigma1, dtype=float)
@@ -237,5 +189,5 @@ def eval_Psi(k: int, sigma1, consts: StructConstants):
     else:
         out = _psi_lead(n, k) * s**k
         for i in range(2, k + 1):
-            out = out + _psi_coeff(n, k, i) * consts.psi_k(i) * s ** (k - i)
+            out = out + _psi_coeff(n, k, i) * psi[i - 2] * s ** (k - i)
     return out if out.ndim else float(out)

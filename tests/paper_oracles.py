@@ -22,15 +22,7 @@ import numpy as np
 
 from egf.companion import build_companion
 from egf.errors import ValidationError
-from egf.symfun import (
-    CurvatureSpectrum,
-    StructConstants,
-    eval_F,
-    eval_Psi,
-    f_recursion_constants,
-    peel_phi,
-    sigma_from_tau,
-)
+from egf.symfun import curvatures, eval_F, eval_Psi, peel_phi, sigma_from_tau
 
 
 def with_tau0(tau) -> np.ndarray:
@@ -55,14 +47,13 @@ def extend_power_sums(tau, upto: int) -> np.ndarray:
     return np.asarray(full[1 : upto + 1])
 
 
-def extended_constants(tau0) -> StructConstants:
+def extended_constants(tau0) -> tuple[float, ...]:
     """:func:`egf.symfun.f_recursion_constants` with phi carried up to
-    kmax = max(n, 2n-2): the power sums above index n are fixed by the
+    phi_K, K = max(n, 2n-2): the power sums above index n are fixed by the
     characteristic polynomial, so the extra constants are exact, and they let
     F_k resolve every index a truncated system can produce."""
     n = len(tau0)
-    phi = peel_phi(n, extend_power_sums(tau0, max(n, 2 * n - 2)))
-    return StructConstants(n, tuple(phi), f_recursion_constants(tau0).psi)
+    return tuple(float(v) for v in peel_phi(n, extend_power_sums(tau0, max(n, 2 * n - 2))))
 
 
 def tau_from_sigma(sigma) -> np.ndarray:
@@ -82,14 +73,14 @@ def tau_from_sigma(sigma) -> np.ndarray:
     return np.array(tau)
 
 
-def eval_Psi_prime(k: int, sigma1, consts: StructConstants):
+def eval_Psi_prime(k: int, sigma1, n: int, psi):
     """Psi_k'(sigma_1) = ((n-k+1)/n) Psi_{k-1}(sigma_1); Psi_0' = 0."""
     if k == 0:
         s = np.asarray(sigma1, dtype=float)
         z = np.zeros_like(s)
         return z if z.ndim else 0.0
-    prev = eval_Psi(k - 1, sigma1, consts)
-    return (consts.n - k + 1) / consts.n * prev
+    prev = eval_Psi(k - 1, sigma1, n, psi)
+    return (n - k + 1) / n * prev
 
 
 def newton_transform(sigma, r: int) -> tuple[float, ...]:
@@ -114,18 +105,20 @@ def newton_transform_trace(sigma, tau, r: int) -> float:
     return float(sum(c * taus[i] for i, c in enumerate(coeffs)))
 
 
-def mu_coefficient(m: int, i: int, j: int, spec: CurvatureSpectrum) -> float:
-    """mu_{m;ij} = sum_{a=0..m-1} k_i^a k_j^(m-1-a) for 1 <= i <= j <= n, 1 <= m < n."""
-    n = spec.n
+def mu_coefficient(m: int, i: int, j: int, k) -> float:
+    """mu_{m;ij} = sum_{a=0..m-1} k_i^a k_j^(m-1-a) for 1 <= i <= j <= n, 1 <= m < n,
+    over the curvatures ``k`` sorted ascending."""
+    k = curvatures(k).tolist()
+    n = len(k)
     if not (1 <= m < n):
         raise IndexError(f"m={m} out of range 1..{n - 1}")
     if not (1 <= i <= j <= n):
         raise IndexError(f"pair (i={i}, j={j}) out of range for n={n}")
-    ki, kj = spec.k[i - 1], spec.k[j - 1]
+    ki, kj = k[i - 1], k[j - 1]
     return float(sum(ki**a * kj ** (m - 1 - a) for a in range(m)))
 
 
-def ellipticity_check(f: Sequence[float], spec: CurvatureSpectrum) -> tuple[bool, float]:
+def ellipticity_check(f: Sequence[float], k) -> tuple[bool, float]:
     """Test sum_{m=1..n-1} f_m mu_{m;ij} < 0 for every pair i <= j.
 
     ``f`` is (f_1, ..., f_{n-1}) evaluated at the point.  Returns
@@ -133,13 +126,13 @@ def ellipticity_check(f: Sequence[float], spec: CurvatureSpectrum) -> tuple[bool
     condition holds strictly iff margin < 0.  Scaling all f_m by a
     positive constant rescales the margin but not the outcome.
     """
-    n = spec.n
+    n = len(curvatures(k))
     if len(f) != n - 1:
         raise ValidationError(f"need f_1..f_{n - 1} ({n - 1} values), got {len(f)}")
     margin = -np.inf
     for i in range(1, n + 1):
         for j in range(i, n + 1):
-            val = sum(f[m - 1] * mu_coefficient(m, i, j, spec) for m in range(1, n))
+            val = sum(f[m - 1] * mu_coefficient(m, i, j, k) for m in range(1, n))
             margin = max(margin, val)
     return bool(margin < 0.0), float(margin)
 
@@ -176,14 +169,14 @@ def psi_umbilical(
 def tilde_A_matrix(
     tau,
     f_partials: np.ndarray,
-    consts: StructConstants | None = None,
+    phi: Sequence[float] | None = None,
 ) -> np.ndarray:
     """Atilde_ij = (i/2) sum_{m=0..n-1} tau_{i+m-1} df_m/dtau_j.
 
     ``f_partials[m, j-1]`` holds df_m/dtau_j at the evaluation point for
     m = 0..n-1.  Indices i+m-1 run from 0 to 2n-2: tau_0 = n, and any
     index above n is resolved through F_k(tau_1) with the supplied
-    structure constants (required whenever n >= 2; built by
+    structure constants ``phi`` (required whenever n >= 2; built by
     :func:`extended_constants`).
     """
     n = len(tau)
@@ -196,11 +189,11 @@ def tilde_A_matrix(
             return float(n)
         if idx <= n:
             return tau[idx - 1]
-        if consts is None:
+        if phi is None:
             raise ValidationError(
                 f"tau_{idx} exceeds n={n}: structure constants required"
             )
-        return float(eval_F(idx, tau[0], consts))
+        return float(eval_F(idx, tau[0], n, phi))
 
     active = [m for m in range(n) if np.any(fp[m] != 0.0)]
     A = np.zeros((n, n))

@@ -10,7 +10,7 @@ from egf.companion import (
 )
 from egf.errors import DefectiveSpectrumError, ValidationError
 from egf.symfun import (
-    CurvatureSpectrum,
+    curvatures,
     power_sums,
     sigma_from_tau,
 )
@@ -19,7 +19,7 @@ from paper_oracles import (extended_constants, hypothesis_check_T02, tilde_A_mat
 
 
 def companion_of(*k):
-    spec = CurvatureSpectrum(tuple(k))
+    spec = curvatures(k)
     return build_companion(sigma_from_tau(power_sums(spec))), spec
 
 
@@ -53,7 +53,7 @@ class TestBuildCompanion:
         rng = np.random.default_rng(0)
         for _ in range(40):
             n = int(rng.integers(2, 7))
-            spec = CurvatureSpectrum(tuple(rng.uniform(-5, 5, n)))
+            spec = curvatures(rng.uniform(-5, 5, n))
             sig = sigma_from_tau(power_sums(spec))
             B = build_companion(sig)
             coeffs = char_poly_coefficients(B)
@@ -105,6 +105,14 @@ class TestEigenstructure:
         with pytest.raises(DefectiveSpectrumError):
             vandermonde_relation(B, spec)
 
+    def test_permuted_spectrum_bit_identical(self):
+        # both checks sort the spectrum they take, so its order is not read
+        k = np.array([0.9, -1.3, 2.4, 0.2])
+        B, spec = companion_of(*k)
+        for check in (eigenpair_check, vandermonde_relation):
+            assert check(B, k[::-1]) == check(B, spec)
+            assert check(B, list(k)) == check(B, spec)
+
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_weighted_power_spectrum(self, n):
         # spectrum of (m/2) B^(m-1) is {(m/2) k_j^(m-1)}
@@ -135,7 +143,7 @@ class TestWeightedMatrices:
         # (3/2) B_{3,1}^2 in closed form: first rows shift, last row
         # (9/2) s1 s3, (9/4)(s3 - s1 s2), (3/2)(s1^2 - s2)
         rng = np.random.default_rng(4)
-        spec = CurvatureSpectrum(tuple(rng.uniform(-2, 2, 3)))
+        spec = curvatures(rng.uniform(-2, 2, 3))
         sig = sigma_from_tau(power_sums(spec))
         s1, s2, s3 = sig[1], sig[2], sig[3]
         B = build_companion(sig)
@@ -155,7 +163,7 @@ class TestWeightedMatrices:
             weighted_power_matrix([1.0, 1.0, 1.0], B)
 
     def test_tilde_A_zero_partials(self):
-        tau = power_sums(CurvatureSpectrum((0.5, 1.5, 2.5)))
+        tau = power_sums((0.5, 1.5, 2.5))
         A = tilde_A_matrix(tau, np.zeros((3, 3)))
         assert np.allclose(A, 0.0)
 
@@ -167,7 +175,7 @@ class TestWeightedMatrices:
 
     def test_tilde_A_first_power_shape(self):
         # f_m = f delta_{m1}: A_ij = (i/2) tau_i df/dtau_j
-        spec = CurvatureSpectrum((0.5, 1.5, 2.5))
+        spec = curvatures((0.5, 1.5, 2.5))
         tau = power_sums(spec)
         grad = np.array([0.2, -0.7, 1.1])
         partials = np.zeros((3, 3))
@@ -178,18 +186,16 @@ class TestWeightedMatrices:
         assert np.allclose(A, expected)
 
     def test_tilde_A_overflow_requires_consts(self):
-        spec = CurvatureSpectrum((0.5, 1.5, 2.5))
+        spec = curvatures((0.5, 1.5, 2.5))
         tau = power_sums(spec)
         partials = np.zeros((3, 3))
         partials[2] = 1.0  # m = 2 touches tau_{i+1}, up to tau_4
         with pytest.raises(ValidationError):
             tilde_A_matrix(tau, partials)
-        consts = extended_constants(tau)
-        A = tilde_A_matrix(tau, partials, consts)
+        A = tilde_A_matrix(tau, partials, extended_constants(tau))
         # row i holds (i/2) tau_{i+1}: check against true power sums
-        k = spec.as_array()
         for i in range(1, 4):
-            want = i / 2.0 * float(np.sum(k ** (i + 1)))
+            want = i / 2.0 * float(np.sum(spec ** (i + 1)))
             assert np.allclose(A[i - 1], want, rtol=1e-10)
 
 
@@ -257,9 +263,7 @@ class TestTruncation:
             def tau_j(x, j):
                 return float(np.sum(kfields(x) ** j))
 
-            sig = sigma_from_tau(
-                power_sums(CurvatureSpectrum(tuple(kfields(x0))))
-            )
+            sig = sigma_from_tau(power_sums(kfields(x0)))
             Bp = np.linalg.matrix_power(build_companion(sig), p)
             for i in range(1, n + 1):
                 lhs = (tau_j(x0 + h, i + p) - tau_j(x0 - h, i + p)) / (2 * h)
@@ -290,7 +294,7 @@ class TestTruncation:
             return float(np.sum(kfields(x) ** j))
 
         def b_row(x):
-            sig = sigma_from_tau(power_sums(CurvatureSpectrum(tuple(kfields(x)))))
+            sig = sigma_from_tau(power_sums(kfields(x)))
             return build_companion(sig)[n - 1]
 
         x0, h = 0.7, 1e-4
@@ -317,7 +321,7 @@ class TestShortTimeHypothesisIntegration:
     def test_diagonal_flow_satisfies_hypothesis(self):
         # the speed-2 diagonal flow has Btilde = -Id (f_1 = -2, constant
         # coefficients, zero partials): negative definite with margin -1
-        spec = CurvatureSpectrum((0.2, 0.9, 1.7))
+        spec = curvatures((0.2, 0.9, 1.7))
         tau = power_sums(spec)
         B = build_companion(sigma_from_tau(tau))
         Btilde = weighted_power_matrix([-2.0], B)
@@ -330,7 +334,7 @@ class TestShortTimeHypothesisIntegration:
         # Atilde_ij = (i/2) tau_i df/dtau_j; negative tau_1 flips the verdict
         n = 2
         for k, expect in (((0.5, 1.2), True), ((-1.2, -0.5), False)):
-            spec = CurvatureSpectrum(k)
+            spec = curvatures(k)
             tau = power_sums(spec)
             fval = -2.0 / n * tau[0]
             B = build_companion(sigma_from_tau(tau))

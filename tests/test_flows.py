@@ -25,10 +25,10 @@ from egf.parabolic import (
 from egf.runner import run_scenario
 from egf.scenarios import parse_scenario
 from egf.symfun import (
-    CurvatureSpectrum,
     eval_F,
     eval_Psi,
     f_recursion_constants,
+    peel_psi,
     power_sums,
     sigma_from_tau,
 )
@@ -535,12 +535,11 @@ class TestFtauConformal:
     def test_scaled_tau1_reduces_to_heat(self):
         # f = (2/n) tau_1: a = 1, plain heat on tau_1
         n = 2
-        spec = CurvatureSpectrum((0.4, 1.0))
-        consts = f_recursion_constants(power_sums(spec))
+        phi = f_recursion_constants(power_sums((0.4, 1.0)))
         tau1 = cos_field(n=256, amp=0.3, offset=1.4)
         T = 0.5
         _, taus, _ = ftau_conformal_flow(
-            tau1, scaled_tau_k(n, 1), consts, T, SolverConfig(dt=1e-4, scheme="crank-nicolson")
+            tau1, scaled_tau_k(n, 1), phi, T, SolverConfig(dt=1e-4, scheme="crank-nicolson")
         )
         x = tau1.nodes()
         expected = 1.4 + 0.3 * math.exp(-T) * np.cos(x)
@@ -550,47 +549,45 @@ class TestFtauConformal:
         # independently integrating the tau_2 chain with the same drive
         # matches F_2(tau_1(t))
         n = 2
-        spec = CurvatureSpectrum((0.5, 1.1))
-        tau0 = power_sums(spec)
-        consts = f_recursion_constants(tau0)
+        tau0 = power_sums((0.5, 1.1))
+        phi = f_recursion_constants(tau0)
         tau1 = cos_field(n=256, amp=0.2, offset=tau0[0])
         cfg = SolverConfig(dt=1e-3, save_every=1)
-        times, taus, _ = ftau_conformal_flow(tau1, scaled_tau_k(n, 1), consts, 0.3, cfg)
+        times, taus, _ = ftau_conformal_flow(tau1, scaled_tau_k(n, 1), phi, 0.3, cfg)
         # drive: dtau_1/dt = -(n/2) N(s) => N(s) = -(2/n) dtau_1/dt;
         # chain: dtau_2/dt = -tau_1 N(s) = (2/n) tau_1 dtau_1/dt
-        tau2 = np.asarray(eval_F(2, taus[0, 0], consts))
+        tau2 = np.asarray(eval_F(2, taus[0, 0], n, phi))
         for i in range(1, times.size):
             dtau1 = taus[0, i] - taus[0, i - 1]
             mid = 0.5 * (taus[0, i] + taus[0, i - 1])
             tau2 = tau2 + (2.0 / n) * mid * dtau1
-        expected = np.asarray(eval_F(2, taus[0, -1], consts))
+        expected = np.asarray(eval_F(2, taus[0, -1], n, phi))
         assert np.max(np.abs(tau2 - expected)) < 1e-6
 
     def test_tau2_flow_requires_positive_tau1(self):
         # f = (2/n) tau_2 has a = (2/n) F_1 = (2/n) tau_1: negative tau_1
         # loses parabolicity immediately
         n = 2
-        spec = CurvatureSpectrum((-1.0, -0.2))
-        consts = f_recursion_constants(power_sums(spec))
+        phi = f_recursion_constants(power_sums((-1.0, -0.2)))
         tau1 = cos_field(n=64, amp=0.1, offset=-1.2)
         with pytest.raises(EllipticityLossError) as info:
-            ftau_conformal_flow(tau1, scaled_tau_k(n, 2), consts, 0.1, SolverConfig(dt=1e-3))
+            ftau_conformal_flow(tau1, scaled_tau_k(n, 2), phi, 0.1, SolverConfig(dt=1e-3))
         # raised by the faces hook at the first step's start
         assert "during conformal flow at step 1 (t = 0.001)" in str(info.value)
 
     def test_constant_f_loses_ellipticity(self):
-        consts = f_recursion_constants(power_sums(CurvatureSpectrum((0.4, 1.0))))
+        phi = f_recursion_constants(power_sums((0.4, 1.0)))
         tau1 = cos_field(n=64, amp=0.1, offset=1.0)
         with pytest.raises(EllipticityLossError):  # f = 1: df/dtau = 0
-            ftau_conformal_flow(tau1, np.zeros_like, consts, 0.1, SolverConfig(dt=1e-3))
+            ftau_conformal_flow(tau1, np.zeros_like, phi, 0.1, SolverConfig(dt=1e-3))
 
     def test_nan_coefficient_loses_ellipticity(self):
         # a NaN coefficient is a loss of parabolicity, not a Newton iteration
         # that stalls on NaN systems
-        consts = f_recursion_constants(power_sums(CurvatureSpectrum((0.5, 1.1))))
+        phi = f_recursion_constants(power_sums((0.5, 1.1)))
         with pytest.raises(EllipticityLossError, match="min a = nan"):
             ftau_conformal_flow(cos_field(n=64, amp=0.2, offset=1.6),
-                                lambda tau: np.full_like(tau, np.nan), consts, 0.1,
+                                lambda tau: np.full_like(tau, np.nan), phi, 0.1,
                                 SolverConfig(dt=1e-2))
 
     @pytest.mark.parametrize("scheme", ["implicit-euler", "crank-nicolson"])
@@ -599,15 +596,15 @@ class TestFtauConformal:
         # and by the Picard oracle in its place, against the closed form the
         # declared slope selects
         n = 2
-        consts = f_recursion_constants(power_sums(CurvatureSpectrum((0.4, 1.0))))
+        phi = f_recursion_constants(power_sums((0.4, 1.0)))
         x = np.arange(128) * TWO_PI / 128
         tau1 = CircleField(TWO_PI, 1.4 + 0.2 * np.cos(x) + 0.1 * np.sin(2 * x))
         cfg = SolverConfig(dt=1e-3, scheme=scheme, save_every=1)
-        _, closed, closed_a_min = ftau_conformal_flow(tau1, scaled_tau_k(n, 1), consts, 0.5, cfg,
+        _, closed, closed_a_min = ftau_conformal_flow(tau1, scaled_tau_k(n, 1), phi, 0.5, cfg,
                                                       slope=2.0 / n)
-        newton = ftau_conformal_flow(tau1, scaled_tau_k(n, 1), consts, 0.5, cfg)
+        newton = ftau_conformal_flow(tau1, scaled_tau_k(n, 1), phi, 0.5, cfg)
         monkeypatch.setattr(flows, "_newton_stepper", picard_stepper)
-        picard = ftau_conformal_flow(tau1, scaled_tau_k(n, 1), consts, 0.5, cfg)
+        picard = ftau_conformal_flow(tau1, scaled_tau_k(n, 1), phi, 0.5, cfg)
         assert closed_a_min == 1.0
         for _, taus, a_min in (newton, picard):
             assert np.max(np.abs(taus - closed)) <= 1e-12 * np.max(np.abs(tau1.samples))
@@ -618,23 +615,26 @@ class TestFtauConformal:
         # the minimum of tau_1 from falling, so the least a is the initial
         # one, by Newton's method and by the Picard oracle alike
         n = 2
-        consts = f_recursion_constants(power_sums(CurvatureSpectrum((0.5, 1.1))))
+        phi = f_recursion_constants(power_sums((0.5, 1.1)))
         tau1 = cos_field(n=64, amp=0.2, offset=1.6)
         faces = 0.5 * (tau1.samples + np.roll(tau1.samples, -1))
         for stepper in (flows._newton_stepper, picard_stepper):
             monkeypatch.setattr(flows, "_newton_stepper", stepper)
-            _, _, a_min = ftau_conformal_flow(tau1, scaled_tau_k(n, 2), consts, 0.1,
+            _, _, a_min = ftau_conformal_flow(tau1, scaled_tau_k(n, 2), phi, 0.1,
                                               SolverConfig(dt=1e-2))
             assert a_min == pytest.approx(2.0 / n * faces.min(), rel=1e-12)
 
     @pytest.mark.parametrize("basis", [eval_F, eval_Psi])
     def test_batched_reconstruction_matches_rows_bitwise(self, basis):
         # the flows rebuild u_k = B_k(u_1) on the whole (S, N) state array
-        consts = f_recursion_constants(power_sums(CurvatureSpectrum((-0.3, 0.4, 0.7, 1.2))))
+        tau = power_sums((-0.3, 0.4, 0.7, 1.2))
+        n = tau.size
+        consts = (f_recursion_constants(tau) if basis is eval_F
+                  else peel_psi(n, sigma_from_tau(tau)[1:].tolist()))
         states = np.random.default_rng(3).uniform(-2.0, 2.0, (37, 61))
-        for k in range(0, consts.n + 1):
-            rows = np.asarray([basis(k, row, consts) for row in states])
-            assert basis(k, states, consts).tobytes() == rows.tobytes()
+        for k in range(0, n + 1):
+            rows = np.asarray([basis(k, row, n, consts) for row in states])
+            assert basis(k, states, n, consts).tobytes() == rows.tobytes()
 
 
 class TestNewtonAgainstPicard:
@@ -661,11 +661,11 @@ class TestNewtonAgainstPicard:
         # f = (2/n) tau_2: a = (2/n) tau_1, a' = 2/n through F_1' = F_0 / n;
         # measured 3.5e-13 and 1.8e-13, 201 solves in 200 steps
         n = 2
-        consts = f_recursion_constants(power_sums(CurvatureSpectrum((0.5, 1.1))))
+        phi = f_recursion_constants(power_sums((0.5, 1.1)))
         tau1 = cos_field(n=128, amp=0.3, offset=1.6)
         cfg = SolverConfig(dt=1e-3, scheme=scheme, save_every=1)
         newton, picard, solves = self._both(monkeypatch, lambda: ftau_conformal_flow(
-            tau1, scaled_tau_k(n, 2), consts, 0.2, cfg))
+            tau1, scaled_tau_k(n, 2), phi, 0.2, cfg))
         scale = 1.0 + np.max(np.abs(tau1.samples))
         assert np.max(np.abs(newton[1] - picard[1])) <= 1e-12 * scale
         assert solves <= 1.05 * 200
@@ -741,8 +741,7 @@ class TestConformalODE:
     def test_sigma_chain_psi2_invariance(self):
         # n = 3 chain driven by a smooth signal: psi_2 = sigma_2 - (n-1)/(2n) sigma_1^2
         n = 3
-        spec = CurvatureSpectrum((0.3, 0.9, 1.7))
-        tau0 = power_sums(spec)
+        tau0 = power_sums((0.3, 0.9, 1.7))
         sig0 = sigma_from_tau(tau0)[1:]
         times, tau, sig = conformal_ode_system(
             lambda t: math.sin(3 * t) + 0.4, tau0, sig0, 1.0, 1e-4

@@ -40,7 +40,6 @@ from egf.scenarios import (
     parse_entries,
     parse_scenario,
 )
-from egf.symfun import StructConstants
 
 SCENARIO_DIR = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -1027,12 +1026,27 @@ class TestExitCodes:
     def test_spectrum_whose_phi_reaches_inf_exits_3(self, tmp_path, capsys, monkeypatch):
         # a Python float product overflows to inf without raising: phi, which
         # F_k reads, is checked finite as well
-        monkeypatch.setattr("egf.runner.f_recursion_constants",
-                            lambda tau: StructConstants(2, (math.inf,), (0.0,)))
+        monkeypatch.setattr("egf.runner.f_recursion_constants", lambda tau: (math.inf,))
         path = tmp_path / "scn.egf"
         path.write_text("kind: ftau\ngrid: 64\ndt: 0.01\nT: 0.1\nspectrum: 0.5,1\n")
         assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 3
         assert capsys.readouterr().err.startswith("egf: invalid scenario: spectrum overflows")
+
+    def test_ftau_run_builds_no_psi(self, monkeypatch):
+        # an ftau run reads phi only: the Psi_k constants, whose peeling can
+        # reach inf for a spectrum whose phi stays finite, are never built
+        scn = load_scenario(SCENARIO_DIR / "ftau.egf")
+        expected = run_scenario(scn)
+
+        def unread(*args):
+            raise AssertionError("peel_psi called by an ftau run")
+
+        monkeypatch.setattr("egf.symfun.peel_psi", unread)
+        res = run_scenario(scn)
+        assert res.times.tobytes() == expected.times.tobytes()
+        assert list(res.fields) == list(expected.fields)
+        for name, values in expected.fields.items():
+            assert res.fields[name].tobytes() == values.tobytes()
 
     @pytest.mark.parametrize("count, code", [(143, 0), (144, 3)])
     def test_spectrum_longer_than_the_recursion_takes_exits_3(self, tmp_path, capsys, count,

@@ -5,11 +5,12 @@ from hypothesis import strategies as st
 
 from egf.errors import ValidationError
 from egf.symfun import (
-    CurvatureSpectrum,
+    curvatures,
     eval_F,
     eval_F_prime,
     eval_Psi,
     f_recursion_constants,
+    peel_psi,
     power_sums,
     sigma_from_tau,
 )
@@ -27,7 +28,12 @@ from paper_oracles import (
 
 
 def spectrum(*k):
-    return CurvatureSpectrum(tuple(k))
+    return curvatures(k)
+
+
+def psi_constants(tau) -> tuple:
+    """(psi_2, ..., psi_n) of the power sums tau, as criterion 4 builds them."""
+    return tuple(peel_psi(len(tau), sigma_from_tau(tau)[1:].tolist()))
 
 
 class TestPowerSums:
@@ -42,14 +48,23 @@ class TestPowerSums:
         assert power_sums(spectrum(1, 2, 3)).tolist() == [6.0, 14.0, 36.0]
 
     def test_sorted_canonical(self):
-        assert spectrum(3, 1, 2).k == (1.0, 2.0, 3.0)
+        assert spectrum(3, 1, 2).tolist() == [1.0, 2.0, 3.0]
+        k = np.random.default_rng(8).uniform(-3, 3, 6)
+        assert power_sums(k[::-1]).tobytes() == power_sums(np.sort(k)).tobytes()
+
+    @pytest.mark.parametrize("k, match", [([], "n >= 1"), ([1.0, np.nan], "finite"),
+                                          ([1.0, np.inf], "finite")],
+                             ids=["empty", "nan", "inf"])
+    def test_bad_spectrum_rejected(self, k, match):
+        with pytest.raises(ValidationError, match=match):
+            power_sums(k)
 
     def test_relative_error_bound(self):
         rng = np.random.default_rng(7)
         for _ in range(50):
             n = rng.integers(1, 7)
             k = rng.uniform(-10, 10, n)
-            tau = power_sums(CurvatureSpectrum(tuple(k)))
+            tau = power_sums(k)
             eps = np.finfo(float).eps
             for j in range(1, n + 1):
                 exact = sum(float(v) ** j for v in sorted(k))
@@ -72,7 +87,7 @@ class TestNewtonIdentities:
         rng = np.random.default_rng(11)
         for _ in range(20):
             k = rng.uniform(-3, 3, 4)
-            sig = sigma_from_tau(power_sums(CurvatureSpectrum(tuple(k))))
+            sig = sigma_from_tau(power_sums(k))
             coeffs = np.poly(k)  # x^4 - s1 x^3 + s2 x^2 - ...
             expected = [(-1) ** j * coeffs[j] for j in range(5)]
             assert np.allclose(sig, expected, atol=1e-10)
@@ -86,7 +101,7 @@ class TestNewtonIdentities:
     def test_roundtrip_from_known_roots(self):
         rng = np.random.default_rng(3)
         roots = rng.uniform(-5, 5, 5)
-        tau = power_sums(CurvatureSpectrum(tuple(roots)))
+        tau = power_sums(roots)
         back = tau_from_sigma(sigma_from_tau(tau))
         assert np.allclose(back, tau, rtol=1e-10, atol=1e-10)
 
@@ -99,7 +114,7 @@ class TestNewtonIdentities:
         )
     )
     def test_roundtrip_property(self, ks):
-        tau = power_sums(CurvatureSpectrum(tuple(ks)))
+        tau = power_sums(ks)
         back = tau_from_sigma(sigma_from_tau(tau))
         scale = 1.0 + max(abs(v) for v in tau)
         assert max(
@@ -109,84 +124,85 @@ class TestNewtonIdentities:
 
 class TestRecursionConstants:
     def test_phi2_two_point(self):
-        consts = f_recursion_constants(power_sums(spectrum(1, 2)))
-        assert consts.phi_k(2) == pytest.approx(0.5, abs=1e-14)
+        phi = f_recursion_constants(power_sums(spectrum(1, 2)))
+        assert phi[0] == pytest.approx(0.5, abs=1e-14)
 
     def test_umbilical_phi_vanishes(self):
-        consts = f_recursion_constants(power_sums(spectrum(1.5, 1.5, 1.5, 1.5)))
+        phi = f_recursion_constants(power_sums(spectrum(1.5, 1.5, 1.5, 1.5)))
         for k in range(2, 5):
-            assert consts.phi_k(k) == pytest.approx(0.0, abs=1e-10)
+            assert phi[k - 2] == pytest.approx(0.0, abs=1e-10)
 
     def test_three_point_by_hand(self):
         # phi_2 = tau_2 - tau_1^2/n = 14 - 12 = 2
         # phi_3 = tau_3 - tau_1^3/n^2 - (3/n) phi_2 tau_1 = 36 - 24 - 12 = 0
-        consts = f_recursion_constants(power_sums(spectrum(1, 2, 3)))
-        assert consts.phi_k(2) == pytest.approx(2.0, abs=1e-12)
-        assert consts.phi_k(3) == pytest.approx(0.0, abs=1e-12)
+        phi = f_recursion_constants(power_sums(spectrum(1, 2, 3)))
+        assert phi[0] == pytest.approx(2.0, abs=1e-12)
+        assert phi[1] == pytest.approx(0.0, abs=1e-12)
 
     def test_psi2_two_point(self):
         # sigma = (1, 3, 2): psi_2 = 2 - (1/4) 9 = -1/4
-        consts = f_recursion_constants(power_sums(spectrum(1, 2)))
-        assert consts.psi_k(2) == pytest.approx(-0.25, abs=1e-14)
+        psi = psi_constants(power_sums(spectrum(1, 2)))
+        assert psi[0] == pytest.approx(-0.25, abs=1e-14)
 
     def test_psi2_umbilical_n3(self):
         # sigma = (1, 3, 3, 1): psi_2 = 3 - (2/6) 9 = 0
-        consts = f_recursion_constants(power_sums(spectrum(1, 1, 1)))
-        assert consts.psi_k(2) == pytest.approx(0.0, abs=1e-12)
+        psi = psi_constants(power_sums(spectrum(1, 1, 1)))
+        assert psi[0] == pytest.approx(0.0, abs=1e-12)
 
 
 class TestFPsiEvaluation:
     def test_F2_value(self):
-        consts = f_recursion_constants(power_sums(spectrum(1, 2)))
-        assert eval_F(2, 3.0, consts) == pytest.approx(5.0, abs=1e-12)
+        phi = f_recursion_constants(power_sums(spectrum(1, 2)))
+        assert eval_F(2, 3.0, 2, phi) == pytest.approx(5.0, abs=1e-12)
 
     def test_F0_is_n(self):
-        consts = f_recursion_constants(power_sums(spectrum(1, 2, 3)))
+        phi = f_recursion_constants(power_sums(spectrum(1, 2, 3)))
         for arg in (-4.0, 0.0, 17.3):
-            assert eval_F(0, arg, consts) == 3.0
+            assert eval_F(0, arg, 3, phi) == 3.0
 
     def test_Psi2_value(self):
-        consts = f_recursion_constants(power_sums(spectrum(1, 2)))
-        assert eval_Psi(2, 3.0, consts) == pytest.approx(2.0, abs=1e-12)
+        psi = psi_constants(power_sums(spectrum(1, 2)))
+        assert eval_Psi(2, 3.0, 2, psi) == pytest.approx(2.0, abs=1e-12)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_F_prime_finite_difference(self, k):
-        consts = f_recursion_constants(power_sums(spectrum(-1.0, 0.5, 2.0, 3.5)))
+        phi = f_recursion_constants(power_sums(spectrum(-1.0, 0.5, 2.0, 3.5)))
         rng = np.random.default_rng(k)
         for x in rng.uniform(-4, 4, 5):
             h = 1e-5
-            fd = (eval_F(k, x + h, consts) - eval_F(k, x - h, consts)) / (2 * h)
-            assert eval_F_prime(k, x, consts) == pytest.approx(fd, abs=1e-8, rel=1e-7)
+            fd = (eval_F(k, x + h, 4, phi) - eval_F(k, x - h, 4, phi)) / (2 * h)
+            assert eval_F_prime(k, x, 4, phi) == pytest.approx(fd, abs=1e-8, rel=1e-7)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_Psi_prime_finite_difference(self, k):
-        consts = f_recursion_constants(power_sums(spectrum(-1.0, 0.5, 2.0, 3.5)))
+        psi = psi_constants(power_sums(spectrum(-1.0, 0.5, 2.0, 3.5)))
         rng = np.random.default_rng(10 + k)
         for x in rng.uniform(-4, 4, 5):
             h = 1e-5
-            fd = (eval_Psi(k, x + h, consts) - eval_Psi(k, x - h, consts)) / (2 * h)
-            assert eval_Psi_prime(k, x, consts) == pytest.approx(fd, abs=1e-8, rel=1e-7)
+            fd = (eval_Psi(k, x + h, 4, psi) - eval_Psi(k, x - h, 4, psi)) / (2 * h)
+            assert eval_Psi_prime(k, x, 4, psi) == pytest.approx(fd, abs=1e-8, rel=1e-7)
 
     def test_index_out_of_range(self):
-        consts = f_recursion_constants(power_sums(spectrum(1, 2)))
+        tau = power_sums(spectrum(1, 2))
+        phi = f_recursion_constants(tau)
         with pytest.raises(IndexError):
-            eval_F(consts.kmax_phi + 1, 0.0, consts)
+            eval_F(len(phi) + 2, 0.0, 2, phi)
         with pytest.raises(IndexError):
-            eval_Psi(3, 0.0, consts)
+            eval_Psi(3, 0.0, 2, psi_constants(tau))
 
     def test_identity_at_t0_random_spectra(self):
         rng = np.random.default_rng(42)
         for _ in range(100):
             n = int(rng.integers(1, 7))
-            spec = CurvatureSpectrum(tuple(rng.uniform(-3, 3, n)))
+            spec = curvatures(rng.uniform(-3, 3, n))
             tau = power_sums(spec)
             sig = sigma_from_tau(tau)
-            consts = f_recursion_constants(tau)
+            phi, psi = f_recursion_constants(tau), psi_constants(tau)
             for k in range(1, n + 1):
-                assert eval_F(k, tau[0], consts) == pytest.approx(
+                assert eval_F(k, tau[0], n, phi) == pytest.approx(
                     tau[k - 1], abs=1e-9, rel=1e-9
                 )
-                assert eval_Psi(k, sig[1], consts) == pytest.approx(
+                assert eval_Psi(k, sig[1], n, psi) == pytest.approx(
                     sig[k], abs=1e-9, rel=1e-9
                 )
 
@@ -195,16 +211,15 @@ class TestFPsiEvaluation:
         # reproduce the true power sums of the spectrum.
         spec = spectrum(1.0, 2.0, 3.0)
         tau = power_sums(spec)
-        consts = extended_constants(tau)
-        assert consts.kmax_phi == 4
+        phi = extended_constants(tau)
+        assert len(phi) + 1 == 4
         # the run's constants stop at n and agree with the extended ones there
-        run_consts = f_recursion_constants(tau)
-        assert run_consts.kmax_phi == 3
-        assert consts.phi[:2] == run_consts.phi and consts.psi == run_consts.psi
-        k_arr = spec.as_array()
-        for k in range(4, consts.kmax_phi + 1):
-            assert eval_F(k, tau[0], consts) == pytest.approx(
-                float(np.sum(k_arr**k)), rel=1e-12
+        run_phi = f_recursion_constants(tau)
+        assert len(run_phi) + 1 == 3
+        assert phi[:2] == run_phi
+        for k in range(4, len(phi) + 2):
+            assert eval_F(k, tau[0], 3, phi) == pytest.approx(
+                float(np.sum(spec**k)), rel=1e-12
             )
 
 
@@ -223,7 +238,7 @@ class TestNewtonTransform:
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_trace_identity_random(self, n):
         rng = np.random.default_rng(n)
-        spec = CurvatureSpectrum(tuple(rng.uniform(-2, 2, n)))
+        spec = curvatures(rng.uniform(-2, 2, n))
         tau = power_sums(spec)
         sig = sigma_from_tau(tau)
         for r in range(n + 1):
@@ -236,12 +251,12 @@ class TestNewtonTransform:
     def test_cayley_hamilton_contraction(self, n):
         # sum_i (-1)^i sigma_{n-i} tau_{i+j} = 0 for j = 0..3
         rng = np.random.default_rng(100 + n)
-        spec = CurvatureSpectrum(tuple(rng.uniform(-2, 2, n)))
+        spec = curvatures(rng.uniform(-2, 2, n))
         tau = power_sums(spec)
         sig = sigma_from_tau(tau)
         taus = extend_power_sums(tau, n + 3)
         taus = np.concatenate([[n], taus])  # tau_0..tau_{n+3}
-        k = spec.as_array()
+        k = spec
         # oracle: true power sums from the spectrum
         assert np.allclose(
             taus[1:], [np.sum(k**j) for j in range(1, n + 4)], atol=1e-9
@@ -267,7 +282,7 @@ class TestEllipticity:
 
     def test_mu2_is_sum(self):
         spec = spectrum(0.3, 1.1, -2.0, 4.0)
-        k = spec.k
+        k = spec.tolist()
         for i in range(1, 5):
             for j in range(i, 5):
                 assert mu_coefficient(2, i, j, spec) == pytest.approx(
@@ -286,7 +301,7 @@ class TestEllipticity:
 
     def test_scale_covariance(self):
         rng = np.random.default_rng(5)
-        spec = CurvatureSpectrum(tuple(rng.uniform(-2, 2, 4)))
+        spec = curvatures(rng.uniform(-2, 2, 4))
         f = tuple(rng.uniform(-1, 1, 3))
         out1, _ = ellipticity_check(f, spec)
         out2, _ = ellipticity_check(tuple(17.0 * v for v in f), spec)
@@ -330,14 +345,14 @@ class TestPsiUmbilical:
 
 class TestVectorizedEvaluation:
     def test_eval_F_on_arrays(self):
-        consts = f_recursion_constants(power_sums(spectrum(0.5, 1.5)))
+        phi = f_recursion_constants(power_sums(spectrum(0.5, 1.5)))
         xs = np.linspace(-2, 2, 9)
-        vec = eval_F(2, xs, consts)
+        vec = eval_F(2, xs, 2, phi)
         assert vec.shape == xs.shape
-        assert np.allclose(vec, [eval_F(2, float(x), consts) for x in xs])
+        assert np.allclose(vec, [eval_F(2, float(x), 2, phi) for x in xs])
 
     def test_eval_Psi_on_arrays(self):
-        consts = f_recursion_constants(power_sums(spectrum(0.5, 1.5, 2.5)))
+        psi = psi_constants(power_sums(spectrum(0.5, 1.5, 2.5)))
         xs = np.linspace(-1, 3, 7)
-        vec = eval_Psi(2, xs, consts)
-        assert np.allclose(vec, [eval_Psi(2, float(x), consts) for x in xs])
+        vec = eval_Psi(2, xs, 3, psi)
+        assert np.allclose(vec, [eval_Psi(2, float(x), 3, psi) for x in xs])
