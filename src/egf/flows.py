@@ -41,7 +41,7 @@ from .parabolic import (
     _quasilinear_faces,
     solve_cyclic_tridiag,  # noqa: F401  (perfbench's tracer test wraps this binding)
 )
-from .symfun import eval_F, eval_F_prime
+from .symfun import eval_F
 
 __all__ = [
     "circle_derivative",
@@ -68,46 +68,49 @@ def circle_derivative(samples: np.ndarray, h: float) -> np.ndarray:
 
 
 def evolve_umbilical(
-    lam0: CircleField,
-    psi: Callable[[np.ndarray], np.ndarray],
-    psi_prime: Callable[[np.ndarray], np.ndarray],
-    T: float,
-    cfg: SolverConfig,
-    psi_slope: float | None = None,
-    psi_second: Callable[[np.ndarray], np.ndarray] | None = None,
+    lam0: CircleField, psi, T: float, cfg: SolverConfig
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Umbilical flow dlam/dt = (1/2) d_s(psi'(lam) d_s lam) from ``lam0``.
 
-    Returns (times, lam, conf), one snapshot per row.  psi' must be positive
-    on the (10% widened) range of lam; a negative value is a sign violation
-    and rejected, a vanishing minimum (a degenerate problem) is run.  The log
+    ``psi`` is the polynomial psi(lam) = psi_0 + psi_1 lam + psi_2 lam^2 + ...
+    by its coefficients (psi_0, psi_1, ...), in ascending order.  Returns
+    (times, lam, conf), one snapshot per row.  psi' must be positive on the
+    (10% widened) range of lam, its extremes there taken at the ends and the
+    roots of psi''; a negative value is a sign violation and rejected, a
+    vanishing minimum (a degenerate problem) is run.  The log
     conformal factor ``conf`` starts at zero and accumulates -d_s psi(lam) by
-    trapezoid in time, so ghat_t = ghat_0 exp(conf); psi is applied to blocks
-    of states, shape (steps, N), so it must act elementwise.
+    trapezoid in time, so ghat_t = ghat_0 exp(conf).
 
-    ``psi_slope`` declares psi(lam) = psi_slope * lam (psi and psi_prime must
-    agree with it): the flow is then the heat equation with constant
-    coefficient psi_slope / 2, stepped by the closed-form propagator, which
-    gives conf in closed form too: only the snapshot steps are computed.
-    Otherwise each step is solved by Newton's method, whose Jacobian needs
-    ``psi_second`` = psi''.
+    The route is read off the coefficients: a psi of degree at most 1 makes
+    the flow the heat equation with constant coefficient psi_1 / 2, stepped
+    by the closed-form propagator, which gives conf in closed form too: only
+    the snapshot steps are computed.  Any other psi is stepped by Newton's
+    method, its Jacobian taking psi''.
     """
+    psi = np.asarray(psi, dtype=float)
+    if psi.ndim != 1 or psi.size == 0 or not np.all(np.isfinite(psi)):
+        raise ValidationError("psi must be a non-empty list of finite coefficients")
+    descending = psi[::-1]
+    dpsi = np.polyder(descending)
+    d2psi = np.polyder(dpsi)
     lo, hi = float(lam0.samples.min()), float(lam0.samples.max())
-    pad = 0.1 * max(hi - lo, 1e-30)
-    probe = psi_prime(np.linspace(lo - pad, hi + pad, 257))
+    # wider than the range _quasilinear_faces checks the conductivity on
+    pad = 0.1 * (hi - lo) + 1e-9 * (1.0 + max(abs(lo), abs(hi)))
+    # psi' takes its extremes on the range at its ends or at roots of psi''
+    roots = np.clip(np.roots(d2psi).real, lo - pad, hi + pad)
+    probe = np.polyval(dpsi, np.concatenate(([lo - pad, hi + pad], roots)))
     pmin, pmax = float(np.min(probe)), float(np.max(probe))
     if pmin < 0.0:
         raise ValidationError(f"psi' changes sign on the data range (min {pmin:.3g})")
-    if psi_slope is None:
-        if psi_second is None:
-            raise ValidationError("a psi without a declared slope needs psi''")
-        k = Conductivity(lambda u: 0.5 * psi_prime(u), lambda u: 0.5 * psi_second(u),
-                         c1=0.5 * pmin, c2=0.5 * pmax)
+    if np.any(psi[2:]):
+        k = Conductivity(lambda u: 0.5 * np.polyval(dpsi, u),
+                         lambda u: 0.5 * np.polyval(d2psi, u), c1=0.5 * pmin, c2=0.5 * pmax)
         produce = _newton_stepper(lam0, _quasilinear_faces(lam0, k), k.dfunc, cfg)
     else:
-        produce = _propagator(lam0.samples, 0.5 * psi_slope, lam0.h, cfg)
+        produce = _propagator(lam0.samples, 0.5 * pmax, lam0.h, cfg)  # pmax = psi' = psi_1
     times, lam, pairs = _march(lam0.samples, T, cfg, produce, "evolve_umbilical",
-                               integrand=lambda block: circle_derivative(psi(block), lam0.h))
+                               integrand=lambda block: circle_derivative(
+                                   np.polyval(descending, block), lam0.h))
     # a subtraction from +0, so zero pair sums give +0
     return times, lam, 0.0 - 0.5 * cfg.dt * pairs
 
@@ -170,35 +173,36 @@ def prescribed_mean_curvature_flow(
 
 def ftau_conformal_flow(
     tau1: CircleField,
-    grad: Callable[[np.ndarray], np.ndarray],
+    df,
     phi: tuple[float, ...],
     T: float,
     cfg: SolverConfig,
-    slope: float | None = None,
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """Conformal flow driven by -N(f(tau)), reduced to a quasi-linear PDE.
 
         dtau_1/dt = d_s(a d_s tau_1),
-        a(tau_1) = (1/2) sum_{k=1..n} k df/dtau_k(tau) F_{k-1}(tau_1),
+        a(tau_1) = (1/2) sum_{k=1..n} k df_k F_{k-1}(tau_1),
 
     with the full tau vector reconstructed through tau_k = F_k(tau_1) from the
     structure constants ``phi`` = (phi_2, ..., phi_n) of
-    :func:`egf.symfun.f_recursion_constants`, so n = len(phi) + 1.
-    ``grad`` gives the gradient df/dtau_k of the coefficient function f: it
-    maps a stacked array of shape (n, ...) to shape (n, ...) and must be
-    numpy-vectorized.  Parabolicity requires a > 0.  ``slope`` declares
-    f = slope * tau_1 + const, linear in tau_1 alone: a = (1/2) slope F_0 is
-    then constant and the closed-form propagator steps the flow; otherwise
-    Newton's method steps it, its monitor hook checks a at every evaluation
-    and the run halts with :class:`EllipticityLossError` the moment its
-    minimum drops to zero or below.  Returns (times, taus, a_min): taus has
-    shape (n, S, N), and a_min is the least a used.  Newton's Jacobian takes
-    a'(tau_1) = (1/2) sum_k k df/dtau_k F_{k-1}'(tau_1) with the gradient of
-    f held: exact for f affine in tau, as every f a scenario declares; for
-    any other f the iteration converges more slowly, to the same residual
-    test.
+    :func:`egf.symfun.f_recursion_constants`, so n = len(phi) + 1.  ``df`` =
+    (df/dtau_1, ..., df/dtau_n) is the constant gradient of the coefficient
+    function f, affine in tau.  Parabolicity requires a > 0.  The route is read
+    off ``df``: zero after its first entry, a = (1/2) df_1 F_0 is constant and
+    the closed-form propagator steps the flow; otherwise Newton's method steps
+    it, its monitor hook checks a at every evaluation, and its Jacobian takes
+    a'(tau_1) = (1/2) sum_k k df_k ((k-1)/n) F_{k-2}(tau_1), since F_k' = (k/n)
+    F_{k-1}.  Either way the run halts with :class:`EllipticityLossError` the
+    moment the minimum of a drops to zero or below, or is NaN.  Each
+    coefficient evaluation calls F_k only for the nonzero entries of ``df``.
+    Returns (times, taus, a_min): taus has shape (n, S, N), and a_min is the
+    least a used.
     """
     n = len(phi) + 1
+    df = np.asarray(df, dtype=float)
+    if df.shape != (n,):
+        raise ValidationError(f"df needs n = {n} entries, one per tau_k (got shape {df.shape})")
+    terms = [(k, float(dfk)) for k, dfk in enumerate(df, start=1) if dfk != 0.0]
     a_min = np.inf
 
     def observe(amin: float) -> None:
@@ -207,32 +211,26 @@ def ftau_conformal_flow(
             raise EllipticityLossError(f"parabolicity coefficient reached min a = {amin:.6g}")
         a_min = min(a_min, amin)
 
-    def basis(u: np.ndarray) -> tuple:
-        """F_0..F_n at u and the gradient of f at tau = (F_1, ..., F_n)."""
-        F = [np.asarray(eval_F(k, u, n, phi)) for k in range(n + 1)]
-        return F, np.asarray(grad(np.stack(F[1:])), dtype=float)
-
     def faces(v: np.ndarray) -> tuple:
         u = _face_mean(v)
-        F, g = basis(u)
         acc = np.zeros_like(u)
-        for k in range(1, n + 1):
-            acc += k * g[k - 1] * F[k - 1]
+        for k, dfk in terms:
+            acc += k * dfk * eval_F(k - 1, u, n, phi)
         a = 0.5 * acc
         observe(float(np.min(a)))
         return u, a
 
     def a_prime(u: np.ndarray) -> np.ndarray:
-        _, g = basis(u)
         acc = np.zeros_like(u)
-        for k in range(2, n + 1):  # F_0' = 0
-            acc += k * g[k - 1] * eval_F_prime(k - 1, u, n, phi)
+        for k, dfk in terms:
+            if k >= 2:  # F_0' = 0
+                acc += k * dfk * ((k - 1) / n * eval_F(k - 2, u, n, phi))
         return 0.5 * acc
 
-    if slope is None:
+    if np.any(df[1:]):
         produce = _newton_stepper(tau1, faces, a_prime, cfg)
     else:
-        a = 0.5 * (slope * eval_F(0, 0.0, n, phi))
+        a = 0.5 * (df[0] * eval_F(0, 0.0, n, phi))
         observe(a)
         produce = _propagator(tau1.samples, a, tau1.h, cfg)
     times, states, _ = _march(tau1.samples, T, cfg, produce, "conformal flow")

@@ -209,10 +209,7 @@ def _run_umbilical(scn: FlowScenario) -> RunResult:
     if np.max(log_rho0) > np.log(np.finfo(float).max):
         raise ValidationError("volume density overflows: the integral of the initial "
                               f"curvature reaches {-np.max(log_rho0):.3e}")
-    psi = lambda u: slope * np.asarray(u, dtype=float)
-    psi_prime = lambda u: np.full_like(np.asarray(u, dtype=float), slope)
-    times, lam, conf = flows.evolve_umbilical(lam0, psi, psi_prime, scn.T, _config(scn),
-                                              psi_slope=slope)
+    times, lam, conf = flows.evolve_umbilical(lam0, (0.0, slope), scn.T, _config(scn))
     vols = flows.track_volume(np.exp(log_rho0), conf, scn.length)
     sup = np.max(np.abs(lam), axis=1)
     # d_s conf = -2 (lambda - lambda_0) up to the time and stencil errors.  The
@@ -288,18 +285,12 @@ def _run_ftau(scn: FlowScenario) -> RunResult:
     except ArithmeticError:
         raise ValidationError("spectrum overflows: its power sums or structure constants "
                               "leave the doubles") from None
-    which = scn.get("f")
-    k_idx = 1 if which == "scaled-tau1" else 2
-
-    def grad(tau):
-        g = np.zeros_like(tau)
-        g[k_idx - 1] = 2.0 / n
-        return g
-
+    # f = (2/n) tau_k for k = 1 or 2, by its gradient
+    df = np.zeros(n)
+    df[0 if scn.get("f") == "scaled-tau1" else 1] = 2.0 / n
     x = _circle_nodes(scn)
     tau1 = CircleField(scn.length, build_field(scn, "init", x))
-    times, taus, a_min = flows.ftau_conformal_flow(tau1, grad, phi, scn.T, _config(scn),
-                                                   slope=2.0 / n if k_idx == 1 else None)
+    times, taus, a_min = flows.ftau_conformal_flow(tau1, df, phi, scn.T, _config(scn))
     sup, drift = _deviation(taus[0])
     checks = [
         Check("mass-conservation", drift <= 1e-10, f"drift {drift:.3e}"),

@@ -41,7 +41,6 @@ __all__ = [
     "peel_phi",
     "peel_psi",
     "eval_F",
-    "eval_F_prime",
     "eval_Psi",
 ]
 
@@ -158,16 +157,6 @@ def eval_F(k: int, tau1, n: int, phi):
         for i in range(2, k + 1):
             out = out + comb(k, i) * phi[i - 2] / n ** (k - i) * t ** (k - i)
     return out if out.ndim else float(out)
-
-
-def eval_F_prime(k: int, tau1, n: int, phi):
-    """F_k'(tau_1) = (k/n) F_{k-1}(tau_1); F_0' = 0."""
-    if k == 0:
-        t = np.asarray(tau1, dtype=float)
-        z = np.zeros_like(t)
-        return z if z.ndim else 0.0
-    prev = eval_F(k - 1, tau1, n, phi)
-    return k / n * np.asarray(prev) if np.ndim(prev) else k / n * prev
 
 
 def eval_Psi(k: int, sigma1, n: int, psi):

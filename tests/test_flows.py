@@ -44,16 +44,15 @@ def cos_field(n=128, amp=1.0, freq=1, offset=0.0):
     return CircleField(TWO_PI, offset + amp * np.cos(freq * x))
 
 
-def psi2(lam):
-    return 2.0 * np.asarray(lam, dtype=float)
+# psi by its coefficients (psi_0, psi_1, ...): 2 lam takes the propagator,
+# lam + lam^3 Newton's method
+PSI2 = (0.0, 2.0)
+CUBIC = (0.0, 1.0, 0.0, 1.0)
 
 
-def psi2_prime(lam):
-    return np.full_like(np.asarray(lam, dtype=float), 2.0)
-
-
-def psi2_second(lam):
-    return np.zeros_like(np.asarray(lam, dtype=float))
+def psi_values(psi, lam):
+    """psi(lam), evaluated as evolve_umbilical evaluates it."""
+    return np.polyval(np.asarray(psi, dtype=float)[::-1], lam)
 
 
 def recording_propagator(asked, closed_form=True, make=parabolic._propagator):
@@ -106,9 +105,8 @@ class TestUmbilical:
         # the Newton route: conf = -(dt / 2) P with P the running pair sums of
         # p = d_s psi(lam), summed as deviations from p_0 in a loop over every
         # step; the per-step trapezoid it replaced agrees to 1e-12 (1 + sup |conf|)
-        times, lam, got = evolve_umbilical(lam0, psi2, psi2_prime, 0.3, cfg,
-                                           psi_second=psi2_second)
-        flux = [circle_derivative(psi2(state), lam0.h) for state in lam]
+        times, lam, got = evolve_umbilical(lam0, CUBIC, 0.3, cfg)
+        flux = [circle_derivative(psi_values(CUBIC, state), lam0.h) for state in lam]
         total, conf = np.zeros(64), [np.zeros(64)]
         for k in range(1, times.size):
             total += flux[k] - flux[0]
@@ -124,31 +122,54 @@ class TestUmbilical:
 
     @pytest.mark.parametrize("scheme", ["implicit-euler", "crank-nicolson"])
     def test_picard_matches_declared_linear_psi(self, monkeypatch, scheme):
-        # psi = 2 lam by Newton's method, and by the Picard oracle in its
-        # place, against the closed form psi_slope selects, curvature and
-        # conformal factor alike
+        # psi = 2 lam, also padded with zero coefficients, takes the closed
+        # form: no Newton stepper is built.  The Picard oracle on the constant
+        # conductivity psi' / 2 = 1 gives the same curvature and conformal factor
         lam0 = cos_field(n=128, amp=0.3)
         cfg = SolverConfig(dt=1e-3, scheme=scheme, save_every=7)
-        times, lam, conf = evolve_umbilical(lam0, psi2, psi2_prime, 0.5, cfg, psi_slope=2.0)
-        newton = evolve_umbilical(lam0, psi2, psi2_prime, 0.5, cfg, psi_second=psi2_second)
-        monkeypatch.setattr(flows, "_newton_stepper", picard_stepper)
-        picard = evolve_umbilical(lam0, psi2, psi2_prime, 0.5, cfg, psi_second=psi2_second)
-        for traj_times, traj_lam, traj_conf in (newton, picard):
-            assert traj_times.tobytes() == times.tobytes()
-            assert np.max(np.abs(traj_lam - lam)) <= 1e-12 * 0.3
-            assert np.max(np.abs(traj_conf - conf)) <= 1e-12 * 0.3
+
+        def newton(*args):
+            raise AssertionError("a linear psi built a Newton stepper")
+
+        monkeypatch.setattr(flows, "_newton_stepper", newton)
+        times, lam, conf = evolve_umbilical(lam0, PSI2, 0.5, cfg)
+        padded = evolve_umbilical(lam0, (0.0, 2.0, 0.0, 0.0), 0.5, cfg)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(padded, (times, lam, conf)))
+        k = parabolic.Conductivity(np.ones_like, np.zeros_like, 1.0, 1.0)
+        produce = picard_stepper(lam0, parabolic._quasilinear_faces(lam0, k), k.dfunc, cfg)
+        picard_times, picard_lam, pairs = parabolic._march(
+            lam0.samples, 0.5, cfg, produce, "oracle",
+            integrand=lambda block: circle_derivative(2.0 * block, lam0.h))
+        assert picard_times.tobytes() == times.tobytes()
+        assert np.max(np.abs(picard_lam - lam)) <= 1e-12 * 0.3
+        assert np.max(np.abs(-0.5 * cfg.dt * pairs - conf)) <= 1e-12 * 0.3
 
     @pytest.mark.parametrize("T, save_every", [(5.0, 0), (0.5, 7), (0.13, 0)])
     def test_linear_psi_marches_snapshot_steps_only(self, monkeypatch, T, save_every):
         lam0 = cos_field(n=128, amp=0.3)
         cfg = SolverConfig(dt=1e-3, scheme="crank-nicolson", save_every=save_every)
-        assert_sparse_march(monkeypatch, lambda: evolve_umbilical(
-            lam0, psi2, psi2_prime, T, cfg, psi_slope=2.0), T, cfg)
+        assert_sparse_march(monkeypatch, lambda: evolve_umbilical(lam0, PSI2, T, cfg), T, cfg)
 
-    def test_nonlinear_psi_needs_its_second_derivative(self):
-        with pytest.raises(ValidationError, match="psi''"):
-            evolve_umbilical(cos_field(n=64, amp=0.3), psi2, psi2_prime, 0.1,
-                             SolverConfig(dt=1e-2))
+    def test_nonlinear_psi_needs_its_second_derivative(self, monkeypatch):
+        # psi = lam + lam^3 takes Newton's method, whose Jacobian gets
+        # psi'' / 2 = 3 lam from the coefficients
+        slopes = []
+        newton = flows._newton_stepper
+
+        def recorded(u0, faces, slope, cfg):
+            slopes.append(slope)
+            return newton(u0, faces, slope, cfg)
+
+        monkeypatch.setattr(flows, "_newton_stepper", recorded)
+        evolve_umbilical(cos_field(n=64, amp=0.3), CUBIC, 0.1, SolverConfig(dt=1e-2))
+        u = np.linspace(-2.0, 2.0, 9)
+        assert len(slopes) == 1 and np.array_equal(slopes[0](u), 3.0 * u)
+
+    @pytest.mark.parametrize("psi", [(), [[0.0, 2.0]], (0.0, np.inf), (np.nan, 1.0)],
+                             ids=["empty", "2-d", "inf", "nan"])
+    def test_psi_must_be_finite_coefficients(self, psi):
+        with pytest.raises(ValidationError, match="psi must be a non-empty list"):
+            evolve_umbilical(cos_field(n=64, amp=0.3), psi, 0.1, SolverConfig(dt=1e-2))
 
     @pytest.mark.parametrize("scheme, bound", [("crank-nicolson", 1.9), ("implicit-euler", 0.95)])
     def test_conformal_factor_time_order_by_self_convergence(self, scheme, bound):
@@ -156,8 +177,7 @@ class TestUmbilical:
         # successive final conformal factors differ by dt^p; measured p = 2.000
         # and 1.000
         lam0 = cos_field(n=128, amp=0.25)
-        finals = [evolve_umbilical(lam0, psi2, psi2_prime, 0.5,
-                                   SolverConfig(dt=dt, scheme=scheme), psi_slope=2.0)[2][-1]
+        finals = [evolve_umbilical(lam0, PSI2, 0.5, SolverConfig(dt=dt, scheme=scheme))[2][-1]
                   for dt in (4e-3, 2e-3, 1e-3, 5e-4)]
         diffs = [np.max(np.abs(a - b)) for a, b in zip(finals, finals[1:])]
         orders = [math.log2(a / b) for a, b in zip(diffs, diffs[1:])]
@@ -165,35 +185,32 @@ class TestUmbilical:
 
     def test_psi_2lambda_is_plain_heat(self):
         lam0 = cos_field(n=256, amp=0.3)
-        _, lam, _ = evolve_umbilical(
-            lam0,
-            psi2,
-            psi2_prime,
-            0.5,
-            SolverConfig(dt=1e-4, scheme="crank-nicolson"),
-            psi_second=psi2_second,
-        )
+        _, lam, _ = evolve_umbilical(lam0, PSI2, 0.5, SolverConfig(dt=1e-4, scheme="crank-nicolson"))
         x = lam0.nodes()
         expected = 0.3 * math.exp(-0.5) * np.cos(x)
         assert np.max(np.abs(lam[-1] - expected)) < 1e-4
 
     def test_constant_lambda_frozen(self):
+        # on the Newton route
         lam0 = CircleField(TWO_PI, np.full(64, 0.4))
-        _, lam, conf = evolve_umbilical(lam0, psi2, psi2_prime, 1.0,
-                                        SolverConfig(dt=1e-2), psi_second=psi2_second)
+        _, lam, conf = evolve_umbilical(lam0, CUBIC, 1.0, SolverConfig(dt=1e-2))
         assert np.allclose(lam[-1], 0.4, atol=1e-13)
         assert np.allclose(conf[-1], 0.0, atol=1e-13)
 
     def test_sign_violating_psi_rejected(self):
         lam0 = cos_field(amp=1.0)
         with pytest.raises(ValidationError):
-            evolve_umbilical(
-                lam0,
-                lambda u: u**2,
-                lambda u: 2.0 * u,  # psi' changes sign on [-1.1, 1.1]
-                0.1,
-                SolverConfig(dt=1e-3),
-            )
+            # psi = lam^2: psi' = 2 lam changes sign on [-1.1, 1.1]
+            evolve_umbilical(lam0, (0.0, 0.0, 1.0), 0.1, SolverConfig(dt=1e-3))
+
+    def test_psi_prime_minimum_between_samples_is_in_the_band(self):
+        # psi = lam + (lam - c)^3: psi' / 2 reaches its minimum 1/2 at lam = c,
+        # between any grid of probe points; a band from sampled psi' starts
+        # above 1/2, and the faces near c leave it (ConductivityRangeError)
+        c = 0.1
+        psi = (-c**3, 1.0 + 3.0 * c**2, -3.0 * c, 1.0)
+        _, lam, _ = evolve_umbilical(cos_field(n=128, amp=0.3), psi, 0.1, SolverConfig(dt=1e-2))
+        assert np.all(np.isfinite(lam))
 
     def test_volume_decreases_under_speed_two_flow(self):
         # d(vol)/dt = -(n/2) integral lam psi(lam) dvol < 0 for psi = 2 lam;
@@ -201,7 +218,7 @@ class TestUmbilical:
         n_leaf = 1
         lam0 = cos_field(n=256, amp=0.3)
         cfg = SolverConfig(dt=1e-3, save_every=1)
-        _, _, conf = evolve_umbilical(lam0, psi2, psi2_prime, 0.5, cfg, psi_second=psi2_second)
+        _, _, conf = evolve_umbilical(lam0, PSI2, 0.5, cfg)
         x = lam0.nodes()
         h = lam0.h
         c0 = np.concatenate([[0.0], np.cumsum(0.5 * (lam0.samples[1:] + lam0.samples[:-1]) * h)])
@@ -210,22 +227,17 @@ class TestUmbilical:
         vols = track_volume(rho0, n_leaf * conf, TWO_PI)
         assert np.all(np.diff(vols) < 0.0)
         # rate check at t=0 against (8.2): dV/dt = -(n/2) int lam psi rho ds
-        expected_rate = -(n_leaf / 2.0) * np.sum(lam0.samples * psi2(lam0.samples) * rho0) * h
+        expected_rate = -(n_leaf / 2.0) * np.sum(lam0.samples * 2.0 * lam0.samples * rho0) * h
         observed_rate = (vols[1] - vols[0]) / cfg.dt
         assert observed_rate == pytest.approx(expected_rate, rel=5e-3)
 
     def test_conf_gradient_identity(self):
-        # for psi = 2 lam the accumulated factor satisfies
-        # d_s conf = -2 (lam_t - lam_0): integrate d_t(d_s conf) = -2 d_t lam
+        # for every psi the accumulated factor satisfies d_s conf = -2 (lam_t -
+        # lam_0): integrate d_t(d_s conf) = -d_ss psi(lam) = -2 d_t lam.  Here
+        # psi = lam + lam^3, on the Newton route
         lam0 = cos_field(n=256, amp=0.3)
-        times, lam, conf = evolve_umbilical(
-            lam0,
-            psi2,
-            psi2_prime,
-            0.4,
-            SolverConfig(dt=2e-4, scheme="crank-nicolson"),
-            psi_second=psi2_second,
-        )
+        times, lam, conf = evolve_umbilical(lam0, CUBIC, 0.4,
+                                            SolverConfig(dt=2e-4, scheme="crank-nicolson"))
         h = lam0.h
         for i in (len(times) // 2, len(times) - 1):
             lhs = circle_derivative(conf[i], h)
@@ -236,14 +248,8 @@ class TestUmbilical:
         from egf.chartgeom import weingarten_from_chart
 
         lam0 = cos_field(n=512, amp=0.25)
-        times, lam, conf = evolve_umbilical(
-            lam0,
-            psi2,
-            psi2_prime,
-            0.3,
-            SolverConfig(dt=1e-3, scheme="crank-nicolson"),
-            psi_second=psi2_second,
-        )
+        times, lam, conf = evolve_umbilical(lam0, CUBIC, 0.3,
+                                            SolverConfig(dt=1e-3, scheme="crank-nicolson"))
         idx = len(times) - 1
         x0, g00, gij = umbilical_metric_samples(lam0, conf[idx], leaf_dim=2)
         _, A, _ = weingarten_from_chart(x0, g00, gij)
@@ -522,13 +528,9 @@ class TestPrescribedMeanCurvature:
 
 def scaled_tau_k(n, k):
     """The gradient of f(tau) = (2/n) tau_k."""
-
-    def grad(tau):
-        g = np.zeros_like(tau)
-        g[k - 1] = 2.0 / n
-        return g
-
-    return grad
+    df = np.zeros(n)
+    df[k - 1] = 2.0 / n
+    return df
 
 
 class TestFtauConformal:
@@ -579,7 +581,7 @@ class TestFtauConformal:
         phi = f_recursion_constants(power_sums((0.4, 1.0)))
         tau1 = cos_field(n=64, amp=0.1, offset=1.0)
         with pytest.raises(EllipticityLossError):  # f = 1: df/dtau = 0
-            ftau_conformal_flow(tau1, np.zeros_like, phi, 0.1, SolverConfig(dt=1e-3))
+            ftau_conformal_flow(tau1, np.zeros(2), phi, 0.1, SolverConfig(dt=1e-3))
 
     def test_nan_coefficient_loses_ellipticity(self):
         # a NaN coefficient is a loss of parabolicity, not a Newton iteration
@@ -587,28 +589,57 @@ class TestFtauConformal:
         phi = f_recursion_constants(power_sums((0.5, 1.1)))
         with pytest.raises(EllipticityLossError, match="min a = nan"):
             ftau_conformal_flow(cos_field(n=64, amp=0.2, offset=1.6),
-                                lambda tau: np.full_like(tau, np.nan), phi, 0.1,
+                                np.full(2, np.nan), phi, 0.1,
                                 SolverConfig(dt=1e-2))
 
     @pytest.mark.parametrize("scheme", ["implicit-euler", "crank-nicolson"])
     def test_picard_matches_propagator(self, monkeypatch, scheme):
-        # f = (2/n) tau_1 gives a = 1: the generic route by Newton's method,
-        # and by the Picard oracle in its place, against the closed form the
-        # declared slope selects
+        # f = (2/n) tau_1 gives a = 1: a gradient that is zero after its first
+        # entry takes the closed form, no Newton stepper built.  The Picard
+        # oracle on the constant conductivity 1 gives the same taus
         n = 2
         phi = f_recursion_constants(power_sums((0.4, 1.0)))
         x = np.arange(128) * TWO_PI / 128
         tau1 = CircleField(TWO_PI, 1.4 + 0.2 * np.cos(x) + 0.1 * np.sin(2 * x))
         cfg = SolverConfig(dt=1e-3, scheme=scheme, save_every=1)
-        _, closed, closed_a_min = ftau_conformal_flow(tau1, scaled_tau_k(n, 1), phi, 0.5, cfg,
-                                                      slope=2.0 / n)
-        newton = ftau_conformal_flow(tau1, scaled_tau_k(n, 1), phi, 0.5, cfg)
-        monkeypatch.setattr(flows, "_newton_stepper", picard_stepper)
-        picard = ftau_conformal_flow(tau1, scaled_tau_k(n, 1), phi, 0.5, cfg)
+
+        def newton(*args):
+            raise AssertionError("f = (2/n) tau_1 built a Newton stepper")
+
+        monkeypatch.setattr(flows, "_newton_stepper", newton)
+        _, closed, closed_a_min = ftau_conformal_flow(tau1, scaled_tau_k(n, 1), phi, 0.5, cfg)
         assert closed_a_min == 1.0
-        for _, taus, a_min in (newton, picard):
-            assert np.max(np.abs(taus - closed)) <= 1e-12 * np.max(np.abs(tau1.samples))
-            assert a_min == pytest.approx(1.0, abs=1e-12)
+        k = parabolic.Conductivity(np.ones_like, np.zeros_like, 1.0, 1.0)
+        produce = picard_stepper(tau1, parabolic._quasilinear_faces(tau1, k), k.dfunc, cfg)
+        _, states, _ = parabolic._march(tau1.samples, 0.5, cfg, produce, "oracle")
+        picard = np.stack([eval_F(k, states, n, phi) for k in (1, 2)])
+        assert np.max(np.abs(picard - closed)) <= 1e-12 * np.max(np.abs(tau1.samples))
+
+    @pytest.mark.parametrize("df", [np.ones(1), np.ones(3), np.ones((2, 1))])
+    def test_gradient_needs_one_entry_per_tau(self, df):
+        phi = f_recursion_constants(power_sums((0.4, 1.0)))
+        with pytest.raises(ValidationError, match="df needs n = 2 entries"):
+            ftau_conformal_flow(cos_field(n=64, amp=0.1, offset=1.0), df, phi, 0.1,
+                                SolverConfig(dt=1e-3))
+
+    def test_newton_route_evaluates_F_at_the_nonzero_gradient_entries(self, monkeypatch):
+        # f = (2/n) tau_2 over a spectrum of 143 values +-100: each coefficient
+        # evaluation calls F_1 (a) or F_0 (a'), not F_0..F_n, and the final
+        # reconstruction F_1..F_n once each.  Measured 175 calls; 4,751 when
+        # every evaluation built F_0..F_n
+        calls = []
+
+        def counted(*args):
+            calls.append(args[0])
+            return eval_F(*args)
+
+        monkeypatch.setattr(flows, "eval_F", counted)
+        spectrum = ",".join(["100", "-100"] * 71 + ["100"])
+        res = run_scenario(parse_scenario(
+            "kind: ftau\ngrid: 64\ndt: 0.01\nT: 0.1\nf: scaled-tau2\n"
+            f"spectrum: {spectrum}\ninit: cos\ninit-amplitude: 0.2\ninit-offset: 100\n"))
+        assert res.passed and len(res.fields) == 143
+        assert len(calls) <= 200
 
     def test_picard_reports_least_coefficient_seen(self, monkeypatch):
         # f = (2/n) tau_2: a = (2/n) tau_1 on the faces; implicit Euler keeps
@@ -638,7 +669,7 @@ class TestFtauConformal:
 
 
 class TestNewtonAgainstPicard:
-    """The non-slope conformal and umbilical routes by Newton's method against
+    """The nonlinear conformal and umbilical routes by Newton's method against
     the Picard oracle put in its place: the same discrete solution, to
     1e-12 (1 + sup |u0|), at about one solve per step (an exact Jacobian)."""
 
@@ -678,8 +709,7 @@ class TestNewtonAgainstPicard:
         lam0 = cos_field(n=128, amp=0.5)
         cfg = SolverConfig(dt=1e-3, scheme=scheme, save_every=1)
         newton, picard, solves = self._both(monkeypatch, lambda: evolve_umbilical(
-            lam0, lambda u: u + u**3, lambda u: 1.0 + 3.0 * u**2,
-            0.2, cfg, psi_second=lambda u: 6.0 * u))
+            lam0, CUBIC, 0.2, cfg))
         scale = 1.0 + np.max(np.abs(lam0.samples))
         (_, newton_lam, newton_conf), (_, picard_lam, picard_conf) = newton, picard
         assert np.max(np.abs(newton_lam - picard_lam)) <= 1e-12 * scale

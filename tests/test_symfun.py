@@ -7,7 +7,6 @@ from egf.errors import ValidationError
 from egf.symfun import (
     curvatures,
     eval_F,
-    eval_F_prime,
     eval_Psi,
     f_recursion_constants,
     peel_psi,
@@ -166,12 +165,13 @@ class TestFPsiEvaluation:
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_F_prime_finite_difference(self, k):
+        # F_k' = (k/n) F_{k-1}, the identity the f(tau) flow's Jacobian uses
         phi = f_recursion_constants(power_sums(spectrum(-1.0, 0.5, 2.0, 3.5)))
         rng = np.random.default_rng(k)
         for x in rng.uniform(-4, 4, 5):
             h = 1e-5
             fd = (eval_F(k, x + h, 4, phi) - eval_F(k, x - h, 4, phi)) / (2 * h)
-            assert eval_F_prime(k, x, 4, phi) == pytest.approx(fd, abs=1e-8, rel=1e-7)
+            assert k / 4 * eval_F(k - 1, x, 4, phi) == pytest.approx(fd, abs=1e-8, rel=1e-7)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_Psi_prime_finite_difference(self, k):
