@@ -39,6 +39,9 @@ from .parabolic import (
     _nsteps,
     _propagator,
     _quasilinear_faces,
+    _row_blocks,
+    _snapshot_steps,
+    _sup_distance,
     solve_cyclic_tridiag,  # noqa: F401  (perfbench's tracer test wraps this binding)
 )
 from .symfun import eval_F
@@ -111,8 +114,14 @@ def evolve_umbilical(
     times, lam, pairs = _march(lam0.samples, T, cfg, produce, "evolve_umbilical",
                                integrand=lambda block: circle_derivative(
                                    np.polyval(descending, block), lam0.h))
-    # a subtraction from +0, so zero pair sums give +0
-    return times, lam, 0.0 - 0.5 * cfg.dt * pairs
+    return times, lam, _conformal_factor(pairs, 0.5 * cfg.dt)
+
+
+def _conformal_factor(pairs: np.ndarray, scale: float) -> np.ndarray:
+    """0 - scale * pairs, formed in ``pairs``: a subtraction from +0, so zero
+    pair sums give +0."""
+    np.multiply(pairs, scale, out=pairs)
+    return np.subtract(0.0, pairs, out=pairs)
 
 
 def twisted_product_flow(
@@ -135,8 +144,7 @@ def twisted_product_flow(
     limit = phi0.mean(axis=1)
     produce = _propagator(phi0, 1.0 / n, fiber_length / phi0.shape[1], cfg)
     times, phi, _ = _march(phi0, T, cfg, produce, "twisted_product_flow")
-    work = np.subtract(phi, limit[None, :, None])
-    return times, phi, np.abs(work, out=work).max(axis=(1, 2))
+    return times, phi, _sup_distance(phi, limit).max(axis=1)
 
 
 def prescribed_mean_curvature_flow(
@@ -168,7 +176,7 @@ def prescribed_mean_curvature_flow(
     times, w, pairs = _march(w0, T, cfg, _propagator(w0, 1.0, tau0.h, cfg),
                              "prescribed_mean_curvature_flow",
                              integrand=lambda block: circle_derivative(block, tau0.h))
-    return times, w, 0.0 - (2.0 / n) * 0.5 * cfg.dt * pairs
+    return times, w, _conformal_factor(pairs, (2.0 / n) * 0.5 * cfg.dt)
 
 
 def ftau_conformal_flow(
@@ -233,8 +241,13 @@ def ftau_conformal_flow(
         a = 0.5 * (df[0] * eval_F(0, 0.0, n, phi))
         observe(a)
         produce = _propagator(tau1.samples, a, tau1.h, cfg)
-    times, states, _ = _march(tau1.samples, T, cfg, produce, "conformal flow")
-    taus = np.stack([eval_F(k, states, n, phi) for k in range(1, n + 1)])
+    # the march writes tau_1 into taus[0]; F_k of it is formed a block of rows at a time
+    snapshots = _snapshot_steps(_nsteps(T, cfg.dt), cfg.save_every).size
+    taus = np.empty((n, snapshots, tau1.n))
+    times, _, _ = _march(tau1.samples, T, cfg, produce, "conformal flow", states=taus[0])
+    for rows in _row_blocks(snapshots, tau1.n):
+        for k in range(2, n + 1):
+            taus[k - 1, rows] = eval_F(k, taus[0, rows], n, phi)
     return times, taus, a_min
 
 
@@ -248,7 +261,9 @@ def track_volume(rho0: np.ndarray, conf: np.ndarray, length: float) -> np.ndarra
     on the periodic grid.  A volume that is not positive and finite signals
     blow-up and raises.
     """
-    vols = length * np.mean(rho0 * np.exp(0.5 * conf), axis=-1)
+    vols = np.empty(conf.shape[0])
+    for rows in _row_blocks(*conf.shape):
+        vols[rows] = length * np.mean(rho0 * np.exp(0.5 * conf[rows]), axis=-1)
     if not np.all(np.isfinite(vols) & (vols > 0.0)):
         raise SolverError("volume left the positive range (blow-up)")
     return vols

@@ -288,8 +288,27 @@ def _snapshot_steps(nsteps: int, save_every: int) -> np.ndarray:
     return steps if steps[-1] == nsteps else np.append(steps, nsteps)
 
 
-# Consecutive states per block of the march: bounds the memory of one block.
-_BLOCK_STEPS = 64
+# Values per block (128 KiB of doubles): the march produces, and a run's
+# post-processing forms, this many values at a time in whole states or rows
+# (at least one), so no temporary outgrows one block whatever the grid.
+_BLOCK_VALUES = 2**14
+
+
+def _row_blocks(rows: int, size: int) -> list[slice]:
+    """Slices that cut ``rows`` rows of ``size`` values each into blocks of
+    ``max(1, _BLOCK_VALUES // size)`` consecutive rows."""
+    every = max(1, _BLOCK_VALUES // size)
+    return [slice(start, start + every) for start in range(0, rows, every)]
+
+
+def _sup_distance(x: np.ndarray, centre=0.0) -> np.ndarray:
+    """sup |x - centre| along the last axis, ``centre`` broadcast to
+    x.shape[:-1], with no temporary the size of x.  Rounding is monotone, so
+    the largest x - centre and centre - x are those of the largest and the
+    least x: the bytes are those of ``np.abs(x - centre).max(axis=-1)``, once
+    adding +0.0 turns a zero difference of sign minus (which abs makes +0.0)
+    into +0.0."""
+    return np.maximum(x.max(axis=-1) - centre, centre - x.min(axis=-1)) + 0.0
 
 
 def _stepper(advance: Callable) -> Callable:
@@ -323,12 +342,17 @@ def _step_error(kind: type, message: str, context: str, step: int, dt: float) ->
 
 
 def _march(u0: np.ndarray, T: float, cfg: SolverConfig, produce: Callable,
-           context: str, integrand: Callable | None = None):
+           context: str, integrand: Callable | None = None,
+           states: np.ndarray | None = None):
     """The time loop of every stepping solver: a fold over blocks of states
     into the snapshot rows of :func:`_snapshot_steps`.
 
-    ``produce(u, steps)`` gives the states of ``steps`` (at most _BLOCK_STEPS
-    steps of 1..round(T/dt), in order) from u, the state before them.  A
+    ``produce(u, steps)`` gives the states of ``steps`` (consecutive steps
+    to do among 1..round(T/dt), in order) from u, the state before them, a
+    block of ``max(1, _BLOCK_VALUES // u0.size)`` states at most (see
+    :func:`_row_blocks`).  The block size changes no bits: a closed-form
+    state comes from its own step number, and the running sums of a
+    one-step producer are carried across block edges.  A
     producer declares ``closed_form`` when each state it gives depends on its
     own step number alone, and then also gives ``produce.sums(steps)``, the
     running sums S_k = u_0 + ... + u_k; it is asked for the snapshot steps
@@ -344,11 +368,14 @@ def _march(u0: np.ndarray, T: float, cfg: SolverConfig, produce: Callable,
     p_0) + 2k p_0 with D_k = (p_1 - p_0) + ... + (p_k - p_0) added up one step
     at a time, so P's bits do not depend on the snapshot steps (a sum of p
     itself would lose digits where p is large and slow, as at Reeb's centre).
-    Returns (times, states, P or None), one row per snapshot.
+    Returns (times, states, P or None), one row per snapshot; ``states`` is
+    the array given, when a caller keeps the snapshots inside a larger one.
+    Its memory is those arrays and one block.
     """
     nsteps = _nsteps(T, cfg.dt)
     keep = _snapshot_steps(nsteps, cfg.save_every)
-    states = np.empty((keep.size, *u0.shape))
+    if states is None:
+        states = np.empty((keep.size, *u0.shape))
     states[0] = u0
     closed = produce.closed_form
     pairs = None if integrand is None else np.zeros_like(states)
@@ -356,9 +383,9 @@ def _march(u0: np.ndarray, T: float, cfg: SolverConfig, produce: Callable,
         p0, total = integrand(u0[None])[0], 0.0  # total: D_k of the steps so far
     todo = keep if closed else np.arange(nsteps + 1)
     u, slot = u0, 1
-    for first in range(1, todo.size, _BLOCK_STEPS):
+    for rows in _row_blocks(todo.size - 1, u0.size):
         # the block leads with the last state before it
-        steps = todo[first - 1:first + _BLOCK_STEPS]
+        steps = todo[rows.start:rows.stop + 1]
         try:
             block = np.concatenate((u[None], produce(u, steps[1:])))
         except (SolverError, FloatingPointError) as exc:

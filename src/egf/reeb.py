@@ -38,7 +38,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ValidationError
-from .parabolic import SolverConfig, _d_x, _interval_stepper, _march
+from .parabolic import SolverConfig, _d_x, _interval_stepper, _march, _row_blocks
 
 __all__ = [
     "ReebGeometry",
@@ -136,10 +136,13 @@ def evolve_reeb_lambda(
     diffusion = sin_a**2
     drift = sin_a * cos_a * geom.alpha_prime
     start, produce = _interval_stepper(lam_init, geom.h, diffusion, drift, cfg)
-    # V = (dt / 2) d_x P with P the trapezoid pair sums of lam, at the kept steps only
+    # V = (dt / 2) d_x P with P the trapezoid pair sums of lam, at the kept
+    # steps only, formed in P a block of rows at a time
     times, lam, pairs = _march(start, T, cfg, produce, "evolve_reeb_lambda",
                                integrand=lambda block: block)
-    return times, lam, 0.5 * cfg.dt * _d_x(pairs.T, geom.h).T
+    for rows in _row_blocks(*pairs.shape):
+        pairs[rows] = 0.5 * cfg.dt * _d_x(pairs[rows].T, geom.h).T
+    return times, lam, pairs
 
 
 def _d_x4(values: np.ndarray, h: float) -> np.ndarray:

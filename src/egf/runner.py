@@ -31,7 +31,9 @@ from .errors import SolverError, ValidationError
 from .parabolic import (
     CircleField,
     SolverConfig,
+    _row_blocks,
     _second_difference,
+    _sup_distance,
     exact_quasilinear_conductivity,
     exact_quasilinear_solution,
     fit_exponential_decay,
@@ -132,8 +134,7 @@ def _deviation(states: np.ndarray) -> tuple[np.ndarray, float]:
     each), and the drift of the conserved mean: the largest distance of a
     snapshot's mean from mean(u_0)."""
     means = states.mean(axis=1)
-    sup = np.max(np.abs(states - means[0]), axis=1)
-    return sup, float(np.max(np.abs(means - means[0])))
+    return _sup_distance(states, means[0]), float(np.max(np.abs(means - means[0])))
 
 
 def _monotone(name: str, series: np.ndarray, detail: str) -> Check:
@@ -155,7 +156,7 @@ def _run_pde_reference(scn: FlowScenario) -> RunResult:
     else:
         u0 = CircleField(scn.length, build_field(scn, "init", x))
         traj = solve_heat_circle(u0, scn.T, _config(scn))
-    sup = np.max(np.abs(traj.states), axis=1)
+    sup = _sup_distance(traj.states)
     deviation, drift = _deviation(traj.states)
     alpha = _fit_alpha(traj.times, deviation)
     if not exact_problem:
@@ -166,8 +167,11 @@ def _run_pde_reference(scn: FlowScenario) -> RunResult:
         return _result(scn, checks, traj.times, {"x": x}, {"u": traj.states},
                        {"sup_u": sup}, alpha, {"drift": drift})
 
-    exact = np.stack([exact_quasilinear_solution(t, x) for t in traj.times])
-    errors = np.max(np.abs(traj.states - exact), axis=1)
+    exact = np.empty_like(traj.states)
+    errors = np.empty(traj.times.size)
+    for row, t in enumerate(traj.times):
+        exact[row] = exact_quasilinear_solution(t, x)
+        errors[row] = np.abs(traj.states[row] - exact[row]).max()
     tol = scn.check_tolerance
     decay_bound = math.exp(-traj.times[-1])
     checks = [
@@ -211,13 +215,14 @@ def _run_umbilical(scn: FlowScenario) -> RunResult:
                               f"curvature reaches {-np.max(log_rho0):.3e}")
     times, lam, conf = flows.evolve_umbilical(lam0, (0.0, slope), scn.T, _config(scn))
     vols = flows.track_volume(np.exp(log_rho0), conf, scn.length)
-    sup = np.max(np.abs(lam), axis=1)
+    sup = _sup_distance(lam)
     # d_s conf = -2 (lambda - lambda_0) up to the time and stencil errors.  The
     # residual measured at most 0.5 (slope dt + h^2) sup |d_ss lambda_0| over
     # grids 32-1024, dt 1e-4 to 5e-2, slopes 0.5-5, T 0.1-2, modes 1-4 and both
     # schemes; the bound is five times that.
-    identity = float(np.max(np.abs(flows.circle_derivative(conf, h)
-                                   + 2.0 * (lam - lam0_samples))))
+    identity = float(np.max([np.abs(flows.circle_derivative(conf[rows], h)
+                                    + 2.0 * (lam[rows] - lam0_samples)).max()
+                             for rows in _row_blocks(*lam.shape)]))
     curvature = float(np.max(np.abs(_second_difference(lam0_samples, h))))
     identity_bound = 5 * 0.5 * (slope * scn.dt + h**2) * curvature
     checks = [
@@ -258,16 +263,17 @@ def _run_prescribed(scn: FlowScenario) -> RunResult:
     target = CircleField(scn.length, build_field(scn, "target", x))
     times, w, conf = flows.prescribed_mean_curvature_flow(tau0, target, scn.T, _config(scn),
                                                           n=scn.get("n"))
-    residual = np.max(np.abs(w), axis=1)
+    residual = _sup_distance(w)
     w0 = float(np.max(np.abs(tau0.samples - target.samples)))
     bound = math.exp(-scn.T) * (1 + 1e-2) * w0
     _, drift = _deviation(w)
+    tau1 = np.add(w, target.samples, out=w)
     checks = [
         Check("residual-decay-bound", float(residual[-1]) <= bound,
               f"{residual[-1]:.6e} <= {bound:.6e}"),
         Check("mean-conservation", drift <= 1e-10, f"drift {drift:.3e}"),
     ]
-    return _result(scn, checks, times, {"x": x}, {"tau1": w + target.samples, "conf": conf},
+    return _result(scn, checks, times, {"x": x}, {"tau1": tau1, "conf": conf},
                    {"sup_residual": residual}, _fit_alpha(times, residual), {"drift": drift})
 
 
@@ -309,7 +315,7 @@ def _run_reeb(scn: FlowScenario) -> RunResult:
     K = reeb.gaussian_curvature(U[-1], g22, det, geom.h)
     i0 = geom.n_nodes // 2
     det_res = float(np.max(np.abs(det - np.exp(-U[-1]))))
-    sup = np.max(np.abs(lam), axis=1)
+    sup = _sup_distance(lam)
     slope, slope_target = reeb.expansion_slope(K, U[-1], V[-1], geom)
     # K each side of x = 0 over |x| <= 0.1, widened to the nodes x = +-h
     near = np.abs(geom.x) <= 0.1

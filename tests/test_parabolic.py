@@ -28,15 +28,18 @@ from egf.parabolic import (
     solve_quasilinear_divergence,
 )
 from egf.parabolic import (
-    _BLOCK_STEPS,
     _face_mean,
+    _interval_stepper,
     _newton_stepper,
     _nsteps,
     _propagator,
     _quasilinear_faces,
     _snapshot_steps,
+    _sup_distance,
     solve_cyclic_tridiag,
 )
+from egf.flows import circle_derivative
+from egf.reeb import reeb_setup
 from picard_oracle import apply_divergence, divergence_theta_solve
 from reeb_oracles import heat_kernel
 
@@ -179,6 +182,52 @@ class TestSteppingCore:
             parabolic._march(np.full(4, 1e10), 0.1, SolverConfig(dt=0.01),
                              parabolic._stepper(advance), "probe")
 
+    @pytest.mark.parametrize("values", [1, 10**9])  # one state per block; one block
+    @pytest.mark.parametrize("route", ["propagator", "newton", "interval"])
+    def test_march_bytes_do_not_depend_on_the_block_size(self, monkeypatch, route, values):
+        # prescribed-F's closed form with its integrand, exact-quasilinear's
+        # Newton step, and Reeb's interval step with its integrand
+        def march():
+            if route == "propagator":
+                w0 = _mixed_field()
+                cfg = SolverConfig(dt=1e-3, scheme="crank-nicolson")
+                return parabolic._march(w0.samples, 0.5, cfg,
+                                        _propagator(w0.samples, 1.0, w0.h, cfg), route,
+                                        integrand=lambda block: circle_derivative(block, w0.h))
+            if route == "newton":
+                u0 = exact_family(128)
+                cfg = SolverConfig(dt=1e-3, scheme="crank-nicolson", save_every=7)
+                k = exact_quasilinear_conductivity()
+                produce = _newton_stepper(u0, _quasilinear_faces(u0, k), k.dfunc, cfg)
+                return parabolic._march(u0.samples, 0.2, cfg, produce, route)
+            geom = reeb_setup(n_grid=256)
+            sin_a, cos_a = np.sin(geom.alpha), np.cos(geom.alpha)
+            cfg = SolverConfig(dt=1e-3, scheme="crank-nicolson", save_every=3)
+            start, produce = _interval_stepper(geom.lam0, geom.h, sin_a**2,
+                                               sin_a * cos_a * geom.alpha_prime, cfg)
+            return parabolic._march(start, 0.2, cfg, produce, route,
+                                    integrand=lambda block: block)
+
+        default = march()
+        monkeypatch.setattr(parabolic, "_BLOCK_VALUES", values)
+        for ours, theirs in zip(march(), default, strict=True):
+            assert (ours is None and theirs is None) or ours.tobytes() == theirs.tobytes()
+
+    @pytest.mark.parametrize("x, centre", [
+        (np.zeros((3, 5)), 0.0),
+        (np.full((3, 5), -0.0), 0.0),
+        (np.full((3, 5), -0.0), -0.0),
+        (np.array([[0.0, -0.0, 0.0], [-0.0, 0.0, -0.0]]), -0.0),
+        (np.array([[1.0, -1.0, 1.0], [-2.0, 2.0, 0.5], [0.25, 0.25, 0.25]]), 0.0),  # ties
+        (np.array([[1.5, 0.5, 1.0], [3.0, -1.0, 1.0]]), 1.0),
+        (np.random.default_rng(3).normal(size=(40, 97)) * 10.0 ** np.arange(-20, 20)[:, None],
+         0.3),
+        (np.random.default_rng(4).normal(size=(6, 4, 33)), np.arange(4) / 7.0),
+    ])
+    def test_sup_distance_has_the_bytes_of_the_abs_formula(self, x, centre):
+        expected = np.max(np.abs(x - np.asarray(centre)[..., None]), axis=-1)
+        assert _sup_distance(x, centre).tobytes() == expected.tobytes()
+
 
 
 def _cyclic_reference(sub, diag, sup, corner_tr, corner_bl, rhs):
@@ -290,8 +339,8 @@ class TestPropagatorOracle:
     def test_state_bytes_do_not_depend_on_the_block(self):
         u0 = _mixed_field()
         produce = _propagator(u0.samples, 0.7, u0.h, SolverConfig(dt=1e-3, scheme="crank-nicolson"))
-        block = produce(u0.samples, np.arange(1, _BLOCK_STEPS + 1))
-        for k in (1, 2, 37, _BLOCK_STEPS):
+        block = produce(u0.samples, np.arange(1, 65))
+        for k in (1, 2, 37, 64):
             assert block[k - 1].tobytes() == produce(u0.samples, np.array([k]))[0].tobytes()
 
     @pytest.mark.parametrize("scheme", SCHEMES)

@@ -8,6 +8,7 @@ import pathlib
 import signal
 import tempfile
 import time
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -573,6 +574,37 @@ class TestRunner:
         write_artifacts(res2, str(d2))
         for name in ("trajectory.csv", "summary.csv", "verdict.txt"):
             assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
+
+
+# A run's peak memory is the fields it returns and one block of the march or
+# of its post-processing: each bundled file, and each kind at a size where
+# the fields dwarf a block (Reeb keeping every step)
+_LARGE = {"grid": "4096", "T": "0.1"}
+_MEMORY_CASES = {
+    **{name: (name, {}) for name in ("exact-quasilinear", "heat-decay", "prescribed-F",
+                                     "umbilical", "ftau", "twisted", "reeb")},
+    **{f"{name}-4096": (name, _LARGE) for name in ("exact-quasilinear", "heat-decay",
+                                                    "prescribed-F", "umbilical", "ftau")},
+    "tau-heat-4096": (None, {"kind": "tau-heat", "dt": "0.001", "init": "cos", **_LARGE}),
+    "twisted-64x512": ("twisted", {"base-grid": "64", "fiber-grid": "512", "T": "0.1"}),
+    "reeb-4096-every-step": ("reeb", {"grid": "4096", "dt": "0.0001", "T": "0.01",
+                                      "save-every": "1"}),
+}
+
+
+class TestRunMemory:
+    @pytest.mark.parametrize("name, entries", _MEMORY_CASES.values(), ids=list(_MEMORY_CASES))
+    def test_peak_is_the_returned_fields_and_one_block(self, name, entries):
+        base = {} if name is None else load_scenario(SCENARIO_DIR / f"{name}.egf").entries
+        scn = parse_entries({**base, **entries})
+        tracemalloc.start()
+        try:
+            res = run_scenario(scn)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        fields = sum(field.nbytes for field in res.fields.values())
+        assert peak <= 1.25 * fields + 2**20, f"peak {peak} B for {fields} B of fields"
 
 
 UMBILICAL = """
