@@ -8,9 +8,9 @@ Subpackages by concern:
   its weighted powers.
 - :mod:`egf.parabolic` -- 1-D parabolic solvers on a circle / interval,
   the exact quasi-linear reference family and decay-rate fitting.
-- :mod:`egf.flows` -- the flow scenarios: umbilical surface flows with
-  their volume, twisted products, f(tau)-conformal flows and prescribed
-  mean curvature.
+- :mod:`egf.flows` -- the flow scenarios: one polynomial flow for the
+  umbilical, prescribed-mean-curvature and f(tau)-conformal kinds, twisted
+  products, and the volume of a conformal flow.
 - :mod:`egf.reeb` -- the Reeb-foliation-on-the-torus case study.
 - :mod:`egf.chartgeom` -- extraction of b, A, tau_i from a sampled
   metric in biregular foliated coordinates.

@@ -18,7 +18,7 @@ class UnstableConfigurationError(SolverError):
 
 
 class ConductivityRangeError(SolverError):
-    """Conductivity left its declared [c1, c2] bounds during a run."""
+    """A state or its conductivity left the admissible range during a run."""
 
 
 class NonConvergenceError(SolverError):

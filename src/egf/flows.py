@@ -5,13 +5,15 @@ the per-fiber problems of the fibration decouple, so one fiber is the
 faithful desk-scale unit.  Derivatives along the curve are written N(.)
 and discretized by central differences.
 
-Implemented flows (all conformal in the leafwise metric):
+Three conformal flows are one equation, du/dt = (1/2) d_ss psi(u) = d_s(a
+d_s u) with a = psi'/2 and psi a polynomial, and log conformal factor conf =
+-(1/n) int d_s psi(u) dt, under one rule: the run halts with
+EllipticityLossError, naming the step and t, once the least a is not positive.
 
-- umbilical surface flow     dlam/dt = (1/2) d_s(psi'(lam) d_s lam)
-- twisted-product flow       dphi/dt = (1/n) d_yy phi  per base point
-- prescribed mean curvature  w = tau_1 - F,  dw/dt = d_ss w
-- f(tau)-conformal flow      dtau_1/dt = d_s(a(tau) d_s tau_1),
-                             a = (1/2) sum_k k df/dtau_k F_{k-1}(tau_1)
+- umbilical surface flow     u = lam, psi as given, n = 1
+- prescribed mean curvature  u = w = tau_1 - F, psi = 2w
+- f(tau)-conformal flow      u = tau_1, psi = n sum_k df/dtau_k F_k(tau_1)
+- twisted-product flow       dphi/dt = (1/n) d_yy phi per base point
 
 plus the volume of a conformal flow from its log conformal factor, and the
 driven conformal ODE chains that keep phi_k / psi_k constant.
@@ -28,23 +30,23 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import EllipticityLossError, SolverError, ValidationError
+from .errors import ConductivityRangeError, EllipticityLossError, SolverError, ValidationError
 from .parabolic import (
     CircleField,
-    Conductivity,
     SolverConfig,
     _face_mean,
     _march,
     _newton_stepper,
     _nsteps,
     _propagator,
-    _quasilinear_faces,
     _row_blocks,
     _snapshot_steps,
+    _step_error,
     _sup_distance,
+    _widened_range,
     solve_cyclic_tridiag,  # noqa: F401  (perfbench's tracer test wraps this binding)
 )
-from .symfun import eval_F
+from .symfun import F_coefficients, eval_F
 
 __all__ = [
     "circle_derivative",
@@ -70,6 +72,61 @@ def circle_derivative(samples: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
+def _polynomial_flow(u0: CircleField, psi, T: float, cfg: SolverConfig, n: int | None = 1,
+                     states: np.ndarray | None = None) -> tuple:
+    """The polynomial flow du/dt = (1/2) d_ss psi(u) = d_s(a(u) d_s u), a =
+    psi'/2, from ``u0``, with psi by its ascending coefficients (psi_0, psi_1,
+    ...).  Returns (times, u, conf, a_min), one snapshot per row, u written
+    into ``states`` when given: the log conformal factor starts at zero and
+    accumulates -(1/n) d_s psi(u) by trapezoid in time (conf is None for ``n``
+    None), and a_min is the least a used.
+
+    The route is read off psi's degree: at most 1, a = psi_1 / 2 is constant
+    and the closed-form propagator gives u and conf at the snapshot steps
+    alone; otherwise Newton's method steps the flow, its Jacobian taking a' =
+    psi''/2, and its monitor hook raises :class:`ConductivityRangeError` on a
+    state outside the range of ``u0`` widened by 5% on each side.  On either
+    route a least a at or below zero, or NaN, raises
+    :class:`EllipticityLossError` naming the step and t.
+    """
+    psi = np.asarray(psi, dtype=float)
+    if np.any(psi[2:]):
+        dpsi = np.polyder(psi[::-1])
+        d2psi = np.polyder(dpsi)
+        low, high = _widened_range(u0)
+        a_min = np.inf
+
+        def faces(v: np.ndarray) -> tuple:
+            nonlocal a_min
+            if v.min() < low or v.max() > high:
+                raise ConductivityRangeError("state left the widened initial range")
+            w = _face_mean(v)
+            a = 0.5 * np.polyval(dpsi, w)
+            least = float(np.min(a))
+            if not least > 0.0:  # NaN included
+                raise EllipticityLossError(f"parabolicity coefficient reached min a = {least:.6g}")
+            a_min = min(a_min, least)
+            return w, a
+
+        produce = _newton_stepper(u0, faces, lambda w: 0.5 * np.polyval(d2psi, w), cfg)
+    else:
+        a_min = 0.5 * float(psi[1]) if psi.size > 1 else 0.0
+        if not a_min > 0.0:
+            raise _step_error(EllipticityLossError,
+                              f"parabolicity coefficient reached min a = {a_min:.6g}",
+                              "conformal flow", 1, cfg.dt)
+        produce = _propagator(u0.samples, a_min, u0.h, cfg)
+    integrand = None if n is None else (
+        lambda block: circle_derivative(np.polyval(psi[::-1], block), u0.h))
+    times, u, pairs = _march(u0.samples, T, cfg, produce, "conformal flow",
+                             integrand=integrand, states=states)
+    if n is not None:
+        # 0 - scale P, formed in P: a subtraction from +0, so zero pair sums give +0
+        np.multiply(pairs, (1.0 / n) * 0.5 * cfg.dt, out=pairs)
+        np.subtract(0.0, pairs, out=pairs)
+    return times, u, pairs, a_min
+
+
 def evolve_umbilical(
     lam0: CircleField, psi, T: float, cfg: SolverConfig
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -77,51 +134,13 @@ def evolve_umbilical(
 
     ``psi`` is the polynomial psi(lam) = psi_0 + psi_1 lam + psi_2 lam^2 + ...
     by its coefficients (psi_0, psi_1, ...), in ascending order.  Returns
-    (times, lam, conf), one snapshot per row.  psi' must be positive on the
-    (10% widened) range of lam, its extremes there taken at the ends and the
-    roots of psi''; a negative value is a sign violation and rejected, a
-    vanishing minimum (a degenerate problem) is run.  The log
-    conformal factor ``conf`` starts at zero and accumulates -d_s psi(lam) by
-    trapezoid in time, so ghat_t = ghat_0 exp(conf).
-
-    The route is read off the coefficients: a psi of degree at most 1 makes
-    the flow the heat equation with constant coefficient psi_1 / 2, stepped
-    by the closed-form propagator, which gives conf in closed form too: only
-    the snapshot steps are computed.  Any other psi is stepped by Newton's
-    method, its Jacobian taking psi''.
+    (times, lam, conf), one snapshot per row, of :func:`_polynomial_flow` with
+    n = 1: ghat_t = ghat_0 exp(conf), and psi'/2 must stay positive.
     """
     psi = np.asarray(psi, dtype=float)
     if psi.ndim != 1 or psi.size == 0 or not np.all(np.isfinite(psi)):
         raise ValidationError("psi must be a non-empty list of finite coefficients")
-    descending = psi[::-1]
-    dpsi = np.polyder(descending)
-    d2psi = np.polyder(dpsi)
-    lo, hi = float(lam0.samples.min()), float(lam0.samples.max())
-    # wider than the range _quasilinear_faces checks the conductivity on
-    pad = 0.1 * (hi - lo) + 1e-9 * (1.0 + max(abs(lo), abs(hi)))
-    # psi' takes its extremes on the range at its ends or at roots of psi''
-    roots = np.clip(np.roots(d2psi).real, lo - pad, hi + pad)
-    probe = np.polyval(dpsi, np.concatenate(([lo - pad, hi + pad], roots)))
-    pmin, pmax = float(np.min(probe)), float(np.max(probe))
-    if pmin < 0.0:
-        raise ValidationError(f"psi' changes sign on the data range (min {pmin:.3g})")
-    if np.any(psi[2:]):
-        k = Conductivity(lambda u: 0.5 * np.polyval(dpsi, u),
-                         lambda u: 0.5 * np.polyval(d2psi, u), c1=0.5 * pmin, c2=0.5 * pmax)
-        produce = _newton_stepper(lam0, _quasilinear_faces(lam0, k), k.dfunc, cfg)
-    else:
-        produce = _propagator(lam0.samples, 0.5 * pmax, lam0.h, cfg)  # pmax = psi' = psi_1
-    times, lam, pairs = _march(lam0.samples, T, cfg, produce, "evolve_umbilical",
-                               integrand=lambda block: circle_derivative(
-                                   np.polyval(descending, block), lam0.h))
-    return times, lam, _conformal_factor(pairs, 0.5 * cfg.dt)
-
-
-def _conformal_factor(pairs: np.ndarray, scale: float) -> np.ndarray:
-    """0 - scale * pairs, formed in ``pairs``: a subtraction from +0, so zero
-    pair sums give +0."""
-    np.multiply(pairs, scale, out=pairs)
-    return np.subtract(0.0, pairs, out=pairs)
+    return _polynomial_flow(lam0, psi, T, cfg)[:3]
 
 
 def twisted_product_flow(
@@ -155,11 +174,11 @@ def prescribed_mean_curvature_flow(
 
     w = tau_1 - F satisfies the heat equation along the N-curve, so
     tau_1(t) = F + w(t) and the residual decays exponentially.  Returns
-    (times, w, conf): the log conformal factor starts at zero and
-    accumulates -(2/n) d_s w by trapezoid in time.  The closed-form
-    propagator gives w and that sum at the snapshot steps alone.  A target whose discrete mean exceeds 1e-8 in
-    magnitude is rejected: the zero-average condition is what the
-    closed-curve integral identity forces.
+    (times, w, conf): the polynomial flow of :func:`_polynomial_flow` with
+    psi = 2w, so the closed-form propagator gives w and the log conformal
+    factor, which accumulates -(2/n) d_s w, at the snapshot steps alone.  A
+    target whose discrete mean exceeds 1e-8 in magnitude is rejected: the
+    zero-average condition is what the closed-curve integral identity forces.
 
     Modeling note: the full statement assumes every normal curve is
     dense in the manifold; the single-closed-curve reduction makes that
@@ -169,14 +188,8 @@ def prescribed_mean_curvature_flow(
         raise ValidationError("tau1 and target must share one grid")
     F = target.samples
     if abs(F.mean()) > 1e-8:
-        raise ValidationError(
-            f"target mean curvature must have zero average (got {F.mean():.3e})"
-        )
-    w0 = tau0.samples - F
-    times, w, pairs = _march(w0, T, cfg, _propagator(w0, 1.0, tau0.h, cfg),
-                             "prescribed_mean_curvature_flow",
-                             integrand=lambda block: circle_derivative(block, tau0.h))
-    return times, w, _conformal_factor(pairs, (2.0 / n) * 0.5 * cfg.dt)
+        raise ValidationError(f"target mean curvature must have zero average (got {F.mean():.3e})")
+    return _polynomial_flow(CircleField(tau0.length, tau0.samples - F), (0.0, 2.0), T, cfg, n)[:3]
 
 
 def ftau_conformal_flow(
@@ -188,21 +201,14 @@ def ftau_conformal_flow(
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """Conformal flow driven by -N(f(tau)), reduced to a quasi-linear PDE.
 
-        dtau_1/dt = d_s(a d_s tau_1),
-        a(tau_1) = (1/2) sum_{k=1..n} k df_k F_{k-1}(tau_1),
+        dtau_1/dt = (1/2) d_ss psi(tau_1),   psi = n sum_{k=1..n} df_k F_k,
 
-    with the full tau vector reconstructed through tau_k = F_k(tau_1) from the
-    structure constants ``phi`` = (phi_2, ..., phi_n) of
-    :func:`egf.symfun.f_recursion_constants`, so n = len(phi) + 1.  ``df`` =
-    (df/dtau_1, ..., df/dtau_n) is the constant gradient of the coefficient
-    function f, affine in tau.  Parabolicity requires a > 0.  The route is read
-    off ``df``: zero after its first entry, a = (1/2) df_1 F_0 is constant and
-    the closed-form propagator steps the flow; otherwise Newton's method steps
-    it, its monitor hook checks a at every evaluation, and its Jacobian takes
-    a'(tau_1) = (1/2) sum_k k df_k ((k-1)/n) F_{k-2}(tau_1), since F_k' = (k/n)
-    F_{k-1}.  Either way the run halts with :class:`EllipticityLossError` the
-    moment the minimum of a drops to zero or below, or is NaN.  Each
-    coefficient evaluation calls F_k only for the nonzero entries of ``df``.
+    so a = psi'/2 = (1/2) sum_k k df_k F_{k-1}(tau_1), since F_k' = (k/n)
+    F_{k-1}.  ``df`` = (df/dtau_1, ..., df/dtau_n) is the constant gradient of
+    the coefficient function f, affine in tau, and ``phi`` = (phi_2, ...,
+    phi_n) the structure constants of :func:`egf.symfun.f_recursion_constants`,
+    so n = len(phi) + 1.  psi, of degree the largest k with df_k != 0, goes to
+    :func:`_polynomial_flow`; then tau_k = F_k(tau_1) rebuilds the tau vector.
     Returns (times, taus, a_min): taus has shape (n, S, N), and a_min is the
     least a used.
     """
@@ -210,41 +216,14 @@ def ftau_conformal_flow(
     df = np.asarray(df, dtype=float)
     if df.shape != (n,):
         raise ValidationError(f"df needs n = {n} entries, one per tau_k (got shape {df.shape})")
-    terms = [(k, float(dfk)) for k, dfk in enumerate(df, start=1) if dfk != 0.0]
-    a_min = np.inf
-
-    def observe(amin: float) -> None:
-        nonlocal a_min
-        if not amin > 0.0:  # NaN included
-            raise EllipticityLossError(f"parabolicity coefficient reached min a = {amin:.6g}")
-        a_min = min(a_min, amin)
-
-    def faces(v: np.ndarray) -> tuple:
-        u = _face_mean(v)
-        acc = np.zeros_like(u)
-        for k, dfk in terms:
-            acc += k * dfk * eval_F(k - 1, u, n, phi)
-        a = 0.5 * acc
-        observe(float(np.min(a)))
-        return u, a
-
-    def a_prime(u: np.ndarray) -> np.ndarray:
-        acc = np.zeros_like(u)
-        for k, dfk in terms:
-            if k >= 2:  # F_0' = 0
-                acc += k * dfk * ((k - 1) / n * eval_F(k - 2, u, n, phi))
-        return 0.5 * acc
-
-    if np.any(df[1:]):
-        produce = _newton_stepper(tau1, faces, a_prime, cfg)
-    else:
-        a = 0.5 * (df[0] * eval_F(0, 0.0, n, phi))
-        observe(a)
-        produce = _propagator(tau1.samples, a, tau1.h, cfg)
+    ks = np.flatnonzero(df) + 1  # NaN entries included
+    psi = np.zeros(ks.max(initial=0) + 1)
+    for k in ks.tolist():
+        psi[:k + 1] += df[k - 1] * F_coefficients(k, n, phi)
     # the march writes tau_1 into taus[0]; F_k of it is formed a block of rows at a time
     snapshots = _snapshot_steps(_nsteps(T, cfg.dt), cfg.save_every).size
     taus = np.empty((n, snapshots, tau1.n))
-    times, _, _ = _march(tau1.samples, T, cfg, produce, "conformal flow", states=taus[0])
+    times, _, _, a_min = _polynomial_flow(tau1, n * psi, T, cfg, n=None, states=taus[0])
     for rows in _row_blocks(snapshots, tau1.n):
         for k in range(2, n + 1):
             taus[k - 1, rows] = eval_F(k, taus[0, rows], n, phi)

@@ -569,12 +569,17 @@ def solve_quasilinear_divergence(
     return CircleTrajectory(times, states, np.arange(_nsteps(T, cfg.dt) + 1) * cfg.dt)
 
 
+def _widened_range(u0: CircleField) -> tuple[float, float]:
+    """u0's range, widened on each side by 5% of its width plus 1e-9 (1 + sup |u0|)."""
+    lo, hi = float(u0.samples.min()), float(u0.samples.max())
+    pad = 0.05 * (hi - lo) + 1e-9 * (1.0 + max(abs(lo), abs(hi)))
+    return lo - pad, hi + pad
+
+
 def _quasilinear_faces(u0: CircleField, k: Conductivity) -> Callable:
     """The monitor hook of :func:`solve_quasilinear_divergence`: (face
     states, checked face conductivities) of a state."""
-    lo, hi = float(u0.samples.min()), float(u0.samples.max())
-    pad = 0.05 * (hi - lo) + 1e-9 * (1.0 + max(abs(lo), abs(hi)))
-    low, high = lo - pad, hi + pad
+    low, high = _widened_range(u0)
     k.check_range(np.asarray(k.func(np.linspace(low, high, 257)), dtype=float))
 
     def faces(v: np.ndarray) -> tuple:

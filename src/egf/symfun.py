@@ -41,6 +41,7 @@ __all__ = [
     "peel_phi",
     "peel_psi",
     "eval_F",
+    "F_coefficients",
     "eval_Psi",
 ]
 
@@ -157,6 +158,19 @@ def eval_F(k: int, tau1, n: int, phi):
         for i in range(2, k + 1):
             out = out + comb(k, i) * phi[i - 2] / n ** (k - i) * t ** (k - i)
     return out if out.ndim else float(out)
+
+
+def F_coefficients(k: int, n: int, phi) -> np.ndarray:
+    """The coefficients (c_0, ..., c_k) of F_k(t) = c_0 + c_1 t + ... + c_k t^k
+    for 1 <= k <= len(phi) + 1, by the formula of :func:`eval_F`: c_k = 1 /
+    n^(k-1), c_{k-1} = 0 for k >= 2, and c_{k-i} = C(k,i) phi_i / n^(k-i)."""
+    if not 1 <= k <= len(phi) + 1:
+        raise IndexError(f"F_{k} coefficients undefined (have 1 <= k <= {len(phi) + 1})")
+    c = np.zeros(k + 1)
+    c[k] = 1.0 / n ** (k - 1)
+    for i in range(2, k + 1):
+        c[k - i] = comb(k, i) * phi[i - 2] / n ** (k - i)
+    return c
 
 
 def eval_Psi(k: int, sigma1, n: int, psi):

@@ -22,8 +22,8 @@ from egf.parabolic import (
     _second_difference,
     solve_heat_circle,
 )
-from egf.runner import run_scenario
-from egf.scenarios import parse_scenario
+from egf.runner import _circle_nodes, run_scenario
+from egf.scenarios import build_field, parse_scenario
 from egf.symfun import (
     eval_F,
     eval_Psi,
@@ -199,18 +199,29 @@ class TestUmbilical:
 
     def test_sign_violating_psi_rejected(self):
         lam0 = cos_field(amp=1.0)
-        with pytest.raises(ValidationError):
-            # psi = lam^2: psi' = 2 lam changes sign on [-1.1, 1.1]
+        with pytest.raises(EllipticityLossError, match="at step 1 "):
+            # psi = lam^2: psi' / 2 = lam is negative on the faces of step 1
+            evolve_umbilical(lam0, (0.0, 0.0, 1.0), 0.1, SolverConfig(dt=1e-3))
+
+    def test_vanishing_psi_prime_is_refused(self):
+        # psi = lam^2 on lam0 >= 0 with two neighbouring zeros: a = lam has
+        # minimum 0 at their face, a degenerate problem, which the rule a > 0
+        # refuses at step 1
+        lam0 = CircleField(TWO_PI, np.maximum(np.cos(np.arange(64) * TWO_PI / 64), 0.0))
+        with pytest.raises(EllipticityLossError, match=r"min a = 0 during .* at step 1 "):
             evolve_umbilical(lam0, (0.0, 0.0, 1.0), 0.1, SolverConfig(dt=1e-3))
 
     def test_psi_prime_minimum_between_samples_is_in_the_band(self):
         # psi = lam + (lam - c)^3: psi' / 2 reaches its minimum 1/2 at lam = c,
-        # between any grid of probe points; a band from sampled psi' starts
-        # above 1/2, and the faces near c leave it (ConductivityRangeError)
+        # between the face states; positive everywhere, it runs, and the least
+        # a it reports is one of the face values, at or above 1/2
         c = 0.1
         psi = (-c**3, 1.0 + 3.0 * c**2, -3.0 * c, 1.0)
-        _, lam, _ = evolve_umbilical(cos_field(n=128, amp=0.3), psi, 0.1, SolverConfig(dt=1e-2))
+        lam0 = cos_field(n=128, amp=0.3)
+        _, lam, _ = evolve_umbilical(lam0, psi, 0.1, SolverConfig(dt=1e-2))
         assert np.all(np.isfinite(lam))
+        *_, a_min = flows._polynomial_flow(lam0, psi, 0.1, SolverConfig(dt=1e-2))
+        assert 0.5 <= a_min < 0.51
 
     def test_volume_decreases_under_speed_two_flow(self):
         # d(vol)/dt = -(n/2) integral lam psi(lam) dvol < 0 for psi = 2 lam;
@@ -623,10 +634,11 @@ class TestFtauConformal:
                                 SolverConfig(dt=1e-3))
 
     def test_newton_route_evaluates_F_at_the_nonzero_gradient_entries(self, monkeypatch):
-        # f = (2/n) tau_2 over a spectrum of 143 values +-100: each coefficient
-        # evaluation calls F_1 (a) or F_0 (a'), not F_0..F_n, and the final
-        # reconstruction F_1..F_n once each.  Measured 175 calls; 4,751 when
-        # every evaluation built F_0..F_n
+        # f = (2/n) tau_2 over a spectrum of 143 values +-100: psi is composed
+        # once from the coefficients of F_2, the one nonzero entry, so no
+        # Newton step calls eval_F; the final reconstruction calls F_2..F_n
+        # once each (one block of rows).  Measured 175 calls when each
+        # coefficient evaluation called F_1 and F_0, 4,751 when it built F_0..F_n
         calls = []
 
         def counted(*args):
@@ -639,7 +651,7 @@ class TestFtauConformal:
             "kind: ftau\ngrid: 64\ndt: 0.01\nT: 0.1\nf: scaled-tau2\n"
             f"spectrum: {spectrum}\ninit: cos\ninit-amplitude: 0.2\ninit-offset: 100\n"))
         assert res.passed and len(res.fields) == 143
-        assert len(calls) <= 200
+        assert calls == list(range(2, 144))
 
     def test_picard_reports_least_coefficient_seen(self, monkeypatch):
         # f = (2/n) tau_2: a = (2/n) tau_1 on the faces; implicit Euler keeps
@@ -666,6 +678,75 @@ class TestFtauConformal:
         for k in range(0, n + 1):
             rows = np.asarray([basis(k, row, n, consts) for row in states])
             assert basis(k, states, n, consts).tobytes() == rows.tobytes()
+
+
+class TestOnePolynomialFlow:
+    """The umbilical, prescribed-F and f(tau) kinds march through one flow,
+    du/dt = (1/2) d_ss psi(u) with log conformal factor -(1/n) int d_s psi(u)
+    dt, and keep the bits of the flows they replaced."""
+
+    @pytest.mark.parametrize("scheme", ["implicit-euler", "crank-nicolson"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 7])
+    def test_prescribed_is_the_flow_of_psi_2w(self, scheme, n):
+        # the replaced formula: heat on w with constant 1, conf = -(2/n)(dt/2) P
+        # of d_s w; psi = 2w doubles P and halves the scale, exactly
+        tau0, F = cos_field(n=128, amp=0.4, freq=3), cos_field(n=128)
+        w0 = CircleField(TWO_PI, tau0.samples - F.samples)
+        cfg = SolverConfig(dt=1e-3, scheme=scheme, save_every=7)
+        times, w, conf = prescribed_mean_curvature_flow(tau0, F, 0.5, cfg, n=n)
+        flow = flows._polynomial_flow(w0, (0.0, 2.0), 0.5, cfg, n)
+        ref_times, ref_w, pairs = parabolic._march(
+            w0.samples, 0.5, cfg, parabolic._propagator(w0.samples, 1.0, w0.h, cfg), "reference",
+            integrand=lambda block: circle_derivative(block, w0.h))
+        ref_conf = 0.0 - pairs * ((2.0 / n) * 0.5 * cfg.dt)
+        expected = [a.tobytes() for a in (ref_times, ref_w, ref_conf)]
+        for got in ((times, w, conf), flow[:3]):
+            assert [a.tobytes() for a in got] == expected
+        assert flow[3] == 1.0
+
+    def test_bundled_ftau_is_the_flow_of_psi_n_df1_tau1(self):
+        # f = (2/n) tau_1: psi = (0, n df_1), the propagator constant
+        # (1/2)(n df_1) as the replaced (1/2)(df_1 F_0) was
+        scn = parse_scenario((SCENARIO_DIR / "ftau.egf").read_text())
+        n = scn.get("n")
+        phi = f_recursion_constants(power_sums(scn.get("spectrum")))
+        tau1 = CircleField(scn.length, build_field(scn, "init", _circle_nodes(scn)))
+        cfg = SolverConfig(dt=scn.dt, scheme=scn.scheme)
+        df = scaled_tau_k(n, 1)
+        times, taus, a_min = ftau_conformal_flow(tau1, df, phi, scn.T, cfg)
+        flow_times, flow_tau1, _, flow_a_min = flows._polynomial_flow(
+            tau1, (0.0, n * df[0]), scn.T, cfg)
+        ref_times, ref_tau1, _ = parabolic._march(
+            tau1.samples, scn.T, cfg,
+            parabolic._propagator(tau1.samples, 0.5 * (df[0] * n), tau1.h, cfg), "reference")
+        assert times.tobytes() == flow_times.tobytes() == ref_times.tobytes()
+        assert taus[0].tobytes() == flow_tau1.tobytes() == ref_tau1.tobytes()
+        assert a_min == flow_a_min == 0.5 * (df[0] * n)
+
+    @pytest.mark.parametrize("case", ["umbilical-library", "ftau-cli"])
+    def test_loss_of_parabolicity_is_one_rule(self, tmp_path, capsys, case):
+        # psi = lam^2 (a = lam) on cos data, and the reachability scan's
+        # ftau-step-error file (a = tau_1 on +-1e100 data): both halt at the
+        # faces of step 1 with EllipticityLossError, which the CLI exits 4 on
+        from egf import cli
+
+        if case == "umbilical-library":
+            def run():
+                evolve_umbilical(cos_field(amp=1.0), (0.0, 0.0, 1.0), 0.1, SolverConfig(dt=1e-3))
+        else:
+            path = tmp_path / "ftau-step-error.egf"
+            path.write_text("kind: ftau\ngrid: 64\ndt: 0.01\nT: 1\nf: scaled-tau2\n"
+                            "spectrum: 1e100,1\ninit-amplitude: 1e100\n")
+
+            def run():
+                run_scenario(parse_scenario(path.read_text()))
+
+            assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 4
+            assert "at step 1 " in capsys.readouterr().err
+        with pytest.raises(EllipticityLossError, match="at step 1 ") as info:
+            run()
+        code = next(code for kind, code, _ in cli._EXIT_CODES if isinstance(info.value, kind))
+        assert code == 4
 
 
 class TestNewtonAgainstPicard:

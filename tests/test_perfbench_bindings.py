@@ -3,8 +3,8 @@
 position.  A binding renamed or moved in egf breaks a traced benchmark pass,
 which no other test here runs: this one installs the tracer, read from its
 file and left unchanged, over three bundled runs and an ``f: scaled-tau2``
-file, whose Newton route calls the ``flows.eval_F`` binding the tracer
-rebinds.
+file, whose reconstruction of tau_2 calls the ``flows.eval_F`` binding the
+tracer rebinds.
 """
 
 import pathlib
@@ -42,10 +42,10 @@ def test_traced_runs_reach_the_bound_functions(tmp_path, monkeypatch):
         notes = [s.note for s in t.spans if s.name == "flows.ftau_conformal_flow"]
         assert notes == [{"steps": 500}, {"steps": 20}]
     if {"flows.ftau_conformal_flow", "symfun.eval_F"} <= bound:
-        # inside the scaled-tau2 flow's span: the Newton route's coefficient
-        # evaluations besides the n = 2 of the final reconstruction
+        # inside the scaled-tau2 flow's span: the final reconstruction of
+        # tau_2 alone, since no Newton step calls eval_F
         newton = [i for i, s in enumerate(t.spans) if s.name == "flows.ftau_conformal_flow"][-1]
-        assert sum(s.name == "symfun.eval_F" and s.parent == newton for s in t.spans) > 2
+        assert sum(s.name == "symfun.eval_F" and s.parent == newton for s in t.spans) == 1
     if "flows.evolve_umbilical" in bound:
         assert sum(s.name == "flows.evolve_umbilical" for s in t.spans) == 1
     if "parabolic.solve_heat_circle" in bound:

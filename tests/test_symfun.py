@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from egf.errors import ValidationError
 from egf.symfun import (
+    F_coefficients,
     curvatures,
     eval_F,
     eval_Psi,
@@ -189,6 +190,22 @@ class TestFPsiEvaluation:
             eval_F(len(phi) + 2, 0.0, 2, phi)
         with pytest.raises(IndexError):
             eval_Psi(3, 0.0, 2, psi_constants(tau))
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_F_coefficients_evaluate_to_F(self, k):
+        # the ascending coefficients the f(tau) flow composes psi from: k + 1
+        # of them, c_k = 1 / n^(k-1) and c_{k-1} = 0 from k = 2
+        phi = f_recursion_constants(power_sums(spectrum(-1.0, 0.5, 2.0, 3.5)))
+        c = F_coefficients(k, 4, phi)
+        assert c.shape == (k + 1,)
+        if k >= 2:
+            assert c[k] == 1.0 / 4 ** (k - 1) and c[k - 1] == 0.0
+        x = np.random.default_rng(k).uniform(-4, 4, 9)
+        assert np.polyval(c[::-1], x) == pytest.approx(eval_F(k, x, 4, phi), rel=1e-12,
+                                                       abs=1e-12)
+        for outside in (0, len(phi) + 2):
+            with pytest.raises(IndexError):
+                F_coefficients(outside, 4, phi)
 
     def test_identity_at_t0_random_spectra(self):
         rng = np.random.default_rng(42)
