@@ -18,7 +18,8 @@ class UnstableConfigurationError(SolverError):
 
 
 class ConductivityRangeError(SolverError):
-    """A state or its conductivity left the admissible range during a run."""
+    """A state of a Newton run left the range of its initial state widened
+    by 5% on each side."""
 
 
 class NonConvergenceError(SolverError):

@@ -30,11 +30,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ConductivityRangeError, EllipticityLossError, SolverError, ValidationError
+from .errors import EllipticityLossError, SolverError, ValidationError
 from .parabolic import (
     CircleField,
     SolverConfig,
-    _face_mean,
     _march,
     _newton_stepper,
     _nsteps,
@@ -43,7 +42,6 @@ from .parabolic import (
     _snapshot_steps,
     _step_error,
     _sup_distance,
-    _widened_range,
     solve_cyclic_tridiag,  # noqa: F401  (perfbench's tracer test wraps this binding)
 )
 from .symfun import F_coefficients, eval_F
@@ -83,39 +81,26 @@ def _polynomial_flow(u0: CircleField, psi, T: float, cfg: SolverConfig, n: int |
 
     The route is read off psi's degree: at most 1, a = psi_1 / 2 is constant
     and the closed-form propagator gives u and conf at the snapshot steps
-    alone; otherwise Newton's method steps the flow, its Jacobian taking a' =
-    psi''/2, and its monitor hook raises :class:`ConductivityRangeError` on a
-    state outside the range of ``u0`` widened by 5% on each side.  On either
-    route a least a at or below zero, or NaN, raises
-    :class:`EllipticityLossError` naming the step and t.
+    alone; otherwise :func:`~egf.parabolic._newton_stepper` steps the flow
+    with face coefficient a and its derivative a' = psi''/2, under its rule: a
+    state outside the range of ``u0`` widened by 5% on each side raises
+    :class:`ConductivityRangeError`.  On either route a least a at or below
+    zero, or NaN, raises :class:`EllipticityLossError` naming the step and t.
     """
     psi = np.asarray(psi, dtype=float)
     if np.any(psi[2:]):
         dpsi = np.polyder(psi[::-1])
         d2psi = np.polyder(dpsi)
-        low, high = _widened_range(u0)
-        a_min = np.inf
-
-        def faces(v: np.ndarray) -> tuple:
-            nonlocal a_min
-            if v.min() < low or v.max() > high:
-                raise ConductivityRangeError("state left the widened initial range")
-            w = _face_mean(v)
-            a = 0.5 * np.polyval(dpsi, w)
-            least = float(np.min(a))
-            if not least > 0.0:  # NaN included
-                raise EllipticityLossError(f"parabolicity coefficient reached min a = {least:.6g}")
-            a_min = min(a_min, least)
-            return w, a
-
-        produce = _newton_stepper(u0, faces, lambda w: 0.5 * np.polyval(d2psi, w), cfg)
+        produce = _newton_stepper(u0, lambda w: 0.5 * np.polyval(dpsi, w),
+                                  lambda w: 0.5 * np.polyval(d2psi, w), cfg)
     else:
-        a_min = 0.5 * float(psi[1]) if psi.size > 1 else 0.0
-        if not a_min > 0.0:
+        a = 0.5 * float(psi[1]) if psi.size > 1 else 0.0
+        if not a > 0.0:
             raise _step_error(EllipticityLossError,
-                              f"parabolicity coefficient reached min a = {a_min:.6g}",
+                              f"parabolicity coefficient reached min a = {a:.6g}",
                               "conformal flow", 1, cfg.dt)
-        produce = _propagator(u0.samples, a_min, u0.h, cfg)
+        produce = _propagator(u0.samples, a, u0.h, cfg)
+        produce.least = a
     integrand = None if n is None else (
         lambda block: circle_derivative(np.polyval(psi[::-1], block), u0.h))
     times, u, pairs = _march(u0.samples, T, cfg, produce, "conformal flow",
@@ -124,7 +109,7 @@ def _polynomial_flow(u0: CircleField, psi, T: float, cfg: SolverConfig, n: int |
         # 0 - scale P, formed in P: a subtraction from +0, so zero pair sums give +0
         np.multiply(pairs, (1.0 / n) * 0.5 * cfg.dt, out=pairs)
         np.subtract(0.0, pairs, out=pairs)
-    return times, u, pairs, a_min
+    return times, u, pairs, produce.least
 
 
 def evolve_umbilical(

@@ -26,6 +26,7 @@ import numpy.fft  # noqa: F401  (the propagator's, loaded here rather than insid
 
 from .errors import (
     ConductivityRangeError,
+    EllipticityLossError,
     NonConvergenceError,
     SolverError,
     UnstableConfigurationError,
@@ -34,7 +35,6 @@ from .errors import (
 
 __all__ = [
     "CircleField",
-    "Conductivity",
     "SolverConfig",
     "CircleTrajectory",
     "solve_heat_circle",
@@ -126,37 +126,6 @@ class CircleField:
 
     def mean(self) -> float:
         return float(self.samples.mean())
-
-
-@dataclass
-class Conductivity:
-    """Thermal diffusivity k(u), a function of the state, with its
-    derivative ``dfunc`` = k'(u) (Newton's Jacobian) and declared bounds
-    c1 <= k <= c2.
-
-    Evaluations during a run are monitored against [c1, c2]; leaving the
-    band raises :class:`ConductivityRangeError`.  c1 = 0 is accepted
-    (degenerate problems are run, not rejected).
-    """
-
-    func: Callable
-    dfunc: Callable
-    c1: float
-    c2: float
-
-    def __post_init__(self) -> None:
-        if not (0.0 <= self.c1 <= self.c2) or not np.isfinite(self.c2):
-            raise ValidationError("need 0 <= c1 <= c2 < inf")
-
-    def check_range(self, values: np.ndarray) -> None:
-        vals = np.asarray(values)
-        slack = 1e-12 * (1.0 + self.c2)
-        # written so that NaN, for which every comparison is false, fails too
-        low, high = vals.min(), vals.max()
-        if not (low >= self.c1 - slack and high <= self.c2 + slack):
-            raise ConductivityRangeError(
-                f"conductivity left [{self.c1}, {self.c2}]: observed [{low:.6g}, {high:.6g}]"
-            )
 
 
 @dataclass
@@ -314,8 +283,9 @@ def _sup_distance(x: np.ndarray, centre=0.0) -> np.ndarray:
 def _stepper(advance: Callable) -> Callable:
     """The producer of a one-step map: the states u_k = advance(u_{k-1}, k) of
     the given steps, cut short after the first non-finite one.  A solver error
-    of a step (a conductivity or faces hook, Newton) or a floating-point error
-    (under the CLI's ``np.errstate``) leaves with that step."""
+    of a step (the Newton step's range rule or its iteration) or a
+    floating-point error (under the CLI's ``np.errstate``) leaves with that
+    step."""
 
     def produce(u: np.ndarray, steps: np.ndarray) -> np.ndarray:
         block = np.empty((steps.size, *u.shape))
@@ -413,39 +383,50 @@ def _march(u0: np.ndarray, T: float, cfg: SolverConfig, produce: Callable,
     return keep * cfg.dt, states, pairs
 
 
-def _newton_stepper(u0: CircleField, faces: Callable, slope: Callable,
-                    cfg: SolverConfig) -> Callable:
+def _newton_stepper(u0: CircleField, k: Callable, dk: Callable, cfg: SolverConfig) -> Callable:
     """The producer of du/dt = D_{k(u)} u on the circle, (D_k v)_i =
     [k_{i+1/2}(v_{i+1} - v_i) - k_{i-1/2}(v_i - v_{i-1})] / h^2, each step
     solving the theta scheme G(v) = v - theta dt D_{k(v)} v - rhs = 0 by
     Newton's method.
 
-    ``faces(v)`` gives (w, k(w)) at the face states w_i = (v_i + v_{i+1})/2
-    of a state v and is the monitor hook: it raises when v or k leaves its
-    admissible range.  ``slope(w)`` gives k'(w); it is called only when a
-    solve follows.  The Jacobian of G is cyclic tridiagonal, not symmetric,
-    and its columns sum to 1, so each update keeps the discrete mean.  Each
-    step starts from the linear predictor 2 u_n - u_{n-1} (step 1 from u_n);
-    the hook sees the predictor too, and one it rejects (an overshoot at a
-    steep front can leave the admissible range that every state keeps) is
-    dropped for u_n.  The iteration stops at sup |G| <= _NEWTON_TOLERANCE
-    (1 + sup |u0|), a test that needs no further solve (Kelley, *Iterative
-    Methods for Linear and Nonlinear Equations*, SIAM 1995, ch. 5), or raises
-    :class:`NonConvergenceError` once it would need more than _NEWTON_SOLVES
-    solves.  The accepted iterate's faces and flux differences give the next
-    step's explicit Crank-Nicolson half, so a step that takes one solve
-    evaluates the faces twice.  The producer serves one march: it keeps the
-    last state and its faces between calls, and starts afresh at step 1.
+    The face coefficients are k(w) at the face states w_i = (v_i + v_{i+1})/2,
+    and ``dk(w)`` = k'(w) enters the Jacobian; it is called only when a solve
+    follows.  Every evaluation holds the problem to its one admissible range:
+    a state outside the range of u0 widened by 5% on each side raises
+    :class:`ConductivityRangeError`, and a least face coefficient at or below
+    zero, NaN included, raises :class:`EllipticityLossError` (the march names
+    the step and t of either).  ``produce.least`` is the least face
+    coefficient of the evaluations that passed (inf before any).  The Jacobian of G is cyclic
+    tridiagonal, not symmetric, and its columns sum to 1, so each update keeps
+    the discrete mean.  Each step starts from the linear predictor 2 u_n -
+    u_{n-1} (step 1 from u_n); a predictor outside the admissible range (an
+    overshoot at a steep front) is dropped for u_n.  The iteration stops at
+    sup |G| <= _NEWTON_TOLERANCE (1 + sup |u0|), a test that needs no further
+    solve (Kelley, *Iterative Methods for Linear and Nonlinear Equations*,
+    SIAM 1995, ch. 5), or raises :class:`NonConvergenceError` once it would
+    need more than _NEWTON_SOLVES solves.  The accepted iterate's faces and
+    flux differences give the next step's explicit Crank-Nicolson half, so a
+    step that takes one solve evaluates the faces twice.  The producer serves
+    one march: it keeps the last state and its faces between calls, and starts
+    afresh at step 1.
     """
     implicit = cfg.theta * cfg.dt / u0.h**2
     explicit = (1.0 - cfg.theta) * cfg.dt / u0.h**2
     stop = _NEWTON_TOLERANCE * (float(np.max(np.abs(u0.samples))) + 1.0)
+    low, high = _widened_range(u0)
     previous = accepted = None
 
     def evaluate(v: np.ndarray) -> tuple:
         """(v, face states w, k(w), forward differences d, flux differences
         q_i - q_{i-1} with q = k(w) d): D_{k(v)} v is the last over h^2."""
-        w, kface = faces(v)
+        if v.min() < low or v.max() > high:
+            raise ConductivityRangeError("state left the widened initial range")
+        w = _face_mean(v)
+        kface = np.asarray(k(w), dtype=float)
+        least = float(kface.min())
+        if not least > 0.0:  # NaN included
+            raise EllipticityLossError(f"parabolicity coefficient reached min a = {least:.6g}")
+        produce.least = min(produce.least, least)
         d = _forward_difference(v)
         q = kface * d
         dq = np.empty_like(q)
@@ -464,7 +445,7 @@ def _newton_stepper(u0: CircleField, faces: Callable, slope: Callable,
             try:
                 current = evaluate(2.0 * u - previous)
             except SolverError:
-                pass  # the hook rejects the predictor, not a state: start from u_n
+                pass  # the predictor, not a state, left the range: start from u_n
         previous = u
         for solves in range(_NEWTON_SOLVES + 1):
             v, w, kface, d, dq = current
@@ -477,7 +458,7 @@ def _newton_stepper(u0: CircleField, faces: Callable, slope: Callable,
             if solves == _NEWTON_SOLVES:
                 break
             # dG/dv: row i holds lower_{i-1}, 1 - lower_i - upper_{i-1}, upper_i
-            half = (0.5 * implicit) * slope(w) * d
+            half = (0.5 * implicit) * dk(w) * d
             ck = implicit * kface
             lower, upper = half - ck, -ck - half
             diag = 1.0 - lower
@@ -487,7 +468,9 @@ def _newton_stepper(u0: CircleField, faces: Callable, slope: Callable,
             current = evaluate(v - correction)
         raise NonConvergenceError(f"Newton iteration stalled (last residual {residual:.3e})")
 
-    return _stepper(advance)
+    produce = _stepper(advance)
+    produce.least = math.inf
+    return produce
 
 
 # ---------------------------------------------------------------------------
@@ -549,22 +532,24 @@ def _propagator(u0: np.ndarray, c: float, h: float, cfg: SolverConfig) -> Callab
 
 
 def solve_quasilinear_divergence(
-    u0: CircleField, k: Conductivity, T: float, cfg: SolverConfig
+    u0: CircleField, k: Callable, dk: Callable, T: float, cfg: SolverConfig
 ) -> CircleTrajectory:
     """du/dt = d_x(k(u) d_x u) on the circle, conservative stencil.
 
     Face conductivities are evaluated at the interface-average state,
     k((u_i + u_{i+1})/2); each step is solved by Newton's method with
-    Jacobian from ``k.dfunc`` (at most _NEWTON_SOLVES solves, to a residual
+    Jacobian from ``dk`` = k' (at most _NEWTON_SOLVES solves, to a residual
     below _NEWTON_TOLERANCE (1 + sup |u0|)).  The discrete mean is conserved
     exactly by the flux form, and under implicit Euler the sup-norm is
     non-increasing.
 
-    Preconditions: k is evaluable and within [c1, c2] on the range of u0
-    widened by 10% (5% on each side); leaving that band raises
-    :class:`ConductivityRangeError`.
+    The rule of :func:`_newton_stepper` holds the run: a state outside the
+    range of u0 widened by 5% on each side raises
+    :class:`ConductivityRangeError`, and a face conductivity at or below
+    zero, or NaN, raises :class:`EllipticityLossError`, each naming the step
+    and t.
     """
-    produce = _newton_stepper(u0, _quasilinear_faces(u0, k), k.dfunc, cfg)
+    produce = _newton_stepper(u0, k, dk, cfg)
     times, states, _ = _march(u0.samples, T, cfg, produce, "solve_quasilinear_divergence")
     return CircleTrajectory(times, states, np.arange(_nsteps(T, cfg.dt) + 1) * cfg.dt)
 
@@ -574,23 +559,6 @@ def _widened_range(u0: CircleField) -> tuple[float, float]:
     lo, hi = float(u0.samples.min()), float(u0.samples.max())
     pad = 0.05 * (hi - lo) + 1e-9 * (1.0 + max(abs(lo), abs(hi)))
     return lo - pad, hi + pad
-
-
-def _quasilinear_faces(u0: CircleField, k: Conductivity) -> Callable:
-    """The monitor hook of :func:`solve_quasilinear_divergence`: (face
-    states, checked face conductivities) of a state."""
-    low, high = _widened_range(u0)
-    k.check_range(np.asarray(k.func(np.linspace(low, high, 257)), dtype=float))
-
-    def faces(v: np.ndarray) -> tuple:
-        if v.min() < low or v.max() > high:
-            raise ConductivityRangeError("state left the widened initial range")
-        w = _face_mean(v)
-        vals = np.asarray(k.func(w), dtype=float)
-        k.check_range(vals)
-        return w, vals
-
-    return faces
 
 
 def solve_linear_interval(
@@ -692,13 +660,9 @@ def exact_quasilinear_solution(t, x):
     return np.exp(-t) * np.sin(x) / np.sqrt(1.0 + np.cos(x) ** 2 * np.exp(-2.0 * t))
 
 
-def exact_quasilinear_conductivity() -> Conductivity:
-    """k(u) = 1/(1+u^2), k'(u) = -2u/(1+u^2)^2, for the exact family.
+def exact_quasilinear_conductivity() -> tuple[Callable, Callable]:
+    """(k, k') of the exact family: k(u) = 1/(1+u^2), k'(u) = -2u/(1+u^2)^2.
 
-    On the solution range |u| <= 1 the bounds are 1/2 <= k <= 1; the
-    declared band is widened (c1 = 1/2.3, covering |u| up to ~1.14) so
-    the 10%-padded precondition of the quasilinear solver holds with
-    margin for data that attains |u| = 1.
+    On the solution range |u| <= 1, 1/2 <= k <= 1.
     """
-    return Conductivity(lambda u: 1.0 / (1.0 + u * u),
-                        lambda u: -2.0 * u / (1.0 + u * u) ** 2, c1=1.0 / 2.3, c2=1.0)
+    return (lambda u: 1.0 / (1.0 + u * u)), (lambda u: -2.0 * u / (1.0 + u * u) ** 2)

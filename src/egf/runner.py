@@ -151,7 +151,7 @@ def _run_pde_reference(scn: FlowScenario) -> RunResult:
     if exact_problem:
         u0 = CircleField(scn.length, exact_quasilinear_solution(0.0, x))
         traj = solve_quasilinear_divergence(
-            u0, exact_quasilinear_conductivity(), scn.T, _config(scn)
+            u0, *exact_quasilinear_conductivity(), scn.T, _config(scn)
         )
     else:
         u0 = CircleField(scn.length, build_field(scn, "init", x))
@@ -298,13 +298,10 @@ def _run_ftau(scn: FlowScenario) -> RunResult:
     tau1 = CircleField(scn.length, build_field(scn, "init", x))
     times, taus, a_min = flows.ftau_conformal_flow(tau1, df, phi, scn.T, _config(scn))
     sup, drift = _deviation(taus[0])
-    checks = [
-        Check("mass-conservation", drift <= 1e-10, f"drift {drift:.3e}"),
-        Check("parabolicity-maintained", a_min > 0.0, f"min a = {a_min:.6g} > 0"),
-    ]
+    checks = [Check("mass-conservation", drift <= 1e-10, f"drift {drift:.3e}")]
     fields = {f"tau{k}": taus[k - 1] for k in range(1, n + 1)}
     return _result(scn, checks, times, {"x": x}, fields, {"sup_deviation": sup},
-                   _fit_alpha(times, sup), {"drift": drift})
+                   _fit_alpha(times, sup), {"drift": drift, "a_min": a_min})
 
 
 def _run_reeb(scn: FlowScenario) -> RunResult:
@@ -324,9 +321,6 @@ def _run_reeb(scn: FlowScenario) -> RunResult:
     checks = [
         Check("K_t(0)=0", abs(K[i0]) <= 1e-6, f"|K(0)| = {abs(K[i0]):.3e}"),
         Check("det-identity", det_res <= 1e-12, f"max |det - e^-U| = {det_res:.3e}"),
-        Check("boundary-pinned",
-              bool(np.all(lam[:, 0] == 0.0) and np.all(lam[:, -1] == 0.0)),
-              "lambda(+-1) = 0 at every kept step"),
         _monotone("monotone-sup-curvature", sup, "sup |lambda| non-increasing"),
     ]
     metrics = {"K0": float(K[i0]), "det_residual": det_res, "slope": slope,

@@ -135,8 +135,7 @@ class TestUmbilical:
         times, lam, conf = evolve_umbilical(lam0, PSI2, 0.5, cfg)
         padded = evolve_umbilical(lam0, (0.0, 2.0, 0.0, 0.0), 0.5, cfg)
         assert all(a.tobytes() == b.tobytes() for a, b in zip(padded, (times, lam, conf)))
-        k = parabolic.Conductivity(np.ones_like, np.zeros_like, 1.0, 1.0)
-        produce = picard_stepper(lam0, parabolic._quasilinear_faces(lam0, k), k.dfunc, cfg)
+        produce = picard_stepper(lam0, np.ones_like, np.zeros_like, cfg)
         picard_times, picard_lam, pairs = parabolic._march(
             lam0.samples, 0.5, cfg, produce, "oracle",
             integrand=lambda block: circle_derivative(2.0 * block, lam0.h))
@@ -151,19 +150,21 @@ class TestUmbilical:
         assert_sparse_march(monkeypatch, lambda: evolve_umbilical(lam0, PSI2, T, cfg), T, cfg)
 
     def test_nonlinear_psi_needs_its_second_derivative(self, monkeypatch):
-        # psi = lam + lam^3 takes Newton's method, whose Jacobian gets
-        # psi'' / 2 = 3 lam from the coefficients
-        slopes = []
+        # psi = lam + lam^3 takes Newton's method with face coefficient
+        # psi' / 2 = (1 + 3 lam^2) / 2, whose Jacobian gets psi'' / 2 = 3 lam
+        # from the coefficients
+        coefficients = []
         newton = flows._newton_stepper
 
-        def recorded(u0, faces, slope, cfg):
-            slopes.append(slope)
-            return newton(u0, faces, slope, cfg)
+        def recorded(u0, k, dk, cfg):
+            coefficients.append((k, dk))
+            return newton(u0, k, dk, cfg)
 
         monkeypatch.setattr(flows, "_newton_stepper", recorded)
         evolve_umbilical(cos_field(n=64, amp=0.3), CUBIC, 0.1, SolverConfig(dt=1e-2))
         u = np.linspace(-2.0, 2.0, 9)
-        assert len(slopes) == 1 and np.array_equal(slopes[0](u), 3.0 * u)
+        (k, dk), = coefficients
+        assert np.array_equal(k(u), 0.5 * (1.0 + 3.0 * u**2)) and np.array_equal(dk(u), 3.0 * u)
 
     @pytest.mark.parametrize("psi", [(), [[0.0, 2.0]], (0.0, np.inf), (np.nan, 1.0)],
                              ids=["empty", "2-d", "inf", "nan"])
@@ -620,8 +621,7 @@ class TestFtauConformal:
         monkeypatch.setattr(flows, "_newton_stepper", newton)
         _, closed, closed_a_min = ftau_conformal_flow(tau1, scaled_tau_k(n, 1), phi, 0.5, cfg)
         assert closed_a_min == 1.0
-        k = parabolic.Conductivity(np.ones_like, np.zeros_like, 1.0, 1.0)
-        produce = picard_stepper(tau1, parabolic._quasilinear_faces(tau1, k), k.dfunc, cfg)
+        produce = picard_stepper(tau1, np.ones_like, np.zeros_like, cfg)
         _, states, _ = parabolic._march(tau1.samples, 0.5, cfg, produce, "oracle")
         picard = np.stack([eval_F(k, states, n, phi) for k in (1, 2)])
         assert np.max(np.abs(picard - closed)) <= 1e-12 * np.max(np.abs(tau1.samples))

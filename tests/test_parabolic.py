@@ -15,10 +15,14 @@ from hypothesis import strategies as st
 from scipy.linalg import solve_banded
 
 from egf import parabolic
-from egf.errors import ConductivityRangeError, NonConvergenceError, ValidationError
+from egf.errors import (
+    ConductivityRangeError,
+    EllipticityLossError,
+    NonConvergenceError,
+    ValidationError,
+)
 from egf.parabolic import (
     CircleField,
-    Conductivity,
     SolverConfig,
     exact_quasilinear_conductivity,
     exact_quasilinear_solution,
@@ -33,7 +37,6 @@ from egf.parabolic import (
     _newton_stepper,
     _nsteps,
     _propagator,
-    _quasilinear_faces,
     _snapshot_steps,
     _sup_distance,
     solve_cyclic_tridiag,
@@ -197,8 +200,7 @@ class TestSteppingCore:
             if route == "newton":
                 u0 = exact_family(128)
                 cfg = SolverConfig(dt=1e-3, scheme="crank-nicolson", save_every=7)
-                k = exact_quasilinear_conductivity()
-                produce = _newton_stepper(u0, _quasilinear_faces(u0, k), k.dfunc, cfg)
+                produce = _newton_stepper(u0, *exact_quasilinear_conductivity(), cfg)
                 return parabolic._march(u0.samples, 0.2, cfg, produce, route)
             geom = reeb_setup(n_grid=256)
             sin_a, cos_a = np.sin(geom.alpha), np.cos(geom.alpha)
@@ -300,17 +302,6 @@ class TestKernelsMatchTheirReferenceForms:
         assert apply_divergence(kface, u, h).tobytes() == ref.tobytes()
         assert _face_mean(u).tobytes() == (0.5 * (u + np.roll(u, -1))).tobytes()
 
-    def test_quasilinear_faces_are_the_roll_average(self):
-        n = 256
-        x = np.arange(n) * 2 * math.pi / n
-        u0 = CircleField(2 * math.pi, exact_quasilinear_solution(0.0, x))
-        k = exact_quasilinear_conductivity()
-        v = exact_quasilinear_solution(0.3, x)
-        w = 0.5 * (v + np.roll(v, -1))
-        faces, kface = _quasilinear_faces(u0, k)(v)
-        assert faces.tobytes() == w.tobytes()
-        assert kface.tobytes() == np.asarray(k.func(w), dtype=float).tobytes()
-
 
 SCHEMES = ["implicit-euler", "crank-nicolson"]
 
@@ -371,8 +362,8 @@ class TestPropagatorOracle:
         # measured 2.2e-14 (implicit Euler) and 1.8e-14 (Crank-Nicolson)
         u0, c = _mixed_field(), 0.7
         cfg = SolverConfig(dt=1e-3, scheme=scheme, save_every=1)
-        k = Conductivity(lambda u: np.full_like(u, c), np.zeros_like, c, c)
-        states = solve_quasilinear_divergence(u0, k, 0.5, cfg).states
+        states = solve_quasilinear_divergence(u0, lambda u: np.full_like(u, c), np.zeros_like,
+                                              0.5, cfg).states
         _, ref, _ = parabolic._march(u0.samples, 0.5, cfg, _propagator(u0.samples, c, u0.h, cfg),
                                      "oracle")
         scale = np.max(np.abs(u0.samples))
@@ -389,7 +380,7 @@ class TestQuasilinear:
         u0 = CircleField(2 * math.pi, exact_quasilinear_solution(0.0, x))
         traj = solve_quasilinear_divergence(
             u0,
-            exact_quasilinear_conductivity(),
+            *exact_quasilinear_conductivity(),
             1.0,
             SolverConfig(dt=1e-3, scheme="crank-nicolson"),
         )
@@ -401,9 +392,7 @@ class TestQuasilinear:
         c = 0.7
         u0 = circle_cos(n=128)
         cfg = SolverConfig(dt=1e-3)
-        a = solve_quasilinear_divergence(
-            u0, Conductivity(lambda u: np.full_like(u, c), np.zeros_like, c, c), 1.0, cfg
-        )
+        a = solve_quasilinear_divergence(u0, lambda u: np.full_like(u, c), np.zeros_like, 1.0, cfg)
         b = solve_heat_circle(u0, c * 1.0, SolverConfig(dt=c * 1e-3))
         assert np.max(np.abs(a.states[-1] - b.states[-1])) < 1e-10
 
@@ -412,7 +401,7 @@ class TestQuasilinear:
         x = np.arange(n) * 2 * math.pi / n
         u0 = CircleField(2 * math.pi, 0.9 * np.sin(x) + 0.1 * np.sin(3 * x))
         traj = solve_quasilinear_divergence(
-            u0, exact_quasilinear_conductivity(), 1.0, SolverConfig(dt=1e-3, save_every=1)
+            u0, *exact_quasilinear_conductivity(), 1.0, SolverConfig(dt=1e-3, save_every=1)
         )
         # 1000 Newton steps: the Jacobian's columns sum to 1, so each update
         # keeps the mean; measured 1.1e-16
@@ -421,37 +410,53 @@ class TestQuasilinear:
         sup = np.max(np.abs(traj.states), axis=1)
         assert np.all(np.diff(sup) <= 1e-12)
 
-    def test_out_of_band_initial_range_rejected(self):
-        u0 = circle_cos(amp=3.0)
-        k = Conductivity(lambda u: 1.0 / (1.0 + u * u), lambda u: -2.0 * u / (1.0 + u * u) ** 2,
-                         c1=0.5, c2=1.0)
-        with pytest.raises(ConductivityRangeError):
-            solve_quasilinear_divergence(u0, k, 0.1, SolverConfig(dt=1e-2))
+    def test_state_outside_the_widened_range_rejected(self):
+        # a one-node spike on [0, 1] with dt / h^2 ~ 10: Crank-Nicolson flips
+        # the high modes, so step 1 undershoots the widened range [-0.05,
+        # 1.05]; implicit Euler, monotone, stays in [0, 1] and runs
+        spike = np.zeros(64)
+        spike[10] = 1.0
+        u0 = CircleField(2 * math.pi, spike)
+        states = solve_quasilinear_divergence(u0, np.ones_like, np.zeros_like, 1.0,
+                                              SolverConfig(dt=0.1)).states
+        assert 0.0 <= states.min() and states.max() <= 1.0
+        with pytest.raises(ConductivityRangeError, match="state left the widened initial range "
+                           r"during solve_quasilinear_divergence at step 1 \(t = 0\.1\)$"):
+            solve_quasilinear_divergence(u0, np.ones_like, np.zeros_like, 1.0,
+                                         SolverConfig(dt=0.1, scheme="crank-nicolson"))
+
+    def test_negative_conductivity_names_step_and_t(self):
+        # k(u) = u is negative on half the faces of cos data: the rule k > 0
+        # halts the run at the start of step 1
+        with pytest.raises(EllipticityLossError, match=r"parabolicity coefficient reached min "
+                           r"a = -0\.99.* during solve_quasilinear_divergence at step 1 "):
+            solve_quasilinear_divergence(circle_cos(n=64), lambda u: u, np.ones_like, 0.1,
+                                         SolverConfig(dt=1e-2))
 
     def test_stalled_newton_names_solver_step_and_t(self, monkeypatch):
         monkeypatch.setattr(parabolic, "_NEWTON_SOLVES", 1)
         monkeypatch.setattr(parabolic, "_NEWTON_TOLERANCE", 1e-300)
         cfg = SolverConfig(dt=1e-2)
         with pytest.raises(NonConvergenceError) as info:
-            solve_quasilinear_divergence(circle_cos(n=64), exact_quasilinear_conductivity(),
+            solve_quasilinear_divergence(circle_cos(n=64), *exact_quasilinear_conductivity(),
                                          0.1, cfg)
         message = str(info.value)
         assert "Newton iteration stalled (last residual " in message
         assert "during solve_quasilinear_divergence at step 1 (t = 0.01)" in message
 
     def test_non_finite_conductivity_names_step_and_t(self):
-        # k = 1 is called by the precondition probe, then twice a step (the
-        # start and the one Newton iterate of a linear step); NaN from the
-        # sixth call on: step 3 drops its predictor, and its iterate fails the
-        # band check
+        # k = 1 is called twice a step (the start and the one Newton iterate
+        # of a linear step); NaN from the fifth call on: step 3 drops its
+        # predictor, and its iterate fails the rule k > 0
         calls = itertools.count(1)
-        k = Conductivity(lambda u: np.full_like(u, np.nan if next(calls) > 5 else 1.0),
-                         np.zeros_like, 0.5, 2.0)
-        with pytest.raises(ConductivityRangeError) as info:
-            solve_quasilinear_divergence(circle_cos(n=64), k, 0.1, SolverConfig(dt=1e-2))
+        with pytest.raises(EllipticityLossError) as info:
+            solve_quasilinear_divergence(
+                circle_cos(n=64), lambda u: np.full_like(u, np.nan if next(calls) > 4 else 1.0),
+                np.zeros_like, 0.1, SolverConfig(dt=1e-2))
         message = str(info.value)
-        assert "observed [nan, nan]" in message
+        assert "min a = nan" in message
         assert "during solve_quasilinear_divergence at step 3 (t = 0.03)" in message
+        assert next(calls) == 7
 
     def test_convergence_order(self):
         # halving h improves the sup error by >= 3.5 (second order in space)
@@ -461,7 +466,7 @@ class TestQuasilinear:
             u0 = CircleField(2 * math.pi, exact_quasilinear_solution(0.0, x))
             traj = solve_quasilinear_divergence(
                 u0,
-                exact_quasilinear_conductivity(),
+                *exact_quasilinear_conductivity(),
                 1.0,
                 SolverConfig(dt=1e-3, scheme="crank-nicolson"),
             )
@@ -479,7 +484,7 @@ class TestQuasilinear:
         u0 = CircleField(2 * math.pi, exact_quasilinear_solution(0.0, x))
         finals = [
             solve_quasilinear_divergence(
-                u0, exact_quasilinear_conductivity(), 0.4, SolverConfig(dt=dt, scheme=scheme)
+                u0, *exact_quasilinear_conductivity(), 0.4, SolverConfig(dt=dt, scheme=scheme)
             ).states[-1]
             for dt in (4e-3, 2e-3, 1e-3, 5e-4)
         ]
@@ -506,25 +511,20 @@ class TestPicardPredictor:
         # predictor) and after each solve; the accepted iterate's faces give
         # the next step's explicit half.  Measured 1001 solves in 1000 steps.
         counts = {"solves": 0, "faces": 0}
-        solve, make_faces = parabolic.solve_cyclic_tridiag, parabolic._quasilinear_faces
+        solve = parabolic.solve_cyclic_tridiag
+        k, dk = exact_quasilinear_conductivity()
 
         def counted_solve(*args):
             counts["solves"] += 1
             return solve(*args)
 
-        def counted_faces(u0, k):
-            faces = make_faces(u0, k)
-
-            def hook(v):
-                counts["faces"] += 1
-                return faces(v)
-
-            return hook
+        def counted_k(w):
+            counts["faces"] += 1
+            return k(w)
 
         monkeypatch.setattr(parabolic, "solve_cyclic_tridiag", counted_solve)
-        monkeypatch.setattr(parabolic, "_quasilinear_faces", counted_faces)
-        traj = solve_quasilinear_divergence(exact_family(512), exact_quasilinear_conductivity(),
-                                            1.0, SolverConfig(dt=1e-3, scheme=scheme))
+        traj = solve_quasilinear_divergence(exact_family(512), counted_k, dk, 1.0,
+                                            SolverConfig(dt=1e-3, scheme=scheme))
         steps = traj.step_times.size - 1
         assert steps == 1000 and counts["solves"] <= 1.05 * steps
         assert counts["faces"] == steps + counts["solves"]
@@ -532,10 +532,10 @@ class TestPicardPredictor:
     @pytest.mark.parametrize("data, scheme, dt, nsteps", [
         ("exact", "crank-nicolson", 1e-3, 1000),
         ("exact", "implicit-euler", 1e-3, 1000),
-        # the predictor overshoots the fronts: the hook rejects it at some steps
+        # the predictor overshoots the fronts: the range check rejects it at some steps
         ("square-wave", "crank-nicolson", 1e-2, 20),
     ])
-    def test_states_match_the_lagged_start(self, monkeypatch, data, scheme, dt, nsteps):
+    def test_states_match_the_lagged_start(self, data, scheme, dt, nsteps):
         # Newton against Picard iteration started from u_n at every step;
         # measured 9.3e-14 and 1.7e-13 (exact family, grid 512) and 2.9e-13
         # (square wave), against the bound 1e-12 (1 + sup |u0|)
@@ -543,35 +543,23 @@ class TestPicardPredictor:
             u0 = exact_family(512)
         else:
             u0 = CircleField(2 * math.pi, np.repeat([0.9, -0.9], 64))
-        k = exact_quasilinear_conductivity()
-        rejected = []
-
-        def counted_faces(u0, k):
-            faces = _quasilinear_faces(u0, k)
-
-            def hook(v):
-                try:
-                    return faces(v)
-                except ConductivityRangeError:
-                    rejected.append(v)
-                    raise
-
-            return hook
-
-        monkeypatch.setattr(parabolic, "_quasilinear_faces", counted_faces)
+        k, dk = exact_quasilinear_conductivity()
         cfg = SolverConfig(dt=dt, scheme=scheme, save_every=1)
-        traj = solve_quasilinear_divergence(u0, k, nsteps * dt, cfg)
-        assert bool(rejected) == (data == "square-wave")
+        traj = solve_quasilinear_divergence(u0, k, dk, nsteps * dt, cfg)
+        # the predictors 2 u_n - u_{n-1} of steps 2.. that leave the widened range
+        low, high = parabolic._widened_range(u0)
+        predictors = 2.0 * traj.states[1:-1] - traj.states[:-2]
+        rejected = (predictors.min(axis=1) < low) | (predictors.max(axis=1) > high)
+        assert rejected.any() == (data == "square-wave")
         # the reference: every step's Picard iteration starts from u_n
-        faces = _quasilinear_faces(u0, k)
         h, theta = u0.h, cfg.theta
         stop = parabolic._NEWTON_TOLERANCE * (1.0 + np.max(np.abs(u0.samples)))
         u, ref = u0.samples, [u0.samples]
         for _ in range(nsteps):
-            rhs = u + (1.0 - theta) * cfg.dt * apply_divergence(faces(u)[1], u, h)
+            rhs = u + (1.0 - theta) * cfg.dt * apply_divergence(k(_face_mean(u)), u, h)
             v = u
             for _ in range(parabolic._NEWTON_SOLVES):
-                vnext = divergence_theta_solve(faces(v)[1], rhs, theta * cfg.dt, h)
+                vnext = divergence_theta_solve(k(_face_mean(v)), rhs, theta * cfg.dt, h)
                 done = np.max(np.abs(vnext - v)) <= stop
                 v = vnext
                 if done:
@@ -583,23 +571,30 @@ class TestPicardPredictor:
         scale = 1.0 + np.max(np.abs(u0.samples))
         assert np.max(np.abs(traj.states - np.array(ref))) <= 1e-12 * scale
 
-    def test_the_predictor_reaches_the_monitor_hook(self):
+    def test_the_predictor_reaches_the_face_coefficient(self):
+        # k is evaluated at the face states, the roll average of each state
+        # the step evaluates
         u0 = exact_family(64)
-        k = exact_quasilinear_conductivity()
-        faces = _quasilinear_faces(u0, k)
+        k, dk = exact_quasilinear_conductivity()
         seen = []
 
-        def hook(v):
-            seen.append(v.copy())
-            return faces(v)
+        def recorded(w):
+            seen.append(w.copy())
+            return k(w)
 
-        produce = _newton_stepper(u0, hook, k.dfunc, SolverConfig(dt=1e-2, scheme="crank-nicolson"))
+        produce = _newton_stepper(u0, recorded, dk, SolverConfig(dt=1e-2, scheme="crank-nicolson"))
         u1, u2, u3 = produce(u0.samples, np.arange(1, 4))
+
+        def faces(v):
+            return 0.5 * (v + np.roll(v, -1))
+
         # step 1 starts from u_0: its faces serve the explicit half and the residual
-        assert np.array_equal(seen[0], u0.samples)
-        assert not any(np.array_equal(v, u0.samples) for v in seen[1:])
+        assert seen[0].tobytes() == faces(u0.samples).tobytes()
+        assert not any(np.array_equal(w, faces(u0.samples)) for w in seen[1:])
         for prev, cur in ((u0.samples, u1), (u1, u2)):
-            assert any(np.array_equal(v, 2.0 * cur - prev) for v in seen)
+            assert any(np.array_equal(w, faces(2.0 * cur - prev)) for w in seen)
+        # the least face coefficient of the evaluations
+        assert produce.least == min(k(w).min() for w in seen)
 
 
 class TestInterval:
