@@ -302,6 +302,25 @@ class TestKernelsMatchTheirReferenceForms:
         assert apply_divergence(kface, u, h).tobytes() == ref.tobytes()
         assert _face_mean(u).tobytes() == (0.5 * (u + np.roll(u, -1))).tobytes()
 
+    def test_quasilinear_faces_are_the_roll_average(self):
+        # the Newton stepper passes k the roll average of the state it evaluates
+        n = 256
+        x = np.arange(n) * 2 * math.pi / n
+        u0 = CircleField(2 * math.pi, exact_quasilinear_solution(0.0, x))
+        k, dk = exact_quasilinear_conductivity()
+        v = exact_quasilinear_solution(0.3, x)
+        w = 0.5 * (v + np.roll(v, -1))
+        seen = []
+
+        def recorded(faces):
+            seen.append(faces.copy())
+            return k(faces)
+
+        produce = _newton_stepper(u0, recorded, dk, SolverConfig(dt=1e-3))
+        produce(v, np.arange(1, 2))
+        assert seen[0].tobytes() == w.tobytes()
+        assert produce.least == min(float(k(faces).min()) for faces in seen)
+
 
 SCHEMES = ["implicit-euler", "crank-nicolson"]
 
@@ -571,18 +590,18 @@ class TestPicardPredictor:
         scale = 1.0 + np.max(np.abs(u0.samples))
         assert np.max(np.abs(traj.states - np.array(ref))) <= 1e-12 * scale
 
-    def test_the_predictor_reaches_the_face_coefficient(self):
-        # k is evaluated at the face states, the roll average of each state
-        # the step evaluates
+    def test_the_predictor_reaches_the_monitor_hook(self):
+        # k, the stepper's one hook, monitors the face states: the roll
+        # average of each state the step evaluates
         u0 = exact_family(64)
         k, dk = exact_quasilinear_conductivity()
         seen = []
 
-        def recorded(w):
+        def hook(w):
             seen.append(w.copy())
             return k(w)
 
-        produce = _newton_stepper(u0, recorded, dk, SolverConfig(dt=1e-2, scheme="crank-nicolson"))
+        produce = _newton_stepper(u0, hook, dk, SolverConfig(dt=1e-2, scheme="crank-nicolson"))
         u1, u2, u3 = produce(u0.samples, np.arange(1, 4))
 
         def faces(v):
